@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import AlreadyStrandedError, ConfigError
 from .flowfield import FlowSource
@@ -99,12 +99,7 @@ class Controller:
         if self.kind is ControllerKind.FLOATING:
             return
         mask = self.obstacles if self.kind in _OBSTACLE_AWARE else None
-        cfg = self.solver_config
-        if self.d_max != cfg.d_max:
-            cfg = SolverConfig(
-                grid=cfg.grid, u_max=cfg.u_max, d_max=self.d_max, alpha=cfg.alpha,
-                cfl=cfg.cfl, sentinel=cfg.sentinel, min_dt=cfg.min_dt,
-            )
+        cfg = replace(self.solver_config, d_max=self.d_max)
         self.vf = solve_mtr(forecast, mask, self.target, cfg, t_now, t_end)
 
     def control(self, x: float, y: float, t: float) -> ControlInput:

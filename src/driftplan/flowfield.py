@@ -88,26 +88,33 @@ class FlowSource:
     #: one sampled snapshot instead of resampling every step
     is_steady = False
 
-    def _check_extent(self, x, y, t, clamp_time=False):
+    def _check_space(self, x, y):
         xa = np.asarray(x, dtype=float)
         ya = np.asarray(y, dtype=float)
-        ta = np.asarray(t, dtype=float)
         eps_x = 1e-9 * max(1.0, abs(self.x_max)) if math.isfinite(self.x_max) else 0.0
         eps_y = 1e-9 * max(1.0, abs(self.y_max)) if math.isfinite(self.y_max) else 0.0
-        eps_t = 1e-6 * max(1.0, abs(self.t_max)) if math.isfinite(self.t_max) else 0.0
         if np.any(xa < self.x_min - eps_x) or np.any(xa > self.x_max + eps_x):
             bad = xa[(xa < self.x_min - eps_x) | (xa > self.x_max + eps_x)]
             raise ExtentError("x", float(np.atleast_1d(bad)[0]), self.x_min, self.x_max)
         if np.any(ya < self.y_min - eps_y) or np.any(ya > self.y_max + eps_y):
             bad = ya[(ya < self.y_min - eps_y) | (ya > self.y_max + eps_y)]
             raise ExtentError("y", float(np.atleast_1d(bad)[0]), self.y_min, self.y_max)
+        return xa, ya
+
+    def _check_time(self, t, clamp_time=False):
+        ta = np.asarray(t, dtype=float)
+        eps_t = 1e-6 * max(1.0, abs(self.t_max)) if math.isfinite(self.t_max) else 0.0
         if np.any(ta < self.t_min - eps_t) or np.any(ta > self.t_max + eps_t):
             if clamp_time:
                 ta = np.clip(ta, self.t_min, self.t_max)
             else:
                 bad = ta[(ta < self.t_min - eps_t) | (ta > self.t_max + eps_t)]
                 raise ExtentError("t", float(np.atleast_1d(bad)[0]), self.t_min, self.t_max)
-        return xa, ya, ta
+        return ta
+
+    def _check_extent(self, x, y, t, clamp_time=False):
+        xa, ya = self._check_space(x, y)
+        return xa, ya, self._check_time(t, clamp_time)
 
     def sample(self, x: float, y: float, t: float, clamp_time: bool = False):
         """Velocity (u, v) in m/s at one point."""
@@ -117,6 +124,12 @@ class FlowSource:
     def sample_many(self, x, y, t, clamp_time: bool = False):
         """Vectorized sampling; x, y, t broadcast together."""
         raise NotImplementedError
+
+    def sampler(self, x, y):
+        """``t -> (u, v)`` at the fixed points (x, y), equal to
+        ``sample_many(x, y, t)``; derived flows precompute what does not
+        depend on t."""
+        return lambda t: self.sample_many(x, y, t)
 
     def covers(self, x_lo, x_hi, y_lo, y_hi, t_lo, t_hi) -> bool:
         eps = 1e-6

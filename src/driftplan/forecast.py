@@ -98,6 +98,19 @@ class FourierPerturbedFlow(FlowSource):
             return u, v
         return u + self._error(0, xa, ya), v + self._error(1, xa, ya)
 
+    def sampler(self, x, y):
+        if self.amplitude == 0.0:
+            return super().sampler(x, y)
+        # the error is frozen within a release: evaluate it once per point set
+        xa, ya = np.broadcast_arrays(*self._check_space(x, y))
+        eu, ev = self._error(0, xa, ya), self._error(1, xa, ya)
+
+        def sample(t):
+            u, v = self.truth.sample_many(xa, ya, self._check_time(t), clamp_time=True)
+            return u + eu, v + ev
+
+        return sample
+
 
 @dataclass(frozen=True)
 class _WindowedFlow(FlowSource):
@@ -172,10 +185,6 @@ class ForecastSeries:
         if idx < 0:
             raise HorizonError(f"no forecast released yet at t={t}")
         return times[idx]
-
-
-def current_forecast(series: ForecastSeries, t: float) -> FlowSource:
-    return series.current(t)
 
 
 def gen_forecast_series(

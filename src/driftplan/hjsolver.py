@@ -216,48 +216,40 @@ class SafeTTRMap:
         return float(self.ttr[j, i])
 
 
-def _masked_central_diff(J, valid, h, axis):
-    """Central differences falling back to one-sided away from invalid
-    (sentinel or out-of-domain) neighbors; zero when isolated."""
-    Jm = np.roll(J, 1, axis=axis)
-    Jp = np.roll(J, -1, axis=axis)
-    vm = np.roll(valid, 1, axis=axis)
-    vp = np.roll(valid, -1, axis=axis)
-    edge_lo = [slice(None)] * J.ndim
-    edge_hi = [slice(None)] * J.ndim
-    edge_lo[axis] = 0
-    edge_hi[axis] = -1
-    vm[tuple(edge_lo)] = False
-    vp[tuple(edge_hi)] = False
-    dm = (J - Jm) / h
-    dp = (Jp - J) / h
-    both = vm & vp
-    out = np.zeros_like(J)
-    out[both] = 0.5 * (dm + dp)[both]
-    only_m = vm & ~vp
-    only_p = vp & ~vm
-    out[only_m] = dm[only_m]
-    out[only_p] = dp[only_p]
-    out[~valid] = 0.0
-    return out
+def _axis_pair(ndim, axis):
+    """Index tuples selecting the cells [:-1] and [1:] along ``axis``."""
+    lo = [slice(None)] * ndim
+    hi = [slice(None)] * ndim
+    lo[axis] = slice(None, -1)
+    hi[axis] = slice(1, None)
+    return tuple(lo), tuple(hi)
 
 
 def _one_sided_diffs(J, valid, h, axis):
     """(D-, D+) pairs with invalid sides (sentinel neighbors or the domain
     edge) zeroed, which drops them from the upwind candidate sets."""
-    Jm = np.roll(J, 1, axis=axis)
-    Jp = np.roll(J, -1, axis=axis)
-    vm = np.roll(valid, 1, axis=axis)
-    vp = np.roll(valid, -1, axis=axis)
-    lo = [slice(None)] * J.ndim
-    hi = [slice(None)] * J.ndim
-    lo[axis] = 0
-    hi[axis] = -1
-    vm[tuple(lo)] = False
-    vp[tuple(hi)] = False
-    dm = np.where(vm, (J - Jm) / h, 0.0)
-    dp = np.where(vp, (Jp - J) / h, 0.0)
+    lo, hi = _axis_pair(J.ndim, axis)
+    d = (J[hi] - J[lo]) / h
+    dm = np.zeros_like(J)
+    dp = np.zeros_like(J)
+    np.copyto(dm[hi], d, where=valid[lo])
+    np.copyto(dp[lo], d, where=valid[hi])
     return dm, dp
+
+
+def _masked_central_diff(J, valid, h, axis):
+    """Central differences falling back to one-sided away from invalid
+    (sentinel or out-of-domain) neighbors; zero when isolated."""
+    dm, dp = _one_sided_diffs(J, valid, h, axis)
+    lo, hi = _axis_pair(J.ndim, axis)
+    vm = np.zeros_like(valid)
+    vp = np.zeros_like(valid)
+    vm[hi] = valid[lo]
+    vp[lo] = valid[hi]
+    # dp is already 0 where neither side is valid
+    out = np.where(vm & vp, 0.5 * (dm + dp), np.where(vm, dm, dp))
+    out[~valid] = 0.0
+    return out
 
 
 def _signed_distance_to_obstacles(mask: np.ndarray, dx: float, dy: float) -> np.ndarray:
@@ -338,9 +330,10 @@ def solve_mtr(
     free = ~obst
     tgt_free = tgt_mask & free
 
+    sample = flow.sampler(X, Y)
     steady = getattr(flow, "is_steady", False)
     if steady:
-        vx_s, vy_s = flow.sample_many(X, Y, ts[-1])
+        vx_s, vy_s = sample(ts[-1])
         rate_s = float(
             np.max((np.abs(vx_s) + diss_pad) / g.dx + (np.abs(vy_s) + diss_pad) / g.dy)
         )
@@ -354,7 +347,7 @@ def solve_mtr(
             # CFL from the flow magnitude at both interval endpoints
             rate = 0.0
             for te in (t_hi, t_lo):
-                vx, vy = flow.sample_many(X, Y, te)
+                vx, vy = sample(te)
                 rate = max(
                     rate,
                     float(np.max((np.abs(vx) + diss_pad) / g.dx + (np.abs(vy) + diss_pad) / g.dy)),
@@ -374,7 +367,7 @@ def solve_mtr(
             if steady:
                 vx, vy = vx_s, vy_s
             else:
-                vx, vy = flow.sample_many(X, Y, t_mid)
+                vx, vy = sample(t_mid)
             doomed = W < 0 if have_obst else None
             blocked = obst | doomed if have_obst else obst
             valid = (J < th) & ~blocked

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .controllers import Controller, ControllerKind, build_controller
-from .errors import DriftplanError, ParameterError
+from .errors import DriftplanError, ExtentError, ParameterError
 from .flowfield import FlowSource
 from .forecast import ErrorModelConfig, ForecastSeries, gen_forecast_series, perfect_series
 from .hjsolver import SolverConfig, TargetSpec
@@ -136,7 +136,8 @@ def run_mission(
     cfg: SimConfig,
 ) -> SimulationRecord:
     """Execute one mission closed-loop; never raises on solver failure,
-    the record carries an ABORTED outcome instead."""
+    the record carries an ABORTED outcome instead. A step that samples the
+    truth outside its extent ends the mission as LEFT_REGION."""
     rec = SimulationRecord(mission=mission)
     x, y, t = mission.x0, mission.y0, mission.t0
     deadline = mission.t0 + mission.t_max
@@ -176,7 +177,14 @@ def run_mission(
         rec.us.append(u.vector)
         rec.branches.append(ctrl.last_branch)
         rec.ttrs.append(_state_ttr(ctrl, x, y, t))
-        x, y = integrate_step((x, y), u.vector, truth, t, cfg.step_dt, cfg.integrator)
+        try:
+            x, y = integrate_step((x, y), u.vector, truth, t, cfg.step_dt, cfg.integrator)
+        except ExtentError as exc:
+            # an integration stage left the truth's extent
+            rec.outcome = Outcome.LEFT_REGION
+            rec.outcome_time = t + cfg.step_dt
+            rec.note = str(exc)
+            return rec
         t += cfg.step_dt
         if ctrl.obstacles is not None and ctrl.obstacles.contains(x, y):
             rec.outcome = Outcome.STRANDED
@@ -296,7 +304,11 @@ def stranding_study(
         t_end = t + horizon
         stranded = left = False
         while t < t_end - 1e-9:
-            x, y = integrate_step((x, y), (0.0, 0.0), truth, t, step_dt)
+            try:
+                x, y = integrate_step((x, y), (0.0, 0.0), truth, t, step_dt)
+            except ExtentError:
+                left = True
+                break
             t += step_dt
             if obstacles.contains(x, y):
                 stranded = True

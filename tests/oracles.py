@@ -85,3 +85,43 @@ def central_divergence(flow, x, y, t, h=1.0):
     _, vp = flow.sample(x, y + h, t)
     _, vm = flow.sample(x, y - h, t)
     return (up - um) / (2 * h) + (vp - vm) / (2 * h)
+
+
+def _roll_neighbors(J, valid, axis):
+    """Neighbor values and validity by periodic roll, with the wrapped-in
+    edge marked invalid."""
+    Jm = np.roll(J, 1, axis=axis)
+    Jp = np.roll(J, -1, axis=axis)
+    vm = np.roll(valid, 1, axis=axis)
+    vp = np.roll(valid, -1, axis=axis)
+    lo = [slice(None)] * J.ndim
+    hi = [slice(None)] * J.ndim
+    lo[axis] = 0
+    hi[axis] = -1
+    vm[tuple(lo)] = False
+    vp[tuple(hi)] = False
+    return Jm, Jp, vm, vp
+
+
+def roll_one_sided_diffs(J, valid, h, axis):
+    """Reference (D-, D+) with invalid sides zeroed, built on np.roll."""
+    Jm, Jp, vm, vp = _roll_neighbors(J, valid, axis)
+    dm = np.where(vm, (J - Jm) / h, 0.0)
+    dp = np.where(vp, (Jp - J) / h, 0.0)
+    return dm, dp
+
+
+def roll_masked_central_diff(J, valid, h, axis):
+    """Reference sentinel-aware central difference, built on np.roll."""
+    Jm, Jp, vm, vp = _roll_neighbors(J, valid, axis)
+    dm = (J - Jm) / h
+    dp = (Jp - J) / h
+    both = vm & vp
+    out = np.zeros_like(J)
+    out[both] = 0.5 * (dm + dp)[both]
+    only_m = vm & ~vp
+    only_p = vp & ~vm
+    out[only_m] = dm[only_m]
+    out[only_p] = dp[only_p]
+    out[~valid] = 0.0
+    return out

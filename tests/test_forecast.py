@@ -1,10 +1,19 @@
 """Synthetic forecast-error model and forecast release series."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from driftplan.errors import HorizonError, ParameterError
-from driftplan.flowfield import make_uniform
+from driftplan.errors import ExtentError, HorizonError, ParameterError
+from driftplan.flowfield import (
+    GriddedFlow,
+    SpaceTimeGrid,
+    make_double_gyre,
+    make_highway,
+    make_uniform,
+)
 from driftplan.forecast import (
     DAY_S,
     ErrorModelConfig,
@@ -136,3 +145,81 @@ def test_manifest_round_trip(tmp_path):
     loaded_entries, horizon = read_series_manifest(path)
     assert horizon == 5 * DAY_S
     assert loaded_entries == entries
+
+
+def _sampler_flows():
+    """One flow of each kind, all valid for t in [0, 50 ks] on [0, 10 km]^2."""
+    g = SpaceTimeGrid(x0=0.0, y0=0.0, dx=1000.0, dy=1000.0, nx=11, ny=11,
+                      t0=0.0, dt_snap=20000.0, nt=6)
+    rng = np.random.default_rng(3)
+    gridded = GriddedFlow(g, 0.3 * rng.standard_normal((6, 11, 11)),
+                          0.3 * rng.standard_normal((6, 11, 11)))
+    gyre = make_double_gyre(0.16, 2 * math.pi / DAY_S, 0.25, 5000.0)
+
+    def release(truth, **kw):
+        return gen_forecast_series(truth, _cfg(**kw), DAY_S, 50000.0, (0.0, 0.0)).current(0.0)
+
+    return {
+        "uniform": make_uniform(0.05, -0.08),
+        "highway": make_highway(4000.0, 6000.0, (0.4, 0.0)),
+        "gyre": gyre,
+        "gridded": gridded,
+        "windowed": perfect_series(gyre, 0.0, 0.0, DAY_S, 50000.0).current(0.0),
+        "fourier_zero": release(gyre, target_rmse=0.0),
+        "fourier_gyre": release(gyre),
+        "fourier_gridded": release(gridded),
+    }
+
+
+SAMPLER_FLOWS = _sampler_flows()
+WINDOWED = [k for k, f in SAMPLER_FLOWS.items() if math.isfinite(f.t_max)]
+
+
+def _points(seed, shape):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0.0, 10000.0, shape), rng.uniform(0.0, 10000.0, shape)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    name=st.sampled_from(sorted(SAMPLER_FLOWS)),
+    seed=st.integers(0, 2**31 - 1),
+    shape=st.sampled_from([(1,), (7,), (5, 9), (11, 11)]),
+    ts=st.lists(st.floats(0.0, 50000.0), min_size=1, max_size=4),
+)
+def test_sampler_matches_sample_many_bitwise(name, seed, shape, ts):
+    flow = SAMPLER_FLOWS[name]
+    x, y = _points(seed, shape)
+    sample = flow.sampler(x, y)
+    for t in ts:
+        for a, b in zip(sample(t), flow.sample_many(x, y, t)):
+            assert a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(WINDOWED),
+    seed=st.integers(0, 2**31 - 1),
+    past=st.booleans(),
+    offset=st.floats(1.0, 1e6),
+)
+def test_sampler_rejects_out_of_window_time(name, seed, past, offset):
+    flow = SAMPLER_FLOWS[name]
+    x, y = _points(seed, (4, 3))
+    sample = flow.sampler(x, y)
+    t = flow.t_max + offset if past else flow.t_min - offset
+    with pytest.raises(ExtentError) as info:
+        sample(t)
+    assert info.value.axis == "t"
+    # the sampler stays usable after a rejected time
+    sample(flow.t_min)
+
+
+def test_sampler_rejects_points_outside_extent():
+    flow = SAMPLER_FLOWS["fourier_gridded"]
+    x, y = _points(0, (5,))
+    x[2] = 10500.0
+    with pytest.raises(ExtentError) as info:
+        flow.sampler(x, y)(0.0)
+    assert info.value.axis == "x"

@@ -1,9 +1,12 @@
 """Reachability solver: analytic oracles, invariants, file round-trip."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from oracles import roll_masked_central_diff, roll_one_sided_diffs
 
 from driftplan.errors import (
     AlreadyStrandedError,
@@ -11,11 +14,20 @@ from driftplan.errors import (
     HorizonError,
     ParameterError,
 )
-from driftplan.flowfield import SpaceTimeGrid, make_highway, make_uniform
+from driftplan.flowfield import (
+    DoubleGyreFlow,
+    SpaceTimeGrid,
+    make_double_gyre,
+    make_highway,
+    make_uniform,
+)
+from driftplan.forecast import ErrorModelConfig, FourierPerturbedFlow, gen_forecast_series
 from driftplan.hjsolver import (
     SolverConfig,
     TargetSpec,
     ValueFunction,
+    _masked_central_diff,
+    _one_sided_diffs,
     brt,
     read_value_file,
     safe_ttr,
@@ -238,3 +250,68 @@ def test_value_file_bad_magic(tmp_path):
     p.write_bytes(b"ABCD" + b"\x00" * 80)
     with pytest.raises(FormatError):
         read_value_file(str(p))
+
+
+def _stencil_case(seed, ny, nx, p_valid, p_sentinel):
+    rng = np.random.default_rng(seed)
+    J = rng.standard_normal((ny, nx)) * 10.0 ** rng.integers(-3, 6)
+    J[rng.random((ny, nx)) < p_sentinel] = 1e10
+    valid = (rng.random((ny, nx)) < p_valid) & (J < 5e9)
+    return J, valid, float(rng.uniform(0.5, 500.0))
+
+
+_stencil_args = dict(
+    seed=st.integers(0, 2**31 - 1),
+    ny=st.integers(1, 9),
+    nx=st.integers(1, 9),
+    p_valid=st.floats(0.0, 1.0),
+    p_sentinel=st.floats(0.0, 0.5),
+    axis=st.sampled_from([0, 1]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(**_stencil_args)
+def test_one_sided_diffs_match_roll_reference(seed, ny, nx, p_valid, p_sentinel, axis):
+    J, valid, h = _stencil_case(seed, ny, nx, p_valid, p_sentinel)
+    got = _one_sided_diffs(J, valid, h, axis)
+    want = roll_one_sided_diffs(J, valid, h, axis)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(**_stencil_args)
+def test_masked_central_diff_matches_roll_reference(seed, ny, nx, p_valid, p_sentinel, axis):
+    J, valid, h = _stencil_case(seed, ny, nx, p_valid, p_sentinel)
+    got = _masked_central_diff(J, valid, h, axis)
+    assert got.tobytes() == roll_masked_central_diff(J, valid, h, axis).tobytes()
+
+
+def test_unsteady_solve_evaluates_forecast_error_once_per_component(monkeypatch):
+    g = SpaceTimeGrid(x0=0.0, y0=0.0, dx=500.0, dy=500.0, nx=21, ny=11,
+                      t0=0.0, dt_snap=5000.0, nt=5)
+    truth = make_double_gyre(0.16, 2 * math.pi / 86400.0, 0.25, 5000.0)
+    fc = gen_forecast_series(
+        truth, ErrorModelConfig(0.2, 2500.0, 40000.0, seed=0),
+        20000.0, 20000.0, (0.0, 0.0),
+    ).current(0.0)
+    counts = {"error": 0, "truth": 0}
+    real_error = FourierPerturbedFlow._error
+    real_truth = DoubleGyreFlow.sample_many
+
+    def count_error(self, *args):
+        counts["error"] += 1
+        return real_error(self, *args)
+
+    def count_truth(self, *args, **kw):
+        counts["truth"] += 1
+        return real_truth(self, *args, **kw)
+
+    monkeypatch.setattr(FourierPerturbedFlow, "_error", count_error)
+    monkeypatch.setattr(DoubleGyreFlow, "sample_many", count_truth)
+    solve_mtr(fc, None, TargetSpec((2000.0, 2000.0), 600.0),
+              SolverConfig(grid=g, u_max=U_MAX), 0.0, 20000.0)
+    assert counts["error"] == 2
+    # the truth is still sampled at every CFL endpoint and substep
+    assert counts["truth"] > 2 * 4

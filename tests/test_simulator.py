@@ -7,7 +7,7 @@ import pytest
 
 from driftplan.controllers import ControllerKind, build_controller
 from driftplan.errors import ParameterError
-from driftplan.flowfield import SpaceTimeGrid, make_highway, make_uniform
+from driftplan.flowfield import GriddedFlow, SpaceTimeGrid, make_highway, make_uniform
 from driftplan.forecast import ErrorModelConfig, perfect_series
 from driftplan.hjsolver import SolverConfig, TargetSpec
 from driftplan.simulator import (
@@ -146,6 +146,42 @@ def test_left_region_detection():
     rec = run_mission(m, truth, ctrl, series, cfg)
     assert rec.outcome is Outcome.LEFT_REGION
     assert rec.outcome_time == pytest.approx(1000.0 / 0.5, abs=1200.0)
+
+
+def _eastward_gridded_truth():
+    """0.5 m/s eastward on a gridded [0, 10 km]^2 extent."""
+    g = SpaceTimeGrid(x0=0.0, y0=0.0, dx=1000.0, dy=1000.0, nx=11, ny=11,
+                      t0=0.0, dt_snap=100000.0, nt=2)
+    return GriddedFlow(g, np.full((2, 11, 11), 0.5), np.zeros((2, 11, 11)))
+
+
+def test_rk4_stage_outside_gridded_extent_is_left_region():
+    truth = _eastward_gridded_truth()
+    om = ObstacleMask(grid=SpatialGrid(0, 0, 200.0, 200.0, 51, 51),
+                      mask=np.zeros((51, 51), dtype=bool))
+    spec = BatchSpec(kind=ControllerKind.FLOATING,
+                     solver_config=SolverConfig(grid=_grid(), u_max=U_MAX),
+                     obstacles=om)
+    missions = [_mission(x0=9800.0, y0=5000.0),
+                _mission(x0=1000.0, y0=5000.0, t_max=6000.0)]
+    recs = run_batch(missions, truth, spec, SimConfig(step_dt=600.0))
+    # the last RK4 stage of the first step samples x = 10100 m
+    assert recs[0].outcome is Outcome.LEFT_REGION
+    assert recs[0].outcome_time == 600.0
+    assert "x=10100.0" in recs[0].note
+    # the fault stays with its mission: the next one runs normally
+    assert recs[1].outcome is Outcome.TIMEOUT
+    assert recs[1].xs[-1] == pytest.approx(1000.0 + 9 * 300.0)
+
+
+def test_stranding_study_counts_extent_exit_as_left_region():
+    truth = _eastward_gridded_truth()
+    om = ObstacleMask(grid=SpatialGrid(0, 0, 1000.0, 1000.0, 11, 11),
+                      mask=np.zeros((11, 11), dtype=bool))
+    res = stranding_study((9750.0, 9950.0, 0.0, 10000.0), truth, om,
+                          n=20, horizon=6000.0, seed=4)
+    assert res["n_left_region"] == 20
+    assert res["n_stranded"] == res["n_survived"] == 0
 
 
 def test_aborted_when_replanning_fails():
