@@ -125,18 +125,6 @@ class Controller:
             return floating_policy()
 
 
-def switching_policy(
-    inner: Controller, dmap: DistanceMap, threshold: float,
-    x: float, y: float, t: float,
-) -> ControlInput:
-    """Distance-threshold safety switch around an inner controller."""
-    if dmap.value_at(x, y) < threshold:
-        u = safety_ascent_policy(dmap, x, y, inner.u_max)
-        if u is not None:
-            return u
-    return inner.control(x, y, t)
-
-
 def build_controller(
     kind: ControllerKind | str,
     *,

@@ -88,28 +88,42 @@ class FlowSource:
     #: one sampled snapshot instead of resampling every step
     is_steady = False
 
+    def _space_eps(self):
+        eps_x = 1e-9 * max(1.0, abs(self.x_max)) if math.isfinite(self.x_max) else 0.0
+        eps_y = 1e-9 * max(1.0, abs(self.y_max)) if math.isfinite(self.y_max) else 0.0
+        return eps_x, eps_y
+
+    def inside(self, x, y):
+        """Boolean mask of the points (x, y) that lie in the spatial extent,
+        within the tolerance sampling allows."""
+        xa = np.asarray(x, dtype=float)
+        ya = np.asarray(y, dtype=float)
+        eps_x, eps_y = self._space_eps()
+        return ~((xa < self.x_min - eps_x) | (xa > self.x_max + eps_x)
+                 | (ya < self.y_min - eps_y) | (ya > self.y_max + eps_y))
+
     def _check_space(self, x, y):
         xa = np.asarray(x, dtype=float)
         ya = np.asarray(y, dtype=float)
-        eps_x = 1e-9 * max(1.0, abs(self.x_max)) if math.isfinite(self.x_max) else 0.0
-        eps_y = 1e-9 * max(1.0, abs(self.y_max)) if math.isfinite(self.y_max) else 0.0
-        if np.any(xa < self.x_min - eps_x) or np.any(xa > self.x_max + eps_x):
+        if not np.all(self.inside(xa, ya)):
+            eps_x, eps_y = self._space_eps()
             bad = xa[(xa < self.x_min - eps_x) | (xa > self.x_max + eps_x)]
-            raise ExtentError("x", float(np.atleast_1d(bad)[0]), self.x_min, self.x_max)
-        if np.any(ya < self.y_min - eps_y) or np.any(ya > self.y_max + eps_y):
+            if bad.size:
+                raise ExtentError("x", float(bad.flat[0]), self.x_min, self.x_max)
             bad = ya[(ya < self.y_min - eps_y) | (ya > self.y_max + eps_y)]
-            raise ExtentError("y", float(np.atleast_1d(bad)[0]), self.y_min, self.y_max)
+            raise ExtentError("y", float(bad.flat[0]), self.y_min, self.y_max)
         return xa, ya
 
     def _check_time(self, t, clamp_time=False):
         ta = np.asarray(t, dtype=float)
         eps_t = 1e-6 * max(1.0, abs(self.t_max)) if math.isfinite(self.t_max) else 0.0
-        if np.any(ta < self.t_min - eps_t) or np.any(ta > self.t_max + eps_t):
-            if clamp_time:
-                ta = np.clip(ta, self.t_min, self.t_max)
-            else:
-                bad = ta[(ta < self.t_min - eps_t) | (ta > self.t_max + eps_t)]
-                raise ExtentError("t", float(np.atleast_1d(bad)[0]), self.t_min, self.t_max)
+        out = (ta < self.t_min - eps_t) | (ta > self.t_max + eps_t)
+        if np.any(out):
+            if not clamp_time:
+                raise ExtentError("t", float(ta[out].flat[0]), self.t_min, self.t_max)
+            # clamp only the times beyond the tolerance, so that each point
+            # of a batch is sampled as it would be on its own
+            ta = np.where(out, np.clip(ta, self.t_min, self.t_max), ta)
         return ta
 
     def _check_extent(self, x, y, t, clamp_time=False):
@@ -281,17 +295,26 @@ class GriddedFlow(FlowSource):
         wx = fx - i0
         wy = fy - j0
         wt = ft - k0 if g.nt > 1 else np.zeros_like(ft)
-        k1 = np.minimum(k0 + 1, g.nt - 1)
+
+        # flat indices of the 8 space-time corners, in the order interp reads
+        # them; the later snapshot is k0 + 1, or k0 itself when nt == 1
+        dk = g.ny * g.nx if g.nt > 1 else 0
+        offsets = np.array([0, dk, 1, dk + 1, g.nx, dk + g.nx, g.nx + 1, dk + g.nx + 1])
+        base = (k0 * g.ny + j0) * g.nx + i0
+        idx = base + offsets.reshape((8,) + (1,) * base.ndim)
+
+        rt, rx, ry = 1 - wt, 1 - wx, 1 - wy
 
         def interp(arr):
-            c00 = arr[k0, j0, i0] * (1 - wt) + arr[k1, j0, i0] * wt
-            c10 = arr[k0, j0, i0 + 1] * (1 - wt) + arr[k1, j0, i0 + 1] * wt
-            c01 = arr[k0, j0 + 1, i0] * (1 - wt) + arr[k1, j0 + 1, i0] * wt
-            c11 = arr[k0, j0 + 1, i0 + 1] * (1 - wt) + arr[k1, j0 + 1, i0 + 1] * wt
+            a = arr.ravel().take(idx)
+            c00 = a[0] * rt + a[1] * wt
+            c10 = a[2] * rt + a[3] * wt
+            c01 = a[4] * rt + a[5] * wt
+            c11 = a[6] * rt + a[7] * wt
             return (
-                c00 * (1 - wx) * (1 - wy)
-                + c10 * wx * (1 - wy)
-                + c01 * (1 - wx) * wy
+                c00 * rx * ry
+                + c10 * wx * ry
+                + c01 * rx * wy
                 + c11 * wx * wy
             )
 
@@ -310,12 +333,6 @@ def make_highway(y1: float, y2: float, band_velocity) -> FlowSource:
 
 def make_double_gyre(amplitude: float, omega: float, epsilon: float, scale: float) -> FlowSource:
     return DoubleGyreFlow(amplitude, omega, epsilon, scale)
-
-
-def sample_flow(source: FlowSource, x, t, clamp_time: bool = False):
-    """Sample velocity at position x = (x, y) and time t."""
-    px, py = x
-    return source.sample(px, py, t, clamp_time=clamp_time)
 
 
 def degrees_to_meters_grid(

@@ -122,16 +122,19 @@ class ValueFunction:
     def value_at(self, x: float, y: float, t: float) -> float:
         """Bilinear value at (x, y); sentinel corners are excluded by
         renormalizing the interpolation weights."""
-        sl = self.slice_at(t)
+        k0, k1, w = self._time_bracket(t)
         g = self.grid
         fx = np.clip((x - g.x0) / g.dx, 0.0, g.nx - 1.0)
         fy = np.clip((y - g.y0) / g.dy, 0.0, g.ny - 1.0)
         i0 = min(int(fx), g.nx - 2)
         j0 = min(int(fy), g.ny - 2)
         wx, wy = fx - i0, fy - j0
-        corners = np.array(
-            [sl[j0, i0], sl[j0, i0 + 1], sl[j0 + 1, i0], sl[j0 + 1, i0 + 1]]
-        )
+        # the 4 corners of slice_at(t), blended and sentinel-pinned alike
+        a = self.values[k0, j0:j0 + 2, i0:i0 + 2].ravel()
+        b = self.values[k1, j0:j0 + 2, i0:i0 + 2].ravel()
+        corners = (1.0 - w) * a + w * b
+        th = self.sentinel_threshold
+        corners[(a >= th) | (b >= th)] = self.sentinel
         weights = np.array(
             [(1 - wx) * (1 - wy), wx * (1 - wy), (1 - wx) * wy, wx * wy]
         )

@@ -87,6 +87,18 @@ class SimulationRecord:
                 w.writerow([t, x, y, u[0], u[1], b, "" if math.isnan(d) else d])
 
 
+def _rk4(deriv, px, py, t, dt):
+    """Classical RK4 step from (px, py) at t; works on floats and arrays."""
+    k1 = deriv(px, py, t)
+    k2 = deriv(px + 0.5 * dt * k1[0], py + 0.5 * dt * k1[1], t + 0.5 * dt)
+    k3 = deriv(px + 0.5 * dt * k2[0], py + 0.5 * dt * k2[1], t + 0.5 * dt)
+    k4 = deriv(px + dt * k3[0], py + dt * k3[1], t + dt)
+    return (
+        px + dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
+        py + dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]),
+    )
+
+
 def integrate_step(x, u_vec, truth: FlowSource, t: float, dt: float,
                    integrator: str = "rk4"):
     """One step of dx/dt = v(x, t) + u with u held constant."""
@@ -100,21 +112,15 @@ def integrate_step(x, u_vec, truth: FlowSource, t: float, dt: float,
     if integrator == "euler":
         dx, dy = deriv(px, py, t)
         return px + dt * dx, py + dt * dy
-    k1 = deriv(px, py, t)
-    k2 = deriv(px + 0.5 * dt * k1[0], py + 0.5 * dt * k1[1], t + 0.5 * dt)
-    k3 = deriv(px + 0.5 * dt * k2[0], py + 0.5 * dt * k2[1], t + 0.5 * dt)
-    k4 = deriv(px + dt * k3[0], py + dt * k3[1], t + dt)
-    return (
-        px + dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
-        py + dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]),
-    )
+    return _rk4(deriv, px, py, t, dt)
 
 
-def _in_region(x, y, region) -> bool:
+def _in_region(x, y, region):
+    """Region membership; elementwise for arrays."""
     if region is None:
         return True
     xmin, xmax, ymin, ymax = region
-    return xmin <= x <= xmax and ymin <= y <= ymax
+    return (xmin <= x) & (x <= xmax) & (ymin <= y) & (y <= ymax)
 
 
 def _state_ttr(ctrl: Controller, x, y, t) -> float:
@@ -272,6 +278,67 @@ def run_batch(
     return [rec for _, rec in results]
 
 
+class DriftEnd(enum.IntEnum):
+    """How a passive particle's drift ended."""
+
+    SURVIVED = 0
+    STRANDED = 1
+    LEFT_REGION = 2
+
+
+def drift_particles(truth: FlowSource, obstacles: ObstacleMask, region, x, y, t,
+                    horizon: float, step_dt: float = 600.0):
+    """Drift passive particles from (x, y) at times t for ``horizon`` seconds.
+
+    All live particles advance together, one RK4 step of ``integrate_step``'s
+    arithmetic per time step. Each particle takes the exits of the scalar
+    loop in the same order: an RK4 stage outside the truth's extent (left
+    region, at the step's start), an obstacle at the new position
+    (stranded), a position outside ``region`` (left region); otherwise it
+    drifts on until its own t + horizon. Returns end x, y and a DriftEnd
+    status per particle.
+    """
+    x = np.array(x, dtype=float)
+    y = np.array(y, dtype=float)
+    t = np.broadcast_to(np.asarray(t, dtype=float), x.shape)
+    t_end = t + horizon
+    status = np.full(x.shape, DriftEnd.SURVIVED, dtype=np.int8)
+    live = np.flatnonzero(t < t_end - 1e-9)
+    px, py, pt, pend = x[live], y[live], t[live], t_end[live]
+    off = None
+
+    def deriv(qx, qy, tau):
+        try:
+            vx, vy = truth.sample_many(qx, qy, tau, clamp_time=True)
+        except ExtentError:
+            # the particles whose stage left the extent end this step; the
+            # others are sampled as before, at points moved inside for them
+            ok = truth.inside(qx, qy)
+            off[~ok] = True
+            qx = np.where(ok, qx, np.clip(qx, truth.x_min, truth.x_max))
+            qy = np.where(ok, qy, np.clip(qy, truth.y_min, truth.y_max))
+            vx, vy = truth.sample_many(qx, qy, tau, clamp_time=True)
+        return vx + 0.0, vy + 0.0  # zero control, as integrate_step adds it
+
+    while live.size:
+        off = np.zeros(live.size, dtype=bool)
+        qx, qy = _rk4(deriv, px, py, pt, step_dt)
+        px = np.where(off, px, qx)
+        py = np.where(off, py, qy)
+        pt = pt + step_dt
+        stranded = ~off & obstacles.contains_many(px, py)
+        left = off | (~stranded & ~_in_region(px, py, region))
+        done = stranded | left | ~(pt < pend - 1e-9)
+        if done.any():
+            x[live[done]] = px[done]
+            y[live[done]] = py[done]
+            status[live[stranded]] = DriftEnd.STRANDED
+            status[live[left]] = DriftEnd.LEFT_REGION
+            keep = ~done
+            live, px, py, pt, pend = live[keep], px[keep], py[keep], pt[keep], pend[keep]
+    return x, y, status
+
+
 def stranding_study(
     region: tuple[float, float, float, float],
     truth: FlowSource,
@@ -284,6 +351,8 @@ def stranding_study(
 ):
     """Monte-Carlo drift study: n passive trajectories from uniform starts.
 
+    Starts are drawn one particle at a time (x, y until off obstacles, then
+    t), and all particles then drift together through ``drift_particles``.
     Returns counts, rates, and a per-cell heatmap of stranding end
     locations on the obstacle-mask grid.
     """
@@ -291,44 +360,26 @@ def stranding_study(
         raise ParameterError("need at least one sample")
     rng = np.random.default_rng(seed)
     xmin, xmax, ymin, ymax = region
-    heat = np.zeros((obstacles.grid.ny, obstacles.grid.nx), dtype=np.int64)
-    n_stranded = n_left = n_survived = 0
-    cfg = SimConfig(step_dt=step_dt, region=region)
-    for _ in range(n):
+    xs, ys, ts = np.empty(n), np.empty(n), np.empty(n)
+    for k in range(n):
         while True:
             x = rng.uniform(xmin, xmax)
             y = rng.uniform(ymin, ymax)
             if not obstacles.contains(x, y):
                 break
-        t = rng.uniform(*t_range) if t_range[1] > t_range[0] else t_range[0]
-        t_end = t + horizon
-        stranded = left = False
-        while t < t_end - 1e-9:
-            try:
-                x, y = integrate_step((x, y), (0.0, 0.0), truth, t, step_dt)
-            except ExtentError:
-                left = True
-                break
-            t += step_dt
-            if obstacles.contains(x, y):
-                stranded = True
-                break
-            if not _in_region(x, y, region):
-                left = True
-                break
-        if stranded:
-            n_stranded += 1
-            j, i = obstacles.grid.nearest_cell(x, y)
-            heat[j, i] += 1
-        elif left:
-            n_left += 1
-        else:
-            n_survived += 1
+        xs[k], ys[k] = x, y
+        ts[k] = rng.uniform(*t_range) if t_range[1] > t_range[0] else t_range[0]
+    x, y, status = drift_particles(truth, obstacles, region, xs, ys, ts, horizon, step_dt)
+    stranded = status == DriftEnd.STRANDED
+    heat = np.zeros((obstacles.grid.ny, obstacles.grid.nx), dtype=np.int64)
+    np.add.at(heat, obstacles.grid.nearest_cells(x[stranded], y[stranded]), 1)
+    n_stranded = int(stranded.sum())
+    n_left = int((status == DriftEnd.LEFT_REGION).sum())
     return {
         "n": n,
         "n_stranded": n_stranded,
         "n_left_region": n_left,
-        "n_survived": n_survived,
+        "n_survived": n - n_stranded - n_left,
         "stranded_rate": n_stranded / n,
         "left_region_rate": n_left / n,
         "heatmap": heat,

@@ -1,13 +1,13 @@
-"""Elevation grids, obstacle masks, and BFS distance-to-obstacle maps."""
+"""Elevation grids, obstacle masks, and hop-distance-to-obstacle maps."""
 
 from __future__ import annotations
 
 import math
 import struct
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import ndimage
 
 from .errors import FormatError, ParameterError
 
@@ -57,6 +57,12 @@ class SpatialGrid:
         j = int(np.clip(round((y - self.y0) / self.dy), 0, self.ny - 1))
         return j, i
 
+    def nearest_cells(self, x, y):
+        """``nearest_cell`` for arrays of points: (rows, cols) int arrays."""
+        i = np.clip(np.rint((x - self.x0) / self.dx), 0, self.nx - 1).astype(np.intp)
+        j = np.clip(np.rint((y - self.y0) / self.dy), 0, self.ny - 1).astype(np.intp)
+        return j, i
+
     def _frac_index(self, x: float, y: float):
         fx = np.clip((x - self.x0) / self.dx, 0.0, self.nx - 1.0)
         fy = np.clip((y - self.y0) / self.dy, 0.0, self.ny - 1.0)
@@ -98,6 +104,10 @@ class ObstacleMask:
         """Obstacle membership by nearest-cell lookup."""
         j, i = self.grid.nearest_cell(x, y)
         return bool(self.mask[j, i])
+
+    def contains_many(self, x, y) -> np.ndarray:
+        """``contains`` for arrays of points."""
+        return self.mask[self.grid.nearest_cells(x, y)]
 
     @classmethod
     def empty(cls, grid: SpatialGrid) -> "ObstacleMask":
@@ -177,7 +187,7 @@ def obstacle_mask(elev: ElevationGrid, threshold: float = DEFAULT_THRESHOLD_M) -
 
 
 def distance_map(mask: ObstacleMask) -> DistanceMap:
-    """Multi-source BFS over 4-connected cells from all obstacle cells.
+    """4-connected hop distance from the nearest obstacle cell.
 
     Distance = hop count x cell spacing; requires square cells. A mask
     with no obstacles yields +inf everywhere.
@@ -185,26 +195,11 @@ def distance_map(mask: ObstacleMask) -> DistanceMap:
     g = mask.grid
     if not math.isclose(g.dx, g.dy, rel_tol=1e-6):
         raise ParameterError("distance_map requires square cells (dx == dy)")
-    spacing = g.dx
     m = mask.mask
-    dist = np.full(m.shape, np.inf)
     if not m.any():
-        return DistanceMap(g, dist)
-    hops = np.full(m.shape, -1, dtype=np.int64)
-    q = deque()
-    src = np.argwhere(m)
-    for j, i in src:
-        hops[j, i] = 0
-        q.append((int(j), int(i)))
-    ny, nx = m.shape
-    while q:
-        j, i = q.popleft()
-        h = hops[j, i] + 1
-        for jj, ii in ((j - 1, i), (j + 1, i), (j, i - 1), (j, i + 1)):
-            if 0 <= jj < ny and 0 <= ii < nx and hops[jj, ii] < 0:
-                hops[jj, ii] = h
-                q.append((jj, ii))
-    return DistanceMap(g, hops * spacing)
+        return DistanceMap(g, np.full(m.shape, np.inf))
+    hops = ndimage.distance_transform_cdt(~m, metric="taxicab")
+    return DistanceMap(g, hops * g.dx)
 
 
 def write_elevation_file(elev: ElevationGrid, path) -> None:

@@ -214,6 +214,7 @@ def test_criterion_4_closed_loop_safety_on_truth():
 
 # ---------------------------------------------------------------- criterion 5
 
+@pytest.mark.slow
 def test_criterion_5_forecast_error_regime():
     """With forecast error at twice the actuation speed, the
     obstacle-aware planner strands significantly less often than both the

@@ -14,7 +14,6 @@ from driftplan.controllers import (
     floating_policy,
     mtr_policy,
     safety_ascent_policy,
-    switching_policy,
 )
 from driftplan.errors import ConfigError
 from driftplan.flowfield import SpaceTimeGrid, make_highway, make_uniform
@@ -110,17 +109,6 @@ def test_switching_branch_below_threshold(highway_setup):
     assert math.cos(u.theta) < -0.99
     u = ctrl.control(2000.0, 8000.0, 0.0)  # far from the wall
     assert ctrl.last_branch == "plan"
-
-
-def test_switching_policy_helper(highway_setup):
-    s = highway_setup
-    inner = build_controller(
-        ControllerKind.MTR, u_max=U_MAX, solver_config=s["cfg"],
-        target=s["tgt"], obstacles=s["om"], dmap=s["dmap"],
-    )
-    inner.vf = s["vf"]
-    u = switching_policy(inner, s["dmap"], 1000.0, 8100.0, 1000.0, 0.0)
-    assert math.cos(u.theta) < -0.99
 
 
 def test_doomed_cell_falls_back_to_ascent(highway_setup):

@@ -14,7 +14,6 @@ from driftplan.flowfield import (
     make_highway,
     make_uniform,
     read_flow_file,
-    sample_flow,
     write_flow_file,
 )
 
@@ -140,6 +139,42 @@ def test_degrees_to_meters_adapter():
     assert g.dx == pytest.approx(111320.0 * math.cos(math.radians(61.0)))
 
 
-def test_sample_flow_helper():
-    f = make_uniform(0.1, 0.2)
-    assert sample_flow(f, (5.0, 6.0), 7.0) == (0.1, 0.2)
+
+def test_inside_agrees_with_check_space_at_the_tolerance():
+    f = GriddedFlow(SpaceTimeGrid(x0=-500.0, y0=0.0, dx=1000.0, dy=500.0, nx=11, ny=5),
+                    np.zeros((1, 5, 11)), np.zeros((1, 5, 11)))
+    eps_x, eps_y = 1e-9 * 9500.0, 1e-9 * 2000.0
+    xs = [f.x_min - eps_x, f.x_max + eps_x, 3000.0]
+    ys = [f.y_min - eps_y, f.y_max + eps_y, 1000.0]
+    xs += [np.nextafter(xs[0], -np.inf), np.nextafter(xs[1], np.inf)]
+    ys += [np.nextafter(ys[0], -np.inf), np.nextafter(ys[1], np.inf)]
+    X, Y = np.meshgrid(xs, ys)
+    inside = f.inside(X, Y)
+    assert inside.shape == X.shape
+    for x, y, ok in zip(X.ravel(), Y.ravel(), inside.ravel()):
+        try:
+            f._check_space(x, y)
+            raised = False
+        except ExtentError:
+            raised = True
+        assert ok == (not raised)
+        assert ok == (x in xs[:3] and y in ys[:3])
+    # an extent error names the first point outside, x before y
+    with pytest.raises(ExtentError, match="x="):
+        f._check_space(X, Y)
+    assert make_uniform(0.1, 0.0).inside(np.array([-1e300, 1e300]), 0.0).all()
+
+
+def test_clamped_times_sample_each_point_as_alone():
+    # (t_max - t0) / dt_snap rounds to just below nt - 1 on this grid, so
+    # clamping a time inside the tolerance would move its blend weight
+    g = SpaceTimeGrid(x0=0.0, y0=0.0, dx=1.0, dy=1.0, nx=2, ny=2,
+                      t0=0.0, dt_snap=0.7, nt=4)
+    u = np.zeros((4, 2, 2))
+    u[2] = 1.0  # any weight left on snapshot 2 shows in u
+    f = GriddedFlow(g, u, np.zeros((4, 2, 2)))
+    t = np.array([g.t_max + 1e-7, g.t_max + 1.0])
+    su, sv = f.sample_many(np.full(2, 0.3), np.full(2, 0.6), t, clamp_time=True)
+    for k in range(2):
+        assert (su[k], sv[k]) == f.sample(0.3, 0.6, t[k], clamp_time=True)
+    assert su[0] == 0.0

@@ -2,11 +2,12 @@
 
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import roll_masked_central_diff, roll_one_sided_diffs
+from oracles import roll_masked_central_diff, roll_one_sided_diffs, slice_value_at
 
 from driftplan.errors import (
     AlreadyStrandedError,
@@ -315,3 +316,32 @@ def test_unsteady_solve_evaluates_forecast_error_once_per_component(monkeypatch)
     assert counts["error"] == 2
     # the truth is still sampled at every CFL endpoint and substep
     assert counts["truth"] > 2 * 4
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    ny=st.integers(2, 6),
+    nx=st.integers(2, 6),
+    nt=st.integers(1, 4),
+    p_sentinel=st.floats(0.0, 1.0),
+)
+def test_value_at_matches_slice_reference(seed, ny, nx, nt, p_sentinel):
+    """The 4-corner value_at equals blending the whole slice, byte for byte,
+    sentinel corners and queries off the grid included."""
+    rng = np.random.default_rng(seed)
+    g = SpaceTimeGrid(x0=-300.0, y0=100.0, dx=150.0, dy=250.0, nx=nx, ny=ny,
+                      t0=1000.0, dt_snap=700.0, nt=nt)
+    values = rng.standard_normal((nt, ny, nx)) * 10.0 ** rng.integers(-2, 6)
+    values[rng.random((nt, ny, nx)) < p_sentinel] = 1e10
+    vf = ValueFunction(grid=g, values=values, obstacle=np.zeros((ny, nx), bool),
+                       target=np.zeros((ny, nx), bool), t_start=g.t0,
+                       terminal_time=g.t_max, u_max=U_MAX)
+    for _ in range(20):
+        x = rng.uniform(g.x0 - 200.0, g.x_max + 200.0)
+        y = rng.uniform(g.y0 - 200.0, g.y_max + 200.0)
+        if rng.random() < 0.3:  # on a node or a cell edge
+            x = g.x0 + g.dx * int(rng.integers(0, nx))
+        t = rng.choice([g.t0, g.t_max, rng.uniform(g.t0, g.t_max)])
+        got, want = vf.value_at(x, y, t), slice_value_at(vf, x, y, t)
+        assert struct.pack("<d", got) == struct.pack("<d", want)

@@ -4,10 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from oracles import stranding_study_loop
 
 from driftplan.controllers import ControllerKind, build_controller
 from driftplan.errors import ParameterError
-from driftplan.flowfield import GriddedFlow, SpaceTimeGrid, make_highway, make_uniform
+from driftplan.flowfield import (
+    GriddedFlow,
+    SpaceTimeGrid,
+    make_double_gyre,
+    make_highway,
+    make_uniform,
+)
 from driftplan.forecast import ErrorModelConfig, perfect_series
 from driftplan.hjsolver import SolverConfig, TargetSpec
 from driftplan.simulator import (
@@ -15,6 +23,7 @@ from driftplan.simulator import (
     Mission,
     Outcome,
     SimConfig,
+    drift_particles,
     integrate_step,
     run_batch,
     run_mission,
@@ -292,3 +301,59 @@ def test_stranding_study_deterministic_in_seed():
     b = stranding_study((0.0, 8000.0, 0.0, 10000.0), truth, om, **kw)
     assert a["n_stranded"] == b["n_stranded"]
     np.testing.assert_array_equal(a["heatmap"], b["heatmap"])
+
+
+def _drift_truth(kind, rng):
+    if kind == "uniform":
+        return make_uniform(*rng.uniform(-0.4, 0.4, 2))
+    if kind == "highway":
+        return make_highway(4000.0, 6000.0, rng.uniform(-0.5, 0.5, 2))
+    if kind == "gyre":
+        return make_double_gyre(0.3, 2 * math.pi / 40000.0, 0.25, 5000.0)
+    # time-varying field on [0, 10 km]^2 whose last snapshot is at 40 ks, so
+    # late particles are sampled with their times clamped
+    g = SpaceTimeGrid(x0=0.0, y0=0.0, dx=1000.0, dy=1000.0, nx=11, ny=11,
+                      t0=0.0, dt_snap=20000.0, nt=3)
+    return GriddedFlow(g, rng.uniform(-0.5, 0.5, (3, 11, 11)),
+                       rng.uniform(-0.5, 0.5, (3, 11, 11)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["uniform", "highway", "gyre", "gridded"]),
+       seed=st.integers(0, 2**31 - 1), n=st.integers(1, 25))
+def test_stranding_study_matches_scalar_reference(kind, seed, n):
+    """The batched study equals the one-particle-at-a-time loop: the same
+    counts and heatmap, and bit-equal end positions per particle."""
+    rng = np.random.default_rng(seed)
+    truth = _drift_truth(kind, rng)
+    om = ObstacleMask(grid=SpatialGrid(0.0, 0.0, 500.0, 500.0, 21, 21),
+                      mask=rng.random((21, 21)) < 0.1)
+    # the region reaches up to about 1 km past the gridded extent's edges
+    lo = rng.uniform(-1000.0, 9000.0, 2)
+    hi = np.minimum(lo + rng.uniform(500.0, 10000.0, 2), 11000.0)
+    region = (lo[0], hi[0], lo[1], hi[1])
+    t_lo = rng.uniform(0.0, 30000.0)
+    kw = dict(n=n, horizon=rng.uniform(1000.0, 25000.0), seed=seed % 1000,
+              t_range=(t_lo, t_lo + rng.uniform(1.0, 20000.0)),
+              step_dt=float(rng.choice([600.0, 1000.5, 2400.0])))
+    want, ends = stranding_study_loop(region, truth, om, **kw)
+    got = stranding_study(region, truth, om, **kw)
+    assert got.keys() == want.keys()
+    for key in want:
+        np.testing.assert_array_equal(got[key], want[key])
+
+    # the same draws, drifted through the helper, end where the loop ended
+    draws = np.random.default_rng(kw["seed"])
+    starts = []
+    for _ in range(n):
+        while True:
+            x, y = draws.uniform(lo[0], hi[0]), draws.uniform(lo[1], hi[1])
+            if not om.contains(x, y):
+                break
+        starts.append((x, y, draws.uniform(*kw["t_range"])))
+    x0, y0, t0 = np.array(starts).T
+    x, y, status = drift_particles(truth, om, region, x0, y0, t0,
+                                   kw["horizon"], kw["step_dt"])
+    assert status.tolist() == [e[2] for e in ends]
+    assert x.tobytes() == np.array([e[0] for e in ends]).tobytes()
+    assert y.tobytes() == np.array([e[1] for e in ends]).tobytes()

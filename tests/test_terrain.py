@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import bfs_hops
 
 from driftplan.errors import FormatError, ParameterError
 from driftplan.terrain import (
@@ -157,3 +158,34 @@ def test_elevation_file_bad_magic(tmp_path):
     path.write_bytes(b"XXXX" + b"\x00" * 60)
     with pytest.raises(FormatError):
         read_elevation_file(path)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    ny=st.integers(1, 12),
+    nx=st.integers(1, 12),
+    p=st.sampled_from([0.0, 0.05, 0.3, 0.8, 1.0]),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_distance_map_matches_bfs_reference(ny, nx, p, seed):
+    """The distance transform equals the multi-source BFS, including empty
+    (all +inf) and full (all 0) masks."""
+    mask = np.random.default_rng(seed).random((ny, nx)) < p
+    d = distance_map(ObstacleMask(grid=SpatialGrid(0.0, 0.0, 250.0, 250.0, nx, ny),
+                                  mask=mask)).distance
+    if not mask.any():
+        assert np.all(d == np.inf)
+    else:
+        assert d.dtype == np.float64
+        assert d.tobytes() == (bfs_hops(mask) * 250.0).tobytes()
+
+
+def test_contains_many_matches_contains():
+    rng = np.random.default_rng(3)
+    g = SpatialGrid(-50.0, 20.0, 100.0, 100.0, 7, 5)
+    om = ObstacleMask(grid=g, mask=rng.random((5, 7)) < 0.5)
+    # off-grid points, exact node positions and half-way ties
+    x = np.concatenate([rng.uniform(-400.0, 1000.0, 200), g.x0 + 50.0 * np.arange(-2, 16)])
+    y = np.concatenate([rng.uniform(-300.0, 700.0, 200), g.y0 + 50.0 * np.arange(-2, 16)])
+    got = om.contains_many(x, y)
+    assert got.tolist() == [om.contains(a, b) for a, b in zip(x, y)]
