@@ -147,11 +147,9 @@ def load_experiment(path: str, seed_override=None, out_override=None) -> Experim
             sentinel=sv.get("sentinel", 1e10),
         )
         sm = raw.get("sim", {})
-        sim_config = SimConfig(
-            step_dt=sm.get("step_dt", 600.0),
-            integrator=sm.get("integrator", "rk4"),
-            region=region,
-        )
+        if sm.get("integrator", "rk4") != "rk4":
+            raise ConfigError(f"unsupported integrator {sm['integrator']!r}; only 'rk4'")
+        sim_config = SimConfig(step_dt=sm.get("step_dt", 600.0), region=region)
         fc = raw.get("forecast", {})
         error_model = None
         if fc.get("target_rmse", 0.0) > 0.0:
@@ -229,6 +227,9 @@ def cmd_solve(exp: Experiment, args) -> int:
     return EXIT_OK
 
 
+_RATE_NAMES = ("stranding_rate", "success_rate", "timeout_rate", "left_rate")
+
+
 def _stats_report(tallies: dict, baseline: str) -> dict:
     report = {"baseline": baseline, "controllers": {}, "tests": {}}
     for name, t in tallies.items():
@@ -237,18 +238,23 @@ def _stats_report(tallies: dict, baseline: str) -> dict:
             n_stranded=t["n_stranded"], n_timeout=t["n_timeout"],
             n_left_region=t["n_left_region"],
         )
-        report["controllers"][name] = {**t, **rates(tally)}
+        # an empty tally (no missions, or every one aborted) has no rates
+        rate = rates(tally) if tally.n_total else dict.fromkeys(_RATE_NAMES)
+        report["controllers"][name] = {**t, **rate}
     base = tallies.get(baseline)
     if base:
         for name, t in tallies.items():
             if name == baseline:
                 continue
+            report["tests"][name] = {"z": None, "p": None}
+            if base["n_total"] < 1 or t["n_total"] < 1:
+                continue
             try:
                 res = z_prop_test(base["n_stranded"], base["n_total"],
                                   t["n_stranded"], t["n_total"])
-                report["tests"][name] = {"z": res.z, "p": res.p}
             except DegenerateInputError:
-                report["tests"][name] = {"z": None, "p": None}
+                continue
+            report["tests"][name] = {"z": res.z, "p": res.p}
     return report
 
 
@@ -261,7 +267,8 @@ def cmd_batch(exp: Experiment, args) -> int:
     os.makedirs(exp.out_dir, exist_ok=True)
     tallies = {}
     per_mission = {}
-    all_failed = True
+    # an empty manifest is not a failure
+    all_failed = bool(missions)
     for kind in kinds:
         spec = BatchSpec(
             kind=kind,
@@ -394,7 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=True, help="experiment config JSON")
         sp.add_argument("--seed", type=int, default=None, help="override config seed")
         sp.add_argument("--out", default=None, help="override output directory")
-        sp.add_argument("--workers", type=int, default=1)
 
     sp = sub.add_parser("solve", help="solve the reachability PDE, export TTR maps")
     common(sp)
@@ -404,6 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--missions", required=True)
     sp.add_argument("--controllers", default=None, help="comma-separated kinds")
+    sp.add_argument("--workers", type=int, default=1, help="mission worker processes")
 
     sp = sub.add_parser("stranding-study", help="passive-drift stranding Monte Carlo")
     common(sp)

@@ -44,7 +44,9 @@ class ErrorModelConfig:
 
 @dataclass(frozen=True)
 class FourierPerturbedFlow(FlowSource):
-    """Truth plus a frozen-in-time sum of Fourier modes per component."""
+    """Truth plus a frozen-in-time sum of Fourier modes per component,
+    valid over one release window [t_lo, t_hi]. With amplitude 0 it is the
+    truth on that window: a perfect release."""
 
     truth: FlowSource
     kx: np.ndarray = field(repr=False)  # (2, n_modes): per component
@@ -113,48 +115,6 @@ class FourierPerturbedFlow(FlowSource):
 
 
 @dataclass(frozen=True)
-class _WindowedFlow(FlowSource):
-    """A flow restricted to a release's validity window."""
-
-    inner: FlowSource
-    t_lo: float
-    t_hi: float
-
-    @property
-    def x_min(self):
-        return self.inner.x_min
-
-    @property
-    def x_max(self):
-        return self.inner.x_max
-
-    @property
-    def y_min(self):
-        return self.inner.y_min
-
-    @property
-    def y_max(self):
-        return self.inner.y_max
-
-    @property
-    def t_min(self):
-        return self.t_lo
-
-    @property
-    def t_max(self):
-        return self.t_hi
-
-    @property
-    def is_steady(self):
-        return self.inner.is_steady
-
-    def sample_many(self, x, y, t, clamp_time=False):
-        self._check_extent(x, y, t, clamp_time)
-        return self.inner.sample_many(x, y, np.clip(t, self.t_lo, self.t_hi),
-                                      clamp_time=True)
-
-
-@dataclass(frozen=True)
 class ForecastSeries:
     """Ordered forecast releases, each valid over [release, release + horizon]."""
 
@@ -171,20 +131,31 @@ class ForecastSeries:
     def release_times(self):
         return [t for t, _ in self.releases]
 
+    def _latest(self, t: float):
+        idx = bisect.bisect_right(self.release_times, t) - 1
+        if idx < 0:
+            raise HorizonError(f"no forecast released yet at t={t}")
+        return self.releases[idx]
+
     def current(self, t: float) -> FlowSource:
         """Latest release available at wall-clock time t."""
-        times = self.release_times
-        idx = bisect.bisect_right(times, t) - 1
-        if idx < 0:
-            raise HorizonError(f"no forecast released yet at t={t}")
-        return self.releases[idx][1]
+        return self._latest(t)[1]
 
     def current_release_time(self, t: float) -> float:
-        times = self.release_times
-        idx = bisect.bisect_right(times, t) - 1
-        if idx < 0:
-            raise HorizonError(f"no forecast released yet at t={t}")
-        return times[idx]
+        return self._latest(t)[0]
+
+
+def _release_windows(truth: FlowSource, t0: float, t1: float,
+                     cadence: float, horizon: float):
+    """(release time, window end) for each release in [t0, t1]; a window
+    ends at the horizon or at the end of the truth, whichever is first."""
+    rt = t0
+    while rt <= t1 + 1e-9:
+        t_hi = rt + horizon
+        if math.isfinite(truth.t_max):
+            t_hi = min(t_hi, truth.t_max)
+        yield rt, t_hi
+        rt += cadence
 
 
 def gen_forecast_series(
@@ -219,11 +190,7 @@ def gen_forecast_series(
     coef_a = rng.standard_normal((2, n))
     coef_b = rng.standard_normal((2, n))
     releases = []
-    rt = t0
-    while rt <= t1 + 1e-9:
-        t_hi = rt + horizon
-        if math.isfinite(truth.t_max):
-            t_hi = min(t_hi, truth.t_max)
+    for rt, t_hi in _release_windows(truth, t0, t1, cadence, horizon):
         releases.append((rt, FourierPerturbedFlow(
             truth=truth, kx=kx, ky=ky,
             coef_a=coef_a.copy(), coef_b=coef_b.copy(),
@@ -233,29 +200,23 @@ def gen_forecast_series(
         noise_b = rng.standard_normal((2, n))
         coef_a = rho * coef_a + math.sqrt(1.0 - rho * rho) * noise_a
         coef_b = rho * coef_b + math.sqrt(1.0 - rho * rho) * noise_b
-        rt += cadence
     return ForecastSeries(tuple(releases), horizon=horizon, cadence=cadence)
 
 
 def perfect_series(truth: FlowSource, t0: float, t1: float,
                    cadence: float, horizon: float) -> ForecastSeries:
     """Zero-error series: every release is the truth on its window."""
-    releases = []
-    rt = t0
-    while rt <= t1 + 1e-9:
-        t_hi = rt + horizon
-        if math.isfinite(truth.t_max):
-            t_hi = min(t_hi, truth.t_max)
-        releases.append((rt, _WindowedFlow(truth, rt, t_hi)))
-        rt += cadence
-    return ForecastSeries(tuple(releases), horizon=horizon, cadence=cadence)
+    no_modes = np.zeros((2, 0))
+    releases = tuple(
+        (rt, FourierPerturbedFlow(truth=truth, kx=no_modes, ky=no_modes, coef_a=no_modes,
+                                  coef_b=no_modes, t_lo=rt, t_hi=t_hi))
+        for rt, t_hi in _release_windows(truth, t0, t1, cadence, horizon)
+    )
+    return ForecastSeries(releases, horizon=horizon, cadence=cadence)
 
 
 def load_forecast_series(entries, horizon: float, cadence: float = DAY_S) -> ForecastSeries:
     """Build a series from (release_time, OFG1 path) pairs."""
-    times = [t for t, _ in entries]
-    if any(b <= a for a, b in zip(times, times[1:])):
-        raise ParameterError("release times must be strictly increasing")
     releases = []
     for rt, path in entries:
         flow = read_flow_file(path)

@@ -240,6 +240,19 @@ def _one_sided_diffs(J, valid, h, axis):
     return dm, dp
 
 
+def _hamiltonian(J, valid, vx, vy, u_eff, dx, dy):
+    """Monotone upwind Hamiltonian of the reach update: the drift term reads
+    the downstream neighbor, the control term the per-axis descent
+    direction (Osher & Fedkiw 2003)."""
+    dxm, dxp = _one_sided_diffs(J, valid, dx, axis=1)
+    dym, dyp = _one_sided_diffs(J, valid, dy, axis=0)
+    adv_x = np.where(vx > 0, dxp, dxm)
+    adv_y = np.where(vy > 0, dyp, dym)
+    ex = np.maximum(np.maximum(dxm, -dxp), 0.0)
+    ey = np.maximum(np.maximum(dym, -dyp), 0.0)
+    return vx * adv_x + vy * adv_y - u_eff * np.hypot(ex, ey)
+
+
 def _masked_central_diff(J, valid, h, axis):
     """Central differences falling back to one-sided away from invalid
     (sentinel or out-of-domain) neighbors; zero when isolated."""
@@ -325,7 +338,12 @@ def solve_mtr(
     X, Y = out_grid.meshgrid()
     J = np.where(obst, sent, terminal_dist)
     have_obst = obst.any()
-    W = _signed_distance_to_obstacles(obst, g.dx, g.dy) if have_obst else None
+    if have_obst:
+        # V = -W for the avoidance value W (signed clearance, running minimum
+        # under best-case control), so it steps with the reach Hamiltonian;
+        # cells with V > 0 are doomed
+        V = -_signed_distance_to_obstacles(obst, g.dx, g.dy)
+        all_valid = np.ones((g.ny, g.nx), dtype=bool)
 
     values = np.empty((n_snap, g.ny, g.nx))
     values[n_snap - 1] = J
@@ -371,36 +389,17 @@ def solve_mtr(
                 vx, vy = vx_s, vy_s
             else:
                 vx, vy = sample(t_mid)
-            doomed = W < 0 if have_obst else None
-            blocked = obst | doomed if have_obst else obst
+            blocked = obst | (V > 0) if have_obst else obst
             valid = (J < th) & ~blocked
-            dxm, dxp = _one_sided_diffs(J, valid, g.dx, axis=1)
-            dym, dyp = _one_sided_diffs(J, valid, g.dy, axis=0)
-            # monotone upwinding: the drift term reads the downstream
-            # neighbor, the control term the per-axis descent direction
-            adv_x = np.where(vx > 0, dxp, dxm)
-            adv_y = np.where(vy > 0, dyp, dym)
-            ex = np.maximum(np.maximum(dxm, -dxp), 0.0)
-            ey = np.maximum(np.maximum(dym, -dyp), 0.0)
-            ham = vx * adv_x + vy * adv_y - u_eff * np.hypot(ex, ey)
-            J_new = J + dt * ham
+            J_new = J + dt * _hamiltonian(J, valid, vx, vy, u_eff, g.dx, g.dy)
             J_new[tgt_free] = J[tgt_free] - config.alpha * dt
             J_new = np.minimum(J_new, sent)
             J_new[blocked] = sent
             J = J_new
             if have_obst:
-                wt = np.ones_like(W, dtype=bool)
-                wxm, wxp = _one_sided_diffs(W, wt, g.dx, axis=1)
-                wym, wyp = _one_sided_diffs(W, wt, g.dy, axis=0)
-                # avoidance control climbs toward larger clearance, so the
-                # upwind candidates flip sign relative to the reach update
-                adv_wx = np.where(vx > 0, wxp, wxm)
-                adv_wy = np.where(vy > 0, wyp, wym)
-                ewx = np.maximum(np.maximum(wxp, -wxm), 0.0)
-                ewy = np.maximum(np.maximum(wyp, -wym), 0.0)
-                ham_w = vx * adv_wx + vy * adv_wy + u_eff * np.hypot(ewx, ewy)
-                W = W + dt * np.minimum(0.0, ham_w)
-                J[W < 0] = sent
+                V = V + dt * np.maximum(
+                    0.0, _hamiltonian(V, all_valid, vx, vy, u_eff, g.dx, g.dy))
+                J[V > 0] = sent
         values[k] = J
 
     return ValueFunction(
@@ -473,6 +472,9 @@ def read_value_file(path):
     if len(data) < _HEADER.size + count * 4:
         raise FormatError("truncated VFN1 payload", offset=len(data))
     vals = np.frombuffer(data, dtype="<f4", count=count, offset=_HEADER.size)
-    grid = SpaceTimeGrid(x0=x0, y0=y0, dx=dx, dy=dy, nx=nx, ny=ny,
-                         t0=t0, dt_snap=dt_snap, nt=nt)
+    try:
+        grid = SpaceTimeGrid(x0=x0, y0=y0, dx=dx, dy=dy, nx=nx, ny=ny,
+                             t0=t0, dt_snap=dt_snap, nt=nt)
+    except ParameterError as exc:
+        raise FormatError(f"invalid header: {exc}", offset=4) from exc
     return grid, vals.astype(np.float64).reshape(nt, ny, nx)

@@ -52,14 +52,11 @@ class SimConfig:
     """Stepping and termination settings for closed-loop runs."""
 
     step_dt: float = 600.0
-    integrator: str = "rk4"
     region: tuple[float, float, float, float] | None = None  # xmin, xmax, ymin, ymax
 
     def __post_init__(self):
         if self.step_dt <= 0:
             raise ParameterError("step_dt must be positive")
-        if self.integrator not in ("euler", "rk4"):
-            raise ParameterError(f"unknown integrator {self.integrator!r}")
 
 
 @dataclass
@@ -99,9 +96,8 @@ def _rk4(deriv, px, py, t, dt):
     )
 
 
-def integrate_step(x, u_vec, truth: FlowSource, t: float, dt: float,
-                   integrator: str = "rk4"):
-    """One step of dx/dt = v(x, t) + u with u held constant."""
+def integrate_step(x, u_vec, truth: FlowSource, t: float, dt: float):
+    """One RK4 step of dx/dt = v(x, t) + u with u held constant."""
     ux, uy = u_vec
     px, py = x
 
@@ -109,9 +105,6 @@ def integrate_step(x, u_vec, truth: FlowSource, t: float, dt: float,
         vx, vy = truth.sample(qx, qy, tau, clamp_time=True)
         return vx + ux, vy + uy
 
-    if integrator == "euler":
-        dx, dy = deriv(px, py, t)
-        return px + dt * dx, py + dt * dy
     return _rk4(deriv, px, py, t, dt)
 
 
@@ -184,7 +177,7 @@ def run_mission(
         rec.branches.append(ctrl.last_branch)
         rec.ttrs.append(_state_ttr(ctrl, x, y, t))
         try:
-            x, y = integrate_step((x, y), u.vector, truth, t, cfg.step_dt, cfg.integrator)
+            x, y = integrate_step((x, y), u.vector, truth, t, cfg.step_dt)
         except ExtentError as exc:
             # an integration stage left the truth's extent
             rec.outcome = Outcome.LEFT_REGION

@@ -10,10 +10,13 @@ headings.
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 
 from driftplan.errors import ExtentError
+from driftplan.flowfield import FlowSource
+from driftplan.hjsolver import _one_sided_diffs
 from driftplan.simulator import DriftEnd, integrate_step
 
 
@@ -230,3 +233,61 @@ def slice_value_at(vf, x, y, t):
             corners[int(np.argmax(weights))]
         )
     return float((corners[ok] * weights[ok]).sum() / wsum)
+
+
+def avoidance_w_step(W, vx, vy, u_eff, dx, dy, dt):
+    """Reference obstacle-avoidance substep on W itself: the sign-flipped
+    upwind stencil, where the avoidance control climbs toward larger
+    clearance, and a running minimum."""
+    wt = np.ones_like(W, dtype=bool)
+    wxm, wxp = _one_sided_diffs(W, wt, dx, axis=1)
+    wym, wyp = _one_sided_diffs(W, wt, dy, axis=0)
+    adv_wx = np.where(vx > 0, wxp, wxm)
+    adv_wy = np.where(vy > 0, wyp, wym)
+    ewx = np.maximum(np.maximum(wxp, -wxm), 0.0)
+    ewy = np.maximum(np.maximum(wyp, -wym), 0.0)
+    ham_w = vx * adv_wx + vy * adv_wy + u_eff * np.hypot(ewx, ewy)
+    return W + dt * np.minimum(0.0, ham_w)
+
+
+@dataclass(frozen=True)
+class WindowedFlow(FlowSource):
+    """Reference perfect release: a flow restricted to [t_lo, t_hi], with
+    times inside the tolerance clipped to the window."""
+
+    inner: FlowSource
+    t_lo: float
+    t_hi: float
+
+    @property
+    def x_min(self):
+        return self.inner.x_min
+
+    @property
+    def x_max(self):
+        return self.inner.x_max
+
+    @property
+    def y_min(self):
+        return self.inner.y_min
+
+    @property
+    def y_max(self):
+        return self.inner.y_max
+
+    @property
+    def t_min(self):
+        return self.t_lo
+
+    @property
+    def t_max(self):
+        return self.t_hi
+
+    @property
+    def is_steady(self):
+        return self.inner.is_steady
+
+    def sample_many(self, x, y, t, clamp_time=False):
+        self._check_extent(x, y, t, clamp_time)
+        return self.inner.sample_many(x, y, np.clip(t, self.t_lo, self.t_hi),
+                                      clamp_time=True)

@@ -191,6 +191,55 @@ def test_stats_command_recomputes_report(config, tmp_path, capsys):
         pytest.approx(0.0471, abs=1e-4)
 
 
+def test_empty_manifest_batch_reports_null_rates(config, capsys):
+    assert main(["sample-missions", "--config", config["path"], "--n", "0"]) == EXIT_OK
+    out = config["tmp"] / "out"
+    rc = main(["batch", "--config", config["path"],
+               "--missions", str(out / "missions.jsonl")])
+    assert rc == EXIT_OK
+    summary = json.loads((out / "batch_summary.json").read_text())
+    assert summary["tallies"]["mtr"]["n_total"] == 0
+    report = json.loads((out / "stats_report.json").read_text())
+    for name in ("mtr", "floating"):
+        assert report["controllers"][name]["stranding_rate"] is None
+        assert report["controllers"][name]["success_rate"] is None
+    assert report["tests"]["mtr"] == {"z": None, "p": None}
+
+
+def test_stats_command_with_an_empty_tally(config, tmp_path, capsys):
+    summary = {
+        "tallies": {
+            "floating": {"n_total": 50, "n_success": 40, "n_stranded": 10,
+                         "n_timeout": 0, "n_left_region": 0},
+            # every mission aborted: nothing left to tally
+            "mtr": {"n_total": 0, "n_success": 0, "n_stranded": 0,
+                    "n_timeout": 0, "n_left_region": 0, "n_aborted": 50},
+        }
+    }
+    p = tmp_path / "summary.json"
+    p.write_text(json.dumps(summary))
+    rc = main(["stats", "--config", config["path"], "--summary", str(p)])
+    assert rc == EXIT_OK
+    report = json.loads((config["tmp"] / "out" / "stats_report.json").read_text())
+    assert report["controllers"]["mtr"]["stranding_rate"] is None
+    assert report["controllers"]["floating"]["stranding_rate"] == 0.2
+    assert report["tests"]["mtr"] == {"z": None, "p": None}
+
+
+def test_non_rk4_integrator_is_config_error(config, tmp_path, capsys):
+    raw = dict(config["raw"], sim={"step_dt": 600.0, "integrator": "euler"})
+    p = tmp_path / "c5.json"
+    p.write_text(json.dumps(raw))
+    assert main(["solve", "--config", str(p)]) == EXIT_CONFIG
+    assert "integrator" in capsys.readouterr().err
+
+
+def test_workers_is_a_batch_option_only(config):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--config", config["path"], "--workers", "2"])
+    assert exc.value.code == 2
+
+
 def test_seed_override_changes_sampling(config, capsys, tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"

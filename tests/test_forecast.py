@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import WindowedFlow
 
 from driftplan.errors import ExtentError, HorizonError, ParameterError
 from driftplan.flowfield import (
@@ -164,7 +165,7 @@ def _sampler_flows():
         "highway": make_highway(4000.0, 6000.0, (0.4, 0.0)),
         "gyre": gyre,
         "gridded": gridded,
-        "windowed": perfect_series(gyre, 0.0, 0.0, DAY_S, 50000.0).current(0.0),
+        "perfect": perfect_series(gyre, 0.0, 0.0, DAY_S, 50000.0).current(0.0),
         "fourier_zero": release(gyre, target_rmse=0.0),
         "fourier_gyre": release(gyre),
         "fourier_gridded": release(gridded),
@@ -223,3 +224,44 @@ def test_sampler_rejects_points_outside_extent():
     with pytest.raises(ExtentError) as info:
         flow.sampler(x, y)(0.0)
     assert info.value.axis == "x"
+
+
+PERFECT_TRUTHS = {k: SAMPLER_FLOWS[k] for k in ("uniform", "highway", "gyre", "gridded")}
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    name=st.sampled_from(sorted(PERFECT_TRUTHS)),
+    release=st.sampled_from([0, 1]),
+    seed=st.integers(0, 2**31 - 1),
+    shape=st.sampled_from([(), (1,), (7,), (5, 9)]),
+    fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+    clamp=st.booleans(),
+)
+def test_perfect_release_matches_windowed_reference(name, release, seed, shape,
+                                                     fracs, clamp):
+    """A perfect release samples like the truth restricted to its window,
+    byte for byte, through sample_many and sampler alike."""
+    truth = PERFECT_TRUTHS[name]
+    rt, fc = perfect_series(truth, 10000.0, 30000.0, 20000.0, 50000.0).releases[release]
+    ref = WindowedFlow(truth, rt, fc.t_max)
+    x, y = _points(seed, shape)
+    sample = fc.sampler(x, y)
+    for frac in fracs:
+        t = fc.t_min + frac * (fc.t_max - fc.t_min)
+        want = ref.sample_many(x, y, t, clamp_time=clamp)
+        for got in (fc.sample_many(x, y, t, clamp_time=clamp), sample(t)):
+            for a, b in zip(got, want):
+                assert np.shape(a) == np.shape(b)
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def test_perfect_release_samples_truth_just_past_its_window():
+    """Within the time tolerance past t_hi, a perfect release samples the
+    truth at t, as every Fourier release does, rather than at t_hi."""
+    gyre = SAMPLER_FLOWS["gyre"]
+    fc = perfect_series(gyre, 0.0, 0.0, DAY_S, 50000.0).current(0.0)
+    x, y = _points(1, (6,))
+    t = fc.t_max + 0.01  # inside the 1e-6 relative tolerance of 50 ks
+    for a, b in zip(fc.sample_many(x, y, t), gyre.sample_many(x, y, t)):
+        assert a.tobytes() == b.tobytes()

@@ -7,7 +7,12 @@ import struct
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import roll_masked_central_diff, roll_one_sided_diffs, slice_value_at
+from oracles import (
+    avoidance_w_step,
+    roll_masked_central_diff,
+    roll_one_sided_diffs,
+    slice_value_at,
+)
 
 from driftplan.errors import (
     AlreadyStrandedError,
@@ -27,6 +32,7 @@ from driftplan.hjsolver import (
     SolverConfig,
     TargetSpec,
     ValueFunction,
+    _hamiltonian,
     _masked_central_diff,
     _one_sided_diffs,
     brt,
@@ -253,6 +259,20 @@ def test_value_file_bad_magic(tmp_path):
         read_value_file(str(p))
 
 
+def test_value_file_invalid_header_is_format_error(tmp_path):
+    g = _grid(nx=21, ny=21, nt=5)
+    vf = solve_mtr(make_uniform(0.05, 0.0), None, TargetSpec((5000.0, 5000.0), 400.0),
+                   SolverConfig(grid=g, u_max=U_MAX), 0.0, g.t_max)
+    path = tmp_path / "value.vfn"
+    write_value_file(vf, str(path))
+    data = bytearray(path.read_bytes())
+    struct.pack_into("<I", data, 4, 1)  # nx = 1
+    path.write_bytes(bytes(data))
+    with pytest.raises(FormatError) as info:
+        read_value_file(str(path))
+    assert info.value.offset == 4
+
+
 def _stencil_case(seed, ny, nx, p_valid, p_sentinel):
     rng = np.random.default_rng(seed)
     J = rng.standard_normal((ny, nx)) * 10.0 ** rng.integers(-3, 6)
@@ -287,6 +307,32 @@ def test_masked_central_diff_matches_roll_reference(seed, ny, nx, p_valid, p_sen
     J, valid, h = _stencil_case(seed, ny, nx, p_valid, p_sentinel)
     got = _masked_central_diff(J, valid, h, axis)
     assert got.tobytes() == roll_masked_central_diff(J, valid, h, axis).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    ny=st.integers(1, 9),
+    nx=st.integers(1, 9),
+    p_still=st.floats(0.0, 1.0),
+)
+def test_avoidance_step_matches_w_reference(seed, ny, nx, p_still):
+    """Stepping V = -W with the reach Hamiltonian equals the sign-flipped
+    W stencil byte for byte, and marks the same doomed cells."""
+    rng = np.random.default_rng(seed)
+    W = rng.standard_normal((ny, nx)) * 10.0 ** rng.integers(-2, 5)
+    vx, vy = 0.5 * rng.standard_normal((2, ny, nx))
+    vx[rng.random((ny, nx)) < p_still] = 0.0
+    vy[rng.random((ny, nx)) < p_still] = 0.0
+    dx, dy = rng.uniform(0.5, 500.0, 2)
+    u_eff = float(rng.uniform(0.0, 0.5))
+    dt = float(rng.uniform(1e-3, 1e3))
+    V = -W
+    all_valid = np.ones((ny, nx), dtype=bool)
+    got = V + dt * np.maximum(0.0, _hamiltonian(V, all_valid, vx, vy, u_eff, dx, dy))
+    want = avoidance_w_step(W, vx, vy, u_eff, dx, dy, dt)
+    assert got.tobytes() == (-want).tobytes()
+    assert np.array_equal(got > 0, want < 0)
 
 
 def test_unsteady_solve_evaluates_forecast_error_once_per_component(monkeypatch):

@@ -49,13 +49,6 @@ def _wall_setup(band=(0.4, 0.0)):
     return g, truth, om
 
 
-def test_integrate_step_euler_uniform_flow():
-    truth = make_uniform(0.05, -0.02)
-    x, y = integrate_step((0.0, 0.0), (0.1, 0.0), truth, 0.0, 100.0, "euler")
-    assert x == pytest.approx(15.0)
-    assert y == pytest.approx(-2.0)
-
-
 def test_integrate_step_rk4_matches_analytic_linear_field():
     # v = (0, x): y(t) solves dy/dt = x0 + ux t; rk4 is exact for cubics
     class Shear:
@@ -76,8 +69,6 @@ def test_integrate_step_rk4_matches_analytic_linear_field():
 def test_sim_config_validation():
     with pytest.raises(ParameterError):
         SimConfig(step_dt=0.0)
-    with pytest.raises(ParameterError):
-        SimConfig(integrator="leapfrog")
     with pytest.raises(ParameterError):
         Mission(0, 0, 0, TargetSpec((0, 0), 100.0), t_max=0.0)
 
