@@ -139,11 +139,11 @@ class FlowSource:
         """Vectorized sampling; x, y, t broadcast together."""
         raise NotImplementedError
 
-    def sampler(self, x, y):
-        """``t -> (u, v)`` at the fixed points (x, y), equal to
-        ``sample_many(x, y, t)``; derived flows precompute what does not
-        depend on t."""
-        return lambda t: self.sample_many(x, y, t)
+    def sampler(self, x, y, clamp_time: bool = False):
+        """``t -> (u, v)`` at the fixed points (x, y) for one time t, equal
+        to ``sample_many(x, y, t, clamp_time)``; flows override it to
+        precompute what does not depend on t."""
+        return lambda t: self.sample_many(x, y, t, clamp_time=clamp_time)
 
     def covers(self, x_lo, x_hi, y_lo, y_hi, t_lo, t_hi) -> bool:
         eps = 1e-6
@@ -228,6 +228,30 @@ class DoubleGyreFlow(FlowSource):
         u = -math.pi * self.amplitude * np.sin(math.pi * f) * np.cos(math.pi * Y)
         v = math.pi * self.amplitude * np.cos(math.pi * f) * np.sin(math.pi * Y) * dfdx
         return u, v
+
+    def sampler(self, x, y, clamp_time=False):
+        # the y factors are fixed per point, and the x factors take one value
+        # per distinct x: evaluate those once and gather them per point, in
+        # the operation order of sample_many, so the result is bit-identical
+        xa, ya = np.broadcast_arrays(*self._check_space(x, y))
+        X_u, xi = np.unique(xa, return_inverse=True)
+        xi = xi.reshape(xa.shape)
+        X_u = X_u / self.scale
+        Y = ya / self.scale
+        cos_y, sin_y = np.cos(math.pi * Y), np.sin(math.pi * Y)
+
+        def sample(t):
+            ta = self._check_time(t, clamp_time)
+            # an array, not a scalar, so np.sin takes sample_many's path
+            b = self.epsilon * np.sin(self.omega * np.full(X_u.shape, ta))
+            a = 1.0 - 2.0 * b
+            f = b * X_u**2 + a * X_u
+            dfdx = 2.0 * b * X_u + a
+            u = (-math.pi * self.amplitude * np.sin(math.pi * f)).take(xi) * cos_y
+            v = (math.pi * self.amplitude * np.cos(math.pi * f)).take(xi) * sin_y * dfdx.take(xi)
+            return u, v
+
+        return sample
 
 
 @dataclass(frozen=True)

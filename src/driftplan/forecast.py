@@ -100,15 +100,17 @@ class FourierPerturbedFlow(FlowSource):
             return u, v
         return u + self._error(0, xa, ya), v + self._error(1, xa, ya)
 
-    def sampler(self, x, y):
-        if self.amplitude == 0.0:
-            return super().sampler(x, y)
-        # the error is frozen within a release: evaluate it once per point set
+    def sampler(self, x, y, clamp_time=False):
+        # bind the truth's sampler once; the error is frozen within a
+        # release, so it too is evaluated once per point set
         xa, ya = np.broadcast_arrays(*self._check_space(x, y))
+        truth = self.truth.sampler(xa, ya, clamp_time=True)
+        if self.amplitude == 0.0:
+            return lambda t: truth(self._check_time(t, clamp_time))
         eu, ev = self._error(0, xa, ya), self._error(1, xa, ya)
 
         def sample(t):
-            u, v = self.truth.sample_many(xa, ya, self._check_time(t), clamp_time=True)
+            u, v = truth(self._check_time(t, clamp_time))
             return u + eu, v + ev
 
         return sample

@@ -243,9 +243,10 @@ def _one_sided_diffs(J, valid, h, axis):
 def _hamiltonian(J, valid, vx, vy, u_eff, dx, dy):
     """Monotone upwind Hamiltonian of the reach update: the drift term reads
     the downstream neighbor, the control term the per-axis descent
-    direction (Osher & Fedkiw 2003)."""
-    dxm, dxp = _one_sided_diffs(J, valid, dx, axis=1)
-    dym, dyp = _one_sided_diffs(J, valid, dy, axis=0)
+    direction (Osher & Fedkiw 2003). ``J`` and ``valid`` may stack several
+    (ny, nx) layers along a leading axis; each layer is stepped alone."""
+    dxm, dxp = _one_sided_diffs(J, valid, dx, axis=-1)
+    dym, dyp = _one_sided_diffs(J, valid, dy, axis=-2)
     adv_x = np.where(vx > 0, dxp, dxm)
     adv_y = np.where(vy > 0, dyp, dym)
     ex = np.maximum(np.maximum(dxm, -dxp), 0.0)
@@ -336,43 +337,41 @@ def solve_mtr(
     diss_pad = config.u_max + config.d_max
 
     X, Y = out_grid.meshgrid()
-    J = np.where(obst, sent, terminal_dist)
     have_obst = obst.any()
+    # layer 0 is the reach value J; with obstacles, layer 1 is V = -W for
+    # the avoidance value W (signed clearance, running minimum under
+    # best-case control), so both step with one Hamiltonian call. Cells
+    # with V > 0 are doomed. Layer 1's mask stays all true.
+    S = np.empty((2 if have_obst else 1, g.ny, g.nx))
+    S[0] = np.where(obst, sent, terminal_dist)
     if have_obst:
-        # V = -W for the avoidance value W (signed clearance, running minimum
-        # under best-case control), so it steps with the reach Hamiltonian;
-        # cells with V > 0 are doomed
-        V = -_signed_distance_to_obstacles(obst, g.dx, g.dy)
-        all_valid = np.ones((g.ny, g.nx), dtype=bool)
+        S[1] = -_signed_distance_to_obstacles(obst, g.dx, g.dy)
+    valid = np.ones(S.shape, dtype=bool)
 
     values = np.empty((n_snap, g.ny, g.nx))
-    values[n_snap - 1] = J
+    values[n_snap - 1] = S[0]
     ts = out_grid.ts
     free = ~obst
     tgt_free = tgt_mask & free
 
+    def cfl_rate(vx, vy):
+        return float(np.max((np.abs(vx) + diss_pad) / g.dx + (np.abs(vy) + diss_pad) / g.dy))
+
     sample = flow.sampler(X, Y)
     steady = getattr(flow, "is_steady", False)
-    if steady:
-        vx_s, vy_s = sample(ts[-1])
-        rate_s = float(
-            np.max((np.abs(vx_s) + diss_pad) / g.dx + (np.abs(vy_s) + diss_pad) / g.dy)
-        )
+    # a steady flow is sampled once; otherwise the CFL rate at each snapshot
+    # time bounds the interval on either side of it
+    vx, vy = sample(ts[-1])
+    rate_hi = cfl_rate(vx, vy)
 
     for k in range(n_snap - 2, -1, -1):
         t_hi = ts[k + 1]
-        t_lo = ts[k]
         if steady:
-            rate = rate_s
+            rate = rate_hi
         else:
-            # CFL from the flow magnitude at both interval endpoints
-            rate = 0.0
-            for te in (t_hi, t_lo):
-                vx, vy = sample(te)
-                rate = max(
-                    rate,
-                    float(np.max((np.abs(vx) + diss_pad) / g.dx + (np.abs(vy) + diss_pad) / g.dy)),
-                )
+            rate_lo = cfl_rate(*sample(ts[k]))
+            rate = max(rate_hi, rate_lo)
+            rate_hi = rate_lo
         if rate <= 0:
             m = 1
         else:
@@ -385,22 +384,23 @@ def solve_mtr(
         for s in range(m):
             t_cur = t_hi - s * dt
             t_mid = t_cur - 0.5 * dt
-            if steady:
-                vx, vy = vx_s, vy_s
-            else:
+            if not steady:
                 vx, vy = sample(t_mid)
-            blocked = obst | (V > 0) if have_obst else obst
-            valid = (J < th) & ~blocked
-            J_new = J + dt * _hamiltonian(J, valid, vx, vy, u_eff, g.dx, g.dy)
-            J_new[tgt_free] = J[tgt_free] - config.alpha * dt
-            J_new = np.minimum(J_new, sent)
-            J_new[blocked] = sent
-            J = J_new
+            blocked = obst | (S[1] > 0) if have_obst else obst
+            valid[0] = (S[0] < th) & ~blocked
+            H = _hamiltonian(S, valid, vx, vy, u_eff, g.dx, g.dy)
             if have_obst:
-                V = V + dt * np.maximum(
-                    0.0, _hamiltonian(V, all_valid, vx, vy, u_eff, g.dx, g.dy))
-                J[V > 0] = sent
-        values[k] = J
+                np.maximum(0.0, H[1], out=H[1])
+            J_tgt = S[0][tgt_free] - config.alpha * dt
+            H *= dt
+            S += H
+            J = S[0]
+            J[tgt_free] = J_tgt
+            np.minimum(J, sent, out=J)
+            J[blocked] = sent
+            if have_obst:
+                J[S[1] > 0] = sent
+        values[k] = S[0]
 
     return ValueFunction(
         grid=out_grid,

@@ -1,6 +1,7 @@
 """Synthetic forecast-error model and forecast release series."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -177,15 +178,26 @@ WINDOWED = [k for k, f in SAMPLER_FLOWS.items() if math.isfinite(f.t_max)]
 
 
 def _points(seed, shape):
+    """Random points of the given shape; ``"mesh"`` is a solver-style
+    meshgrid whose x axis is unsorted and repeats values."""
     rng = np.random.default_rng(seed)
+    if shape == "mesh":
+        xs = rng.choice(rng.uniform(0.0, 10000.0, 5), size=9)
+        return np.meshgrid(xs, rng.uniform(0.0, 10000.0, 6))
     return rng.uniform(0.0, 10000.0, shape), rng.uniform(0.0, 10000.0, shape)
+
+
+def _assert_bitwise(got, want):
+    for a, b in zip(got, want):
+        assert np.shape(a) == np.shape(b)
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 @settings(max_examples=120, deadline=None)
 @given(
     name=st.sampled_from(sorted(SAMPLER_FLOWS)),
     seed=st.integers(0, 2**31 - 1),
-    shape=st.sampled_from([(1,), (7,), (5, 9), (11, 11)]),
+    shape=st.sampled_from([(), (1,), (7,), (5, 9), (11, 11), "mesh"]),
     ts=st.lists(st.floats(0.0, 50000.0), min_size=1, max_size=4),
 )
 def test_sampler_matches_sample_many_bitwise(name, seed, shape, ts):
@@ -193,9 +205,42 @@ def test_sampler_matches_sample_many_bitwise(name, seed, shape, ts):
     x, y = _points(seed, shape)
     sample = flow.sampler(x, y)
     for t in ts:
-        for a, b in zip(sample(t), flow.sample_many(x, y, t)):
-            assert a.shape == b.shape
-            assert a.tobytes() == b.tobytes()
+        _assert_bitwise(sample(t), flow.sample_many(x, y, t))
+
+
+def _short_truth_flows():
+    """A gridded truth that ends at 30 ks, inside the [0, 50 ks] window of a
+    Fourier and of a perfect release built on it."""
+    g = SpaceTimeGrid(x0=0.0, y0=0.0, dx=1000.0, dy=1000.0, nx=11, ny=11,
+                      t0=0.0, dt_snap=10000.0, nt=4)
+    rng = np.random.default_rng(5)
+    short = GriddedFlow(g, 0.3 * rng.standard_normal((4, 11, 11)),
+                        0.3 * rng.standard_normal((4, 11, 11)))
+    return {
+        "gridded": short,
+        "fourier": replace(SAMPLER_FLOWS["fourier_gridded"], truth=short),
+        "perfect": replace(SAMPLER_FLOWS["perfect"], truth=short),
+    }
+
+
+SHORT_TRUTH_FLOWS = _short_truth_flows()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    name=st.sampled_from(sorted(SHORT_TRUTH_FLOWS)),
+    seed=st.integers(0, 2**31 - 1),
+    shape=st.sampled_from([(), (7,), (5, 9), "mesh"]),
+    ts=st.lists(st.floats(-20000.0, 80000.0), min_size=1, max_size=4),
+)
+def test_clamped_sampler_matches_sample_many_bitwise(name, seed, shape, ts):
+    """With clamp_time, a sampler clamps to the release window and the
+    truth's own time range as sample_many does, byte for byte."""
+    flow = SHORT_TRUTH_FLOWS[name]
+    x, y = _points(seed, shape)
+    sample = flow.sampler(x, y, clamp_time=True)
+    for t in ts:
+        _assert_bitwise(sample(t), flow.sample_many(x, y, t, clamp_time=True))
 
 
 @settings(max_examples=60, deadline=None)
@@ -251,9 +296,7 @@ def test_perfect_release_matches_windowed_reference(name, release, seed, shape,
         t = fc.t_min + frac * (fc.t_max - fc.t_min)
         want = ref.sample_many(x, y, t, clamp_time=clamp)
         for got in (fc.sample_many(x, y, t, clamp_time=clamp), sample(t)):
-            for a, b in zip(got, want):
-                assert np.shape(a) == np.shape(b)
-                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+            _assert_bitwise(got, want)
 
 
 def test_perfect_release_samples_truth_just_past_its_window():

@@ -335,7 +335,39 @@ def test_avoidance_step_matches_w_reference(seed, ny, nx, p_still):
     assert np.array_equal(got > 0, want < 0)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    ny=st.integers(1, 9),
+    nx=st.integers(1, 9),
+    p_valid=st.floats(0.0, 1.0),
+    p_sentinel=st.floats(0.0, 0.5),
+    p_still=st.floats(0.0, 1.0),
+)
+def test_stacked_hamiltonian_matches_per_layer(seed, ny, nx, p_valid, p_sentinel, p_still):
+    """One _hamiltonian call on a stacked (2, ny, nx) J/V state with masks
+    (valid, all true) equals the two per-layer calls byte for byte."""
+    J, valid, dx = _stencil_case(seed, ny, nx, p_valid, p_sentinel)
+    rng = np.random.default_rng(seed + 1)
+    V = rng.standard_normal((ny, nx)) * 10.0 ** rng.integers(-2, 5)
+    vx, vy = 0.5 * rng.standard_normal((2, ny, nx))
+    vx[rng.random((ny, nx)) < p_still] = 0.0
+    vy[rng.random((ny, nx)) < p_still] = 0.0
+    dy = float(rng.uniform(0.5, 500.0))
+    u_eff = float(rng.uniform(0.0, 0.5))
+    all_valid = np.ones((ny, nx), dtype=bool)
+    got = _hamiltonian(np.stack([J, V]), np.stack([valid, all_valid]),
+                       vx, vy, u_eff, dx, dy)
+    assert got.shape == (2, ny, nx)
+    assert got[0].tobytes() == _hamiltonian(J, valid, vx, vy, u_eff, dx, dy).tobytes()
+    assert got[1].tobytes() == _hamiltonian(V, all_valid, vx, vy, u_eff, dx, dy).tobytes()
+
+
 def test_unsteady_solve_evaluates_forecast_error_once_per_component(monkeypatch):
+    """One unsteady solve evaluates the Fourier error once per component,
+    never calls the truth's sample_many, and samples the truth once per
+    snapshot time (the CFL endpoints shared by neighbouring intervals) and
+    once per substep."""
     g = SpaceTimeGrid(x0=0.0, y0=0.0, dx=500.0, dy=500.0, nx=21, ny=11,
                       t0=0.0, dt_snap=5000.0, nt=5)
     truth = make_double_gyre(0.16, 2 * math.pi / 86400.0, 0.25, 5000.0)
@@ -344,8 +376,10 @@ def test_unsteady_solve_evaluates_forecast_error_once_per_component(monkeypatch)
         20000.0, 20000.0, (0.0, 0.0),
     ).current(0.0)
     counts = {"error": 0, "truth": 0}
+    times = []
     real_error = FourierPerturbedFlow._error
     real_truth = DoubleGyreFlow.sample_many
+    real_sampler = DoubleGyreFlow.sampler
 
     def count_error(self, *args):
         counts["error"] += 1
@@ -355,13 +389,42 @@ def test_unsteady_solve_evaluates_forecast_error_once_per_component(monkeypatch)
         counts["truth"] += 1
         return real_truth(self, *args, **kw)
 
+    def record_sampler(self, x, y, clamp_time=False):
+        inner = real_sampler(self, x, y, clamp_time)
+
+        def sample(t):
+            times.append(float(t))
+            return inner(t)
+
+        return sample
+
     monkeypatch.setattr(FourierPerturbedFlow, "_error", count_error)
     monkeypatch.setattr(DoubleGyreFlow, "sample_many", count_truth)
-    solve_mtr(fc, None, TargetSpec((2000.0, 2000.0), 600.0),
-              SolverConfig(grid=g, u_max=U_MAX), 0.0, 20000.0)
+    monkeypatch.setattr(DoubleGyreFlow, "sampler", record_sampler)
+    cfg = SolverConfig(grid=g, u_max=U_MAX)
+    vf = solve_mtr(fc, None, TargetSpec((2000.0, 2000.0), 600.0), cfg, 0.0, 20000.0)
     assert counts["error"] == 2
-    # the truth is still sampled at every CFL endpoint and substep
-    assert counts["truth"] > 2 * 4
+    assert counts["truth"] == 0
+
+    # the CFL rule, recomputed from sample_many at both interval endpoints
+    monkeypatch.setattr(DoubleGyreFlow, "sample_many", real_truth)
+    X, Y = vf.grid.meshgrid()
+    pad = cfg.u_max + cfg.d_max
+
+    def rate(t):
+        vx, vy = fc.sample_many(X, Y, t)
+        return np.max((np.abs(vx) + pad) / g.dx + (np.abs(vy) + pad) / g.dy)
+
+    ts = vf.grid.ts
+    substeps = [
+        max(1, math.ceil(vf.grid.dt_snap * max(rate(lo), rate(hi)) / cfg.cfl))
+        for lo, hi in zip(ts[:-1], ts[1:])
+    ]
+    assert len(times) == len(ts) + sum(substeps)
+    for t in ts:
+        assert times.count(t) == 1
+    for (lo, hi), m in zip(zip(ts[:-1], ts[1:]), substeps):
+        assert sum(lo < t < hi for t in times) == m
 
 
 @settings(max_examples=200, deadline=None)
