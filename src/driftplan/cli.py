@@ -10,7 +10,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .flowfield import (
 )
 from .forecast import ErrorModelConfig, gen_forecast_series, write_series_manifest
 from .gridio import write_csv_grid, write_pgm
-from .hjsolver import SolverConfig, TargetSpec, safe_ttr, solve_mtr, write_value_file
+from .hjsolver import SolverConfig, TargetSpec, safe_ttr, solve_mtr
 from .missions import (
     SamplingConstraints,
     read_missions,
@@ -115,7 +115,7 @@ def build_terrain(spec: dict):
         grid = SpatialGrid(x0=g["x0"], y0=g["y0"], dx=g["dx"], dy=g["dy"],
                            nx=g["nx"], ny=g["ny"])
         e = np.full((grid.ny, grid.nx), float(spec.get("base_elevation", -4000.0)))
-        X, Y = np.meshgrid(grid.xs, grid.ys)
+        X, Y = grid.meshgrid()
         for x1, x2, y1, y2, elev_val in spec.get("blocks", []):
             e[(X >= x1) & (X <= x2) & (Y >= y1) & (Y <= y2)] = elev_val
         elev = ElevationGrid(grid, e)
@@ -210,7 +210,6 @@ def cmd_solve(exp: Experiment, args) -> int:
     t_end = spec["terminal_time"]
     vf = solve_mtr(exp.truth, exp.obstacles, target, exp.solver_config, t_start, t_end)
     os.makedirs(exp.out_dir, exist_ok=True)
-    write_value_file(vf, os.path.join(exp.out_dir, "value.vfn1"))
     at = args.at if args.at is not None else t_start
     ttr_map = safe_ttr(vf, at)
     write_pgm(os.path.join(exp.out_dir, "ttr.pgm"), ttr_map.ttr)
@@ -361,8 +360,7 @@ def cmd_gen_forecasts(exp: Experiment, args) -> int:
     entries = []
     for idx, (rt, flow) in enumerate(series.releases):
         nt = max(2, int(round((flow.t_max - rt) / g.dt_snap)) + 1)
-        fg = SpaceTimeGrid(x0=g.x0, y0=g.y0, dx=g.dx, dy=g.dy, nx=g.nx, ny=g.ny,
-                           t0=rt, dt_snap=(flow.t_max - rt) / (nt - 1), nt=nt)
+        fg = replace(g, t0=rt, dt_snap=(flow.t_max - rt) / (nt - 1), nt=nt)
         X, Y = fg.meshgrid()
         u = np.empty((nt, fg.ny, fg.nx))
         v = np.empty((nt, fg.ny, fg.nx))

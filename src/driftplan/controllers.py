@@ -98,9 +98,8 @@ class Controller:
         """Solve the reachability problem on the given forecast flow."""
         if self.kind is ControllerKind.FLOATING:
             return
-        mask = self.obstacles if self.kind in _OBSTACLE_AWARE else None
         cfg = replace(self.solver_config, d_max=self.d_max)
-        self.vf = solve_mtr(forecast, mask, self.target, cfg, t_now, t_end)
+        self.vf = solve_mtr(forecast, self.obstacles, self.target, cfg, t_now, t_end)
 
     def control(self, x: float, y: float, t: float) -> ControlInput:
         if self.kind is ControllerKind.FLOATING:
@@ -155,7 +154,7 @@ def build_controller(
         u_max=u_max,
         solver_config=solver_config,
         target=target,
-        obstacles=obstacles,
+        obstacles=obstacles if kind in _OBSTACLE_AWARE else None,
         dmap=dmap,
         switch_threshold=switch_threshold,
         d_max=d_max,

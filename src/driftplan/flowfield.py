@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ExtentError, FormatError, ParameterError
+from .gridio import SpatialGrid
 
 # meters per degree of latitude for the equirectangular adapter
 M_PER_DEG = 111320.0
@@ -24,53 +25,29 @@ _HEADER = struct.Struct("<4sIII6d")
 
 
 @dataclass(frozen=True)
-class SpaceTimeGrid:
-    """Regular space-time grid: origin, spacing, counts per axis."""
+class SpaceTimeGrid(SpatialGrid):
+    """Regular space-time grid: a spatial grid plus regular snapshot times."""
 
-    x0: float
-    y0: float
-    dx: float
-    dy: float
-    nx: int
-    ny: int
     t0: float = 0.0
     dt_snap: float = 1.0
     nt: int = 1
 
     def __post_init__(self):
-        if self.dx <= 0 or self.dy <= 0 or self.dt_snap <= 0:
-            raise ParameterError("grid spacings must be strictly positive")
+        super().__post_init__()
         if self.nx < 2 or self.ny < 2:
             raise ParameterError("grid needs at least 2 nodes per spatial axis")
+        if self.dt_snap <= 0:
+            raise ParameterError("snapshot spacing must be strictly positive")
         if self.nt < 1:
             raise ParameterError("grid needs at least 1 snapshot")
-
-    @property
-    def x_max(self) -> float:
-        return self.x0 + (self.nx - 1) * self.dx
-
-    @property
-    def y_max(self) -> float:
-        return self.y0 + (self.ny - 1) * self.dy
 
     @property
     def t_max(self) -> float:
         return self.t0 + (self.nt - 1) * self.dt_snap
 
     @property
-    def xs(self) -> np.ndarray:
-        return self.x0 + self.dx * np.arange(self.nx)
-
-    @property
-    def ys(self) -> np.ndarray:
-        return self.y0 + self.dy * np.arange(self.ny)
-
-    @property
     def ts(self) -> np.ndarray:
         return self.t0 + self.dt_snap * np.arange(self.nt)
-
-    def meshgrid(self):
-        return np.meshgrid(self.xs, self.ys)
 
 
 class FlowSource:

@@ -13,21 +13,15 @@ inevitably-lost region.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
-import struct
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import ndimage
 
-from .errors import AlreadyStrandedError, FormatError, HorizonError, ParameterError
+from .errors import AlreadyStrandedError, HorizonError, ParameterError
 from .flowfield import FlowSource, SpaceTimeGrid
 from .terrain import ObstacleMask, SpatialGrid
-
-VFN1_MAGIC = b"VFN1"
-_HEADER = struct.Struct("<4sIII6d")
 
 #: fraction of the sentinel above which a value is treated as unreachable
 SENTINEL_FRACTION = 0.5
@@ -114,21 +108,14 @@ class ValueFunction:
     def is_sentinel_at(self, x: float, y: float, t: float) -> bool:
         k0, k1, w = self._time_bracket(t)
         k = k0 if w < 0.5 else k1
-        g = self.grid
-        i = int(np.clip(round((x - g.x0) / g.dx), 0, g.nx - 1))
-        j = int(np.clip(round((y - g.y0) / g.dy), 0, g.ny - 1))
+        j, i = self.grid.nearest_cell(x, y)
         return bool(self.values[k, j, i] >= self.sentinel_threshold)
 
     def value_at(self, x: float, y: float, t: float) -> float:
         """Bilinear value at (x, y); sentinel corners are excluded by
         renormalizing the interpolation weights."""
         k0, k1, w = self._time_bracket(t)
-        g = self.grid
-        fx = np.clip((x - g.x0) / g.dx, 0.0, g.nx - 1.0)
-        fy = np.clip((y - g.y0) / g.dy, 0.0, g.ny - 1.0)
-        i0 = min(int(fx), g.nx - 2)
-        j0 = min(int(fy), g.ny - 2)
-        wx, wy = fx - i0, fy - j0
+        j0, i0, wx, wy = self.grid.bilinear_cell(x, y)
         # the 4 corners of slice_at(t), blended and sentinel-pinned alike
         a = self.values[k0, j0:j0 + 2, i0:i0 + 2].ravel()
         b = self.values[k1, j0:j0 + 2, i0:i0 + 2].ravel()
@@ -173,12 +160,7 @@ class ValueFunction:
                 f"state ({x}, {y}) lies in the unreachable/obstacle set at t={t}"
             )
         k0, k1, w = self._time_bracket(t)
-        g = self.grid
-        fx = np.clip((x - g.x0) / g.dx, 0.0, g.nx - 1.0)
-        fy = np.clip((y - g.y0) / g.dy, 0.0, g.ny - 1.0)
-        i0 = min(int(fx), g.nx - 2)
-        j0 = min(int(fy), g.ny - 2)
-        wx, wy = fx - i0, fy - j0
+        j0, i0, wx, wy = self.grid.bilinear_cell(x, y)
         sw = np.array([(1 - wx) * (1 - wy), wx * (1 - wy), (1 - wx) * wy, wx * wy])
         out = np.zeros(2)
         for k, tw in ((k0, 1.0 - w), (k1, w)):
@@ -284,9 +266,7 @@ def _target_masks(grid: SpaceTimeGrid, target: TargetSpec):
     mask = r <= target.radius
     if not mask.any():
         # point-like target: include the nearest node so the solve has a seed
-        j = int(np.clip(round((target.center[1] - grid.y0) / grid.dy), 0, grid.ny - 1))
-        i = int(np.clip(round((target.center[0] - grid.x0) / grid.dx), 0, grid.nx - 1))
-        mask[j, i] = True
+        mask[grid.nearest_cell(*target.center)] = True
     terminal = np.maximum(0.0, r - target.radius)
     terminal[mask] = 0.0
     return mask, terminal
@@ -318,10 +298,7 @@ def solve_mtr(
     span = terminal_time - t_start
     n_snap = max(2, int(math.ceil(span / g.dt_snap - 1e-9)) + 1)
     dt_eff = span / (n_snap - 1)
-    out_grid = SpaceTimeGrid(
-        x0=g.x0, y0=g.y0, dx=g.dx, dy=g.dy, nx=g.nx, ny=g.ny,
-        t0=t_start, dt_snap=dt_eff, nt=n_snap,
-    )
+    out_grid = replace(g, t0=t_start, dt_snap=dt_eff, nt=n_snap)
     obst = (
         obstacles.mask.copy()
         if obstacles is not None
@@ -422,59 +399,9 @@ def safe_ttr(vf: ValueFunction, t: float) -> SafeTTRMap:
     ttr = vf.terminal_time + sl - t
     ttr[sl > 0] = np.nan
     ttr = np.maximum(ttr, 0.0)
-    g = vf.grid
-    return SafeTTRMap(
-        grid=SpatialGrid(g.x0, g.y0, g.dx, g.dy, g.nx, g.ny),
-        ttr=ttr, t=t, terminal_time=vf.terminal_time,
-    )
+    return SafeTTRMap(grid=vf.grid, ttr=ttr, t=t, terminal_time=vf.terminal_time)
 
 
 def brt(vf: ValueFunction, t: float) -> np.ndarray:
     """Backward reachable tube slice: cells whose value is <= 0 at t."""
     return vf.slice_at(t) <= 0
-
-
-def write_value_file(vf: ValueFunction, path) -> None:
-    """Export snapshots as a VFN1 binary plus a JSON sidecar."""
-    g = vf.grid
-    path = str(path)
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(
-            VFN1_MAGIC, g.nx, g.ny, g.nt, g.x0, g.dx, g.y0, g.dy, g.t0, g.dt_snap
-        ))
-        fh.write(np.asarray(vf.values, dtype="<f4").tobytes())
-    digest = hashlib.sha256(
-        vf.obstacle.tobytes() + vf.target.tobytes()
-    ).hexdigest()
-    sidecar = {
-        "t_start": vf.t_start,
-        "terminal_time": vf.terminal_time,
-        "u_max": vf.u_max,
-        "d_max": vf.d_max,
-        "alpha": vf.alpha,
-        "sentinel": vf.sentinel,
-        "masks_sha256": digest,
-    }
-    with open(path + ".json", "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-
-
-def read_value_file(path):
-    """Read back a VFN1 file; returns (grid, values)."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < _HEADER.size:
-        raise FormatError("truncated VFN1 header", offset=len(data))
-    magic, nx, ny, nt, x0, dx, y0, dy, t0, dt_snap = _HEADER.unpack_from(data, 0)
-    if magic != VFN1_MAGIC:
-        raise FormatError(f"bad magic {magic!r}, expected {VFN1_MAGIC!r}", offset=0)
-    count = nt * ny * nx
-    if len(data) < _HEADER.size + count * 4:
-        raise FormatError("truncated VFN1 payload", offset=len(data))
-    vals = np.frombuffer(data, dtype="<f4", count=count, offset=_HEADER.size)
-    try:
-        grid = SpaceTimeGrid(x0=x0, y0=y0, dx=dx, dy=dy, nx=nx, ny=ny,
-                             t0=t0, dt_snap=dt_snap, nt=nt)
-    except ParameterError as exc:
-        raise FormatError(f"invalid header: {exc}", offset=4) from exc
-    return grid, vals.astype(np.float64).reshape(nt, ny, nx)

@@ -66,7 +66,7 @@ def sample_missions(
     missions: list[Mission] = []
     attempts = 0
     max_attempts = max(20, int(math.ceil(n / max(1e-3, 1.0 - rejection_cap))))
-    Xg, Yg = np.meshgrid(g.xs, g.ys)
+    Xg, Yg = g.meshgrid()
     while len(missions) < n:
         attempts += 1
         if attempts > max_attempts:

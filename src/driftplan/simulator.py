@@ -130,13 +130,15 @@ def _state_ttr(ctrl: Controller, x, y, t) -> float:
 def run_mission(
     mission: Mission,
     truth: FlowSource,
+    obstacles: ObstacleMask,
     ctrl: Controller,
     series: ForecastSeries,
     cfg: SimConfig,
 ) -> SimulationRecord:
     """Execute one mission closed-loop; never raises on solver failure,
     the record carries an ABORTED outcome instead. A step that samples the
-    truth outside its extent ends the mission as LEFT_REGION."""
+    truth outside its extent ends the mission as LEFT_REGION. Ending a step
+    on ``obstacles`` strands the vehicle, whatever its controller plans on."""
     rec = SimulationRecord(mission=mission)
     x, y, t = mission.x0, mission.y0, mission.t0
     deadline = mission.t0 + mission.t_max
@@ -185,7 +187,7 @@ def run_mission(
             rec.note = str(exc)
             return rec
         t += cfg.step_dt
-        if ctrl.obstacles is not None and ctrl.obstacles.contains(x, y):
+        if obstacles.contains(x, y):
             rec.outcome = Outcome.STRANDED
             rec.outcome_time = t
             return rec
@@ -235,9 +237,6 @@ def _run_one(args):
         switch_threshold=spec.switch_threshold,
         small_disturbance=spec.small_disturbance,
     )
-    # the obstacle membership check applies to every controller, including
-    # ones that plan blind to obstacles
-    ctrl.obstacles = spec.obstacles
     t1 = mission.t0 + mission.t_max
     if spec.error_model is None:
         series = perfect_series(truth, mission.t0, t1, spec.cadence, spec.horizon)
@@ -246,7 +245,7 @@ def _run_one(args):
         series = gen_forecast_series(
             truth, em, spec.cadence, spec.horizon, (mission.t0, t1)
         )
-    return index, run_mission(mission, truth, ctrl, series, cfg)
+    return index, run_mission(mission, truth, spec.obstacles, ctrl, series, cfg)
 
 
 def run_batch(

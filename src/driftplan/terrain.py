@@ -10,63 +10,13 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import FormatError, ParameterError
+from .gridio import SpatialGrid
 
 #: default obstacle threshold: seafloor shallower than 150 m is unsafe
 DEFAULT_THRESHOLD_M = -150.0
 
 ELG1_MAGIC = b"ELG1"
 _HEADER = struct.Struct("<4sII4d")
-
-
-@dataclass(frozen=True)
-class SpatialGrid:
-    """Regular 2D grid (the spatial part of a space-time grid)."""
-
-    x0: float
-    y0: float
-    dx: float
-    dy: float
-    nx: int
-    ny: int
-
-    def __post_init__(self):
-        if self.dx <= 0 or self.dy <= 0:
-            raise ParameterError("grid spacing must be positive")
-        if self.nx < 1 or self.ny < 1:
-            raise ParameterError("grid must be non-empty")
-
-    @property
-    def x_max(self):
-        return self.x0 + (self.nx - 1) * self.dx
-
-    @property
-    def y_max(self):
-        return self.y0 + (self.ny - 1) * self.dy
-
-    @property
-    def xs(self):
-        return self.x0 + self.dx * np.arange(self.nx)
-
-    @property
-    def ys(self):
-        return self.y0 + self.dy * np.arange(self.ny)
-
-    def nearest_cell(self, x: float, y: float) -> tuple[int, int]:
-        """(row, col) of the node closest to (x, y), clipped to the grid."""
-        i = int(np.clip(round((x - self.x0) / self.dx), 0, self.nx - 1))
-        j = int(np.clip(round((y - self.y0) / self.dy), 0, self.ny - 1))
-        return j, i
-
-    def nearest_cells(self, x, y):
-        """``nearest_cell`` for arrays of points: (rows, cols) int arrays."""
-        i = np.clip(np.rint((x - self.x0) / self.dx), 0, self.nx - 1).astype(np.intp)
-        j = np.clip(np.rint((y - self.y0) / self.dy), 0, self.ny - 1).astype(np.intp)
-        return j, i
-
-    def _frac_index(self, x: float, y: float):
-        fx = np.clip((x - self.x0) / self.dx, 0.0, self.nx - 1.0)
-        fy = np.clip((y - self.y0) / self.dy, 0.0, self.ny - 1.0)
-        return fx, fy
 
 
 @dataclass(frozen=True)
@@ -123,11 +73,7 @@ class DistanceMap:
 
     def value_at(self, x: float, y: float) -> float:
         """Bilinearly interpolated distance at a continuous position."""
-        fx, fy = self.grid._frac_index(x, y)
-        i0 = min(int(fx), self.grid.nx - 2) if self.grid.nx > 1 else 0
-        j0 = min(int(fy), self.grid.ny - 2) if self.grid.ny > 1 else 0
-        wx = fx - i0
-        wy = fy - j0
+        j0, i0, wx, wy = self.grid.bilinear_cell(x, y)
         d = self.distance
         return float(
             d[j0, i0] * (1 - wx) * (1 - wy)

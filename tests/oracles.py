@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from driftplan.errors import ExtentError
+from driftplan.errors import AlreadyStrandedError, ExtentError
 from driftplan.flowfield import FlowSource
 from driftplan.hjsolver import _one_sided_diffs
 from driftplan.simulator import DriftEnd, integrate_step
@@ -291,3 +291,68 @@ class WindowedFlow(FlowSource):
         self._check_extent(x, y, t, clamp_time)
         return self.inner.sample_many(x, y, np.clip(t, self.t_lo, self.t_hi),
                                       clamp_time=True)
+
+
+def is_sentinel_at(vf, x, y, t):
+    """Reference ``ValueFunction.is_sentinel_at`` with the nearest-node
+    lookup written out."""
+    k0, k1, w = vf._time_bracket(t)
+    k = k0 if w < 0.5 else k1
+    g = vf.grid
+    i = int(np.clip(round((x - g.x0) / g.dx), 0, g.nx - 1))
+    j = int(np.clip(round((y - g.y0) / g.dy), 0, g.ny - 1))
+    return bool(vf.values[k, j, i] >= vf.sentinel_threshold)
+
+
+def grad_at(vf, x, y, t):
+    """Reference ``ValueFunction.grad_at`` with the bilinear cell lookup
+    written out."""
+    if is_sentinel_at(vf, x, y, t):
+        raise AlreadyStrandedError(
+            f"state ({x}, {y}) lies in the unreachable/obstacle set at t={t}"
+        )
+    k0, k1, w = vf._time_bracket(t)
+    g = vf.grid
+    fx = np.clip((x - g.x0) / g.dx, 0.0, g.nx - 1.0)
+    fy = np.clip((y - g.y0) / g.dy, 0.0, g.ny - 1.0)
+    i0 = min(int(fx), g.nx - 2)
+    j0 = min(int(fy), g.ny - 2)
+    wx, wy = fx - i0, fy - j0
+    sw = np.array([(1 - wx) * (1 - wy), wx * (1 - wy), (1 - wx) * wy, wx * wy])
+    out = np.zeros(2)
+    for k, tw in ((k0, 1.0 - w), (k1, w)):
+        if tw == 0.0:
+            continue
+        gx, gy = vf._slice_gradient(k)
+        J = vf.values[k]
+        cj = (j0, j0, j0 + 1, j0 + 1)
+        ci = (i0, i0 + 1, i0, i0 + 1)
+        ok = np.array([J[a, b] < vf.sentinel_threshold for a, b in zip(cj, ci)])
+        if not ok.any():
+            continue
+        wsum = sw[ok].sum()
+        if wsum <= 0:
+            continue
+        vx = sum(gx[a, b] * s for a, b, s, o in zip(cj, ci, sw, ok) if o) / wsum
+        vy = sum(gy[a, b] * s for a, b, s, o in zip(cj, ci, sw, ok) if o) / wsum
+        out += tw * np.array([vx, vy])
+    return float(out[0]), float(out[1])
+
+
+def distance_value_at(dmap, x, y):
+    """Reference ``DistanceMap.value_at`` with the bilinear cell lookup
+    written out."""
+    g = dmap.grid
+    fx = np.clip((x - g.x0) / g.dx, 0.0, g.nx - 1.0)
+    fy = np.clip((y - g.y0) / g.dy, 0.0, g.ny - 1.0)
+    i0 = min(int(fx), g.nx - 2) if g.nx > 1 else 0
+    j0 = min(int(fy), g.ny - 2) if g.ny > 1 else 0
+    wx = fx - i0
+    wy = fy - j0
+    d = dmap.distance
+    return float(
+        d[j0, i0] * (1 - wx) * (1 - wy)
+        + d[j0, i0 + 1] * wx * (1 - wy)
+        + d[j0 + 1, i0] * (1 - wx) * wy
+        + d[j0 + 1, i0 + 1] * wx * wy
+    )

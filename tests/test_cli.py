@@ -5,6 +5,7 @@ import json
 import pytest
 
 from driftplan.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
+from driftplan.flowfield import read_flow_file
 
 
 @pytest.fixture()
@@ -78,8 +79,7 @@ def test_solve_writes_artifacts(config, capsys):
     rc = main(["solve", "--config", config["path"]])
     assert rc == EXIT_OK
     out = config["tmp"] / "out"
-    for name in ("value.vfn1", "ttr.pgm", "ttr.csv", "solve_summary.json"):
-        assert (out / name).exists()
+    assert {f.name for f in out.iterdir()} == {"ttr.pgm", "ttr.csv", "solve_summary.json"}
     summary = json.loads((out / "solve_summary.json").read_text())
     assert 0.0 < summary["finite_fraction"] < 1.0
     assert summary["ttr_min_s"] == 0.0
@@ -163,9 +163,13 @@ def test_gen_forecasts_writes_series(config, tmp_path, capsys):
     assert rc == EXIT_OK
     out = config["tmp"] / "out"
     manifest = json.loads((out / "forecasts.json").read_text())
-    assert len(manifest["releases"]) == 3  # 0, 45000, 90000
-    for _, path in manifest["releases"]:
-        assert (config["tmp"] / path).exists() or json.dumps(path)  # abs path
+    assert [r["t_s"] for r in manifest["releases"]] == [0.0, 45000.0, 90000.0]
+    solver = raw["solver"]["grid"]
+    for release in manifest["releases"]:
+        g = read_flow_file(release["path"]).grid
+        assert (g.x0, g.y0, g.dx, g.dy, g.nx, g.ny) == tuple(
+            solver[k] for k in ("x0", "y0", "dx", "dy", "nx", "ny"))
+        assert g.t0 == release["t_s"]
     printed = json.loads(capsys.readouterr().out.strip())
     assert printed == {"releases": 3}
 

@@ -134,11 +134,20 @@ def test_replan_respects_obstacle_awareness(highway_setup):
         ControllerKind.MTR_NO_OBS, u_max=U_MAX, solver_config=s["cfg"],
         target=s["tgt"],
     )
+    # a blind kind handed the mask still plans without it
+    blind_given_mask = build_controller(
+        ControllerKind.MTR_NO_OBS, u_max=U_MAX, solver_config=s["cfg"],
+        target=s["tgt"], obstacles=s["om"],
+    )
+    assert blind_given_mask.obstacles is None
     aware.replan(s["truth"], 0.0, s["grid"].t_max)
     blind.replan(s["truth"], 0.0, s["grid"].t_max)
+    blind_given_mask.replan(s["truth"], 0.0, s["grid"].t_max)
     wall = s["om"].mask
     assert np.all(aware.vf.values[0][wall] == s["cfg"].sentinel)
-    assert not np.any(blind.vf.values[0][wall] >= blind.vf.sentinel_threshold)
+    for ctrl in (blind, blind_given_mask):
+        assert not np.any(ctrl.vf.values[0][wall] >= ctrl.vf.sentinel_threshold)
+    np.testing.assert_array_equal(blind_given_mask.vf.values, blind.vf.values)
 
 
 def test_smalldist_variant_uses_margin(highway_setup):

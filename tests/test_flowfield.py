@@ -1,6 +1,7 @@
 """Flow sources: analytic fields, gridded interpolation, binary round-trip."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -129,6 +130,40 @@ def test_flow_file_truncated_payload(tmp_path):
     path.write_bytes(raw[:-10])
     with pytest.raises(FormatError):
         read_flow_file(path)
+
+
+OFG1_HEADER = 64  # magic, nx, ny, nt, then x0, dx, y0, dy, t0, dt_snap as f64
+
+
+def _set_header_nx_1(data):
+    struct.pack_into("<I", data, 4, 1)
+    return data, 4
+
+
+def _cut_header(data):
+    return data[:20], 20
+
+
+def _nan_in_u(data):
+    struct.pack_into("<f", data, OFG1_HEADER + 4 * 7, math.nan)
+    return data, OFG1_HEADER + 4 * 7
+
+
+def _inf_in_v(data):
+    count = 3 * 4 * 5  # nt * ny * nx of _gridded()
+    struct.pack_into("<f", data, OFG1_HEADER + 4 * (count + 5), math.inf)
+    return data, OFG1_HEADER + 4 * (count + 5)
+
+
+@pytest.mark.parametrize("corrupt", [_set_header_nx_1, _cut_header, _nan_in_u, _inf_in_v])
+def test_flow_file_defect_offsets(tmp_path, corrupt):
+    path = tmp_path / "flow.ofg"
+    write_flow_file(_gridded(), path)
+    data, offset = corrupt(bytearray(path.read_bytes()))
+    path.write_bytes(bytes(data))
+    with pytest.raises(FormatError) as ei:
+        read_flow_file(path)
+    assert ei.value.offset == offset
 
 
 def test_degrees_to_meters_adapter():

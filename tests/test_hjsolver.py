@@ -1,12 +1,12 @@
-"""Reachability solver: analytic oracles, invariants, file round-trip."""
+"""Reachability solver: analytic oracles, invariants, point queries."""
 
-import json
 import math
 import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+import oracles
 from oracles import (
     avoidance_w_step,
     roll_masked_central_diff,
@@ -16,7 +16,6 @@ from oracles import (
 
 from driftplan.errors import (
     AlreadyStrandedError,
-    FormatError,
     HorizonError,
     ParameterError,
 )
@@ -36,10 +35,8 @@ from driftplan.hjsolver import (
     _masked_central_diff,
     _one_sided_diffs,
     brt,
-    read_value_file,
     safe_ttr,
     solve_mtr,
-    write_value_file,
 )
 from driftplan.terrain import ObstacleMask, SpatialGrid
 
@@ -237,40 +234,32 @@ def test_brt_grows_backward_in_time():
     assert np.all(early[late])  # nested
 
 
-def test_value_file_round_trip(tmp_path):
-    g = _grid(nx=21, ny=21, nt=5)
+def _island_release():
+    """A steady Fourier-perturbed release of a uniform current."""
+    em = ErrorModelConfig(0.2, 2500.0, 40_000.0, 24, seed=0)
+    series = gen_forecast_series(make_uniform(0.05, -0.08), em, 20_000.0, 50_000.0,
+                                 (0.0, 60_000.0))
+    return series.releases[0][1]
+
+
+@pytest.mark.parametrize("case", ["steady_fourier", "unsteady_gyre"])
+def test_solve_restricted_from_snapshot_k_equals_solve_from_t_k(case):
+    """Multi-time consistency: the snapshots k.. of a solve on [0, 45 ks]
+    are byte-equal to a solve started at snapshot k's time."""
+    if case == "steady_fourier":
+        flow = _island_release()
+    else:
+        flow = make_double_gyre(0.16, 2 * math.pi / 86_400.0, 0.25, 5000.0)
+    g = _grid()
+    X, Y = g.meshgrid()
+    island = _mask(g, (X >= 3000.0) & (X <= 7000.0) & (Y >= 4600.0) & (Y <= 5400.0))
     cfg = SolverConfig(grid=g, u_max=U_MAX)
-    vf = solve_mtr(make_uniform(0.05, 0.0), None, TargetSpec((5000.0, 5000.0), 400.0),
-                   cfg, 0.0, g.t_max)
-    path = str(tmp_path / "value.vfn")
-    write_value_file(vf, path)
-    grid2, values2 = read_value_file(path)
-    assert grid2 == vf.grid
-    np.testing.assert_allclose(values2, vf.values, rtol=1e-6, atol=1e-3)
-    sidecar = json.loads((tmp_path / "value.vfn.json").read_text())
-    assert sidecar["u_max"] == U_MAX
-    assert "masks_sha256" in sidecar
-
-
-def test_value_file_bad_magic(tmp_path):
-    p = tmp_path / "bad.vfn"
-    p.write_bytes(b"ABCD" + b"\x00" * 80)
-    with pytest.raises(FormatError):
-        read_value_file(str(p))
-
-
-def test_value_file_invalid_header_is_format_error(tmp_path):
-    g = _grid(nx=21, ny=21, nt=5)
-    vf = solve_mtr(make_uniform(0.05, 0.0), None, TargetSpec((5000.0, 5000.0), 400.0),
-                   SolverConfig(grid=g, u_max=U_MAX), 0.0, g.t_max)
-    path = tmp_path / "value.vfn"
-    write_value_file(vf, str(path))
-    data = bytearray(path.read_bytes())
-    struct.pack_into("<I", data, 4, 1)  # nx = 1
-    path.write_bytes(bytes(data))
-    with pytest.raises(FormatError) as info:
-        read_value_file(str(path))
-    assert info.value.offset == 4
+    target = TargetSpec((2000.0, 2000.0), 300.0)
+    full = solve_mtr(flow, island, target, cfg, 0.0, 45_000.0)
+    for k in (1, 3, 7, 14):
+        later = solve_mtr(flow, island, target, cfg, g.dt_snap * k, 45_000.0)
+        assert later.values.shape == full.values[k:].shape
+        assert later.values.tobytes() == full.values[k:].tobytes()
 
 
 def _stencil_case(seed, ny, nx, p_valid, p_sentinel):
@@ -427,6 +416,18 @@ def test_unsteady_solve_evaluates_forecast_error_once_per_component(monkeypatch)
         assert sum(lo < t < hi for t in times) == m
 
 
+def _random_value_function(rng, ny, nx, nt, p_sentinel):
+    """Random values with sentinel nodes on a grid with a non-zero origin
+    and dx != dy."""
+    g = SpaceTimeGrid(x0=-300.0, y0=100.0, dx=150.0, dy=250.0, nx=nx, ny=ny,
+                      t0=1000.0, dt_snap=700.0, nt=nt)
+    values = rng.standard_normal((nt, ny, nx)) * 10.0 ** rng.integers(-2, 6)
+    values[rng.random((nt, ny, nx)) < p_sentinel] = 1e10
+    return ValueFunction(grid=g, values=values, obstacle=np.zeros((ny, nx), bool),
+                         target=np.zeros((ny, nx), bool), t_start=g.t0,
+                         terminal_time=g.t_max, u_max=U_MAX)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     seed=st.integers(0, 2**31 - 1),
@@ -439,13 +440,8 @@ def test_value_at_matches_slice_reference(seed, ny, nx, nt, p_sentinel):
     """The 4-corner value_at equals blending the whole slice, byte for byte,
     sentinel corners and queries off the grid included."""
     rng = np.random.default_rng(seed)
-    g = SpaceTimeGrid(x0=-300.0, y0=100.0, dx=150.0, dy=250.0, nx=nx, ny=ny,
-                      t0=1000.0, dt_snap=700.0, nt=nt)
-    values = rng.standard_normal((nt, ny, nx)) * 10.0 ** rng.integers(-2, 6)
-    values[rng.random((nt, ny, nx)) < p_sentinel] = 1e10
-    vf = ValueFunction(grid=g, values=values, obstacle=np.zeros((ny, nx), bool),
-                       target=np.zeros((ny, nx), bool), t_start=g.t0,
-                       terminal_time=g.t_max, u_max=U_MAX)
+    vf = _random_value_function(rng, ny, nx, nt, p_sentinel)
+    g = vf.grid
     for _ in range(20):
         x = rng.uniform(g.x0 - 200.0, g.x_max + 200.0)
         y = rng.uniform(g.y0 - 200.0, g.y_max + 200.0)
@@ -454,3 +450,40 @@ def test_value_at_matches_slice_reference(seed, ny, nx, nt, p_sentinel):
         t = rng.choice([g.t0, g.t_max, rng.uniform(g.t0, g.t_max)])
         got, want = vf.value_at(x, y, t), slice_value_at(vf, x, y, t)
         assert struct.pack("<d", got) == struct.pack("<d", want)
+
+
+def _stranded_or_bytes(grad, *args):
+    try:
+        return struct.pack("<2d", *grad(*args))
+    except AlreadyStrandedError:
+        return "stranded"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    ny=st.integers(2, 6),
+    nx=st.integers(2, 6),
+    nt=st.integers(1, 4),
+    p_sentinel=st.floats(0.0, 1.0),
+)
+def test_grid_queries_match_references(seed, ny, nx, nt, p_sentinel):
+    """grad_at and is_sentinel_at equal their references byte for byte, on
+    and up to one cell off the grid, on nodes and cell edges, at snapshot
+    times and half-way between them."""
+    rng = np.random.default_rng(seed)
+    vf = _random_value_function(rng, ny, nx, nt, p_sentinel)
+    g = vf.grid
+    for _ in range(20):
+        x = rng.uniform(g.x0 - g.dx, g.x_max + g.dx)
+        y = rng.uniform(g.y0 - g.dy, g.y_max + g.dy)
+        if rng.random() < 0.3:  # on a node, a cell edge or a half-way tie
+            x = g.x0 + 0.5 * g.dx * int(rng.integers(-2, 2 * nx + 1))
+        if rng.random() < 0.3:
+            y = g.y0 + 0.5 * g.dy * int(rng.integers(-2, 2 * ny + 1))
+        k = int(rng.integers(0, nt))
+        t = rng.choice([g.ts[k], g.ts[k] + 0.5 * g.dt_snap * (k < nt - 1),
+                        rng.uniform(g.t0, g.t_max)])
+        assert vf.is_sentinel_at(x, y, t) == oracles.is_sentinel_at(vf, x, y, t)
+        assert (_stranded_or_bytes(vf.grad_at, x, y, t)
+                == _stranded_or_bytes(oracles.grad_at, vf, x, y, t))

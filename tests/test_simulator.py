@@ -79,18 +79,16 @@ def _mission(x0=1000.0, y0=5000.0, t_max=90000.0):
 
 def _ctrl(g, om, kind=ControllerKind.MTR, target=None):
     cfg = SolverConfig(grid=g, u_max=U_MAX)
-    c = build_controller(kind, u_max=U_MAX, solver_config=cfg,
-                         target=target or TargetSpec((2000.0, 2000.0), 300.0),
-                         obstacles=om, dmap=distance_map(om))
-    c.obstacles = om
-    return c
+    return build_controller(kind, u_max=U_MAX, solver_config=cfg,
+                            target=target or TargetSpec((2000.0, 2000.0), 300.0),
+                            obstacles=om, dmap=distance_map(om))
 
 
 def test_mission_success_and_record_shape():
     g, truth, om = _wall_setup()
     m = _mission()
     series = perfect_series(truth, 0.0, g.t_max, 30000.0, m.t_max)
-    rec = run_mission(m, truth, _ctrl(g, om), series, SimConfig(step_dt=600.0))
+    rec = run_mission(m, truth, om, _ctrl(g, om), series, SimConfig(step_dt=600.0))
     assert rec.outcome is Outcome.SUCCESS
     assert rec.outcome_time <= m.t_max
     n = len(rec.times)
@@ -106,7 +104,7 @@ def test_mission_start_inside_target_is_immediate_success():
     g, truth, om = _wall_setup()
     m = Mission(2000.0, 2000.0, 0.0, TargetSpec((2000.0, 2000.0), 300.0), 1000.0)
     series = perfect_series(truth, 0.0, g.t_max, 30000.0, 1000.0)
-    rec = run_mission(m, truth, _ctrl(g, om), series, SimConfig())
+    rec = run_mission(m, truth, om, _ctrl(g, om), series, SimConfig())
     assert rec.outcome is Outcome.SUCCESS
     assert rec.outcome_time == 0.0
     assert rec.times == []
@@ -115,10 +113,9 @@ def test_mission_start_inside_target_is_immediate_success():
 def test_floating_in_band_strands_on_wall():
     g, truth, om = _wall_setup()
     ctrl = build_controller(ControllerKind.FLOATING, u_max=U_MAX)
-    ctrl.obstacles = om
     m = _mission(x0=2000.0, y0=5000.0)  # in the 0.4 m/s band
     series = perfect_series(truth, 0.0, g.t_max, 30000.0, m.t_max)
-    rec = run_mission(m, truth, ctrl, series, SimConfig(step_dt=600.0))
+    rec = run_mission(m, truth, om, ctrl, series, SimConfig(step_dt=600.0))
     assert rec.outcome is Outcome.STRANDED
     # 6600 m of drift at 0.4 m/s
     assert rec.outcome_time == pytest.approx(6600.0 / 0.4, abs=1200.0)
@@ -128,7 +125,7 @@ def test_timeout_when_deadline_too_short():
     g, truth, om = _wall_setup()
     m = _mission(t_max=6000.0)  # far too short to cross the domain
     series = perfect_series(truth, 0.0, g.t_max, 30000.0, m.t_max)
-    rec = run_mission(m, truth, _ctrl(g, om), series, SimConfig(step_dt=600.0))
+    rec = run_mission(m, truth, om, _ctrl(g, om), series, SimConfig(step_dt=600.0))
     assert rec.outcome is Outcome.TIMEOUT
     assert rec.outcome_time == m.t_max
 
@@ -139,11 +136,10 @@ def test_left_region_detection():
     om = ObstacleMask(grid=SpatialGrid(0, 0, 200.0, 200.0, 51, 51),
                       mask=np.zeros((51, 51), dtype=bool))
     ctrl = build_controller(ControllerKind.FLOATING, u_max=U_MAX)
-    ctrl.obstacles = om
     m = _mission(x0=5000.0, y0=9000.0)
     series = perfect_series(truth, 0.0, g.t_max, 30000.0, m.t_max)
     cfg = SimConfig(step_dt=600.0, region=(0.0, 10000.0, 0.0, 10000.0))
-    rec = run_mission(m, truth, ctrl, series, cfg)
+    rec = run_mission(m, truth, om, ctrl, series, cfg)
     assert rec.outcome is Outcome.LEFT_REGION
     assert rec.outcome_time == pytest.approx(1000.0 / 0.5, abs=1200.0)
 
@@ -189,7 +185,7 @@ def test_aborted_when_replanning_fails():
     m = _mission()
     # zero-length forecast windows cannot cover any planning horizon
     series = perfect_series(truth, 0.0, 0.0, 30000.0, 0.0)
-    rec = run_mission(m, truth, _ctrl(g, om), series, SimConfig())
+    rec = run_mission(m, truth, om, _ctrl(g, om), series, SimConfig())
     assert rec.outcome is Outcome.ABORTED
     assert "replan failed" in rec.note
 
@@ -200,7 +196,7 @@ def test_trajectory_csv_round_trip(tmp_path):
     g, truth, om = _wall_setup()
     m = _mission()
     series = perfect_series(truth, 0.0, g.t_max, 30000.0, m.t_max)
-    rec = run_mission(m, truth, _ctrl(g, om), series, SimConfig(step_dt=600.0))
+    rec = run_mission(m, truth, om, _ctrl(g, om), series, SimConfig(step_dt=600.0))
     p = tmp_path / "traj.csv"
     rec.write_csv(p)
     rows = list(csv.reader(p.open()))

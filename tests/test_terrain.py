@@ -1,12 +1,16 @@
 """Terrain pipeline: elevation grids, coarsening, masks, BFS distance."""
 
+import math
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import bfs_hops
+from oracles import bfs_hops, distance_value_at
 
 from driftplan.errors import FormatError, ParameterError
 from driftplan.terrain import (
+    DistanceMap,
     ElevationGrid,
     ObstacleMask,
     SpatialGrid,
@@ -160,6 +164,40 @@ def test_elevation_file_bad_magic(tmp_path):
         read_elevation_file(path)
 
 
+ELG1_HEADER = 44  # magic, nx, ny, then x0, dx, y0, dy as f64
+
+
+def _set_header_nx_0(data):
+    # a single column is a valid grid, so an empty one is the invalid header
+    struct.pack_into("<I", data, 4, 0)
+    return data, 4
+
+
+def _cut_header(data):
+    return data[:20], 20
+
+
+def _cut_payload(data):
+    return data[:-3], len(data) - 3
+
+
+def _nan_in_elevation(data):
+    struct.pack_into("<f", data, ELG1_HEADER + 4 * 5, math.nan)
+    return data, ELG1_HEADER + 4 * 5
+
+
+@pytest.mark.parametrize("corrupt", [_set_header_nx_0, _cut_header, _cut_payload,
+                                     _nan_in_elevation])
+def test_elevation_file_defect_offsets(tmp_path, corrupt):
+    path = tmp_path / "terrain.elg"
+    write_elevation_file(_elev(np.linspace(-500, 50, 12).reshape(3, 4)), path)
+    data, offset = corrupt(bytearray(path.read_bytes()))
+    path.write_bytes(bytes(data))
+    with pytest.raises(FormatError) as ei:
+        read_elevation_file(path)
+    assert ei.value.offset == offset
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     ny=st.integers(1, 12),
@@ -189,3 +227,37 @@ def test_contains_many_matches_contains():
     y = np.concatenate([rng.uniform(-300.0, 700.0, 200), g.y0 + 50.0 * np.arange(-2, 16)])
     got = om.contains_many(x, y)
     assert got.tolist() == [om.contains(a, b) for a, b in zip(x, y)]
+
+
+def _value_or_error(value_at, *args):
+    try:
+        return struct.pack("<d", value_at(*args))
+    except IndexError:
+        # a single row or column has no cell to interpolate in
+        return "IndexError"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ny=st.integers(1, 6),
+    nx=st.integers(1, 6),
+    seed=st.integers(0, 2**31 - 1),
+    no_obstacles=st.booleans(),
+)
+def test_distance_value_at_matches_reference(ny, nx, seed, no_obstacles):
+    """DistanceMap.value_at equals its reference byte for byte, on and up to
+    one cell off a grid with a non-zero origin and dx != dy, single rows
+    and columns and obstacle-free (all +inf) maps included."""
+    rng = np.random.default_rng(seed)
+    g = SpatialGrid(-350.0, 120.0, 90.0, 160.0, nx, ny)
+    d = np.full((ny, nx), np.inf) if no_obstacles else rng.integers(0, 9, (ny, nx)) * 90.0
+    dmap = DistanceMap(g, d)
+    for _ in range(20):
+        x = rng.uniform(g.x0 - g.dx, g.x_max + g.dx)
+        y = rng.uniform(g.y0 - g.dy, g.y_max + g.dy)
+        if rng.random() < 0.3:  # on a node or a cell edge
+            x = g.x0 + g.dx * int(rng.integers(-1, nx + 1))
+        with np.errstate(invalid="ignore"):  # inf * 0 on an obstacle-free map
+            got = _value_or_error(dmap.value_at, x, y)
+            want = _value_or_error(distance_value_at, dmap, x, y)
+        assert got == want
