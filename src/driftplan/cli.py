@@ -362,14 +362,13 @@ def cmd_gen_forecasts(exp: Experiment, args) -> int:
         nt = max(2, int(round((flow.t_max - rt) / g.dt_snap)) + 1)
         fg = replace(g, t0=rt, dt_snap=(flow.t_max - rt) / (nt - 1), nt=nt)
         X, Y = fg.meshgrid()
-        u = np.empty((nt, fg.ny, fg.nx))
-        v = np.empty((nt, fg.ny, fg.nx))
+        # sampled straight into the file's float32, which GriddedFlow keeps
+        u = np.empty((nt, fg.ny, fg.nx), dtype=np.float32)
+        v = np.empty_like(u)
         for k, tk in enumerate(fg.ts):
             u[k], v[k] = flow.sample_many(X, Y, tk)
         path = os.path.join(exp.out_dir, f"forecast_{idx:03d}.ofg1")
-        write_flow_file(
-            GriddedFlow(fg, u.astype(np.float32), v.astype(np.float32)), path
-        )
+        write_flow_file(GriddedFlow(fg, u, v), path)
         entries.append((rt, path))
     write_series_manifest(entries, exp.horizon,
                           os.path.join(exp.out_dir, "forecasts.json"))

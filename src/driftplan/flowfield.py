@@ -235,23 +235,38 @@ class DoubleGyreFlow(FlowSource):
 class GriddedFlow(FlowSource):
     """File- or array-backed field on a regular space-time grid.
 
-    ``u`` and ``v`` are shaped (nt, ny, nx). Sampling interpolates
-    bilinearly in space and linearly in time.
+    ``u`` and ``v`` are shaped (nt, ny, nx). Float32 input, such as an OFG1
+    payload, is stored as float32 and any other input as float64, without a
+    copy when it is already contiguous. Sampling widens the gathered corners
+    to float64, which is exact, then interpolates bilinearly in space and
+    linearly in time in float64.
     """
 
     grid: SpaceTimeGrid
     u: np.ndarray = field(repr=False)
     v: np.ndarray = field(repr=False)
+    # flat offsets of the 8 space-time corners from a cell's base index, in
+    # the order sample_many reads them
+    _offsets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = self.grid
         want = (g.nt, g.ny, g.nx)
-        u = np.ascontiguousarray(np.asarray(self.u, dtype=np.float64).reshape(want))
-        v = np.ascontiguousarray(np.asarray(self.v, dtype=np.float64).reshape(want))
+
+        def stored(a):
+            a = np.asarray(a)
+            dtype = np.float32 if a.dtype == np.float32 else np.float64
+            return np.ascontiguousarray(a, dtype=dtype).reshape(want)
+
+        u, v = stored(self.u), stored(self.v)
         if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
             raise ParameterError("gridded flow contains non-finite values")
+        # the later snapshot is k0 + 1, or k0 itself when nt == 1
+        dk = g.ny * g.nx if g.nt > 1 else 0
+        offsets = np.array([0, dk, 1, dk + 1, g.nx, dk + g.nx, g.nx + 1, dk + g.nx + 1])
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
+        object.__setattr__(self, "_offsets", offsets)
 
     @property
     def x_min(self):
@@ -297,17 +312,13 @@ class GriddedFlow(FlowSource):
         wy = fy - j0
         wt = ft - k0 if g.nt > 1 else np.zeros_like(ft)
 
-        # flat indices of the 8 space-time corners, in the order interp reads
-        # them; the later snapshot is k0 + 1, or k0 itself when nt == 1
-        dk = g.ny * g.nx if g.nt > 1 else 0
-        offsets = np.array([0, dk, 1, dk + 1, g.nx, dk + g.nx, g.nx + 1, dk + g.nx + 1])
         base = (k0 * g.ny + j0) * g.nx + i0
-        idx = base + offsets.reshape((8,) + (1,) * base.ndim)
+        idx = base + self._offsets.reshape((8,) + (1,) * base.ndim)
 
         rt, rx, ry = 1 - wt, 1 - wx, 1 - wy
 
         def interp(arr):
-            a = arr.ravel().take(idx)
+            a = arr.ravel().take(idx).astype(np.float64, copy=False)
             c00 = a[0] * rt + a[1] * wt
             c10 = a[2] * rt + a[3] * wt
             c01 = a[4] * rt + a[5] * wt
@@ -355,18 +366,25 @@ def degrees_to_meters_grid(
 
 
 def write_flow_file(flow: GriddedFlow, path) -> None:
-    """Write a gridded field in the OFG1 binary format (little-endian)."""
+    """Write a gridded field in the OFG1 binary format (little-endian).
+
+    Snapshots are converted and written one at a time, so no copy of the
+    whole field is made."""
     g = flow.grid
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(
             OFG1_MAGIC, g.nx, g.ny, g.nt, g.x0, g.dx, g.y0, g.dy, g.t0, g.dt_snap
         ))
-        fh.write(np.asarray(flow.u, dtype="<f4").tobytes())
-        fh.write(np.asarray(flow.v, dtype="<f4").tobytes())
+        for arr in (flow.u, flow.v):
+            for snap in arr:
+                fh.write(np.ascontiguousarray(snap, dtype="<f4"))
 
 
 def read_flow_file(path) -> GriddedFlow:
-    """Read an OFG1 file; errors carry the byte offset of the defect."""
+    """Read an OFG1 file; errors carry the byte offset of the defect.
+
+    The flow's ``u`` and ``v`` are read-only float32 views of the file's
+    bytes."""
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < _HEADER.size:
@@ -381,8 +399,7 @@ def read_flow_file(path) -> GriddedFlow:
             f"truncated payload: need {need} bytes, have {len(data)}", offset=len(data)
         )
     payload = np.frombuffer(data, dtype="<f4", count=2 * count, offset=_HEADER.size)
-    u = payload[:count].astype(np.float64)
-    v = payload[count:].astype(np.float64)
+    u, v = payload[:count], payload[count:]
     if not np.all(np.isfinite(u)):
         bad = int(np.flatnonzero(~np.isfinite(u))[0])
         raise FormatError("non-finite u value", offset=_HEADER.size + bad * 4)

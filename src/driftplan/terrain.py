@@ -72,15 +72,16 @@ class DistanceMap:
     distance: np.ndarray = field(repr=False)  # (ny, nx), +inf if no obstacles
 
     def value_at(self, x: float, y: float) -> float:
-        """Bilinearly interpolated distance at a continuous position."""
+        """Bilinearly interpolated distance at a continuous position;
+        +inf on an obstacle-free map."""
         j0, i0, wx, wy = self.grid.bilinear_cell(x, y)
         d = self.distance
-        return float(
-            d[j0, i0] * (1 - wx) * (1 - wy)
-            + d[j0, i0 + 1] * wx * (1 - wy)
-            + d[j0 + 1, i0] * (1 - wx) * wy
-            + d[j0 + 1, i0 + 1] * wx * wy
-        )
+        corners = ((j0, i0, 1 - wx, 1 - wy), (j0, i0 + 1, wx, 1 - wy),
+                   (j0 + 1, i0, 1 - wx, wy), (j0 + 1, i0 + 1, wx, wy))
+        # corners of weight 0 are skipped, unread: a single row or column
+        # has no +1 corner, and +inf there would give inf * 0 = NaN. The
+        # others add up in the order of the full bilinear sum.
+        return float(sum(d[j, i] * a * b for j, i, a, b in corners if a and b))
 
     def gradient_at(self, x: float, y: float) -> tuple[float, float]:
         """Central-difference gradient of the distance field at (x, y)."""

@@ -2,9 +2,11 @@
 
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from driftplan.errors import ExtentError, FormatError
 from driftplan.flowfield import (
@@ -114,6 +116,49 @@ def test_flow_file_round_trip(tmp_path):
     np.testing.assert_allclose(g2.v, f.v, atol=1e-6)
 
 
+def test_read_flow_file_returns_read_only_float32(tmp_path):
+    path = tmp_path / "flow.ofg"
+    write_flow_file(_gridded(), path)
+    f = read_flow_file(path)
+    for arr in (f.u, f.v):
+        assert arr.dtype == np.float32 and arr.shape == (3, 4, 5)
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        f.u[0, 0, 0] = 1.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(nt=st.integers(1, 4), seed=st.integers(0, 2**31 - 1), clamp_time=st.booleans())
+def test_float32_flow_samples_like_its_float64_widening(nt, seed, clamp_time):
+    """A float32-backed flow and one built from the same values widened to
+    float64 sample byte for byte alike, on nodes, cell edges and snapshot
+    times, with one snapshot, and with clamped times."""
+    rng = np.random.default_rng(seed)
+    g = SpaceTimeGrid(x0=-300.0, y0=100.0, dx=150.0, dy=250.0, nx=6, ny=4,
+                      t0=500.0, dt_snap=700.0, nt=nt)
+    u32, v32 = rng.standard_normal((2, nt, g.ny, g.nx)).astype(np.float32)
+    f32 = GriddedFlow(g, u32, v32)
+    f64 = GriddedFlow(g, u32.astype(np.float64), v32.astype(np.float64))
+    assert f32.u.dtype == np.float32 and np.shares_memory(f32.u, u32)
+    assert f64.u.dtype == np.float64
+    n = 40
+    x = rng.uniform(g.x0, g.x_max, n)
+    y = rng.uniform(g.y0, g.y_max, n)
+    t = rng.uniform(g.t0, g.t_max, n)
+    x[:10] = g.xs[rng.integers(0, g.nx, 10)]  # on nodes and on edges
+    y[5:15] = g.ys[rng.integers(0, g.ny, 10)]
+    t[:8] = g.ts[rng.integers(0, nt, 8)]
+    if clamp_time:
+        t[-8:] = np.where(rng.random(8) < 0.5, g.t0 - 1500.0, g.t_max + 1500.0)
+    got = f32.sample_many(x, y, t, clamp_time=clamp_time)
+    want = f64.sample_many(x, y, t, clamp_time=clamp_time)
+    for a, b in zip(got, want):
+        assert a.dtype == np.float64 and a.tobytes() == b.tobytes()
+    for p in zip(x, y, t):
+        assert (struct.pack("<2d", *f32.sample(*p, clamp_time=clamp_time))
+                == struct.pack("<2d", *f64.sample(*p, clamp_time=clamp_time)))
+
+
 def test_flow_file_bad_magic(tmp_path):
     path = tmp_path / "bad.ofg"
     path.write_bytes(b"NOPE" + b"\x00" * 100)
@@ -164,6 +209,29 @@ def test_flow_file_defect_offsets(tmp_path, corrupt):
     with pytest.raises(FormatError) as ei:
         read_flow_file(path)
     assert ei.value.offset == offset
+
+
+def _traced_peak(fn, *args):
+    """Peak memory traced by tracemalloc while fn runs, above what was
+    allocated before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_flow_file_io_memory(tmp_path):
+    # reading holds the file's bytes once, and writing converts one snapshot
+    # at a time instead of copying the whole field
+    f = _gridded(nx=60, ny=50, nt=40)
+    payload = 2 * f.u.size * 4
+    path = tmp_path / "flow.ofg"
+    assert _traced_peak(write_flow_file, f, path) <= 0.1 * payload
+    assert path.stat().st_size == OFG1_HEADER + payload
+    assert _traced_peak(read_flow_file, path) <= 1.25 * payload
 
 
 def test_degrees_to_meters_adapter():

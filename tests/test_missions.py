@@ -123,6 +123,26 @@ def test_validate_missions_flags_violations(setup):
     assert "close to obstacles" in problems[1]
 
 
+def test_obstacle_free_map_rejects_every_target(setup):
+    # with no obstacle every target is farther than max_obstacle_dist, also
+    # off the terrain grid, which here covers only [0, 2 km]^2 of the region
+    s = setup
+    dmap = distance_map(ObstacleMask.empty(SpatialGrid(0, 0, 200.0, 200.0, 11, 11)))
+    with pytest.raises(InfeasibleConstraintsError):
+        sample_missions(REGION, s["truth"], ObstacleMask.empty(s["om"].grid), dmap, 1,
+                        _constraints(), s["cfg"], seed=0, rejection_cap=0.95)
+
+
+def test_validate_missions_flags_targets_on_obstacle_free_map(setup):
+    dmap = distance_map(ObstacleMask.empty(setup["om"].grid))
+    # inside a cell, on a grid line, on a node, and off the grid
+    targets = [(5050.0, 5050.0), (5100.0, 5050.0), (5000.0, 5000.0), (5000.0, 10500.0)]
+    missions = [Mission(5000.0, 8000.0, 0.0, TargetSpec(t, 300.0), 60000.0) for t in targets]
+    problems = validate_missions(missions, REGION, dmap, _constraints())
+    assert [p for p in problems if "boundary" not in p] == [
+        f"mission {k}: target too far from obstacles (inf m)" for k in range(4)]
+
+
 def test_manifest_round_trip(tmp_path):
     missions = [
         Mission(100.0, 200.0, 300.0, TargetSpec((400.0, 500.0), 60.0), 700.0),

@@ -229,14 +229,6 @@ def test_contains_many_matches_contains():
     assert got.tolist() == [om.contains(a, b) for a, b in zip(x, y)]
 
 
-def _value_or_error(value_at, *args):
-    try:
-        return struct.pack("<d", value_at(*args))
-    except IndexError:
-        # a single row or column has no cell to interpolate in
-        return "IndexError"
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     ny=st.integers(1, 6),
@@ -246,18 +238,32 @@ def _value_or_error(value_at, *args):
 )
 def test_distance_value_at_matches_reference(ny, nx, seed, no_obstacles):
     """DistanceMap.value_at equals its reference byte for byte, on and up to
-    one cell off a grid with a non-zero origin and dx != dy, single rows
-    and columns and obstacle-free (all +inf) maps included."""
+    one cell off a grid with a non-zero origin and dx != dy. Where the
+    reference fails, the fixed results are asserted instead:
+    - an obstacle-free (all +inf) map gives +inf everywhere; the reference's
+      inf * 0 gives NaN on grid lines and off the grid;
+    - a single row or column, where the reference reads a +1 corner that
+      does not exist, gives the reference on the map padded with a copy of
+      its last row and column."""
     rng = np.random.default_rng(seed)
     g = SpatialGrid(-350.0, 120.0, 90.0, 160.0, nx, ny)
     d = np.full((ny, nx), np.inf) if no_obstacles else rng.integers(0, 9, (ny, nx)) * 90.0
     dmap = DistanceMap(g, d)
+    padded = DistanceMap(g, np.pad(d, ((0, 1), (0, 1)), mode="edge"))
     for _ in range(20):
         x = rng.uniform(g.x0 - g.dx, g.x_max + g.dx)
         y = rng.uniform(g.y0 - g.dy, g.y_max + g.dy)
         if rng.random() < 0.3:  # on a node or a cell edge
             x = g.x0 + g.dx * int(rng.integers(-1, nx + 1))
-        with np.errstate(invalid="ignore"):  # inf * 0 on an obstacle-free map
-            got = _value_or_error(dmap.value_at, x, y)
-            want = _value_or_error(distance_value_at, dmap, x, y)
-        assert got == want
+        with np.errstate(invalid="raise"):
+            got = dmap.value_at(x, y)
+        if no_obstacles:
+            assert got == math.inf
+            continue
+        try:
+            want = distance_value_at(dmap, x, y)
+        except IndexError:
+            assert nx == 1 or ny == 1
+            want = distance_value_at(padded, x, y)
+        assert math.isfinite(want)
+        assert struct.pack("<d", got) == struct.pack("<d", want)
