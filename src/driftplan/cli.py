@@ -188,8 +188,9 @@ def load_experiment(path: str, seed_override=None, out_override=None) -> Experim
             switch_threshold=raw.get("switch_threshold", 20_000.0),
             mission_t_max=mission_t_max, seed=seed, out_dir=out_dir, raw=raw,
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, DriftplanError):
+    except (KeyError, TypeError, ValueError, DriftplanError) as exc:
+        # a bad parameter or flow file is a bad config too
+        if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"invalid config {path}: {exc!r}") from exc
 
@@ -258,7 +259,10 @@ def _stats_report(tallies: dict, baseline: str) -> dict:
 
 
 def cmd_batch(exp: Experiment, args) -> int:
-    missions = read_missions(args.missions)
+    try:
+        missions = read_missions(args.missions)
+    except OSError as exc:
+        raise ConfigError(f"cannot read missions {args.missions}: {exc}") from exc
     kinds = (
         [ControllerKind(k) for k in args.controllers.split(",")]
         if args.controllers else exp.controllers
@@ -377,8 +381,11 @@ def cmd_gen_forecasts(exp: Experiment, args) -> int:
 
 
 def cmd_stats(exp: Experiment, args) -> int:
-    with open(args.summary) as fh:
-        summary = json.load(fh)
+    try:
+        with open(args.summary) as fh:
+            summary = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read summary {args.summary}: {exc}") from exc
     report = _stats_report(summary["tallies"], exp.baseline)
     os.makedirs(exp.out_dir, exist_ok=True)
     _dump_json(report, os.path.join(exp.out_dir, "stats_report.json"))

@@ -70,6 +70,16 @@ class FlowSource:
         eps_y = 1e-9 * max(1.0, abs(self.y_max)) if math.isfinite(self.y_max) else 0.0
         return eps_x, eps_y
 
+    def _time_eps(self):
+        return 1e-6 * max(1.0, abs(self.t_max)) if math.isfinite(self.t_max) else 0.0
+
+    def _padded_extent(self):
+        """(lo, hi) per axis x, y, t: the extent widened by the tolerance
+        the checks allow."""
+        (eps_x, eps_y), eps_t = self._space_eps(), self._time_eps()
+        return ((self.x_min - eps_x, self.y_min - eps_y, self.t_min - eps_t),
+                (self.x_max + eps_x, self.y_max + eps_y, self.t_max + eps_t))
+
     def inside(self, x, y):
         """Boolean mask of the points (x, y) that lie in the spatial extent,
         within the tolerance sampling allows."""
@@ -93,7 +103,7 @@ class FlowSource:
 
     def _check_time(self, t, clamp_time=False):
         ta = np.asarray(t, dtype=float)
-        eps_t = 1e-6 * max(1.0, abs(self.t_max)) if math.isfinite(self.t_max) else 0.0
+        eps_t = self._time_eps()
         out = (ta < self.t_min - eps_t) | (ta > self.t_max + eps_t)
         if np.any(out):
             if not clamp_time:
@@ -237,17 +247,14 @@ class GriddedFlow(FlowSource):
 
     ``u`` and ``v`` are shaped (nt, ny, nx). Float32 input, such as an OFG1
     payload, is stored as float32 and any other input as float64, without a
-    copy when it is already contiguous. Sampling widens the gathered corners
-    to float64, which is exact, then interpolates bilinearly in space and
-    linearly in time in float64.
+    copy when it is already contiguous. Sampling gathers the u and v corners
+    into one array, widens them to float64, which is exact, then
+    interpolates bilinearly in space and linearly in time in float64.
     """
 
     grid: SpaceTimeGrid
     u: np.ndarray = field(repr=False)
     v: np.ndarray = field(repr=False)
-    # flat offsets of the 8 space-time corners from a cell's base index, in
-    # the order sample_many reads them
-    _offsets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = self.grid
@@ -261,12 +268,26 @@ class GriddedFlow(FlowSource):
         u, v = stored(self.u), stored(self.v)
         if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
             raise ParameterError("gridded flow contains non-finite values")
-        # the later snapshot is k0 + 1, or k0 itself when nt == 1
+        # per axis x, y, t, as columns: the extent widened by the checks'
+        # tolerance, origin, spacing, and the largest fractional and base
+        # index; then the flat strides, and the offsets of a cell's 8
+        # space-time corners in the order sample_many blends them. The later
+        # snapshot is k0 + 1, or k0 itself when nt == 1.
         dk = g.ny * g.nx if g.nt > 1 else 0
-        offsets = np.array([0, dk, 1, dk + 1, g.nx, dk + g.nx, g.nx + 1, dk + g.nx + 1])
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "_offsets", offsets)
+        lo, hi = self._padded_extent()
+
+        def col(*a):
+            return np.array(a).reshape(-1, 1)
+
+        for name, value in dict(
+            u=u, v=v, _lo=col(*lo), _hi=col(*hi),
+            _origin=col(g.x0, g.y0, g.t0), _spacing=col(g.dx, g.dy, g.dt_snap),
+            _f_cap=col(g.nx - 1.0, g.ny - 1.0, max(g.nt - 1.0, 0.0)),
+            _i_cap=col(g.nx - 2, g.ny - 2, max(g.nt - 2, 0)),
+            _strides=np.array([1, g.nx, g.ny * g.nx]),
+            _offsets=col(0, dk, 1, dk + 1, g.nx, dk + g.nx, g.nx + 1, dk + g.nx + 1),
+        ).items():
+            object.__setattr__(self, name, value)
 
     @property
     def x_min(self):
@@ -297,40 +318,36 @@ class GriddedFlow(FlowSource):
         return self.grid.nt == 1
 
     def sample_many(self, x, y, t, clamp_time=False):
-        g = self.grid
-        xa, ya, ta = self._check_extent(x, y, t, clamp_time)
-        xa, ya, ta = np.broadcast_arrays(
-            np.asarray(xa, float), np.asarray(ya, float), np.asarray(ta, float)
-        )
-        fx = np.clip((xa - g.x0) / g.dx, 0.0, g.nx - 1.0)
-        fy = np.clip((ya - g.y0) / g.dy, 0.0, g.ny - 1.0)
-        ft = np.clip((ta - g.t0) / g.dt_snap, 0.0, max(g.nt - 1.0, 0.0))
-        i0 = np.minimum(fx.astype(int), g.nx - 2)
-        j0 = np.minimum(fy.astype(int), g.ny - 2)
-        k0 = np.minimum(ft.astype(int), max(g.nt - 2, 0))
-        wx = fx - i0
-        wy = fy - j0
-        wt = ft - k0 if g.nt > 1 else np.zeros_like(ft)
-
-        base = (k0 * g.ny + j0) * g.nx + i0
-        idx = base + self._offsets.reshape((8,) + (1,) * base.ndim)
-
-        rt, rx, ry = 1 - wt, 1 - wx, 1 - wy
-
-        def interp(arr):
-            a = arr.ravel().take(idx).astype(np.float64, copy=False)
-            c00 = a[0] * rt + a[1] * wt
-            c10 = a[2] * rt + a[3] * wt
-            c01 = a[4] * rt + a[5] * wt
-            c11 = a[6] * rt + a[7] * wt
-            return (
-                c00 * rx * ry
-                + c10 * wx * ry
-                + c01 * rx * wy
-                + c11 * wx * wy
-            )
-
-        return interp(self.u), interp(self.v)
+        shape = np.broadcast(x, y, t).shape
+        p = np.empty((3,) + shape)
+        p[0], p[1], p[2] = x, y, t
+        q = p.reshape(3, -1)  # x, y, t rows of the broadcast points
+        if not (q.size and ((q >= self._lo) & (q <= self._hi)).all()):
+            # a point beyond the tolerance, a NaN or no point at all: check
+            # and clamp as every flow does, x before y before t
+            p[0], p[1], p[2] = self._check_extent(x, y, t, clamp_time)
+        # fractional and base index per axis; np.clip keeps a -0.0 only with
+        # scalar bounds, so the per-axis cap is a separate minimum
+        f = np.clip((q - self._origin) / self._spacing, 0.0, np.inf)
+        np.minimum(f, self._f_cap, out=f)
+        i = np.minimum(f.astype(int), self._i_cap)
+        w = np.empty((2,) + f.shape)  # 1 - weight, weight
+        np.subtract(f, i, out=w[1])
+        if self.grid.nt == 1:
+            w[1, 2] = 0.0  # one snapshot: no time weight, whatever t is
+        np.subtract(1, w[1], out=w[0])
+        idx = self._strides @ i + self._offsets
+        # corners as (u or v, y corner, x corner, snapshot, point): blend the
+        # two snapshots, then weight by x and by y, as c00 * rx * ry + ...
+        a = np.array((self.u.take(idx), self.v.take(idx)), dtype=np.float64)
+        a = a.reshape(2, 2, 2, 2, -1)
+        a *= w[:, 2]
+        c = a[..., 0, :] + a[..., 1, :]
+        c *= w[:, 0]
+        c *= w[:, 1, None]
+        uv = c[:, 0, 0] + c[:, 0, 1] + c[:, 1, 0] + c[:, 1, 1]
+        uv = uv.reshape((2,) + shape)
+        return uv[0], uv[1]
 
 
 def make_uniform(u: float, v: float) -> FlowSource:

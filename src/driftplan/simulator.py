@@ -363,7 +363,8 @@ def stranding_study(
         ts[k] = rng.uniform(*t_range) if t_range[1] > t_range[0] else t_range[0]
     x, y, status = drift_particles(truth, obstacles, region, xs, ys, ts, horizon, step_dt)
     stranded = status == DriftEnd.STRANDED
-    heat = np.zeros((obstacles.grid.ny, obstacles.grid.nx), dtype=np.int64)
+    # a cell counts at most n strandings: int32 holds any n that fits in memory
+    heat = np.zeros((obstacles.grid.ny, obstacles.grid.nx), dtype=np.int32)
     np.add.at(heat, obstacles.grid.nearest_cells(x[stranded], y[stranded]), 1)
     n_stranded = int(stranded.sum())
     n_left = int((status == DriftEnd.LEFT_REGION).sum())

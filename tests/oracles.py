@@ -356,3 +356,46 @@ def distance_value_at(dmap, x, y):
         + d[j0 + 1, i0] * (1 - wx) * wy
         + d[j0 + 1, i0 + 1] * wx * wy
     )
+
+
+def gridded_sample_many(flow, x, y, t, clamp_time=False):
+    """Reference ``GriddedFlow.sample_many``: every call checks its extent
+    through ``_check_extent``, and u and v are gathered and blended one at a
+    time."""
+    g = flow.grid
+    xa, ya, ta = flow._check_extent(x, y, t, clamp_time)
+    xa, ya, ta = np.broadcast_arrays(
+        np.asarray(xa, float), np.asarray(ya, float), np.asarray(ta, float)
+    )
+    fx = np.clip((xa - g.x0) / g.dx, 0.0, g.nx - 1.0)
+    fy = np.clip((ya - g.y0) / g.dy, 0.0, g.ny - 1.0)
+    ft = np.clip((ta - g.t0) / g.dt_snap, 0.0, max(g.nt - 1.0, 0.0))
+    i0 = np.minimum(fx.astype(int), g.nx - 2)
+    j0 = np.minimum(fy.astype(int), g.ny - 2)
+    k0 = np.minimum(ft.astype(int), max(g.nt - 2, 0))
+    wx = fx - i0
+    wy = fy - j0
+    wt = ft - k0 if g.nt > 1 else np.zeros_like(ft)
+
+    # the later snapshot is k0 + 1, or k0 itself when nt == 1
+    dk = g.ny * g.nx if g.nt > 1 else 0
+    offsets = np.array([0, dk, 1, dk + 1, g.nx, dk + g.nx, g.nx + 1, dk + g.nx + 1])
+    base = (k0 * g.ny + j0) * g.nx + i0
+    idx = base + offsets.reshape((8,) + (1,) * base.ndim)
+
+    rt, rx, ry = 1 - wt, 1 - wx, 1 - wy
+
+    def interp(arr):
+        a = arr.ravel().take(idx).astype(np.float64, copy=False)
+        c00 = a[0] * rt + a[1] * wt
+        c10 = a[2] * rt + a[3] * wt
+        c01 = a[4] * rt + a[5] * wt
+        c11 = a[6] * rt + a[7] * wt
+        return (
+            c00 * rx * ry
+            + c10 * wx * ry
+            + c01 * rx * wy
+            + c11 * wx * wy
+        )
+
+    return interp(flow.u), interp(flow.v)

@@ -238,6 +238,44 @@ def test_non_rk4_integrator_is_config_error(config, tmp_path, capsys):
     assert "integrator" in capsys.readouterr().err
 
 
+def _config_error(capsys, argv):
+    """Run the CLI on bad input: exit code 2 and a one-line config error,
+    never a traceback."""
+    assert main(argv) == EXIT_CONFIG == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
+    return err
+
+
+def test_invalid_solver_parameter_is_config_error(config, tmp_path, capsys):
+    raw = dict(config["raw"], solver=dict(config["raw"]["solver"], cfl=2.0))
+    p = tmp_path / "c6.json"
+    p.write_text(json.dumps(raw))
+    assert "cfl" in _config_error(capsys, ["solve", "--config", str(p)])
+
+
+def test_flow_file_with_bad_magic_is_config_error(config, tmp_path, capsys):
+    flow = tmp_path / "bad.ofg"
+    flow.write_bytes(b"NOPE" + b"\x00" * 100)
+    raw = dict(config["raw"])
+    raw["scenario"] = dict(raw["scenario"], flow={"kind": "file", "path": str(flow)})
+    p = tmp_path / "c7.json"
+    p.write_text(json.dumps(raw))
+    assert "bad magic" in _config_error(capsys, ["solve", "--config", str(p)])
+
+
+def test_batch_with_missing_missions_file_is_config_error(config, tmp_path, capsys):
+    missing = str(tmp_path / "none.jsonl")
+    err = _config_error(capsys, ["batch", "--config", config["path"], "--missions", missing])
+    assert missing in err
+
+
+def test_stats_with_missing_summary_is_config_error(config, tmp_path, capsys):
+    missing = str(tmp_path / "none.json")
+    err = _config_error(capsys, ["stats", "--config", config["path"], "--summary", missing])
+    assert missing in err
+
+
 def test_workers_is_a_batch_option_only(config):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--config", config["path"], "--workers", "2"])

@@ -159,6 +159,95 @@ def test_float32_flow_samples_like_its_float64_widening(nt, seed, clamp_time):
                 == struct.pack("<2d", *f64.sample(*p, clamp_time=clamp_time)))
 
 
+def _outcome(fn):
+    """What a sampling call gives: the type, shape and bytes of u and v, or
+    the exception's type, message, and an ExtentError's axis and value."""
+    try:
+        with np.errstate(invalid="ignore", over="ignore"):  # NaN indices warn
+            u, v = fn()
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "axis", None), getattr(exc, "value", None)
+    return type(u), type(v), np.shape(u), np.asarray(u).tobytes(), np.asarray(v).tobytes()
+
+
+def _zero_heavy_flow(nt, dtype):
+    """A flow on a zero origin whose u is mostly -0.0, as a double gyre's is
+    on its walls, so that the sign of a zero weight shows in the result, and
+    whose (t_max - t0) / dt_snap rounds to just below nt - 1, so that a time
+    clamped to t_max blends differently from one clipped in index space."""
+    g = SpaceTimeGrid(x0=0.0, y0=100.0, dx=150.0, dy=250.0, nx=6, ny=4,
+                      t0=0.0, dt_snap=0.7, nt=nt)
+    rng = np.random.default_rng(nt)
+    u, v = rng.standard_normal((2, nt, g.ny, g.nx))
+    u[rng.random(u.shape) < 0.75] = -0.0
+    v[rng.random(v.shape) < 0.25] = 0.0
+    return GriddedFlow(g, u.astype(dtype), v.astype(dtype))
+
+
+def _assert_samples_like_oracle(f, x, y, t, clamp_time):
+    """sample_many, and sample at each point, give the reference's bytes
+    and exceptions."""
+    from oracles import gridded_sample_many
+
+    assert (_outcome(lambda: f.sample_many(x, y, t, clamp_time=clamp_time))
+            == _outcome(lambda: gridded_sample_many(f, x, y, t, clamp_time=clamp_time)))
+    for p in zip(*(a.ravel() for a in np.broadcast_arrays(x, y, t))):
+        p = tuple(map(float, p))
+        want = _outcome(lambda: tuple(map(float, gridded_sample_many(f, *p, clamp_time))))
+        assert _outcome(lambda: f.sample(*p, clamp_time=clamp_time)) == want
+
+
+@settings(max_examples=600, deadline=None)
+@given(data=st.data(), nt=st.sampled_from([1, 2, 4]), float32=st.booleans(),
+       ndim=st.integers(0, 3), scalar_t=st.booleans(), clamp_time=st.booleans())
+def test_gridded_sampling_matches_oracle_bytewise(data, nt, float32, ndim, scalar_t,
+                                                   clamp_time):
+    """Byte-equal to the reference, signed zeros included, with the same
+    exceptions, for 0-d, 1-d, 2-d and empty points and a scalar time, at
+    points on, just inside and just beyond each padded edge of the extent,
+    far beyond it, on grid nodes, at -0.0 and at NaN."""
+    f = _zero_heavy_flow(nt, np.float32 if float32 else float)
+    g = f.grid
+    lo, hi = f._padded_extent()
+    shape = ((), (3,), (2, 3), (0,))[ndim]
+
+    def coords(axis, shape):
+        a, b = lo[axis], hi[axis]
+        edges = [a, b, np.nextafter(a, b), np.nextafter(b, a), np.nextafter(a, -np.inf),
+                 np.nextafter(b, np.inf), a - 1.0, b + 1.0, -0.0, math.nan]
+        nodes = (g.xs, g.ys, g.ts)[axis].tolist() + [-0.0]
+        point = st.one_of(st.floats(a, b), st.sampled_from(edges), st.sampled_from(nodes))
+        n = math.prod(shape)
+        drawn = data.draw(st.lists(point, min_size=n, max_size=n))
+        return np.array(drawn, dtype=float).reshape(shape)
+
+    x, y = coords(0, shape), coords(1, shape)
+    t = coords(2, () if scalar_t else shape)
+    if ndim == 0:
+        x, y = float(x), float(y)
+    if scalar_t:
+        t = float(t)
+    _assert_samples_like_oracle(f, x, y, t, clamp_time)
+
+
+@pytest.mark.parametrize("nt", [1, 4])
+@pytest.mark.parametrize("clamp_time", [False, True])
+@pytest.mark.parametrize("x, y, t", [
+    (np.empty((2, 0)), 100.0, 0.5),  # no point: the scalar time is still checked
+    (np.empty((2, 0)), 100.0, 9.5),
+    (-0.0, 100.0, -0.0),  # signed zeros on a zero origin
+    (np.array([-0.0, 150.0, 750.0]), 350.0, np.array([-0.0, 0.7, 1e9])),
+    (50.0, 100.0, math.nan),  # NaN: an index error, or a sample on one snapshot
+    (math.nan, 100.0, 0.5),
+    (np.array([50.0, math.nan, -1e9]), 100.0, 0.5),  # NaN hides no ExtentError
+    (50.0, 100.0, 1e9),  # far beyond t_max: clamped to it, or refused
+    # beyond the last node but inside the tolerance: the index is capped
+    (np.array([750.0 + 5e-7, 700.0]), np.array([120.0, 850.0 + 5e-7]), 2.1 + 1e-6),
+])
+def test_gridded_sampling_corner_cases_match_oracle(nt, clamp_time, x, y, t):
+    _assert_samples_like_oracle(_zero_heavy_flow(nt, np.float32), x, y, t, clamp_time)
+
+
 def test_flow_file_bad_magic(tmp_path):
     path = tmp_path / "bad.ofg"
     path.write_bytes(b"NOPE" + b"\x00" * 100)
