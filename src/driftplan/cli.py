@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .controllers import ControllerKind
-from .errors import ConfigError, DegenerateInputError, DriftplanError
+from .errors import ConfigError, DegenerateInputError, DriftplanError, ParameterError
 from .flowfield import (
     GriddedFlow,
     SpaceTimeGrid,
@@ -261,7 +261,7 @@ def _stats_report(tallies: dict, baseline: str) -> dict:
 def cmd_batch(exp: Experiment, args) -> int:
     try:
         missions = read_missions(args.missions)
-    except OSError as exc:
+    except (OSError, ParameterError) as exc:
         raise ConfigError(f"cannot read missions {args.missions}: {exc}") from exc
     kinds = (
         [ControllerKind(k) for k in args.controllers.split(",")]
@@ -386,7 +386,10 @@ def cmd_stats(exp: Experiment, args) -> int:
             summary = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read summary {args.summary}: {exc}") from exc
-    report = _stats_report(summary["tallies"], exp.baseline)
+    try:
+        report = _stats_report(summary["tallies"], exp.baseline)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"invalid summary {args.summary}: {exc!r}") from exc
     os.makedirs(exp.out_dir, exist_ok=True)
     _dump_json(report, os.path.join(exp.out_dir, "stats_report.json"))
     print(json.dumps(report["tests"], sort_keys=True))

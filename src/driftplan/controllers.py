@@ -90,7 +90,6 @@ class Controller:
     obstacles: ObstacleMask | None = None
     dmap: DistanceMap | None = None
     switch_threshold: float = 0.0
-    d_max: float = 0.0
     vf: ValueFunction | None = None
     last_branch: str = "plan"
 
@@ -98,8 +97,8 @@ class Controller:
         """Solve the reachability problem on the given forecast flow."""
         if self.kind is ControllerKind.FLOATING:
             return
-        cfg = replace(self.solver_config, d_max=self.d_max)
-        self.vf = solve_mtr(forecast, self.obstacles, self.target, cfg, t_now, t_end)
+        self.vf = solve_mtr(forecast, self.obstacles, self.target, self.solver_config,
+                            t_now, t_end)
 
     def control(self, x: float, y: float, t: float) -> ControlInput:
         if self.kind is ControllerKind.FLOATING:
@@ -146,9 +145,8 @@ def build_controller(
         raise ConfigError(f"{kind.value} requires an obstacle mask")
     if kind in _SWITCHING and dmap is None:
         raise ConfigError(f"{kind.value} requires a distance map")
-    d_max = solver_config.d_max
     if kind is ControllerKind.SMALLDIST_MTR:
-        d_max = small_disturbance
+        solver_config = replace(solver_config, d_max=small_disturbance)
     return Controller(
         kind=kind,
         u_max=u_max,
@@ -157,5 +155,4 @@ def build_controller(
         obstacles=obstacles if kind in _OBSTACLE_AWARE else None,
         dmap=dmap,
         switch_threshold=switch_threshold,
-        d_max=d_max,
     )

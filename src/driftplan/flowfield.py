@@ -54,68 +54,61 @@ class FlowSource:
     """Base class for velocity fields sampled at continuous (x, y, t)."""
 
     #: spatial/temporal extents; analytical fields default to unbounded
-    x_min = -math.inf
-    x_max = math.inf
-    y_min = -math.inf
-    y_max = math.inf
-    t_min = -math.inf
-    t_max = math.inf
+    x_min = y_min = t_min = -math.inf
+    x_max = y_max = t_max = math.inf
+    #: the extent per axis x, y, t as (3, 1) columns, widened by the
+    #: tolerance the checks allow; bounded flows set both with _set_extent
+    _lo = np.full((3, 1), -math.inf)
+    _hi = np.full((3, 1), math.inf)
 
     #: True when sample_many is independent of t, letting consumers reuse
     #: one sampled snapshot instead of resampling every step
     is_steady = False
 
-    def _space_eps(self):
-        eps_x = 1e-9 * max(1.0, abs(self.x_max)) if math.isfinite(self.x_max) else 0.0
-        eps_y = 1e-9 * max(1.0, abs(self.y_max)) if math.isfinite(self.y_max) else 0.0
-        return eps_x, eps_y
+    def _set_extent(self, x_min, x_max, y_min, y_max, t_min, t_max):
+        """Set the extent once, with its bounds padded by 1e-9 relative in
+        space and 1e-6 relative in time, on the upper bound's scale, and not
+        at all beside an infinite upper bound."""
 
-    def _time_eps(self):
-        return 1e-6 * max(1.0, abs(self.t_max)) if math.isfinite(self.t_max) else 0.0
+        def pad(hi, rel):
+            return rel * max(1.0, abs(hi)) if math.isfinite(hi) else 0.0
 
-    def _padded_extent(self):
-        """(lo, hi) per axis x, y, t: the extent widened by the tolerance
-        the checks allow."""
-        (eps_x, eps_y), eps_t = self._space_eps(), self._time_eps()
-        return ((self.x_min - eps_x, self.y_min - eps_y, self.t_min - eps_t),
-                (self.x_max + eps_x, self.y_max + eps_y, self.t_max + eps_t))
+        eps = (pad(x_max, 1e-9), pad(y_max, 1e-9), pad(t_max, 1e-6))
+        lo, hi = (x_min, y_min, t_min), (x_max, y_max, t_max)
+        for name, value in dict(
+            x_min=x_min, x_max=x_max, y_min=y_min, y_max=y_max, t_min=t_min, t_max=t_max,
+            _lo=np.subtract(lo, eps).reshape(3, 1), _hi=np.add(hi, eps).reshape(3, 1),
+        ).items():
+            object.__setattr__(self, name, value)
+
+    def _check_extent(self, *coords, axes="xyt", clamp_time=False):
+        """The coordinates as float arrays, each checked against the padded
+        bounds of its axis, named in ``axes``, in turn. The first point
+        beyond them, or NaN, raises ExtentError; with clamp_time, times
+        beyond them are clamped to the extent instead, each point as it
+        would be on its own."""
+        out = []
+        for axis, c in zip(axes, coords, strict=True):
+            k = "xyt".index(axis)
+            a = np.asarray(c, dtype=float)
+            ok = (a >= self._lo[k, 0]) & (a <= self._hi[k, 0])
+            if not ok.all():
+                lo, hi = getattr(self, f"{axis}_min"), getattr(self, f"{axis}_max")
+                clamp = clamp_time and axis == "t"
+                bad = np.isnan(a) if clamp else ~ok
+                if bad.any():
+                    raise ExtentError(axis, float(a[bad].flat[0]), lo, hi)
+                a = np.where(ok, a, np.clip(a, lo, hi))
+            out.append(a)
+        return out
 
     def inside(self, x, y):
-        """Boolean mask of the points (x, y) that lie in the spatial extent,
-        within the tolerance sampling allows."""
+        """Boolean mask of the points (x, y) that lie in the padded spatial
+        extent; NaN lies outside."""
         xa = np.asarray(x, dtype=float)
         ya = np.asarray(y, dtype=float)
-        eps_x, eps_y = self._space_eps()
-        return ~((xa < self.x_min - eps_x) | (xa > self.x_max + eps_x)
-                 | (ya < self.y_min - eps_y) | (ya > self.y_max + eps_y))
-
-    def _check_space(self, x, y):
-        xa = np.asarray(x, dtype=float)
-        ya = np.asarray(y, dtype=float)
-        if not np.all(self.inside(xa, ya)):
-            eps_x, eps_y = self._space_eps()
-            bad = xa[(xa < self.x_min - eps_x) | (xa > self.x_max + eps_x)]
-            if bad.size:
-                raise ExtentError("x", float(bad.flat[0]), self.x_min, self.x_max)
-            bad = ya[(ya < self.y_min - eps_y) | (ya > self.y_max + eps_y)]
-            raise ExtentError("y", float(bad.flat[0]), self.y_min, self.y_max)
-        return xa, ya
-
-    def _check_time(self, t, clamp_time=False):
-        ta = np.asarray(t, dtype=float)
-        eps_t = self._time_eps()
-        out = (ta < self.t_min - eps_t) | (ta > self.t_max + eps_t)
-        if np.any(out):
-            if not clamp_time:
-                raise ExtentError("t", float(ta[out].flat[0]), self.t_min, self.t_max)
-            # clamp only the times beyond the tolerance, so that each point
-            # of a batch is sampled as it would be on its own
-            ta = np.where(out, np.clip(ta, self.t_min, self.t_max), ta)
-        return ta
-
-    def _check_extent(self, x, y, t, clamp_time=False):
-        xa, ya = self._check_space(x, y)
-        return xa, ya, self._check_time(t, clamp_time)
+        return ((xa >= self._lo[0, 0]) & (xa <= self._hi[0, 0])
+                & (ya >= self._lo[1, 0]) & (ya <= self._hi[1, 0]))
 
     def sample(self, x: float, y: float, t: float, clamp_time: bool = False):
         """Velocity (u, v) in m/s at one point."""
@@ -133,15 +126,9 @@ class FlowSource:
         return lambda t: self.sample_many(x, y, t, clamp_time=clamp_time)
 
     def covers(self, x_lo, x_hi, y_lo, y_hi, t_lo, t_hi) -> bool:
-        eps = 1e-6
-        return (
-            self.x_min - eps <= x_lo
-            and x_hi <= self.x_max + eps
-            and self.y_min - eps <= y_lo
-            and y_hi <= self.y_max + eps
-            and self.t_min - eps * max(1.0, abs(t_lo)) <= t_lo
-            and t_hi <= self.t_max + eps * max(1.0, abs(t_hi))
-        )
+        """Whether the box lies within the padded extent."""
+        return bool(np.all((self._lo[:, 0] <= (x_lo, y_lo, t_lo))
+                           & ((x_hi, y_hi, t_hi) <= self._hi[:, 0])))
 
 
 @dataclass(frozen=True)
@@ -154,7 +141,7 @@ class UniformFlow(FlowSource):
     is_steady = True
 
     def sample_many(self, x, y, t, clamp_time=False):
-        xa, ya, _ = self._check_extent(x, y, t, clamp_time)
+        xa, ya, _ = self._check_extent(x, y, t, clamp_time=clamp_time)
         shape = np.broadcast(xa, ya).shape
         return np.full(shape, self.u), np.full(shape, self.v)
 
@@ -175,8 +162,8 @@ class HighwayFlow(FlowSource):
             raise ParameterError("highway requires y1 < y2")
 
     def sample_many(self, x, y, t, clamp_time=False):
-        xa, ya, _ = self._check_extent(x, y, t, clamp_time)
-        xa, ya = np.broadcast_arrays(np.asarray(xa, float), np.asarray(ya, float))
+        xa, ya, _ = self._check_extent(x, y, t, clamp_time=clamp_time)
+        xa, ya = np.broadcast_arrays(xa, ya)
         inside = (ya >= self.y1) & (ya <= self.y2)
         return np.where(inside, self.band_u, 0.0), np.where(inside, self.band_v, 0.0)
 
@@ -202,10 +189,8 @@ class DoubleGyreFlow(FlowSource):
             raise ParameterError("double gyre requires scale > 0")
 
     def sample_many(self, x, y, t, clamp_time=False):
-        xa, ya, ta = self._check_extent(x, y, t, clamp_time)
-        xa, ya, ta = np.broadcast_arrays(
-            np.asarray(xa, float), np.asarray(ya, float), np.asarray(ta, float)
-        )
+        xa, ya, ta = self._check_extent(x, y, t, clamp_time=clamp_time)
+        xa, ya, ta = np.broadcast_arrays(xa, ya, ta)
         X = xa / self.scale
         Y = ya / self.scale
         b = self.epsilon * np.sin(self.omega * ta)
@@ -220,7 +205,7 @@ class DoubleGyreFlow(FlowSource):
         # the y factors are fixed per point, and the x factors take one value
         # per distinct x: evaluate those once and gather them per point, in
         # the operation order of sample_many, so the result is bit-identical
-        xa, ya = np.broadcast_arrays(*self._check_space(x, y))
+        xa, ya = np.broadcast_arrays(*self._check_extent(x, y, axes="xy"))
         X_u, xi = np.unique(xa, return_inverse=True)
         xi = xi.reshape(xa.shape)
         X_u = X_u / self.scale
@@ -228,7 +213,7 @@ class DoubleGyreFlow(FlowSource):
         cos_y, sin_y = np.cos(math.pi * Y), np.sin(math.pi * Y)
 
         def sample(t):
-            ta = self._check_time(t, clamp_time)
+            ta, = self._check_extent(t, axes="t", clamp_time=clamp_time)
             # an array, not a scalar, so np.sin takes sample_many's path
             b = self.epsilon * np.sin(self.omega * np.full(X_u.shape, ta))
             a = 1.0 - 2.0 * b
@@ -268,19 +253,18 @@ class GriddedFlow(FlowSource):
         u, v = stored(self.u), stored(self.v)
         if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
             raise ParameterError("gridded flow contains non-finite values")
-        # per axis x, y, t, as columns: the extent widened by the checks'
-        # tolerance, origin, spacing, and the largest fractional and base
-        # index; then the flat strides, and the offsets of a cell's 8
-        # space-time corners in the order sample_many blends them. The later
-        # snapshot is k0 + 1, or k0 itself when nt == 1.
+        self._set_extent(g.x0, g.x_max, g.y0, g.y_max, g.t0, g.t_max)
+        # per axis x, y, t, as columns: origin, spacing, and the largest
+        # fractional and base index; then the flat strides, and the offsets
+        # of a cell's 8 space-time corners in the order sample_many blends
+        # them. The later snapshot is k0 + 1, or k0 itself when nt == 1.
         dk = g.ny * g.nx if g.nt > 1 else 0
-        lo, hi = self._padded_extent()
 
         def col(*a):
             return np.array(a).reshape(-1, 1)
 
         for name, value in dict(
-            u=u, v=v, _lo=col(*lo), _hi=col(*hi),
+            u=u, v=v,
             _origin=col(g.x0, g.y0, g.t0), _spacing=col(g.dx, g.dy, g.dt_snap),
             _f_cap=col(g.nx - 1.0, g.ny - 1.0, max(g.nt - 1.0, 0.0)),
             _i_cap=col(g.nx - 2, g.ny - 2, max(g.nt - 2, 0)),
@@ -288,30 +272,6 @@ class GriddedFlow(FlowSource):
             _offsets=col(0, dk, 1, dk + 1, g.nx, dk + g.nx, g.nx + 1, dk + g.nx + 1),
         ).items():
             object.__setattr__(self, name, value)
-
-    @property
-    def x_min(self):
-        return self.grid.x0
-
-    @property
-    def x_max(self):
-        return self.grid.x_max
-
-    @property
-    def y_min(self):
-        return self.grid.y0
-
-    @property
-    def y_max(self):
-        return self.grid.y_max
-
-    @property
-    def t_min(self):
-        return self.grid.t0
-
-    @property
-    def t_max(self):
-        return self.grid.t_max
 
     @property
     def is_steady(self):
@@ -325,7 +285,7 @@ class GriddedFlow(FlowSource):
         if not (q.size and ((q >= self._lo) & (q <= self._hi)).all()):
             # a point beyond the tolerance, a NaN or no point at all: check
             # and clamp as every flow does, x before y before t
-            p[0], p[1], p[2] = self._check_extent(x, y, t, clamp_time)
+            p[0], p[1], p[2] = self._check_extent(x, y, t, clamp_time=clamp_time)
         # fractional and base index per axis; np.clip keeps a -0.0 only with
         # scalar bounds, so the per-axis cap is a separate minimum
         f = np.clip((q - self._origin) / self._spacing, 0.0, np.inf)

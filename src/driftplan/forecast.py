@@ -57,29 +57,9 @@ class FourierPerturbedFlow(FlowSource):
     t_lo: float = -math.inf
     t_hi: float = math.inf
 
-    @property
-    def x_min(self):
-        return self.truth.x_min
-
-    @property
-    def x_max(self):
-        return self.truth.x_max
-
-    @property
-    def y_min(self):
-        return self.truth.y_min
-
-    @property
-    def y_max(self):
-        return self.truth.y_max
-
-    @property
-    def t_min(self):
-        return self.t_lo
-
-    @property
-    def t_max(self):
-        return self.t_hi
+    def __post_init__(self):
+        tr = self.truth
+        self._set_extent(tr.x_min, tr.x_max, tr.y_min, tr.y_max, self.t_lo, self.t_hi)
 
     @property
     def is_steady(self):
@@ -93,8 +73,8 @@ class FourierPerturbedFlow(FlowSource):
         )
 
     def sample_many(self, x, y, t, clamp_time=False):
-        xa, ya, ta = self._check_extent(x, y, t, clamp_time)
-        xa, ya = np.broadcast_arrays(np.asarray(xa, float), np.asarray(ya, float))
+        xa, ya, ta = self._check_extent(x, y, t, clamp_time=clamp_time)
+        xa, ya = np.broadcast_arrays(xa, ya)
         u, v = self.truth.sample_many(xa, ya, ta, clamp_time=True)
         if self.amplitude == 0.0:
             return u, v
@@ -103,14 +83,14 @@ class FourierPerturbedFlow(FlowSource):
     def sampler(self, x, y, clamp_time=False):
         # bind the truth's sampler once; the error is frozen within a
         # release, so it too is evaluated once per point set
-        xa, ya = np.broadcast_arrays(*self._check_space(x, y))
+        xa, ya = np.broadcast_arrays(*self._check_extent(x, y, axes="xy"))
         truth = self.truth.sampler(xa, ya, clamp_time=True)
         if self.amplitude == 0.0:
-            return lambda t: truth(self._check_time(t, clamp_time))
+            return lambda t: truth(*self._check_extent(t, axes="t", clamp_time=clamp_time))
         eu, ev = self._error(0, xa, ya), self._error(1, xa, ya)
 
         def sample(t):
-            u, v = truth(self._check_time(t, clamp_time))
+            u, v = truth(*self._check_extent(t, axes="t", clamp_time=clamp_time))
             return u + eu, v + ev
 
         return sample

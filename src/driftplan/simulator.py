@@ -303,12 +303,13 @@ def drift_particles(truth: FlowSource, obstacles: ObstacleMask, region, x, y, t,
         try:
             vx, vy = truth.sample_many(qx, qy, tau, clamp_time=True)
         except ExtentError:
-            # the particles whose stage left the extent end this step; the
-            # others are sampled as before, at points moved inside for them
+            # the particles whose stage left the extent, or is NaN, end this
+            # step; the others are sampled as before, at points moved inside
+            # for them
             ok = truth.inside(qx, qy)
             off[~ok] = True
-            qx = np.where(ok, qx, np.clip(qx, truth.x_min, truth.x_max))
-            qy = np.where(ok, qy, np.clip(qy, truth.y_min, truth.y_max))
+            qx = np.where(ok, qx, np.clip(np.nan_to_num(qx), truth.x_min, truth.x_max))
+            qy = np.where(ok, qy, np.clip(np.nan_to_num(qy), truth.y_min, truth.y_max))
             vx, vy = truth.sample_many(qx, qy, tau, clamp_time=True)
         return vx + 0.0, vy + 0.0  # zero control, as integrate_step adds it
 

@@ -9,6 +9,7 @@ headings.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -288,7 +289,7 @@ class WindowedFlow(FlowSource):
         return self.inner.is_steady
 
     def sample_many(self, x, y, t, clamp_time=False):
-        self._check_extent(x, y, t, clamp_time)
+        check_extent(self, x, y, t, clamp_time)
         return self.inner.sample_many(x, y, np.clip(t, self.t_lo, self.t_hi),
                                       clamp_time=True)
 
@@ -358,12 +359,66 @@ def distance_value_at(dmap, x, y):
     )
 
 
+def _space_eps(flow):
+    eps_x = 1e-9 * max(1.0, abs(flow.x_max)) if math.isfinite(flow.x_max) else 0.0
+    eps_y = 1e-9 * max(1.0, abs(flow.y_max)) if math.isfinite(flow.y_max) else 0.0
+    return eps_x, eps_y
+
+
+def _time_eps(flow):
+    return 1e-6 * max(1.0, abs(flow.t_max)) if math.isfinite(flow.t_max) else 0.0
+
+
+def padded_extent(flow):
+    """(lo, hi) per axis x, y, t: the extent widened by the tolerance the
+    reference check allows."""
+    (eps_x, eps_y), eps_t = _space_eps(flow), _time_eps(flow)
+    return ((flow.x_min - eps_x, flow.y_min - eps_y, flow.t_min - eps_t),
+            (flow.x_max + eps_x, flow.y_max + eps_y, flow.t_max + eps_t))
+
+
+def _check_space(flow, x, y):
+    xa = np.asarray(x, dtype=float)
+    ya = np.asarray(y, dtype=float)
+    eps_x, eps_y = _space_eps(flow)
+    out_x = (xa < flow.x_min - eps_x) | (xa > flow.x_max + eps_x)
+    out_y = (ya < flow.y_min - eps_y) | (ya > flow.y_max + eps_y)
+    if np.any(out_x) or np.any(out_y):
+        bad = xa[out_x]
+        if bad.size:
+            raise ExtentError("x", float(bad.flat[0]), flow.x_min, flow.x_max)
+        bad = ya[out_y]
+        raise ExtentError("y", float(bad.flat[0]), flow.y_min, flow.y_max)
+    return xa, ya
+
+
+def _check_time(flow, t, clamp_time=False):
+    ta = np.asarray(t, dtype=float)
+    eps_t = _time_eps(flow)
+    out = (ta < flow.t_min - eps_t) | (ta > flow.t_max + eps_t)
+    if np.any(out):
+        if not clamp_time:
+            raise ExtentError("t", float(ta[out].flat[0]), flow.t_min, flow.t_max)
+        # clamp only the times beyond the tolerance, so that each point
+        # of a batch is sampled as it would be on its own
+        ta = np.where(out, np.clip(ta, flow.t_min, flow.t_max), ta)
+    return ta
+
+
+def check_extent(flow, x, y, t, clamp_time=False):
+    """Reference extent check, by comparisons that are false for NaN: a
+    finite point beyond the padded extent raises ExtentError, x before y
+    before t, and with clamp_time a time beyond it is clamped to it."""
+    xa, ya = _check_space(flow, x, y)
+    return xa, ya, _check_time(flow, t, clamp_time)
+
+
 def gridded_sample_many(flow, x, y, t, clamp_time=False):
     """Reference ``GriddedFlow.sample_many``: every call checks its extent
-    through ``_check_extent``, and u and v are gathered and blended one at a
+    through ``check_extent``, and u and v are gathered and blended one at a
     time."""
     g = flow.grid
-    xa, ya, ta = flow._check_extent(x, y, t, clamp_time)
+    xa, ya, ta = check_extent(flow, x, y, t, clamp_time)
     xa, ya, ta = np.broadcast_arrays(
         np.asarray(xa, float), np.asarray(ya, float), np.asarray(ta, float)
     )

@@ -270,6 +270,25 @@ def test_batch_with_missing_missions_file_is_config_error(config, tmp_path, caps
     assert missing in err
 
 
+@pytest.mark.parametrize("line", ['{"x0_m": 1.0', '{"x0_m": 1.0, "y0_m": 2.0}'])
+def test_batch_with_bad_missions_line_is_config_error(config, tmp_path, capsys, line):
+    # a malformed line, and one with missing fields
+    manifest = tmp_path / "bad.jsonl"
+    manifest.write_text(line + "\n")
+    err = _config_error(capsys, ["batch", "--config", config["path"],
+                                 "--missions", str(manifest)])
+    assert "line 1" in err
+
+
+@pytest.mark.parametrize("summary", [{"seed": 1}, {"tallies": {"mtr": {"n_total": 3}}}])
+def test_stats_with_incomplete_summary_is_config_error(config, tmp_path, capsys, summary):
+    # no tallies at all, and a tally without its counts
+    path = tmp_path / "summary.json"
+    path.write_text(json.dumps(summary))
+    err = _config_error(capsys, ["stats", "--config", config["path"], "--summary", str(path)])
+    assert str(path) in err
+
+
 def test_stats_with_missing_summary_is_config_error(config, tmp_path, capsys):
     missing = str(tmp_path / "none.json")
     err = _config_error(capsys, ["stats", "--config", config["path"], "--summary", missing])

@@ -157,7 +157,7 @@ def test_smalldist_variant_uses_margin(highway_setup):
         target=s["tgt"], obstacles=s["om"], dmap=s["dmap"],
         small_disturbance=0.05,
     )
-    assert ctrl.d_max == 0.05
+    assert ctrl.solver_config.d_max == 0.05
     ctrl.replan(s["truth"], 0.0, s["grid"].t_max)
     assert ctrl.vf.d_max == 0.05
     # the margin shrinks the reachable set relative to the plain solve

@@ -19,6 +19,7 @@ from driftplan.flowfield import (
     read_flow_file,
     write_flow_file,
 )
+from driftplan.forecast import ErrorModelConfig, gen_forecast_series
 
 
 def test_uniform_flow_everywhere():
@@ -161,12 +162,15 @@ def test_float32_flow_samples_like_its_float64_widening(nt, seed, clamp_time):
 
 def _outcome(fn):
     """What a sampling call gives: the type, shape and bytes of u and v, or
-    the exception's type, message, and an ExtentError's axis and value."""
+    the exception's type, message, and an ExtentError's axis and value, a
+    NaN value as equal to any other."""
     try:
-        with np.errstate(invalid="ignore", over="ignore"):  # NaN indices warn
-            u, v = fn()
+        u, v = fn()
     except Exception as exc:
-        return type(exc), str(exc), getattr(exc, "axis", None), getattr(exc, "value", None)
+        value = getattr(exc, "value", None)
+        if isinstance(value, float) and math.isnan(value):
+            value = "nan"
+        return type(exc), str(exc), getattr(exc, "axis", None), value
     return type(u), type(v), np.shape(u), np.asarray(u).tobytes(), np.asarray(v).tobytes()
 
 
@@ -184,16 +188,34 @@ def _zero_heavy_flow(nt, dtype):
     return GriddedFlow(g, u.astype(dtype), v.astype(dtype))
 
 
+def _nan_outcome(f, x, y, t):
+    """The outcome of points that hold a NaN: an ExtentError for the first
+    axis, x before y before t, with a NaN on it; None without a NaN."""
+    for axis, a in zip("xyt", (x, y, t)):
+        if np.isnan(a).any():
+            err = ExtentError(axis, math.nan, getattr(f, f"{axis}_min"), getattr(f, f"{axis}_max"))
+
+            def fail():
+                raise err
+
+            return _outcome(fail)
+    return None
+
+
 def _assert_samples_like_oracle(f, x, y, t, clamp_time):
     """sample_many, and sample at each point, give the reference's bytes
-    and exceptions."""
+    and exceptions. A NaN lies outside every extent, where the reference
+    lets it through, so points that hold one raise for it instead; no case
+    puts a finite point outside the extent before a NaN."""
     from oracles import gridded_sample_many
 
     assert (_outcome(lambda: f.sample_many(x, y, t, clamp_time=clamp_time))
-            == _outcome(lambda: gridded_sample_many(f, x, y, t, clamp_time=clamp_time)))
+            == (_nan_outcome(f, x, y, t)
+                or _outcome(lambda: gridded_sample_many(f, x, y, t, clamp_time=clamp_time))))
     for p in zip(*(a.ravel() for a in np.broadcast_arrays(x, y, t))):
         p = tuple(map(float, p))
-        want = _outcome(lambda: tuple(map(float, gridded_sample_many(f, *p, clamp_time))))
+        want = (_nan_outcome(f, *p)
+                or _outcome(lambda: tuple(map(float, gridded_sample_many(f, *p, clamp_time)))))
         assert _outcome(lambda: f.sample(*p, clamp_time=clamp_time)) == want
 
 
@@ -205,16 +227,18 @@ def test_gridded_sampling_matches_oracle_bytewise(data, nt, float32, ndim, scala
     """Byte-equal to the reference, signed zeros included, with the same
     exceptions, for 0-d, 1-d, 2-d and empty points and a scalar time, at
     points on, just inside and just beyond each padded edge of the extent,
-    far beyond it, on grid nodes, at -0.0 and at NaN."""
+    far beyond it, on grid nodes and at -0.0."""
+    from oracles import padded_extent
+
     f = _zero_heavy_flow(nt, np.float32 if float32 else float)
     g = f.grid
-    lo, hi = f._padded_extent()
+    lo, hi = padded_extent(f)
     shape = ((), (3,), (2, 3), (0,))[ndim]
 
     def coords(axis, shape):
         a, b = lo[axis], hi[axis]
         edges = [a, b, np.nextafter(a, b), np.nextafter(b, a), np.nextafter(a, -np.inf),
-                 np.nextafter(b, np.inf), a - 1.0, b + 1.0, -0.0, math.nan]
+                 np.nextafter(b, np.inf), a - 1.0, b + 1.0, -0.0]
         nodes = (g.xs, g.ys, g.ts)[axis].tolist() + [-0.0]
         point = st.one_of(st.floats(a, b), st.sampled_from(edges), st.sampled_from(nodes))
         n = math.prod(shape)
@@ -237,15 +261,73 @@ def test_gridded_sampling_matches_oracle_bytewise(data, nt, float32, ndim, scala
     (np.empty((2, 0)), 100.0, 9.5),
     (-0.0, 100.0, -0.0),  # signed zeros on a zero origin
     (np.array([-0.0, 150.0, 750.0]), 350.0, np.array([-0.0, 0.7, 1e9])),
-    (50.0, 100.0, math.nan),  # NaN: an index error, or a sample on one snapshot
+    (50.0, 100.0, math.nan),  # NaN lies outside, clamped or not
     (math.nan, 100.0, 0.5),
-    (np.array([50.0, math.nan, -1e9]), 100.0, 0.5),  # NaN hides no ExtentError
+    (np.array([50.0, math.nan, -1e9]), 100.0, 0.5),  # NaN is the first point outside
     (50.0, 100.0, 1e9),  # far beyond t_max: clamped to it, or refused
     # beyond the last node but inside the tolerance: the index is capped
     (np.array([750.0 + 5e-7, 700.0]), np.array([120.0, 850.0 + 5e-7]), 2.1 + 1e-6),
 ])
 def test_gridded_sampling_corner_cases_match_oracle(nt, clamp_time, x, y, t):
     _assert_samples_like_oracle(_zero_heavy_flow(nt, np.float32), x, y, t, clamp_time)
+
+
+def _nan_flows():
+    """One flow of each kind, each with the point (300, 400, 0) inside its
+    extent."""
+    gridded = _zero_heavy_flow(4, np.float32)
+    cfg = ErrorModelConfig(target_rmse=0.1, spatial_correlation_length=300.0,
+                           temporal_correlation=10.0)
+    return {
+        "uniform": make_uniform(0.1, -0.2),
+        "highway": make_highway(350.0, 450.0, (0.5, 0.0)),
+        "gyre": make_double_gyre(0.2, 0.01, 0.25, 1000.0),
+        "gridded_nt1": _zero_heavy_flow(1, float),
+        "gridded_nt4": gridded,
+        "release": gen_forecast_series(gridded, cfg, 1.0, 2.0, (0.0, 0.0)).current(0.0),
+    }
+
+
+NAN_FLOWS = _nan_flows()
+
+
+@pytest.mark.parametrize("name", sorted(NAN_FLOWS))
+@pytest.mark.parametrize("method, array", [
+    ("sample", False), ("sample_many", False), ("sample_many", True),
+    ("sampler", False), ("sampler", True),
+])
+@pytest.mark.parametrize("axis", ["x", "y", "t"])
+@pytest.mark.parametrize("clamp_time", [False, True])
+def test_nan_coordinate_is_outside_every_extent(name, method, array, axis, clamp_time):
+    """A NaN in x, y or t, alone or inside an array of points, raises an
+    ExtentError naming its axis, with or without clamp_time."""
+    f = NAN_FLOWS[name]
+    p = {"x": 300.0, "y": 400.0, "t": 0.0}
+    p[axis] = np.array([p[axis], math.nan, p[axis]]) if array else math.nan
+    with pytest.raises(ExtentError) as info:
+        if method == "sampler":
+            f.sampler(p["x"], p["y"], clamp_time=clamp_time)(p["t"])
+        else:
+            getattr(f, method)(p["x"], p["y"], p["t"], clamp_time=clamp_time)
+    err = info.value
+    assert err.axis == axis and math.isnan(err.value)
+    assert (err.lo, err.hi) == (getattr(f, f"{axis}_min"), getattr(f, f"{axis}_max"))
+
+
+@pytest.mark.parametrize("name", ["gridded_nt1", "gridded_nt4", "release"])
+def test_covers_holds_exactly_to_the_padded_extent(name):
+    """A box on the padded extent is covered; one ulp beyond it on any side
+    of any axis is not."""
+    from oracles import padded_extent
+
+    f = NAN_FLOWS[name]
+    lo, hi = padded_extent(f)
+    box = [lo[0], hi[0], lo[1], hi[1], lo[2], hi[2]]
+    assert f.covers(*box)
+    for k in range(6):
+        beyond = list(box)
+        beyond[k] = np.nextafter(box[k], math.inf if k % 2 else -math.inf)
+        assert not f.covers(*beyond)
 
 
 def test_flow_file_bad_magic(tmp_path):
@@ -345,7 +427,7 @@ def test_inside_agrees_with_check_space_at_the_tolerance():
     assert inside.shape == X.shape
     for x, y, ok in zip(X.ravel(), Y.ravel(), inside.ravel()):
         try:
-            f._check_space(x, y)
+            f._check_extent(x, y, axes="xy")
             raised = False
         except ExtentError:
             raised = True
@@ -353,8 +435,9 @@ def test_inside_agrees_with_check_space_at_the_tolerance():
         assert ok == (x in xs[:3] and y in ys[:3])
     # an extent error names the first point outside, x before y
     with pytest.raises(ExtentError, match="x="):
-        f._check_space(X, Y)
+        f._check_extent(X, Y, axes="xy")
     assert make_uniform(0.1, 0.0).inside(np.array([-1e300, 1e300]), 0.0).all()
+    assert list(make_uniform(0.1, 0.0).inside(np.array([math.nan, 0.0]), 0.0)) == [False, True]
 
 
 def test_clamped_times_sample_each_point_as_alone():

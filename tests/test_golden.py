@@ -1,8 +1,9 @@
 """Golden outputs, against the reference digests in perfbench/digests.json:
 sha256 of solve_mtr values on the benchmark's four fixed scenarios (the
-``solve_mtr/*`` entries), and of the first stranding studies of the
-``gyre_drift`` workload at seed 42. A pure refactor of the solver, of flow
-sampling or of the drift stepping must leave every hash unchanged.
+``solve_mtr/*`` entries), and of the first tasks of the ``gyre_drift``
+stranding studies and of the ``island_forecast`` closed-loop missions at
+seed 42. A pure refactor of the solver, of flow sampling, of the drift
+stepping or of the mission loop must leave every hash unchanged.
 
 The solve hashes are of float64 output, and the double-gyre scenarios go
 through np.sin/np.cos, whose last bits depend on numpy's SIMD path for the
@@ -47,15 +48,26 @@ def test_solve_digests_match_golden():
     assert _scenarios().solve_digests() == golden
 
 
-def test_drift_digests_match_golden(tmp_path, monkeypatch):
-    # the studies the benchmark digests: its first tasks at seed 42, on a
-    # flow file written to and read back from OUT_DIR
-    scenarios = _scenarios()
-    monkeypatch.setattr(scenarios, "OUT_DIR", str(tmp_path))
-    workload = scenarios.WORKLOADS["gyre_drift"]
-    assert workload.trace_tasks == 3
+def _first_tasks_digest(scenarios, name):
+    """The digest of a workload's first ``trace_tasks`` tasks at seed 42, the
+    tasks every benchmark run digests, once its own output checks pass."""
+    workload = scenarios.WORKLOADS[name]
     scen = workload.setup(42)
-    results = [workload.task(scen, i, time.perf_counter) for i in range(3)]
+    results = [workload.task(scen, i, time.perf_counter) for i in range(workload.trace_tasks)]
     assert all(r.failed == 0 for r in results)
     assert workload.check(scen, results) == []
-    assert workload.digest(results) == _digests()["gyre_drift/seed42"]
+    return workload.digest(results)
+
+
+def test_drift_digests_match_golden(tmp_path, monkeypatch):
+    # the studies sample a flow file written to and read back from OUT_DIR
+    scenarios = _scenarios()
+    monkeypatch.setattr(scenarios, "OUT_DIR", str(tmp_path))
+    assert _first_tasks_digest(scenarios, "gyre_drift") == _digests()["gyre_drift/seed42"]
+
+
+def test_mission_digests_match_golden():
+    # closed-loop missions on a uniform truth: the scalar sample with
+    # clamp_time in every RK4 stage, and the release sampler in every solve
+    digest = _first_tasks_digest(_scenarios(), "island_forecast")
+    assert digest == _digests()["island_forecast/seed42"]

@@ -1,6 +1,7 @@
 """Closed-loop mission execution, batches, and passive drift studies."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from driftplan.errors import ParameterError
 from driftplan.flowfield import (
     GriddedFlow,
     SpaceTimeGrid,
+    UniformFlow,
     make_double_gyre,
     make_highway,
     make_uniform,
@@ -20,6 +22,7 @@ from driftplan.forecast import ErrorModelConfig, perfect_series
 from driftplan.hjsolver import SolverConfig, TargetSpec
 from driftplan.simulator import (
     BatchSpec,
+    DriftEnd,
     Mission,
     Outcome,
     SimConfig,
@@ -344,3 +347,29 @@ def test_stranding_study_matches_scalar_reference(kind, seed, n):
     assert status.tolist() == [e[2] for e in ends]
     assert x.tobytes() == np.array([e[0] for e in ends]).tobytes()
     assert y.tobytes() == np.array([e[1] for e in ends]).tobytes()
+
+
+@dataclass(frozen=True)
+class _NanBeyond(UniformFlow):
+    """A uniform flow whose u is NaN east of ``x_nan``."""
+
+    x_nan: float = 0.0
+
+    def sample_many(self, x, y, t, clamp_time=False):
+        u, v = super().sample_many(x, y, t, clamp_time=clamp_time)
+        return np.where(np.asarray(x) > self.x_nan, math.nan, u), v
+
+
+def test_nan_stage_ends_its_particle_only():
+    """A stage that takes a particle to NaN ends it as LEFT_REGION at its
+    step's start, and the other particles drift on as they would alone."""
+    truth = _NanBeyond(0.1, 0.0, x_nan=5000.0)
+    om = ObstacleMask(grid=SpatialGrid(0.0, 0.0, 500.0, 500.0, 21, 21),
+                      mask=np.zeros((21, 21), dtype=bool))
+    region = (0.0, 10000.0, 0.0, 10000.0)
+    x, y, status = drift_particles(truth, om, region, [1000.0, 6000.0], [500.0, 500.0],
+                                   0.0, 6000.0)
+    assert status.tolist() == [DriftEnd.SURVIVED, DriftEnd.LEFT_REGION]
+    assert (x[1], y[1]) == (6000.0, 500.0)
+    alone = drift_particles(truth, om, region, [1000.0], [500.0], 0.0, 6000.0)
+    assert (x[0], y[0]) == (alone[0][0], alone[1][0])
