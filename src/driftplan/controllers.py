@@ -53,26 +53,28 @@ def floating_policy() -> ControlInput:
     return ControlInput(0.0, 0.0)
 
 
+def _full_speed_along(gx: float, gy: float, u_max: float) -> ControlInput | None:
+    """Full actuation along the unit vector of (gx, gy); None when its norm
+    is not finite or below EPS_GRAD."""
+    norm = math.hypot(gx, gy)
+    if not math.isfinite(norm) or norm < EPS_GRAD:
+        return None
+    return ControlInput(math.atan2(gy / norm, gx / norm), u_max)
+
+
 def mtr_policy(vf: ValueFunction, x: float, y: float, t: float, u_max: float) -> ControlInput:
     """Full-speed descent on the value-function gradient.
 
     Raises AlreadyStrandedError when the query cell is sentinel-valued.
     """
     gx, gy = vf.grad_at(x, y, t)
-    norm = math.hypot(gx, gy)
-    if norm < EPS_GRAD:
-        return ControlInput(0.0, 0.0)
-    return ControlInput(math.atan2(-gy / norm, -gx / norm), u_max)
+    return _full_speed_along(-gx, -gy, u_max) or floating_policy()
 
 
 def safety_ascent_policy(dmap: DistanceMap, x: float, y: float, u_max: float) -> ControlInput | None:
     """Full actuation up the distance-to-obstacle gradient; None when the
     gradient is degenerate and the caller should fall back."""
-    gx, gy = dmap.gradient_at(x, y)
-    norm = math.hypot(gx, gy)
-    if not math.isfinite(norm) or norm < EPS_GRAD:
-        return None
-    return ControlInput(math.atan2(gy / norm, gx / norm), u_max)
+    return _full_speed_along(*dmap.gradient_at(x, y), u_max)
 
 
 @dataclass
@@ -105,7 +107,7 @@ class Controller:
             self.last_branch = "float"
             return floating_policy()
         if self.kind in _SWITCHING and self.dmap.value_at(x, y) < self.switch_threshold:
-            u = safety_ascent_policy(self.dmap, x, y, self.u_max)
+            u = self._ascent(x, y)
             if u is not None:
                 self.last_branch = "safety"
                 return u
@@ -116,11 +118,12 @@ class Controller:
             # The current plan marks this state as lost; steer away from
             # obstacles if a distance map is held, otherwise drift.
             self.last_branch = "doomed"
-            if self.dmap is not None:
-                u = safety_ascent_policy(self.dmap, x, y, self.u_max)
-                if u is not None:
-                    return u
-            return floating_policy()
+            return self._ascent(x, y) or floating_policy()
+
+    def _ascent(self, x: float, y: float) -> ControlInput | None:
+        """Safety ascent on the held distance map; None without one or on a
+        degenerate gradient."""
+        return None if self.dmap is None else safety_ascent_policy(self.dmap, x, y, self.u_max)
 
 
 def build_controller(

@@ -195,7 +195,9 @@ class DoubleGyreFlow(FlowSource):
         Y = ya / self.scale
         b = self.epsilon * np.sin(self.omega * ta)
         a = 1.0 - 2.0 * b
-        f = b * X**2 + a * X
+        # X * X, not X**2: a scalar's ** calls pow, which can be 1 ulp off
+        # the x * x that numpy squares an array with
+        f = b * (X * X) + a * X
         dfdx = 2.0 * b * X + a
         u = -math.pi * self.amplitude * np.sin(math.pi * f) * np.cos(math.pi * Y)
         v = math.pi * self.amplitude * np.cos(math.pi * f) * np.sin(math.pi * Y) * dfdx
@@ -217,7 +219,7 @@ class DoubleGyreFlow(FlowSource):
             # an array, not a scalar, so np.sin takes sample_many's path
             b = self.epsilon * np.sin(self.omega * np.full(X_u.shape, ta))
             a = 1.0 - 2.0 * b
-            f = b * X_u**2 + a * X_u
+            f = b * (X_u * X_u) + a * X_u
             dfdx = 2.0 * b * X_u + a
             u = (-math.pi * self.amplitude * np.sin(math.pi * f)).take(xi) * cos_y
             v = (math.pi * self.amplitude * np.cos(math.pi * f)).take(xi) * sin_y * dfdx.take(xi)

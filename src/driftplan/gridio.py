@@ -47,8 +47,8 @@ class SpatialGrid:
 
     def nearest_cell(self, x: float, y: float) -> tuple[int, int]:
         """(row, col) of the node closest to (x, y), clipped to the grid."""
-        i = int(np.clip(round((x - self.x0) / self.dx), 0, self.nx - 1))
-        j = int(np.clip(round((y - self.y0) / self.dy), 0, self.ny - 1))
+        i = min(max(round((x - self.x0) / self.dx), 0), self.nx - 1)
+        j = min(max(round((y - self.y0) / self.dy), 0), self.ny - 1)
         return j, i
 
     def nearest_cells(self, x, y):
@@ -60,8 +60,8 @@ class SpatialGrid:
     def bilinear_cell(self, x: float, y: float):
         """(j0, i0, wx, wy): the lower-left node of the cell that holds (x, y),
         clamped to the grid, and the offsets in it as fractions of a cell."""
-        fx = np.clip((x - self.x0) / self.dx, 0.0, self.nx - 1.0)
-        fy = np.clip((y - self.y0) / self.dy, 0.0, self.ny - 1.0)
+        fx = min(max((x - self.x0) / self.dx, 0.0), self.nx - 1.0)
+        fy = min(max((y - self.y0) / self.dy, 0.0), self.ny - 1.0)
         i0 = min(int(fx), self.nx - 2) if self.nx > 1 else 0
         j0 = min(int(fy), self.ny - 2) if self.ny > 1 else 0
         return j0, i0, fx - i0, fy - j0

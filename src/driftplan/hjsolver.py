@@ -65,21 +65,17 @@ class TargetSpec:
 
 @dataclass
 class ValueFunction:
-    """Cost-to-go on a space-time grid, sentinel-valued where unreachable."""
+    """Cost-to-go on a space-time grid, sentinel-valued where unreachable.
+
+    Point queries read only the nodes around the query point, in Python
+    floats, so they cost the same on any grid size.
+    """
 
     grid: SpaceTimeGrid  # t axis spans [t_start, T]
-    values: np.ndarray = field(repr=False)  # (nt, ny, nx)
-    obstacle: np.ndarray = field(repr=False)  # (ny, nx) bool
-    target: np.ndarray = field(repr=False)  # (ny, nx) bool
+    values: np.ndarray = field(repr=False)  # (nt, ny, nx) float64
     t_start: float = 0.0
     terminal_time: float = 0.0
-    u_max: float = 0.0
-    d_max: float = 0.0
-    alpha: float = 1.0
     sentinel: float = 1e10
-
-    def __post_init__(self):
-        self._grad_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     @property
     def sentinel_threshold(self) -> float:
@@ -91,7 +87,7 @@ class ValueFunction:
             raise HorizonError(
                 f"t={t} outside solve horizon [{self.t_start}, {self.terminal_time}]"
             )
-        ft = np.clip((t - g.t0) / g.dt_snap, 0.0, g.nt - 1.0)
+        ft = min(max((t - g.t0) / g.dt_snap, 0.0), g.nt - 1.0)
         k0 = min(int(ft), g.nt - 2) if g.nt > 1 else 0
         w = ft - k0 if g.nt > 1 else 0.0
         return k0, min(k0 + 1, g.nt - 1), float(w)
@@ -107,46 +103,46 @@ class ValueFunction:
 
     def is_sentinel_at(self, x: float, y: float, t: float) -> bool:
         k0, k1, w = self._time_bracket(t)
-        k = k0 if w < 0.5 else k1
         j, i = self.grid.nearest_cell(x, y)
-        return bool(self.values[k, j, i] >= self.sentinel_threshold)
+        return self.values.item(k0 if w < 0.5 else k1, j, i) >= self.sentinel_threshold
+
+    def _corners(self, x: float, y: float):
+        """The (j, i, weight) of the 4 bilinear corners of (x, y)."""
+        j0, i0, wx, wy = self.grid.bilinear_cell(x, y)
+        return ((j0, i0, (1 - wx) * (1 - wy)), (j0, i0 + 1, wx * (1 - wy)),
+                (j0 + 1, i0, (1 - wx) * wy), (j0 + 1, i0 + 1, wx * wy))
+
+    def _valid(self, k: int, j: int, i: int) -> float | None:
+        """values[k, j, i], or None at a sentinel node or off the grid."""
+        if 0 <= j < self.grid.ny and 0 <= i < self.grid.nx:
+            v = self.values.item(k, j, i)
+            if v < self.sentinel_threshold:
+                return v
+        return None
+
+    def _central_diff(self, k: int, j: int, i: int, dj: int, di: int, h: float) -> float:
+        """Difference along (dj, di) at node (j, i) of snapshot k: central,
+        one-sided beside a sentinel node or the grid edge, 0 beside two."""
+        mid = self.values.item(k, j, i)
+        lo, hi = self._valid(k, j - dj, i - di), self._valid(k, j + dj, i + di)
+        if lo is None:
+            return 0.0 if hi is None else (hi - mid) / h
+        return (mid - lo) / h if hi is None else 0.5 * ((mid - lo) / h + (hi - mid) / h)
 
     def value_at(self, x: float, y: float, t: float) -> float:
-        """Bilinear value at (x, y); sentinel corners are excluded by
-        renormalizing the interpolation weights."""
+        """Bilinear value of slice_at(t) at (x, y); sentinel corners are
+        excluded by renormalizing the interpolation weights."""
         k0, k1, w = self._time_bracket(t)
-        j0, i0, wx, wy = self.grid.bilinear_cell(x, y)
-        # the 4 corners of slice_at(t), blended and sentinel-pinned alike
-        a = self.values[k0, j0:j0 + 2, i0:i0 + 2].ravel()
-        b = self.values[k1, j0:j0 + 2, i0:i0 + 2].ravel()
-        corners = (1.0 - w) * a + w * b
         th = self.sentinel_threshold
-        corners[(a >= th) | (b >= th)] = self.sentinel
-        weights = np.array(
-            [(1 - wx) * (1 - wy), wx * (1 - wy), (1 - wx) * wy, wx * wy]
-        )
-        ok = corners < self.sentinel_threshold
-        if not ok.any():
-            return self.sentinel
-        wsum = weights[ok].sum()
-        if wsum <= 0:
-            return self.sentinel if not ok[int(np.argmax(weights))] else float(
-                corners[int(np.argmax(weights))]
-            )
-        return float((corners[ok] * weights[ok]).sum() / wsum)
-
-    def _slice_gradient(self, k: int):
-        """Cached sentinel-aware central-difference gradient of snapshot k."""
-        cached = self._grad_cache.get(k)
-        if cached is not None:
-            return cached
-        g = self.grid
-        J = self.values[k]
-        valid = J < self.sentinel_threshold
-        gx = _masked_central_diff(J, valid, g.dx, axis=1)
-        gy = _masked_central_diff(J, valid, g.dy, axis=0)
-        self._grad_cache[k] = (gx, gy)
-        return gx, gy
+        ws, cs = [], []
+        for j, i, s in self._corners(x, y):
+            a, b = self.values.item(k0, j, i), self.values.item(k1, j, i)
+            c = (1.0 - w) * a + w * b
+            if a < th and b < th and c < th:
+                ws.append(s)
+                cs.append(c)
+        v = _blend(ws, cs)
+        return self.sentinel if v is None else float(v)
 
     def grad_at(self, x: float, y: float, t: float) -> tuple[float, float]:
         """Spatial gradient, bilinear in space and linear in time.
@@ -160,26 +156,34 @@ class ValueFunction:
                 f"state ({x}, {y}) lies in the unreachable/obstacle set at t={t}"
             )
         k0, k1, w = self._time_bracket(t)
-        j0, i0, wx, wy = self.grid.bilinear_cell(x, y)
-        sw = np.array([(1 - wx) * (1 - wy), wx * (1 - wy), (1 - wx) * wy, wx * wy])
-        out = np.zeros(2)
+        g = self.grid
+        corners = self._corners(x, y)
+        gx = gy = 0.0
         for k, tw in ((k0, 1.0 - w), (k1, w)):
             if tw == 0.0:
                 continue
-            gx, gy = self._slice_gradient(k)
-            J = self.values[k]
-            cj = (j0, j0, j0 + 1, j0 + 1)
-            ci = (i0, i0 + 1, i0, i0 + 1)
-            ok = np.array([J[a, b] < self.sentinel_threshold for a, b in zip(cj, ci)])
-            if not ok.any():
-                continue
-            wsum = sw[ok].sum()
-            if wsum <= 0:
-                continue
-            vx = sum(gx[a, b] * s for a, b, s, o in zip(cj, ci, sw, ok) if o) / wsum
-            vy = sum(gy[a, b] * s for a, b, s, o in zip(cj, ci, sw, ok) if o) / wsum
-            out += tw * np.array([vx, vy])
-        return float(out[0]), float(out[1])
+            ws, dxs, dys = [], [], []
+            for j, i, s in corners:
+                if self._valid(k, j, i) is not None:
+                    ws.append(s)
+                    dxs.append(self._central_diff(k, j, i, 0, 1, g.dx))
+                    dys.append(self._central_diff(k, j, i, 1, 0, g.dy))
+            vx = _blend(ws, dxs)
+            if vx is not None:
+                gx += tw * vx
+                gy += tw * _blend(ws, dys)
+        return float(gx), float(gy)
+
+
+def _blend(weights, values):
+    """Σ weight * value / Σ weight, or None when Σ weight <= 0. Both sums
+    start from 0.0 and run in corner order, as numpy sums a few values (so
+    -0.0 terms sum to 0.0); Python's sum() is compensated from 3.12 on."""
+    wsum = acc = 0.0
+    for s, v in zip(weights, values):
+        wsum += s
+        acc += v * s
+    return None if wsum <= 0 else acc / wsum
 
 
 @dataclass(frozen=True)
@@ -197,8 +201,7 @@ class SafeTTRMap:
 
     def value_at(self, x: float, y: float) -> float:
         """Nearest-node TTR; nan where undefined."""
-        j, i = self.grid.nearest_cell(x, y)
-        return float(self.ttr[j, i])
+        return self.ttr.item(self.grid.nearest_cell(x, y))
 
 
 def _axis_pair(ndim, axis):
@@ -234,21 +237,6 @@ def _hamiltonian(J, valid, vx, vy, u_eff, dx, dy):
     ex = np.maximum(np.maximum(dxm, -dxp), 0.0)
     ey = np.maximum(np.maximum(dym, -dyp), 0.0)
     return vx * adv_x + vy * adv_y - u_eff * np.hypot(ex, ey)
-
-
-def _masked_central_diff(J, valid, h, axis):
-    """Central differences falling back to one-sided away from invalid
-    (sentinel or out-of-domain) neighbors; zero when isolated."""
-    dm, dp = _one_sided_diffs(J, valid, h, axis)
-    lo, hi = _axis_pair(J.ndim, axis)
-    vm = np.zeros_like(valid)
-    vp = np.zeros_like(valid)
-    vm[hi] = valid[lo]
-    vp[lo] = valid[hi]
-    # dp is already 0 where neither side is valid
-    out = np.where(vm & vp, 0.5 * (dm + dp), np.where(vm, dm, dp))
-    out[~valid] = 0.0
-    return out
 
 
 def _signed_distance_to_obstacles(mask: np.ndarray, dx: float, dy: float) -> np.ndarray:
@@ -299,11 +287,7 @@ def solve_mtr(
     n_snap = max(2, int(math.ceil(span / g.dt_snap - 1e-9)) + 1)
     dt_eff = span / (n_snap - 1)
     out_grid = replace(g, t0=t_start, dt_snap=dt_eff, nt=n_snap)
-    obst = (
-        obstacles.mask.copy()
-        if obstacles is not None
-        else np.zeros((g.ny, g.nx), dtype=bool)
-    )
+    obst = obstacles.mask if obstacles is not None else np.zeros((g.ny, g.nx), dtype=bool)
     if obst.shape != (g.ny, g.nx):
         raise ParameterError("obstacle mask shape does not match the solver grid")
     tgt_mask, terminal_dist = _target_masks(out_grid, target)
@@ -379,18 +363,8 @@ def solve_mtr(
                 J[S[1] > 0] = sent
         values[k] = S[0]
 
-    return ValueFunction(
-        grid=out_grid,
-        values=values,
-        obstacle=obst,
-        target=tgt_mask,
-        t_start=t_start,
-        terminal_time=terminal_time,
-        u_max=config.u_max,
-        d_max=config.d_max,
-        alpha=config.alpha,
-        sentinel=sent,
-    )
+    return ValueFunction(grid=out_grid, values=values, t_start=t_start,
+                         terminal_time=terminal_time, sentinel=sent)
 
 
 def safe_ttr(vf: ValueFunction, t: float) -> SafeTTRMap:

@@ -161,9 +161,13 @@ def read_missions(path) -> list[Mission]:
                 doc = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParameterError(f"line {lineno}: malformed JSON: {exc}") from exc
+            if not isinstance(doc, dict):
+                raise ParameterError(f"line {lineno}: not a JSON object")
             for key in _REQUIRED:
                 if key not in doc:
                     raise ParameterError(f"line {lineno}: missing field {key!r}")
+                if isinstance(doc[key], bool) or not isinstance(doc[key], (int, float)):
+                    raise ParameterError(f"line {lineno}: field {key!r} is not a number")
             missions.append(Mission(
                 x0=doc["x0_m"], y0=doc["y0_m"], t0=doc["t0_s"],
                 target=TargetSpec(

@@ -52,8 +52,7 @@ class ObstacleMask:
 
     def contains(self, x: float, y: float) -> bool:
         """Obstacle membership by nearest-cell lookup."""
-        j, i = self.grid.nearest_cell(x, y)
-        return bool(self.mask[j, i])
+        return self.mask.item(self.grid.nearest_cell(x, y))
 
     def contains_many(self, x, y) -> np.ndarray:
         """``contains`` for arrays of points."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from driftplan.errors import AlreadyStrandedError, ExtentError
+from driftplan.errors import AlreadyStrandedError, ExtentError, HorizonError
 from driftplan.flowfield import FlowSource
 from driftplan.hjsolver import _one_sided_diffs
 from driftplan.simulator import DriftEnd, integrate_step
@@ -294,10 +294,24 @@ class WindowedFlow(FlowSource):
                                       clamp_time=True)
 
 
+def time_bracket(vf, t):
+    """Reference ``ValueFunction._time_bracket``: the snapshots around t and
+    the weight of the later one."""
+    g = vf.grid
+    if t < vf.t_start - 1e-6 or t > vf.terminal_time + 1e-6:
+        raise HorizonError(
+            f"t={t} outside solve horizon [{vf.t_start}, {vf.terminal_time}]"
+        )
+    ft = np.clip((t - g.t0) / g.dt_snap, 0.0, g.nt - 1.0)
+    k0 = min(int(ft), g.nt - 2) if g.nt > 1 else 0
+    w = ft - k0 if g.nt > 1 else 0.0
+    return k0, min(k0 + 1, g.nt - 1), float(w)
+
+
 def is_sentinel_at(vf, x, y, t):
     """Reference ``ValueFunction.is_sentinel_at`` with the nearest-node
     lookup written out."""
-    k0, k1, w = vf._time_bracket(t)
+    k0, k1, w = time_bracket(vf, t)
     k = k0 if w < 0.5 else k1
     g = vf.grid
     i = int(np.clip(round((x - g.x0) / g.dx), 0, g.nx - 1))
@@ -306,13 +320,13 @@ def is_sentinel_at(vf, x, y, t):
 
 
 def grad_at(vf, x, y, t):
-    """Reference ``ValueFunction.grad_at`` with the bilinear cell lookup
-    written out."""
+    """Reference ``ValueFunction.grad_at``: the bilinear blend of whole-slice
+    gradients built on np.roll."""
     if is_sentinel_at(vf, x, y, t):
         raise AlreadyStrandedError(
             f"state ({x}, {y}) lies in the unreachable/obstacle set at t={t}"
         )
-    k0, k1, w = vf._time_bracket(t)
+    k0, k1, w = time_bracket(vf, t)
     g = vf.grid
     fx = np.clip((x - g.x0) / g.dx, 0.0, g.nx - 1.0)
     fy = np.clip((y - g.y0) / g.dy, 0.0, g.ny - 1.0)
@@ -324,11 +338,13 @@ def grad_at(vf, x, y, t):
     for k, tw in ((k0, 1.0 - w), (k1, w)):
         if tw == 0.0:
             continue
-        gx, gy = vf._slice_gradient(k)
         J = vf.values[k]
+        valid = J < vf.sentinel_threshold
+        gx = roll_masked_central_diff(J, valid, g.dx, axis=1)
+        gy = roll_masked_central_diff(J, valid, g.dy, axis=0)
         cj = (j0, j0, j0 + 1, j0 + 1)
         ci = (i0, i0 + 1, i0, i0 + 1)
-        ok = np.array([J[a, b] < vf.sentinel_threshold for a, b in zip(cj, ci)])
+        ok = np.array([valid[a, b] for a, b in zip(cj, ci)])
         if not ok.any():
             continue
         wsum = sw[ok].sum()

@@ -270,9 +270,12 @@ def test_batch_with_missing_missions_file_is_config_error(config, tmp_path, caps
     assert missing in err
 
 
-@pytest.mark.parametrize("line", ['{"x0_m": 1.0', '{"x0_m": 1.0, "y0_m": 2.0}'])
+@pytest.mark.parametrize("line", ['{"x0_m": 1.0', '{"x0_m": 1.0, "y0_m": 2.0}', "5",
+                                  '{"x0_m": 1.0, "y0_m": 2.0, "t0_s": 0.0, "target_x_m": 3.0, '
+                                  '"target_y_m": 4.0, "target_radius_m": "big", "t_max_s": 9.0}'])
 def test_batch_with_bad_missions_line_is_config_error(config, tmp_path, capsys, line):
-    # a malformed line, and one with missing fields
+    # a malformed line, one with missing fields, one that is not an object,
+    # and one with a field that is not a number
     manifest = tmp_path / "bad.jsonl"
     manifest.write_text(line + "\n")
     err = _config_error(capsys, ["batch", "--config", config["path"],

@@ -1,9 +1,10 @@
 """Golden outputs, against the reference digests in perfbench/digests.json:
 sha256 of solve_mtr values on the benchmark's four fixed scenarios (the
 ``solve_mtr/*`` entries), and of the first tasks of the ``gyre_drift``
-stranding studies and of the ``island_forecast`` closed-loop missions at
-seed 42. A pure refactor of the solver, of flow sampling, of the drift
-stepping or of the mission loop must leave every hash unchanged.
+stranding studies and of the ``island_forecast`` and ``gyre_forecast``
+closed-loop missions at seed 42. A pure refactor of the solver, of flow
+sampling, of the drift stepping or of the mission loop must leave every hash
+unchanged.
 
 The solve hashes are of float64 output, and the double-gyre scenarios go
 through np.sin/np.cos, whose last bits depend on numpy's SIMD path for the
@@ -71,3 +72,10 @@ def test_mission_digests_match_golden():
     # clamp_time in every RK4 stage, and the release sampler in every solve
     digest = _first_tasks_digest(_scenarios(), "island_forecast")
     assert digest == _digests()["island_forecast/seed42"]
+
+
+def test_gyre_mission_digests_match_golden():
+    # closed-loop missions on the unsteady gyre: the scalar gyre sample in
+    # every RK4 stage, which no other golden test takes
+    digest = _first_tasks_digest(_scenarios(), "gyre_forecast")
+    assert digest == _digests()["gyre_forecast/seed42"]

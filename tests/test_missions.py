@@ -169,6 +169,18 @@ def test_read_missions_rejects_missing_field(tmp_path):
         read_missions(p)
 
 
+@pytest.mark.parametrize("line", ["5", '{"x0_m": 1.0, "y0_m": 2.0, "t0_s": 0.0, '
+                                  '"target_x_m": 3.0, "target_y_m": 4.0, '
+                                  '"target_radius_m": "big", "t_max_s": 10.0}'])
+def test_read_missions_rejects_non_object_or_non_number(tmp_path, line):
+    p = tmp_path / "bad.jsonl"
+    write_missions([Mission(1.0, 2.0, 3.0, TargetSpec((4.0, 5.0), 6.0), 7.0)], p)
+    with open(p, "a") as fh:
+        fh.write(line + "\n")
+    with pytest.raises(ParameterError, match="line 2: (not a JSON object|field 'target_radius_m')"):
+        read_missions(p)
+
+
 def test_read_missions_skips_blank_lines(tmp_path):
     m = Mission(1.0, 2.0, 3.0, TargetSpec((4.0, 5.0), 6.0), 7.0)
     p = tmp_path / "blank.jsonl"

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from oracles import stranding_study_loop
 
 from driftplan.controllers import ControllerKind, build_controller
@@ -311,6 +311,7 @@ def _drift_truth(kind, rng):
 @settings(max_examples=40, deadline=None)
 @given(kind=st.sampled_from(["uniform", "highway", "gyre", "gridded"]),
        seed=st.integers(0, 2**31 - 1), n=st.integers(1, 25))
+@example(kind="gyre", seed=896249882, n=15)  # 1 ulp apart when x**2 used pow
 def test_stranding_study_matches_scalar_reference(kind, seed, n):
     """The batched study equals the one-particle-at-a-time loop: the same
     counts and heatmap, and bit-equal end positions per particle."""
