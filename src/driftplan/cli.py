@@ -84,6 +84,15 @@ def _grid_from_spec(spec: dict) -> SpaceTimeGrid:
     )
 
 
+def _controller_kinds(names) -> list:
+    """The ControllerKind of each name; an unknown name is a config error."""
+    try:
+        return [ControllerKind(k) for k in names]
+    except ValueError as exc:
+        known = ", ".join(k.value for k in ControllerKind)
+        raise ConfigError(f"{exc}; known kinds: {known}") from exc
+
+
 def build_flow(spec: dict):
     kind = spec.get("kind")
     if kind == "uniform":
@@ -175,7 +184,7 @@ def load_experiment(path: str, seed_override=None, out_override=None) -> Experim
                 final_time_horizon=tuple(ms["final_time_horizon"]),
             )
             mission_t_max = ms.get("t_max")
-        controllers = [ControllerKind(k) for k in raw.get("controllers", ["mtr"])]
+        controllers = _controller_kinds(raw.get("controllers", ["mtr"]))
         baseline = raw.get("baseline", "mtr_no_obs")
         seed = seed_override if seed_override is not None else raw.get("seed", 0)
         out_dir = out_override or raw.get("out", "out")
@@ -263,10 +272,7 @@ def cmd_batch(exp: Experiment, args) -> int:
         missions = read_missions(args.missions)
     except (OSError, ParameterError) as exc:
         raise ConfigError(f"cannot read missions {args.missions}: {exc}") from exc
-    kinds = (
-        [ControllerKind(k) for k in args.controllers.split(",")]
-        if args.controllers else exp.controllers
-    )
+    kinds = _controller_kinds(args.controllers.split(",")) if args.controllers else exp.controllers
     os.makedirs(exp.out_dir, exist_ok=True)
     tallies = {}
     per_mission = {}

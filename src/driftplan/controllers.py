@@ -14,6 +14,8 @@ from .terrain import DistanceMap, ObstacleMask
 
 #: below this gradient norm the descent direction is numerical noise
 EPS_GRAD = 1e-8
+#: disturbance bound d_max, in m/s, that smalldist_mtr plans against
+SMALL_DISTURBANCE = 0.05
 
 
 @dataclass(frozen=True)
@@ -135,7 +137,6 @@ def build_controller(
     obstacles: ObstacleMask | None = None,
     dmap: DistanceMap | None = None,
     switch_threshold: float = 20_000.0,
-    small_disturbance: float = 0.05,
 ) -> Controller:
     """Assemble a controller of the given kind, validating its inputs."""
     if isinstance(kind, str):
@@ -149,7 +150,7 @@ def build_controller(
     if kind in _SWITCHING and dmap is None:
         raise ConfigError(f"{kind.value} requires a distance map")
     if kind is ControllerKind.SMALLDIST_MTR:
-        solver_config = replace(solver_config, d_max=small_disturbance)
+        solver_config = replace(solver_config, d_max=SMALL_DISTURBANCE)
     return Controller(
         kind=kind,
         u_max=u_max,

@@ -17,9 +17,6 @@ import numpy as np
 from .errors import ExtentError, FormatError, ParameterError
 from .gridio import SpatialGrid
 
-# meters per degree of latitude for the equirectangular adapter
-M_PER_DEG = 111320.0
-
 OFG1_MAGIC = b"OFG1"
 _HEADER = struct.Struct("<4sIII6d")
 
@@ -324,24 +321,6 @@ def make_highway(y1: float, y2: float, band_velocity) -> FlowSource:
 
 def make_double_gyre(amplitude: float, omega: float, epsilon: float, scale: float) -> FlowSource:
     return DoubleGyreFlow(amplitude, omega, epsilon, scale)
-
-
-def degrees_to_meters_grid(
-    lon0: float, lat0: float, dlon: float, dlat: float, nx: int, ny: int,
-    t0: float = 0.0, dt_snap: float = 1.0, nt: int = 1,
-) -> SpaceTimeGrid:
-    """Equirectangular adapter: degree-gridded axes to planar meters.
-
-    1 deg latitude = 111320 m; longitude scaled by cos of the grid
-    mid-latitude.
-    """
-    lat_ref = lat0 + 0.5 * (ny - 1) * dlat
-    mx = M_PER_DEG * math.cos(math.radians(lat_ref))
-    return SpaceTimeGrid(
-        x0=lon0 * mx, y0=lat0 * M_PER_DEG,
-        dx=dlon * mx, dy=dlat * M_PER_DEG,
-        nx=nx, ny=ny, t0=t0, dt_snap=dt_snap, nt=nt,
-    )
 
 
 def write_flow_file(flow: GriddedFlow, path) -> None:

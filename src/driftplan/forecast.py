@@ -20,8 +20,6 @@ import numpy as np
 from .errors import HorizonError, ParameterError
 from .flowfield import FlowSource, read_flow_file
 
-DAY_S = 86400.0
-
 
 @dataclass(frozen=True)
 class ErrorModelConfig:
@@ -101,8 +99,6 @@ class ForecastSeries:
     """Ordered forecast releases, each valid over [release, release + horizon]."""
 
     releases: tuple  # of (release_time, FlowSource)
-    horizon: float = 5 * DAY_S
-    cadence: float = DAY_S
 
     def __post_init__(self):
         times = [t for t, _ in self.releases]
@@ -113,18 +109,12 @@ class ForecastSeries:
     def release_times(self):
         return [t for t, _ in self.releases]
 
-    def _latest(self, t: float):
+    def current(self, t: float) -> FlowSource:
+        """Latest release available at wall-clock time t."""
         idx = bisect.bisect_right(self.release_times, t) - 1
         if idx < 0:
             raise HorizonError(f"no forecast released yet at t={t}")
-        return self.releases[idx]
-
-    def current(self, t: float) -> FlowSource:
-        """Latest release available at wall-clock time t."""
-        return self._latest(t)[1]
-
-    def current_release_time(self, t: float) -> float:
-        return self._latest(t)[0]
+        return self.releases[idx][1]
 
 
 def _release_windows(truth: FlowSource, t0: float, t1: float,
@@ -182,7 +172,7 @@ def gen_forecast_series(
         noise_b = rng.standard_normal((2, n))
         coef_a = rho * coef_a + math.sqrt(1.0 - rho * rho) * noise_a
         coef_b = rho * coef_b + math.sqrt(1.0 - rho * rho) * noise_b
-    return ForecastSeries(tuple(releases), horizon=horizon, cadence=cadence)
+    return ForecastSeries(tuple(releases))
 
 
 def perfect_series(truth: FlowSource, t0: float, t1: float,
@@ -194,10 +184,10 @@ def perfect_series(truth: FlowSource, t0: float, t1: float,
                                   coef_b=no_modes, t_lo=rt, t_hi=t_hi))
         for rt, t_hi in _release_windows(truth, t0, t1, cadence, horizon)
     )
-    return ForecastSeries(releases, horizon=horizon, cadence=cadence)
+    return ForecastSeries(releases)
 
 
-def load_forecast_series(entries, horizon: float, cadence: float = DAY_S) -> ForecastSeries:
+def load_forecast_series(entries, horizon: float) -> ForecastSeries:
     """Build a series from (release_time, OFG1 path) pairs."""
     releases = []
     for rt, path in entries:
@@ -208,7 +198,7 @@ def load_forecast_series(entries, horizon: float, cadence: float = DAY_S) -> For
                 f"release at {rt} needs horizon {horizon}"
             )
         releases.append((rt, flow))
-    return ForecastSeries(tuple(releases), horizon=horizon, cadence=cadence)
+    return ForecastSeries(tuple(releases))
 
 
 def write_series_manifest(entries, horizon: float, path) -> None:

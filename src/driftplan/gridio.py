@@ -8,6 +8,9 @@ import numpy as np
 
 from .errors import ParameterError
 
+#: the gray level of a PGM's largest finite value
+PGM_MAXVAL = 255
+
 
 @dataclass(frozen=True)
 class SpatialGrid:
@@ -67,11 +70,11 @@ class SpatialGrid:
         return j0, i0, fx - i0, fy - j0
 
 
-def write_pgm(path, array, maxval: int = 255, invalid_value: int = 0) -> None:
-    """Write a 2D array as an ASCII PGM, linearly scaled to [0, maxval].
+def write_pgm(path, array) -> None:
+    """Write a 2D array as an ASCII PGM, linearly scaled to [0, PGM_MAXVAL].
 
-    Non-finite cells map to ``invalid_value``. Row 0 of the array is the
-    bottom of the grid, so rows are flipped for image convention.
+    Non-finite cells map to 0. Row 0 of the array is the bottom of the
+    grid, so rows are flipped for image convention.
     """
     a = np.asarray(array, dtype=float)
     finite = np.isfinite(a)
@@ -79,12 +82,12 @@ def write_pgm(path, array, maxval: int = 255, invalid_value: int = 0) -> None:
         lo = float(a[finite].min())
         hi = float(a[finite].max())
         span = hi - lo if hi > lo else 1.0
-        scaled = np.where(finite, np.round((a - lo) / span * maxval), invalid_value)
+        scaled = np.where(finite, np.round((a - lo) / span * PGM_MAXVAL), 0)
     else:
-        scaled = np.full(a.shape, invalid_value)
+        scaled = np.zeros(a.shape)
     scaled = scaled.astype(int)[::-1]
     with open(path, "w") as fh:
-        fh.write(f"P2\n{a.shape[1]} {a.shape[0]}\n{maxval}\n")
+        fh.write(f"P2\n{a.shape[1]} {a.shape[0]}\n{PGM_MAXVAL}\n")
         for row in scaled:
             fh.write(" ".join(str(v) for v in row) + "\n")
 

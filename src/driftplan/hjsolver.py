@@ -25,6 +25,8 @@ from .terrain import ObstacleMask, SpatialGrid
 
 #: fraction of the sentinel above which a value is treated as unreachable
 SENTINEL_FRACTION = 0.5
+#: smallest substep a solve may take before it gives up on the grid
+MIN_DT = 1e-9
 
 
 @dataclass(frozen=True)
@@ -37,7 +39,6 @@ class SolverConfig:
     alpha: float = 1.0
     cfl: float = 0.5
     sentinel: float = 1e10
-    min_dt: float = 1e-9
 
     def __post_init__(self):
         if self.u_max < 0 or self.d_max < 0:
@@ -192,12 +193,6 @@ class SafeTTRMap:
 
     grid: SpatialGrid
     ttr: np.ndarray = field(repr=False)  # (ny, nx), nan where undefined
-    t: float = 0.0
-    terminal_time: float = 0.0
-
-    @property
-    def valid(self) -> np.ndarray:
-        return np.isfinite(self.ttr)
 
     def value_at(self, x: float, y: float) -> float:
         """Nearest-node TTR; nan where undefined."""
@@ -319,7 +314,7 @@ def solve_mtr(
         return float(np.max((np.abs(vx) + diss_pad) / g.dx + (np.abs(vy) + diss_pad) / g.dy))
 
     sample = flow.sampler(X, Y)
-    steady = getattr(flow, "is_steady", False)
+    steady = flow.is_steady
     # a steady flow is sampled once; otherwise the CFL rate at each snapshot
     # time bounds the interval on either side of it
     vx, vy = sample(ts[-1])
@@ -338,9 +333,9 @@ def solve_mtr(
         else:
             m = max(1, int(math.ceil(dt_eff * rate / config.cfl)))
         dt = dt_eff / m
-        if dt < config.min_dt:
+        if dt < MIN_DT:
             raise ParameterError(
-                f"CFL step {dt} below configured floor {config.min_dt}; coarsen the grid"
+                f"CFL step {dt} below the floor {MIN_DT}; coarsen the grid"
             )
         for s in range(m):
             t_cur = t_hi - s * dt
@@ -373,9 +368,4 @@ def safe_ttr(vf: ValueFunction, t: float) -> SafeTTRMap:
     ttr = vf.terminal_time + sl - t
     ttr[sl > 0] = np.nan
     ttr = np.maximum(ttr, 0.0)
-    return SafeTTRMap(grid=vf.grid, ttr=ttr, t=t, terminal_time=vf.terminal_time)
-
-
-def brt(vf: ValueFunction, t: float) -> np.ndarray:
-    """Backward reachable tube slice: cells whose value is <= 0 at t."""
-    return vf.slice_at(t) <= 0
+    return SafeTTRMap(grid=vf.grid, ttr=ttr)

@@ -214,7 +214,6 @@ class BatchSpec:
     obstacles: ObstacleMask
     dmap: object = None
     switch_threshold: float = 20_000.0
-    small_disturbance: float = 0.05
     error_model: ErrorModelConfig | None = None  # None = perfect forecasts
     cadence: float = 86400.0
     horizon: float = 5 * 86400.0
@@ -227,24 +226,21 @@ def _mission_seed(master_seed: int, index: int) -> int:
 
 def _run_one(args):
     (index, mission, truth, spec, cfg, master_seed) = args
-    ctrl = build_controller(
-        spec.kind,
-        u_max=spec.solver_config.u_max,
-        solver_config=spec.solver_config,
-        target=mission.target,
-        obstacles=spec.obstacles,
-        dmap=spec.dmap,
-        switch_threshold=spec.switch_threshold,
-        small_disturbance=spec.small_disturbance,
-    )
     t1 = mission.t0 + mission.t_max
-    if spec.error_model is None:
-        series = perfect_series(truth, mission.t0, t1, spec.cadence, spec.horizon)
-    else:
-        em = replace(spec.error_model, seed=_mission_seed(master_seed, index))
-        series = gen_forecast_series(
-            truth, em, spec.cadence, spec.horizon, (mission.t0, t1)
-        )
+    try:
+        ctrl = build_controller(spec.kind, u_max=spec.solver_config.u_max,
+                                solver_config=spec.solver_config, target=mission.target,
+                                obstacles=spec.obstacles, dmap=spec.dmap,
+                                switch_threshold=spec.switch_threshold)
+        if spec.error_model is None:
+            series = perfect_series(truth, mission.t0, t1, spec.cadence, spec.horizon)
+        else:
+            em = replace(spec.error_model, seed=_mission_seed(master_seed, index))
+            series = gen_forecast_series(truth, em, spec.cadence, spec.horizon, (mission.t0, t1))
+    except DriftplanError as exc:
+        # a mission whose controller or forecasts cannot be built aborts alone
+        return index, SimulationRecord(mission=mission, outcome=Outcome.ABORTED,
+                                       outcome_time=mission.t0, note=f"setup failed: {exc}")
     return index, run_mission(mission, truth, spec.obstacles, ctrl, series, cfg)
 
 

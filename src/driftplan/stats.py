@@ -78,26 +78,3 @@ def vector_rmse(true_vels, forecast_vels) -> float:
         raise ParameterError("inputs must be matching (..., 2) arrays")
     d = (tv - fv).reshape(-1, 2)
     return float(np.sqrt(np.mean(np.sum(d * d, axis=1))))
-
-
-def vector_correlation(true_vels, forecast_vels) -> float:
-    """Generalized correlation between two 2D vector series, in [0, 2].
-
-    trace(S11^-1 S12 S22^-1 S21) over the sample covariance blocks;
-    2 means a perfect invertible linear dependence, 0 independence.
-    """
-    tv = np.asarray(true_vels, dtype=float).reshape(-1, 2)
-    fv = np.asarray(forecast_vels, dtype=float).reshape(-1, 2)
-    if tv.shape[0] < 3 or tv.shape != fv.shape:
-        raise ParameterError("need >= 3 matching vector samples")
-    joint = np.cov(np.hstack([tv, fv]).T)
-    s11 = joint[:2, :2]
-    s12 = joint[:2, 2:]
-    s22 = joint[2:, 2:]
-    if (
-        abs(np.linalg.det(s11)) < 1e-300
-        or abs(np.linalg.det(s22)) < 1e-300
-    ):
-        raise DegenerateInputError("singular covariance: a series is degenerate")
-    m = np.linalg.solve(s11, s12) @ np.linalg.solve(s22, s12.T)
-    return float(np.trace(m))

@@ -25,7 +25,6 @@ class ElevationGrid:
 
     grid: SpatialGrid
     elevation: np.ndarray = field(repr=False)  # (ny, nx)
-    padded: bool = False
 
     def __post_init__(self):
         e = np.ascontiguousarray(
@@ -42,7 +41,6 @@ class ObstacleMask:
 
     grid: SpatialGrid
     mask: np.ndarray = field(repr=False)  # (ny, nx) bool
-    threshold_elevation: float = DEFAULT_THRESHOLD_M
 
     def __post_init__(self):
         m = np.ascontiguousarray(
@@ -57,10 +55,6 @@ class ObstacleMask:
     def contains_many(self, x, y) -> np.ndarray:
         """``contains`` for arrays of points."""
         return self.mask[self.grid.nearest_cells(x, y)]
-
-    @classmethod
-    def empty(cls, grid: SpatialGrid) -> "ObstacleMask":
-        return cls(grid, np.zeros((grid.ny, grid.nx), dtype=bool))
 
 
 @dataclass(frozen=True)
@@ -103,7 +97,7 @@ def coarsen_max(elev: ElevationGrid, factor: int) -> ElevationGrid:
     """Block-maximum coarsening; conservative for obstacle detection.
 
     Grids whose dimensions are not divisible by ``factor`` are padded by
-    edge replication first; the output is flagged ``padded``.
+    edge replication first.
     """
     if factor < 1:
         raise ParameterError("coarsening factor must be >= 1")
@@ -113,8 +107,7 @@ def coarsen_max(elev: ElevationGrid, factor: int) -> ElevationGrid:
     ny, nx = e.shape
     pad_y = (-ny) % factor
     pad_x = (-nx) % factor
-    padded = pad_x > 0 or pad_y > 0
-    if padded:
+    if pad_x or pad_y:
         e = np.pad(e, ((0, pad_y), (0, pad_x)), mode="edge")
     NY, NX = e.shape
     blocks = e.reshape(NY // factor, factor, NX // factor, factor)
@@ -124,12 +117,12 @@ def coarsen_max(elev: ElevationGrid, factor: int) -> ElevationGrid:
         x0=g.x0, y0=g.y0, dx=g.dx * factor, dy=g.dy * factor,
         nx=out.shape[1], ny=out.shape[0],
     )
-    return ElevationGrid(new_grid, out, padded=padded or elev.padded)
+    return ElevationGrid(new_grid, out)
 
 
 def obstacle_mask(elev: ElevationGrid, threshold: float = DEFAULT_THRESHOLD_M) -> ObstacleMask:
     """Cells strictly above the threshold elevation are obstacles."""
-    return ObstacleMask(elev.grid, elev.elevation > threshold, threshold)
+    return ObstacleMask(elev.grid, elev.elevation > threshold)
 
 
 def distance_map(mask: ObstacleMask) -> DistanceMap:
@@ -146,14 +139,6 @@ def distance_map(mask: ObstacleMask) -> DistanceMap:
         return DistanceMap(g, np.full(m.shape, np.inf))
     hops = ndimage.distance_transform_cdt(~m, metric="taxicab")
     return DistanceMap(g, hops * g.dx)
-
-
-def write_elevation_file(elev: ElevationGrid, path) -> None:
-    """Write an ELG1 binary elevation file (little-endian, y-major)."""
-    g = elev.grid
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(ELG1_MAGIC, g.nx, g.ny, g.x0, g.dx, g.y0, g.dy))
-        fh.write(np.asarray(elev.elevation, dtype="<f4").tobytes())
 
 
 def read_elevation_file(path) -> ElevationGrid:

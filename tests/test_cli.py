@@ -5,7 +5,9 @@ import json
 import pytest
 
 from driftplan.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
+from driftplan.errors import HorizonError
 from driftplan.flowfield import read_flow_file
+from driftplan.forecast import load_forecast_series, read_series_manifest
 
 
 @pytest.fixture()
@@ -174,6 +176,25 @@ def test_gen_forecasts_writes_series(config, tmp_path, capsys):
     assert printed == {"releases": 3}
 
 
+def test_gen_forecasts_series_loads_back(config, tmp_path, capsys):
+    raw = dict(config["raw"])
+    raw["forecast"] = {"target_rmse": 0.1, "spatial_correlation_length": 2500.0,
+                       "temporal_correlation": 40000.0, "n_modes": 8,
+                       "cadence": 45000.0, "horizon": 90000.0}
+    p = tmp_path / "c4.json"
+    p.write_text(json.dumps(raw))
+    assert main(["gen-forecasts", "--config", str(p)]) == EXIT_OK
+    entries, horizon = read_series_manifest(config["tmp"] / "out" / "forecasts.json")
+    assert horizon == 90000.0
+    series = load_forecast_series(entries, horizon)
+    assert series.release_times == [0.0, 45000.0, 90000.0]
+    for rt, flow in series.releases:
+        assert (flow.t_min, flow.t_max) == (rt, rt + 90000.0)
+    # each file covers exactly its release's horizon, and no more
+    with pytest.raises(HorizonError):
+        load_forecast_series(entries, horizon + 1.0)
+
+
 def test_stats_command_recomputes_report(config, tmp_path, capsys):
     summary = {
         "tallies": {
@@ -262,6 +283,20 @@ def test_flow_file_with_bad_magic_is_config_error(config, tmp_path, capsys):
     p = tmp_path / "c7.json"
     p.write_text(json.dumps(raw))
     assert "bad magic" in _config_error(capsys, ["solve", "--config", str(p)])
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_batch_with_unknown_controller_is_config_error(config, tmp_path, capsys, where):
+    manifest = tmp_path / "empty.jsonl"
+    manifest.write_text("")
+    argv = ["batch", "--missions", str(manifest)]
+    if where == "flag":
+        argv += ["--config", config["path"], "--controllers", "mtr,bogus"]
+    else:
+        p = tmp_path / "c8.json"
+        p.write_text(json.dumps(dict(config["raw"], controllers=["mtr", "bogus"])))
+        argv += ["--config", str(p)]
+    assert "bogus" in _config_error(capsys, argv)
 
 
 def test_batch_with_missing_missions_file_is_config_error(config, tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 
 from driftplan.controllers import (
     EPS_GRAD,
+    SMALL_DISTURBANCE,
     ControlInput,
     Controller,
     ControllerKind,
@@ -155,9 +156,8 @@ def test_smalldist_variant_uses_margin(highway_setup):
     ctrl = build_controller(
         ControllerKind.SMALLDIST_MTR, u_max=U_MAX, solver_config=s["cfg"],
         target=s["tgt"], obstacles=s["om"], dmap=s["dmap"],
-        small_disturbance=0.05,
     )
-    assert ctrl.solver_config.d_max == 0.05
+    assert ctrl.solver_config.d_max == SMALL_DISTURBANCE == 0.05
     ctrl.replan(s["truth"], 0.0, s["grid"].t_max)
     # the margin shrinks the reachable set relative to the plain solve
     plain = s["vf"].values[0] <= 0

@@ -12,7 +12,6 @@ from driftplan.errors import ExtentError, FormatError
 from driftplan.flowfield import (
     GriddedFlow,
     SpaceTimeGrid,
-    degrees_to_meters_grid,
     make_double_gyre,
     make_highway,
     make_uniform,
@@ -403,14 +402,6 @@ def test_flow_file_io_memory(tmp_path):
     assert _traced_peak(write_flow_file, f, path) <= 0.1 * payload
     assert path.stat().st_size == OFG1_HEADER + payload
     assert _traced_peak(read_flow_file, path) <= 1.25 * payload
-
-
-def test_degrees_to_meters_adapter():
-    # 1 degree of latitude is 111320 m; longitude scales by cos(mid-lat)
-    g = degrees_to_meters_grid(lon0=10.0, lat0=60.0, dlon=1.0, dlat=1.0,
-                               nx=3, ny=3, t0=0.0, dt_snap=3600.0, nt=1)
-    assert g.dy == pytest.approx(111320.0)
-    assert g.dx == pytest.approx(111320.0 * math.cos(math.radians(61.0)))
 
 
 

@@ -17,7 +17,6 @@ from driftplan.flowfield import (
     make_uniform,
 )
 from driftplan.forecast import (
-    DAY_S,
     ErrorModelConfig,
     ForecastSeries,
     gen_forecast_series,
@@ -28,6 +27,7 @@ from driftplan.forecast import (
 from driftplan.stats import vector_rmse
 
 
+DAY_S = 86400.0
 TRUTH = make_uniform(0.05, -0.08)
 
 
@@ -58,9 +58,9 @@ def test_series_covers_span_at_cadence():
 
 def test_current_release_selection():
     s = perfect_series(TRUTH, 0.0, 50000.0, 25000.0, 60000.0)
-    assert s.current_release_time(0.0) == 0.0
-    assert s.current_release_time(24999.0) == 0.0
-    assert s.current_release_time(25000.0) == 25000.0
+    assert s.current(0.0) is s.releases[0][1]
+    assert s.current(24999.0) is s.releases[0][1]
+    assert s.current(25000.0) is s.releases[1][1]
     with pytest.raises(HorizonError):
         s.current(-1.0)
 
@@ -137,7 +137,7 @@ def test_release_window_enforced():
 def test_series_requires_increasing_releases():
     fc = TRUTH
     with pytest.raises(ParameterError):
-        ForecastSeries(releases=((10.0, fc), (10.0, fc)), horizon=DAY_S)
+        ForecastSeries(releases=((10.0, fc), (10.0, fc)))
 
 
 def test_manifest_round_trip(tmp_path):

@@ -6,11 +6,15 @@ closed-loop missions at seed 42. A pure refactor of the solver, of flow
 sampling, of the drift stepping or of the mission loop must leave every hash
 unchanged.
 
-The solve hashes are of float64 output, and the double-gyre scenarios go
-through np.sin/np.cos, whose last bits depend on numpy's SIMD path for the
-host's CPU; the drift study samples an OFG1 file written from that gyre. The
-recorded hashes are those of an AVX-512 host; on a host where numpy takes
-another sin/cos path, these tests can fail on unchanged code.
+The hashes are of float64 output. Every forecast error goes through the
+``@`` in ``FourierPerturbedFlow._error``, which runs OpenBLAS's ``dgemv``,
+and that kernel's last bits depend on the core type OpenBLAS picks for the
+host's CPU. Under ``OPENBLAS_CORETYPE=Prescott`` the ``island_fourier`` solve
+digest and both mission digests change on unchanged code, while
+``gyre_wall``, which goes through np.sin/np.cos, and the drift digest hold.
+The recorded hashes are those of an AVX-512 host with OpenBLAS's default
+kernel, numpy 2.4.6 and scipy 1.17.1; on a host where OpenBLAS picks another
+kernel, the tests that draw a forecast error can fail on unchanged code.
 """
 
 import importlib.util

@@ -33,7 +33,6 @@ from driftplan.hjsolver import (
     ValueFunction,
     _hamiltonian,
     _one_sided_diffs,
-    brt,
     safe_ttr,
     solve_mtr,
 )
@@ -220,17 +219,6 @@ def test_grad_at_raises_on_sentinel_state():
                    cfg, 0.0, g.t_max)
     with pytest.raises(AlreadyStrandedError):
         vf.grad_at(9000.0, 5000.0, 0.0)  # inside the wall
-
-
-def test_brt_grows_backward_in_time():
-    g = _grid(nx=31, ny=31)
-    cfg = SolverConfig(grid=g, u_max=U_MAX)
-    vf = solve_mtr(make_uniform(0.0, 0.0), None, TargetSpec((5000.0, 5000.0), 400.0),
-                   cfg, 0.0, g.t_max)
-    early = brt(vf, 0.0)
-    late = brt(vf, g.t_max - g.dt_snap)
-    assert late.sum() < early.sum()
-    assert np.all(early[late])  # nested
 
 
 def _island_release():

@@ -35,6 +35,10 @@ def setup():
     )
 
 
+def _no_obstacles(grid):
+    return ObstacleMask(grid, np.zeros((grid.ny, grid.nx), dtype=bool))
+
+
 def _constraints(**kw):
     base = dict(
         min_boundary_dist=1000.0,
@@ -127,14 +131,14 @@ def test_obstacle_free_map_rejects_every_target(setup):
     # with no obstacle every target is farther than max_obstacle_dist, also
     # off the terrain grid, which here covers only [0, 2 km]^2 of the region
     s = setup
-    dmap = distance_map(ObstacleMask.empty(SpatialGrid(0, 0, 200.0, 200.0, 11, 11)))
+    dmap = distance_map(_no_obstacles(SpatialGrid(0, 0, 200.0, 200.0, 11, 11)))
     with pytest.raises(InfeasibleConstraintsError):
-        sample_missions(REGION, s["truth"], ObstacleMask.empty(s["om"].grid), dmap, 1,
+        sample_missions(REGION, s["truth"], _no_obstacles(s["om"].grid), dmap, 1,
                         _constraints(), s["cfg"], seed=0, rejection_cap=0.95)
 
 
 def test_validate_missions_flags_targets_on_obstacle_free_map(setup):
-    dmap = distance_map(ObstacleMask.empty(setup["om"].grid))
+    dmap = distance_map(_no_obstacles(setup["om"].grid))
     # inside a cell, on a grid line, on a node, and off the grid
     targets = [(5050.0, 5050.0), (5100.0, 5050.0), (5000.0, 5000.0), (5000.0, 10500.0)]
     missions = [Mission(5000.0, 8000.0, 0.0, TargetSpec(t, 300.0), 60000.0) for t in targets]

@@ -1,7 +1,7 @@
 """Closed-loop mission execution, batches, and passive drift studies."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -171,6 +171,39 @@ def test_rk4_stage_outside_gridded_extent_is_left_region():
     # the fault stays with its mission: the next one runs normally
     assert recs[1].outcome is Outcome.TIMEOUT
     assert recs[1].xs[-1] == pytest.approx(1000.0 + 9 * 300.0)
+
+
+def test_truth_that_ends_early_aborts_only_its_mission():
+    """A Fourier error model cannot draw forecasts past the end of a gridded
+    truth. That mission aborts with the error in its note; the batch runs
+    on, the same on two workers, and with perfect forecasts it succeeds."""
+    g = SpaceTimeGrid(x0=0.0, y0=0.0, dx=1000.0, dy=1000.0, nx=11, ny=11,
+                      t0=0.0, dt_snap=30000.0, nt=2)
+    truth = GriddedFlow(g, np.full((2, 11, 11), 0.5), np.zeros((2, 11, 11)))
+    om = ObstacleMask(grid=SpatialGrid(0, 0, 200.0, 200.0, 51, 51),
+                      mask=np.zeros((51, 51), dtype=bool))
+    target = TargetSpec((5000.0, 5000.0), 300.0)
+    missions = [Mission(1000.0, 5000.0, 0.0, target, 60000.0),
+                Mission(1000.0, 5000.0, 0.0, target, 20000.0)]
+    spec = BatchSpec(kind=ControllerKind.MTR,
+                     solver_config=SolverConfig(grid=_grid(), u_max=U_MAX),
+                     obstacles=om, dmap=distance_map(om),
+                     error_model=ErrorModelConfig(target_rmse=0.05,
+                                                  spatial_correlation_length=2500.0,
+                                                  temporal_correlation=40000.0,
+                                                  n_modes=8),
+                     cadence=10000.0, horizon=30000.0)
+    cfg = SimConfig(step_dt=600.0)
+    recs = run_batch(missions, truth, spec, cfg, master_seed=3)
+    assert recs[0].outcome is Outcome.ABORTED
+    assert recs[0].outcome_time == 0.0
+    assert "truth flow ends before the requested span" in recs[0].note
+    assert recs[1].outcome is Outcome.SUCCESS
+    two = run_batch(missions, truth, spec, cfg, master_seed=3, workers=2)
+    assert [(r.outcome, r.outcome_time, r.note, r.xs, r.ys) for r in two] == \
+        [(r.outcome, r.outcome_time, r.note, r.xs, r.ys) for r in recs]
+    perfect = run_batch(missions[:1], truth, replace(spec, error_model=None), cfg)
+    assert perfect[0].outcome is Outcome.SUCCESS
 
 
 def test_stranding_study_counts_extent_exit_as_left_region():

@@ -1,4 +1,4 @@
-"""Outcome statistics: proportions test, vector RMSE, vector correlation."""
+"""Outcome statistics: proportions test and vector RMSE."""
 
 import math
 
@@ -10,7 +10,6 @@ from driftplan.stats import (
     OutcomeTally,
     normal_sf,
     rates,
-    vector_correlation,
     vector_rmse,
     z_prop_test,
 )
@@ -90,48 +89,6 @@ def test_vector_rmse_constant_offset():
 def test_vector_rmse_empty():
     with pytest.raises(DegenerateInputError):
         vector_rmse(np.empty((0, 2)), np.empty((0, 2)))
-
-
-def test_vector_correlation_perfect_linear_dependence():
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal((500, 2))
-    m = np.array([[2.0, 0.3], [-0.5, 1.0]])
-    b = a @ m.T + np.array([0.1, -0.2])
-    assert vector_correlation(a, b) == pytest.approx(2.0, abs=1e-9)
-
-
-def test_vector_correlation_independent_series():
-    rng = np.random.default_rng(4)
-    a = rng.standard_normal((20000, 2))
-    b = rng.standard_normal((20000, 2))
-    assert abs(vector_correlation(a, b)) < 0.05
-
-
-def test_vector_correlation_affine_invariance():
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal((300, 2))
-    b = a + 0.5 * rng.standard_normal((300, 2))
-    base = vector_correlation(a, b)
-    t1 = np.array([[1.5, 0.2], [0.0, -3.0]])
-    t2 = np.array([[0.3, -1.0], [2.0, 0.1]])
-    assert vector_correlation(a @ t1.T + 7.0, b) == pytest.approx(base, abs=1e-9)
-    assert vector_correlation(a, b @ t2.T - 2.0) == pytest.approx(base, abs=1e-9)
-
-
-def test_vector_correlation_degenerate_series():
-    a = np.zeros((10, 2))
-    b = np.random.default_rng(0).standard_normal((10, 2))
-    with pytest.raises(DegenerateInputError):
-        vector_correlation(a, b)
-
-
-def test_monte_carlo_null_distribution():
-    # under independence the vector correlation converges to zero
-    rng = np.random.default_rng(6)
-    n = 10**5
-    a = rng.standard_normal((n, 2))
-    b = rng.standard_normal((n, 2))
-    assert vector_correlation(a, b) < 0.05
 
 
 def test_p_value_line_is_monotone_in_separation():
