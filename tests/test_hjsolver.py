@@ -28,6 +28,7 @@ from driftplan.flowfield import (
 )
 from driftplan.forecast import ErrorModelConfig, FourierPerturbedFlow, gen_forecast_series
 from driftplan.hjsolver import (
+    MIN_DT,
     SolverConfig,
     TargetSpec,
     ValueFunction,
@@ -219,6 +220,29 @@ def test_grad_at_raises_on_sentinel_state():
                    cfg, 0.0, g.t_max)
     with pytest.raises(AlreadyStrandedError):
         vf.grad_at(9000.0, 5000.0, 0.0)  # inside the wall
+
+
+def test_brt_grows_backward_in_time():
+    # the backward reachable tube at t is the zero sublevel set of the value
+    g = _grid(nx=31, ny=31)
+    cfg = SolverConfig(grid=g, u_max=U_MAX)
+    vf = solve_mtr(make_uniform(0.0, 0.0), None, TargetSpec((5000.0, 5000.0), 400.0),
+                   cfg, 0.0, g.t_max)
+    early = vf.slice_at(0.0) <= 0
+    late = vf.slice_at(g.t_max - g.dt_snap) <= 0
+    assert late.sum() < early.sum()
+    assert np.all(early[late])  # nested
+
+
+def test_cfl_step_below_min_dt_is_refused():
+    # a solve over a span shorter than the 1e-9 s floor takes one step below it
+    g = _grid(nx=11, ny=11)
+    cfg = SolverConfig(grid=g, u_max=U_MAX)
+    target = TargetSpec((1000.0, 1000.0), 300.0)
+    with pytest.raises(ParameterError, match=f"below the floor {MIN_DT}"):
+        solve_mtr(make_uniform(0.0, 0.0), None, target, cfg, 0.0, 5e-10)
+    vf = solve_mtr(make_uniform(0.0, 0.0), None, target, cfg, 0.0, 2e-9)
+    assert vf.values.shape == (2, 11, 11)
 
 
 def _island_release():

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import bfs_hops, distance_value_at
 
 from driftplan.errors import FormatError, ParameterError
+from driftplan.gridio import PGM_MAXVAL, write_pgm
 from driftplan.terrain import (
     DistanceMap,
     ElevationGrid,
@@ -274,3 +275,20 @@ def test_distance_value_at_matches_reference(ny, nx, seed, no_obstacles):
             want = distance_value_at(padded, x, y)
         assert math.isfinite(want)
         assert struct.pack("<d", got) == struct.pack("<d", want)
+
+
+@pytest.mark.parametrize("array,expect", [
+    # row 0 is the bottom of the grid, so it is written last
+    ([[0.0, 1.0, np.nan], [2.0, np.inf, 4.0]],
+     [[128, 0, PGM_MAXVAL], [0, 64, 0]]),
+    # no spread, or nothing finite: every finite cell maps to 0
+    ([[3.0, 3.0], [np.nan, 3.0]], [[0, 0], [0, 0]]),
+    ([[np.nan, -np.inf]], [[0, 0]]),
+])
+def test_write_pgm_scales_to_maxval_and_zeroes_non_finite(tmp_path, array, expect):
+    path = tmp_path / "a.pgm"
+    write_pgm(path, array)
+    ny, nx = np.shape(array)
+    lines = path.read_text().splitlines()
+    assert lines[:3] == ["P2", f"{nx} {ny}", str(PGM_MAXVAL)]
+    assert [[int(v) for v in line.split()] for line in lines[3:]] == expect
