@@ -379,9 +379,8 @@ def cmd_gen_forecasts(exp: Experiment, args) -> int:
             u[k], v[k] = flow.sample_many(X, Y, tk)
         path = os.path.join(exp.out_dir, f"forecast_{idx:03d}.ofg1")
         write_flow_file(GriddedFlow(fg, u, v), path)
-        entries.append((rt, path))
-    write_series_manifest(entries, exp.horizon,
-                          os.path.join(exp.out_dir, "forecasts.json"))
+        entries.append((rt, flow.t_max, path))
+    write_series_manifest(entries, os.path.join(exp.out_dir, "forecasts.json"))
     print(json.dumps({"releases": len(entries)}))
     return EXIT_OK
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import HorizonError, ParameterError
+from .errors import FormatError, HorizonError, ParameterError
 from .flowfield import FlowSource, read_flow_file
 
 
@@ -120,13 +120,11 @@ class ForecastSeries:
 def _release_windows(truth: FlowSource, t0: float, t1: float,
                      cadence: float, horizon: float):
     """(release time, window end) for each release in [t0, t1]; a window
-    ends at the horizon or at the end of the truth, whichever is first."""
+    ends at the horizon or at the end of the truth, whichever is first, and
+    no release comes at or after the end of the truth."""
     rt = t0
-    while rt <= t1 + 1e-9:
-        t_hi = rt + horizon
-        if math.isfinite(truth.t_max):
-            t_hi = min(t_hi, truth.t_max)
-        yield rt, t_hi
+    while rt <= t1 + 1e-9 and rt < truth.t_max:
+        yield rt, min(rt + horizon, truth.t_max)
         rt += cadence
 
 
@@ -146,7 +144,7 @@ def gen_forecast_series(
     if not truth.covers(truth.x_min, truth.x_max, truth.y_min, truth.y_max,
                         t0, min(t1 + horizon, truth.t_max)):
         raise HorizonError("truth flow does not cover the requested span")
-    if math.isfinite(truth.t_max) and truth.t_max < t1:
+    if truth.t_max < t1 or truth.t_max <= t0:
         raise HorizonError("truth flow ends before the requested span")
     rng = np.random.default_rng(cfg.seed)
     n = cfg.n_modes
@@ -187,30 +185,33 @@ def perfect_series(truth: FlowSource, t0: float, t1: float,
     return ForecastSeries(releases)
 
 
-def load_forecast_series(entries, horizon: float) -> ForecastSeries:
-    """Build a series from (release_time, OFG1 path) pairs."""
+def load_forecast_series(entries) -> ForecastSeries:
+    """Build a series from (release time, window end, OFG1 path) triples;
+    each file must cover its release's window."""
     releases = []
-    for rt, path in entries:
+    for rt, t_end, path in entries:
         flow = read_flow_file(path)
-        if flow.t_min > rt + 1e-9 or flow.t_max < rt + horizon - 1e-9:
+        if flow.t_min > rt + 1e-9 or flow.t_max < t_end - 1e-9:
             raise HorizonError(
                 f"file {path} covers [{flow.t_min}, {flow.t_max}], "
-                f"release at {rt} needs horizon {horizon}"
+                f"release at {rt} needs [{rt}, {t_end}]"
             )
         releases.append((rt, flow))
     return ForecastSeries(tuple(releases))
 
 
-def write_series_manifest(entries, horizon: float, path) -> None:
+def write_series_manifest(entries, path) -> None:
+    """Write (release time, window end, path) triples to a JSON manifest."""
+    releases = [{"t_s": t, "t_end_s": e, "path": str(p)} for t, e, p in entries]
     with open(path, "w") as fh:
-        json.dump(
-            {"horizon_s": horizon,
-             "releases": [{"t_s": t, "path": str(p)} for t, p in entries]},
-            fh, indent=2,
-        )
+        json.dump({"releases": releases}, fh, indent=2)
 
 
 def read_series_manifest(path):
+    """The (release time, window end, path) triples of a manifest."""
     with open(path) as fh:
         doc = json.load(fh)
-    return [(e["t_s"], e["path"]) for e in doc["releases"]], doc["horizon_s"]
+    try:
+        return [(e["t_s"], e["t_end_s"], e["path"]) for e in doc["releases"]]
+    except (KeyError, TypeError) as exc:
+        raise FormatError(f"{path}: each release needs t_s, t_end_s and path") from exc

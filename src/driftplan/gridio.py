@@ -1,4 +1,4 @@
-"""Regular 2D grids: cell lookups, plus PGM (P2) heatmap and CSV exports."""
+"""Regular 2D grids: cell lookups, distance transforms, and PGM (P2) heatmap and CSV exports."""
 
 from __future__ import annotations
 
@@ -68,6 +68,89 @@ class SpatialGrid:
         i0 = min(int(fx), self.nx - 2) if self.nx > 1 else 0
         j0 = min(int(fy), self.ny - 2) if self.ny > 1 else 0
         return j0, i0, fx - i0, fy - j0
+
+
+def _row_gaps(marked: np.ndarray) -> np.ndarray:
+    """Column distance to the row's nearest marked cell; 2(nx+ny) or more without one."""
+    ny, nx = marked.shape
+    col, far = np.arange(nx), 2 * (nx + ny)
+    left = np.maximum.accumulate(np.where(marked, col, -far), axis=1)
+    right = np.minimum.accumulate(np.where(marked, col, far)[:, ::-1], axis=1)[:, ::-1]
+    return np.minimum(col - left, right - col)
+
+
+def taxicab_distance(marked: np.ndarray) -> np.ndarray:
+    """4-connected hops to the nearest marked cell, of which there must be
+    one: scipy.ndimage's ``distance_transform_cdt(~marked, metric="taxicab")``."""
+    gap, r = _row_gaps(marked), np.arange(marked.shape[0])[:, None]
+    down = np.minimum.accumulate(gap - r, axis=0) + r
+    return np.minimum(down, np.minimum.accumulate((gap + r)[::-1], axis=0)[::-1] - r)
+
+
+def euclidean_distance(marked: np.ndarray, dy: float, dx: float) -> np.ndarray:
+    """Distance to the nearest marked cell, rows ``dy`` and columns ``dx``
+    apart, +inf without one: byte for byte scipy.ndimage's
+    ``distance_transform_edt(~marked, sampling=(dy, dx))``, which takes
+    ``sqrt((dr*dy)**2 + (dc*dx)**2)`` in float64 for an offset (dr, dc)."""
+    if not marked.any():
+        return np.full(marked.shape, np.inf)
+    work = [m.any(1).sum() * (~m.all(1)).sum() * m.shape[1] for m in (marked, marked.T)]
+    if work[0] <= work[1]:
+        d2, twins = _least_squares(marked, dy, dx)
+    else:
+        d2, twins = (a.T for a in _least_squares(marked.T, dx, dy))
+    # Offsets at one exact distance can round to different floats, and scipy keeps the
+    # one its envelope walk meets first: rows with such twins take its float steps.
+    rows = np.flatnonzero(twins.any(axis=1))
+    if rows.size:
+        cols = np.flatnonzero(marked.any(axis=0))
+        h2 = np.square(_row_gaps(marked[:, cols].T).T[rows] * dy).tolist()
+        for r, h in zip(rows, h2):
+            d2[r] = _envelope_row(h, cols.tolist(), marked.shape[1], float(dx))
+    return np.sqrt(d2)
+
+
+def _least_squares(marked: np.ndarray, dy: float, dx: float):
+    """Least squared distances from one candidate per marked row, its nearest
+    cell in the row, and the cells with twins: another candidate within 1e-9
+    of the least, relative, and not equal to it."""
+    src = np.flatnonzero(marked.any(axis=1))
+    dst = np.flatnonzero(~marked.all(axis=1))  # the other rows are all 0
+    gx = np.square(_row_gaps(marked[src]) * dx)
+    d2, twins = np.zeros(marked.shape), np.zeros(marked.shape, dtype=bool)
+    step = max(1, (1 << 16) // gx.size)  # at most 64 Ki candidates at once
+    for a in range(0, dst.size, step):
+        rows = dst[a:a + step]
+        cand = np.square((src[:, None] - rows) * dy)[:, :, None] + gx[:, None]
+        least = d2[rows] = cand.min(axis=0)
+        twins[rows] = ((cand <= least * (1 + 1e-9)) & (cand != least)).any(axis=0)
+    return d2, twins
+
+
+def _envelope_row(h: list, cols: list, nx: int, dx: float) -> list:
+    """One row of scipy's squared distances in its float steps, from the squared
+    heights ``h`` of the nearest marked cells in columns ``cols``: the lower envelope
+    of their parabolas, built and walked left to right (Maurer, Qi & Raghavan, 2003)."""
+    env = []
+    for q, hq in zip(cols, h):
+        while len(env) > 1:
+            (u, hu), (v, hv) = env[-2:]
+            a, b = (v - u) * dx, (q - v) * dx
+            if (a + b) * hv - b * hu - a * hq - a * b * (a + b) <= 0:
+                break
+            env.pop()
+        env.append((q, hq))
+    out, k = [], 0
+    for x in range(nx):
+        t = (env[k][0] - x) * dx
+        best = env[k][1] + t * t
+        while k + 1 < len(env):
+            t = (env[k + 1][0] - x) * dx
+            if not env[k + 1][1] + t * t < best:
+                break
+            k, best = k + 1, env[k + 1][1] + t * t
+        out.append(best)
+    return out
 
 
 def write_pgm(path, array) -> None:

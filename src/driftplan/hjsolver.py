@@ -17,10 +17,10 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import AlreadyStrandedError, HorizonError, ParameterError
 from .flowfield import FlowSource, SpaceTimeGrid
+from .gridio import euclidean_distance
 from .terrain import ObstacleMask, SpatialGrid
 
 #: fraction of the sentinel above which a value is treated as unreachable
@@ -234,15 +234,6 @@ def _hamiltonian(J, valid, vx, vy, u_eff, dx, dy):
     return vx * adv_x + vy * adv_y - u_eff * np.hypot(ex, ey)
 
 
-def _signed_distance_to_obstacles(mask: np.ndarray, dx: float, dy: float) -> np.ndarray:
-    """Positive outside the obstacle set, negative inside, in meters."""
-    if not mask.any():
-        return np.full(mask.shape, np.inf)
-    outside = ndimage.distance_transform_edt(~mask, sampling=(dy, dx))
-    inside = ndimage.distance_transform_edt(mask, sampling=(dy, dx))
-    return outside - inside
-
-
 def _target_masks(grid: SpaceTimeGrid, target: TargetSpec):
     X, Y = grid.meshgrid()
     r = np.hypot(X - target.center[0], Y - target.center[1])
@@ -301,7 +292,10 @@ def solve_mtr(
     S = np.empty((2 if have_obst else 1, g.ny, g.nx))
     S[0] = np.where(obst, sent, terminal_dist)
     if have_obst:
-        S[1] = -_signed_distance_to_obstacles(obst, g.dx, g.dy)
+        # V starts at minus the signed clearance (distance to the obstacles less
+        # that to free water), capped at the sentinel where there is no free water
+        clearance = euclidean_distance(obst, g.dy, g.dx) - euclidean_distance(~obst, g.dy, g.dx)
+        S[1] = np.minimum(-clearance, sent)
     valid = np.ones(S.shape, dtype=bool)
 
     values = np.empty((n_snap, g.ny, g.nx))

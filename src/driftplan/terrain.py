@@ -7,10 +7,9 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import FormatError, ParameterError
-from .gridio import SpatialGrid
+from .gridio import SpatialGrid, taxicab_distance
 
 #: default obstacle threshold: seafloor shallower than 150 m is unsafe
 DEFAULT_THRESHOLD_M = -150.0
@@ -135,10 +134,7 @@ def distance_map(mask: ObstacleMask) -> DistanceMap:
     if not math.isclose(g.dx, g.dy, rel_tol=1e-6):
         raise ParameterError("distance_map requires square cells (dx == dy)")
     m = mask.mask
-    if not m.any():
-        return DistanceMap(g, np.full(m.shape, np.inf))
-    hops = ndimage.distance_transform_cdt(~m, metric="taxicab")
-    return DistanceMap(g, hops * g.dx)
+    return DistanceMap(g, taxicab_distance(m) * g.dx if m.any() else np.full(m.shape, np.inf))
 
 
 def read_elevation_file(path) -> ElevationGrid:

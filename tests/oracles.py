@@ -14,6 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import ndimage
 
 from driftplan.errors import AlreadyStrandedError, ExtentError, HorizonError
 from driftplan.flowfield import FlowSource
@@ -154,6 +155,18 @@ def bfs_hops(mask):
                 hops[jj, ii] = h
                 q.append((jj, ii))
     return hops
+
+
+def scipy_euclidean_distance(marked, dy, dx):
+    """scipy's Euclidean distance transform, to the nearest marked cell,
+    which ``gridio.euclidean_distance`` replaces."""
+    return ndimage.distance_transform_edt(~marked, sampling=(dy, dx))
+
+
+def scipy_taxicab_distance(marked):
+    """scipy's 4-connected chamfer transform, to the nearest marked cell,
+    which ``gridio.taxicab_distance`` replaces."""
+    return ndimage.distance_transform_cdt(~marked, metric="taxicab")
 
 
 def _in_region(x, y, region):

@@ -1,12 +1,16 @@
 """End-to-end command-line interface: configs, commands, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 from driftplan.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from driftplan.errors import HorizonError
-from driftplan.flowfield import read_flow_file
+from driftplan.flowfield import GriddedFlow, SpaceTimeGrid, read_flow_file, write_flow_file
 from driftplan.forecast import load_forecast_series, read_series_manifest
 
 
@@ -55,6 +59,18 @@ def config(tmp_path):
     path.write_text(json.dumps(cfg))
     return dict(path=str(path), out=str(tmp_path / "out"), raw=cfg,
                 tmp=tmp_path)
+
+
+def test_import_loads_no_scipy():
+    # driftplan.cli imports every module of the package; scipy is a test
+    # dependency only, and importing its ndimage costs ~25 MB per process
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, driftplan.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_missing_config_is_config_error(capsys):
@@ -184,15 +200,54 @@ def test_gen_forecasts_series_loads_back(config, tmp_path, capsys):
     p = tmp_path / "c4.json"
     p.write_text(json.dumps(raw))
     assert main(["gen-forecasts", "--config", str(p)]) == EXIT_OK
-    entries, horizon = read_series_manifest(config["tmp"] / "out" / "forecasts.json")
-    assert horizon == 90000.0
-    series = load_forecast_series(entries, horizon)
+    entries = read_series_manifest(config["tmp"] / "out" / "forecasts.json")
+    assert [e for _, e, _ in entries] == [90000.0, 135000.0, 180000.0]
+    series = load_forecast_series(entries)
     assert series.release_times == [0.0, 45000.0, 90000.0]
     for rt, flow in series.releases:
         assert (flow.t_min, flow.t_max) == (rt, rt + 90000.0)
-    # each file covers exactly its release's horizon, and no more
+    # each file covers exactly its release's window, and no more
     with pytest.raises(HorizonError):
-        load_forecast_series(entries, horizon + 1.0)
+        load_forecast_series([(t, e + 1.0, path) for t, e, path in entries])
+
+
+def _gridded_truth_config(config, tmp_path, forecast, span=None):
+    """The fixture's experiment on an 11^2 OFG1 truth over [0, 90 ks], with a
+    forecast error model on ``forecast``'s cadence and horizon."""
+    g = SpaceTimeGrid(x0=0.0, y0=0.0, dx=1000.0, dy=1000.0, nx=11, ny=11,
+                      t0=0.0, dt_snap=45000.0, nt=3)
+    truth = tmp_path / "truth.ofg1"
+    write_flow_file(GriddedFlow(g, np.full((3, 11, 11), 0.1), np.zeros((3, 11, 11))),
+                    str(truth))
+    raw = dict(config["raw"])
+    raw["scenario"] = dict(raw["scenario"], flow={"kind": "file", "path": str(truth)})
+    raw["forecast"] = {"target_rmse": 0.1, "spatial_correlation_length": 2500.0,
+                       "temporal_correlation": 40000.0, "n_modes": 8, **forecast}
+    if span is not None:
+        raw["forecast_span"] = span
+    p = tmp_path / "gridded.json"
+    p.write_text(json.dumps(raw))
+    return str(p)
+
+
+def test_gen_forecasts_makes_no_release_at_the_end_of_a_gridded_truth(config, tmp_path, capsys):
+    # a release at the truth's last time would have an empty window
+    p = _gridded_truth_config(config, tmp_path, {"cadence": 45000.0, "horizon": 45000.0})
+    assert main(["gen-forecasts", "--config", p]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out.strip()) == {"releases": 2}
+    entries = read_series_manifest(config["tmp"] / "out" / "forecasts.json")
+    assert [(t, e) for t, e, _ in entries] == [(0.0, 45000.0), (45000.0, 90000.0)]
+
+
+def test_gen_forecasts_window_cut_at_truth_end_loads_back(config, tmp_path, capsys):
+    p = _gridded_truth_config(config, tmp_path, {"cadence": 45000.0, "horizon": 60000.0},
+                              span=[0.0, 45000.0])
+    assert main(["gen-forecasts", "--config", p]) == EXIT_OK
+    entries = read_series_manifest(config["tmp"] / "out" / "forecasts.json")
+    series = load_forecast_series(entries)
+    # the second window is cut at the truth's end, 15 ks short of the horizon
+    assert [(rt, f.t_min, f.t_max) for rt, f in series.releases] == [
+        (0.0, 0.0, 60000.0), (45000.0, 45000.0, 90000.0)]
 
 
 def test_stats_command_recomputes_report(config, tmp_path, capsys):

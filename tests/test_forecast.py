@@ -1,5 +1,6 @@
 """Synthetic forecast-error model and forecast release series."""
 
+import json
 import math
 from dataclasses import replace
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import WindowedFlow
 
-from driftplan.errors import ExtentError, HorizonError, ParameterError
+from driftplan.errors import ExtentError, FormatError, HorizonError, ParameterError
 from driftplan.flowfield import (
     GriddedFlow,
     SpaceTimeGrid,
@@ -54,6 +55,19 @@ def test_series_covers_span_at_cadence():
     fc = s.current(25000.0)
     assert fc.t_min == 20000.0
     assert fc.t_max == 70000.0
+
+
+def test_series_stops_before_the_end_of_a_gridded_truth():
+    g = SpaceTimeGrid(x0=0.0, y0=0.0, dx=1000.0, dy=1000.0, nx=3, ny=3,
+                      t0=0.0, dt_snap=45000.0, nt=3)
+    truth = GriddedFlow(g, np.zeros((3, 3, 3)), np.zeros((3, 3, 3)))
+    # a release at the truth's last time would have an empty window
+    for s in (gen_forecast_series(truth, _cfg(), 45000.0, 60000.0, (0.0, 90000.0)),
+              perfect_series(truth, 0.0, 90000.0, 45000.0, 60000.0)):
+        assert [(rt, f.t_min, f.t_max) for rt, f in s.releases] == [
+            (0.0, 0.0, 60000.0), (45000.0, 45000.0, 90000.0)]
+    with pytest.raises(HorizonError):
+        gen_forecast_series(truth, _cfg(), 45000.0, 60000.0, (90000.0, 90000.0))
 
 
 def test_current_release_selection():
@@ -141,12 +155,19 @@ def test_series_requires_increasing_releases():
 
 
 def test_manifest_round_trip(tmp_path):
-    entries = [(0.0, "fc_000.ofg"), (86400.0, "fc_001.ofg")]
+    entries = [(0.0, 5 * DAY_S, "fc_000.ofg"), (86400.0, 6 * DAY_S, "fc_001.ofg")]
     path = tmp_path / "series.json"
-    write_series_manifest(entries, horizon=5 * DAY_S, path=path)
-    loaded_entries, horizon = read_series_manifest(path)
-    assert horizon == 5 * DAY_S
-    assert loaded_entries == entries
+    write_series_manifest(entries, path=path)
+    assert read_series_manifest(path) == entries
+
+
+def test_manifest_without_window_ends_is_a_format_error(tmp_path):
+    # a manifest with a horizon but no window ends
+    path = tmp_path / "series.json"
+    path.write_text(json.dumps({"horizon_s": 5 * DAY_S,
+                                "releases": [{"t_s": 0.0, "path": "fc_000.ofg"}]}))
+    with pytest.raises(FormatError, match="t_end_s"):
+        read_series_manifest(path)
 
 
 def _sampler_flows():

@@ -13,8 +13,10 @@ host's CPU. Under ``OPENBLAS_CORETYPE=Prescott`` the ``island_fourier`` solve
 digest and both mission digests change on unchanged code, while
 ``gyre_wall``, which goes through np.sin/np.cos, and the drift digest hold.
 The recorded hashes are those of an AVX-512 host with OpenBLAS's default
-kernel, numpy 2.4.6 and scipy 1.17.1; on a host where OpenBLAS picks another
-kernel, the tests that draw a forecast error can fail on unchanged code.
+kernel and numpy 2.4.6; on a host where OpenBLAS picks another kernel, the
+tests that draw a forecast error can fail on unchanged code. They do not
+depend on scipy, which the package no longer imports: the obstacle
+clearance and the distance map come from numpy transforms in ``gridio``.
 """
 
 import importlib.util

@@ -102,6 +102,17 @@ def test_obstacle_cells_carry_sentinel_at_every_slice():
     assert np.all(vf.values[:, ob] == cfg.sentinel)
 
 
+def test_all_obstacle_grid_is_sentinel_everywhere(recwarn):
+    # no free cell to measure the depth of an obstacle cell to: its
+    # clearance is -inf, and the solve must still step without NaN
+    g = _grid(nx=9, ny=7, dt=1000.0, nt=5)
+    cfg = SolverConfig(grid=g, u_max=U_MAX)
+    vf = solve_mtr(make_uniform(0.05, 0.0), _mask(g, np.ones((7, 9), dtype=bool)),
+                   TargetSpec((800.0, 600.0), 300.0), cfg, 0.0, g.t_max)
+    assert np.all(vf.values == cfg.sentinel)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_inevitably_pushed_band_cells_are_sentinel():
     # 1.4 m/s band into a wall: in-band cells upstream of the wall closer
     # than the escape distance are lost even though they are free water

@@ -1,4 +1,5 @@
-"""Terrain pipeline: elevation grids, coarsening, masks, BFS distance."""
+"""Terrain pipeline: elevation grids, coarsening, masks, BFS distance, and
+the gridio distance transforms against scipy's."""
 
 import math
 import struct
@@ -6,10 +7,17 @@ import struct
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import bfs_hops, distance_value_at
+from oracles import bfs_hops, distance_value_at, scipy_euclidean_distance, scipy_taxicab_distance
 
+from driftplan import gridio
 from driftplan.errors import FormatError, ParameterError
-from driftplan.gridio import PGM_MAXVAL, write_pgm
+from driftplan.gridio import (
+    PGM_MAXVAL,
+    _least_squares,
+    euclidean_distance,
+    taxicab_distance,
+    write_pgm,
+)
 from driftplan.terrain import (
     DistanceMap,
     ElevationGrid,
@@ -292,3 +300,79 @@ def test_write_pgm_scales_to_maxval_and_zeroes_non_finite(tmp_path, array, expec
     lines = path.read_text().splitlines()
     assert lines[:3] == ["P2", f"{nx} {ny}", str(PGM_MAXVAL)]
     assert [[int(v) for v in line.split()] for line in lines[3:]] == expect
+
+
+@st.composite
+def _marked_grids(draw):
+    """A 1x1 to 60x60 grid with one marked cell up to all but one, single
+    rows and single columns included."""
+    ny = draw(st.one_of(st.just(1), st.integers(1, 60)))
+    nx = draw(st.one_of(st.just(1), st.integers(1, 60)))
+    n = ny * nx
+    k = draw(st.integers(1, max(1, n - 1)))
+    cells = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(n)[:k]
+    marked = np.zeros(n, dtype=bool)
+    marked[cells] = True
+    return marked.reshape(ny, nx)
+
+
+SPACINGS = st.sampled_from([1.0, 0.37, 123.456, 200.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(marked=_marked_grids(), dy=SPACINGS, dx=SPACINGS)
+def test_distance_transforms_equal_scipy(marked, dy, dx):
+    """Both numpy transforms give scipy's bytes, from the marked cells and,
+    where there is one, from the unmarked cells, as the solver's signed
+    clearance takes them."""
+    for m in (marked, ~marked) if not marked.all() else (marked,):
+        got = euclidean_distance(m, dy, dx)
+        assert got.tobytes() == scipy_euclidean_distance(m, dy, dx).tobytes()
+        hops = taxicab_distance(m)
+        assert (hops * dx).tobytes() == (scipy_taxicab_distance(m) * dx).tobytes()
+
+
+@pytest.mark.parametrize("shape,cells,dy,dx", [
+    # from (0, 5) the marked cells lie (8, -1), (8, 1) and (7, 4) cells
+    # away, all sqrt(65) cells, and (7, 4) rounds to the least float;
+    # scipy's envelope walk stops at (8, -1)
+    ((9, 10), [(8, 4), (8, 6), (7, 9)], 123.456, 123.456),
+    ((9, 10), [(8, 4), (8, 6), (7, 9)], 0.37, 0.37),
+    # from (0, 5), (1, -4), (1, 4) and (0, 5) cells away tie at 5/3 m: the
+    # parabola of column 9 touches the envelope at one point, where scipy's
+    # float test keeps it, and the walk stops at column 1
+    ((2, 11), [(1, 1), (1, 9), (0, 10)], 1.0, 1 / 3),
+])
+def test_euclidean_distance_keeps_scipy_choice_among_twins(shape, cells, dy, dx):
+    marked = np.zeros(shape, dtype=bool)
+    marked[tuple(np.transpose(cells))] = True
+    want = scipy_euclidean_distance(marked, dy, dx)
+    # the least value alone is an ulp low there
+    assert np.sqrt(_least_squares(marked, dy, dx)[0])[0, 5] < want[0, 5]
+    assert euclidean_distance(marked, dy, dx).tobytes() == want.tobytes()
+
+
+def test_euclidean_distance_redoes_only_rows_with_twins(monkeypatch):
+    """Only a row with a cell whose candidates round apart near its least
+    value takes scipy's float steps: none on a 51^2 grid with a 5 x 21
+    island at these spacings, and one on the last twin case above."""
+    redone = []
+    envelope_row = gridio._envelope_row
+    monkeypatch.setattr(gridio, "_envelope_row",
+                        lambda *args: redone.append(args) or envelope_row(*args))
+    island = np.zeros((51, 51), dtype=bool)
+    island[23:28, 15:36] = True
+    for s in (0.37, 123.456, 200.0):
+        for m in (island, ~island):
+            want = scipy_euclidean_distance(m, s, s)
+            assert euclidean_distance(m, s, s).tobytes() == want.tobytes()
+    assert redone == []
+    marked = np.zeros((2, 11), dtype=bool)
+    marked[(1, 1, 0), (1, 9, 10)] = True
+    want = scipy_euclidean_distance(marked, 1.0, 1 / 3)
+    assert euclidean_distance(marked, 1.0, 1 / 3).tobytes() == want.tobytes()
+    assert len(redone) == 1
+
+
+def test_euclidean_distance_without_marked_cells_is_infinite():
+    assert np.all(euclidean_distance(np.zeros((3, 4), dtype=bool), 2.0, 1.0) == np.inf)
