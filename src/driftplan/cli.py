@@ -293,12 +293,7 @@ def cmd_batch(exp: Experiment, args) -> int:
                             master_seed=exp.seed, workers=args.workers)
         t = tally_outcomes(records)
         # aborted missions are runtime failures, kept out of the rate tally
-        tallies[kind.value] = {
-            "n_total": t["n_total"] - t["n_aborted"],
-            "n_success": t["n_success"], "n_stranded": t["n_stranded"],
-            "n_timeout": t["n_timeout"], "n_left_region": t["n_left_region"],
-            "n_aborted": t["n_aborted"],
-        }
+        tallies[kind.value] = {**t, "n_total": t["n_total"] - t["n_aborted"]}
         if t["n_aborted"] < t["n_total"]:
             all_failed = False
         per_mission[kind.value] = [
@@ -311,10 +306,7 @@ def cmd_batch(exp: Experiment, args) -> int:
             r.write_csv(os.path.join(ctrl_dir, f"mission_{i:04d}.csv"))
     summary = {"seed": exp.seed, "tallies": tallies, "missions": per_mission}
     _dump_json(summary, os.path.join(exp.out_dir, "batch_summary.json"))
-    report = _stats_report(
-        {k: v for k, v in tallies.items()},
-        exp.baseline,
-    )
+    report = _stats_report(tallies, exp.baseline)
     _dump_json(report, os.path.join(exp.out_dir, "stats_report.json"))
     print(json.dumps({"tallies": tallies}, sort_keys=True))
     return EXIT_RUNTIME if all_failed else EXIT_OK
@@ -371,12 +363,13 @@ def cmd_gen_forecasts(exp: Experiment, args) -> int:
     for idx, (rt, flow) in enumerate(series.releases):
         nt = max(2, int(round((flow.t_max - rt) / g.dt_snap)) + 1)
         fg = replace(g, t0=rt, dt_snap=(flow.t_max - rt) / (nt - 1), nt=nt)
-        X, Y = fg.meshgrid()
+        # one sampler per release, so its frozen error is evaluated once;
         # sampled straight into the file's float32, which GriddedFlow keeps
+        sample = flow.sampler(*fg.meshgrid())
         u = np.empty((nt, fg.ny, fg.nx), dtype=np.float32)
         v = np.empty_like(u)
         for k, tk in enumerate(fg.ts):
-            u[k], v[k] = flow.sample_many(X, Y, tk)
+            u[k], v[k] = sample(tk)
         path = os.path.join(exp.out_dir, f"forecast_{idx:03d}.ofg1")
         write_flow_file(GriddedFlow(fg, u, v), path)
         entries.append((rt, flow.t_max, path))

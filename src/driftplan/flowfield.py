@@ -172,6 +172,10 @@ class DoubleGyreFlow(FlowSource):
     Stream function psi = A sin(pi f(X, t)) sin(pi Y) with
     f = eps sin(omega t) X^2 + (1 - 2 eps sin(omega t)) X in normalized
     coordinates X = x/scale, Y = y/scale. Divergence-free by construction.
+
+    Grid-shaped points, 2-D x and y of one shape with every row of x and
+    every column of y bitwise equal to the first, as ``SpatialGrid.meshgrid()``
+    makes them, are evaluated one grid line at a time, with the same bytes.
     """
 
     amplitude: float
@@ -186,43 +190,44 @@ class DoubleGyreFlow(FlowSource):
             raise ParameterError("double gyre requires scale > 0")
 
     def sample_many(self, x, y, t, clamp_time=False):
-        xa, ya, ta = self._check_extent(x, y, t, clamp_time=clamp_time)
-        xa, ya, ta = np.broadcast_arrays(xa, ya, ta)
-        X = xa / self.scale
+        if getattr(x, "ndim", 0) == 2 and np.ndim(t) == 0:  # maybe grid-shaped
+            return self.sampler(x, y, clamp_time)(t)
+        return self._pointwise(x, y, t, clamp_time)
+
+    def sampler(self, x, y, clamp_time=False):
+        xa, ya = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        # grid-shaped, compared as bits so that a 0.0 and a -0.0 node differ
+        if not (xa.ndim == 2 and xa.shape == ya.shape
+                and (xa.view(np.int64) == xa[:1].view(np.int64)).all()
+                and (ya.view(np.int64) == ya[:, :1].view(np.int64)).all()):
+            return lambda t: self._pointwise(x, y, t, clamp_time)
+        row, col = self._check_extent(xa[:1], ya[:, :1], axes="xy")
+        X, Y = row / self.scale, col / self.scale
+        cos_y, sin_y = np.cos(math.pi * Y), np.sin(math.pi * Y)
+
+        def sample(t):
+            ta, = self._check_extent(t, axes="t", clamp_time=clamp_time)
+            # an array, not a scalar, so np.sin takes the pointwise path's loop
+            return self._uv(X, cos_y, sin_y, np.full(X.shape, ta))
+
+        return sample
+
+    def _pointwise(self, x, y, t, clamp_time):
+        xa, ya, ta = np.broadcast_arrays(*self._check_extent(x, y, t, clamp_time=clamp_time))
         Y = ya / self.scale
+        return self._uv(xa / self.scale, np.cos(math.pi * Y), np.sin(math.pi * Y), ta)
+
+    def _uv(self, X, cos_y, sin_y, ta):
+        # one order of operations for both paths, on operands that broadcast
         b = self.epsilon * np.sin(self.omega * ta)
         a = 1.0 - 2.0 * b
         # X * X, not X**2: a scalar's ** calls pow, which can be 1 ulp off
         # the x * x that numpy squares an array with
         f = b * (X * X) + a * X
         dfdx = 2.0 * b * X + a
-        u = -math.pi * self.amplitude * np.sin(math.pi * f) * np.cos(math.pi * Y)
-        v = math.pi * self.amplitude * np.cos(math.pi * f) * np.sin(math.pi * Y) * dfdx
+        u = -math.pi * self.amplitude * np.sin(math.pi * f) * cos_y
+        v = math.pi * self.amplitude * np.cos(math.pi * f) * sin_y * dfdx
         return u, v
-
-    def sampler(self, x, y, clamp_time=False):
-        # the y factors are fixed per point, and the x factors take one value
-        # per distinct x: evaluate those once and gather them per point, in
-        # the operation order of sample_many, so the result is bit-identical
-        xa, ya = np.broadcast_arrays(*self._check_extent(x, y, axes="xy"))
-        X_u, xi = np.unique(xa, return_inverse=True)
-        xi = xi.reshape(xa.shape)
-        X_u = X_u / self.scale
-        Y = ya / self.scale
-        cos_y, sin_y = np.cos(math.pi * Y), np.sin(math.pi * Y)
-
-        def sample(t):
-            ta, = self._check_extent(t, axes="t", clamp_time=clamp_time)
-            # an array, not a scalar, so np.sin takes sample_many's path
-            b = self.epsilon * np.sin(self.omega * np.full(X_u.shape, ta))
-            a = 1.0 - 2.0 * b
-            f = b * (X_u * X_u) + a * X_u
-            dfdx = 2.0 * b * X_u + a
-            u = (-math.pi * self.amplitude * np.sin(math.pi * f)).take(xi) * cos_y
-            v = (math.pi * self.amplitude * np.cos(math.pi * f)).take(xi) * sin_y * dfdx.take(xi)
-            return u, v
-
-        return sample
 
 
 @dataclass(frozen=True)

@@ -67,26 +67,28 @@ class DistanceMap:
         """Bilinearly interpolated distance at a continuous position;
         +inf on an obstacle-free map."""
         j0, i0, wx, wy = self.grid.bilinear_cell(x, y)
-        d = self.distance
-        corners = ((j0, i0, 1 - wx, 1 - wy), (j0, i0 + 1, wx, 1 - wy),
-                   (j0 + 1, i0, 1 - wx, wy), (j0 + 1, i0 + 1, wx, wy))
+        d, total = self.distance.item, 0.0
         # corners of weight 0 are skipped, unread: a single row or column
         # has no +1 corner, and +inf there would give inf * 0 = NaN. The
-        # others add up in the order of the full bilinear sum.
-        return float(sum(d[j, i] * a * b for j, i, a, b in corners if a and b))
+        # others add up from 0.0 in the full bilinear sum's order; sum()
+        # would compensate Python floats from Python 3.12 on
+        for j, i, a, b in ((j0, i0, 1 - wx, 1 - wy), (j0, i0 + 1, wx, 1 - wy),
+                           (j0 + 1, i0, 1 - wx, wy), (j0 + 1, i0 + 1, wx, wy)):
+            if a and b:
+                total += d(j, i) * a * b
+        return float(total)
 
     def gradient_at(self, x: float, y: float) -> tuple[float, float]:
         """Central-difference gradient of the distance field at (x, y)."""
         g = self.grid
         j, i = g.nearest_cell(x, y)
-        d = self.distance
+        d = self.distance.item
         im, ip = max(i - 1, 0), min(i + 1, g.nx - 1)
         jm, jp = max(j - 1, 0), min(j + 1, g.ny - 1)
+        gx = (d(j, ip) - d(j, im)) / ((ip - im) * g.dx) if ip > im else 0.0
+        gy = (d(jp, i) - d(jm, i)) / ((jp - jm) * g.dy) if jp > jm else 0.0
         # an obstacle-free map is uniformly infinite: inf - inf has no
         # meaningful direction, report a flat gradient instead of NaN
-        with np.errstate(invalid="ignore"):
-            gx = (d[j, ip] - d[j, im]) / ((ip - im) * g.dx) if ip > im else 0.0
-            gy = (d[jp, i] - d[jm, i]) / ((jp - jm) * g.dy) if jp > jm else 0.0
         if not (math.isfinite(gx) and math.isfinite(gy)):
             return 0.0, 0.0
         return float(gx), float(gy)

@@ -388,6 +388,23 @@ def distance_value_at(dmap, x, y):
     )
 
 
+def distance_gradient_at(dmap, x, y):
+    """Reference ``DistanceMap.gradient_at``, on numpy scalars: a central
+    difference at the nearest node, one-sided at the grid's edge, 0 along an
+    axis of one node, and (0, 0) where it is not finite."""
+    g = dmap.grid
+    j, i = g.nearest_cell(x, y)
+    d = dmap.distance
+    im, ip = max(i - 1, 0), min(i + 1, g.nx - 1)
+    jm, jp = max(j - 1, 0), min(j + 1, g.ny - 1)
+    with np.errstate(invalid="ignore"):
+        gx = (d[j, ip] - d[j, im]) / ((ip - im) * g.dx) if ip > im else 0.0
+        gy = (d[jp, i] - d[jm, i]) / ((jp - jm) * g.dy) if jp > jm else 0.0
+    if not (math.isfinite(gx) and math.isfinite(gy)):
+        return 0.0, 0.0
+    return float(gx), float(gy)
+
+
 def _space_eps(flow):
     eps_x = 1e-9 * max(1.0, abs(flow.x_max)) if math.isfinite(flow.x_max) else 0.0
     eps_y = 1e-9 * max(1.0, abs(flow.y_max)) if math.isfinite(flow.y_max) else 0.0
@@ -483,3 +500,45 @@ def gridded_sample_many(flow, x, y, t, clamp_time=False):
         )
 
     return interp(flow.u), interp(flow.v)
+
+
+def gyre_sample_many(flow, x, y, t, clamp_time=False):
+    """Reference ``DoubleGyreFlow.sample_many``: the closed form evaluated
+    at every point, the only path before grid-shaped points had their own."""
+    xa, ya, ta = np.broadcast_arrays(*check_extent(flow, x, y, t, clamp_time))
+    X = xa / flow.scale
+    Y = ya / flow.scale
+    b = flow.epsilon * np.sin(flow.omega * ta)
+    a = 1.0 - 2.0 * b
+    f = b * (X * X) + a * X
+    dfdx = 2.0 * b * X + a
+    u = -math.pi * flow.amplitude * np.sin(math.pi * f) * np.cos(math.pi * Y)
+    v = math.pi * flow.amplitude * np.cos(math.pi * f) * np.sin(math.pi * Y) * dfdx
+    return u, v
+
+
+def gyre_unique_sampler(flow, x, y, clamp_time=False):
+    """Reference ``DoubleGyreFlow.sampler`` before grid-shaped points had
+    their own path: the y factors once per point, and the x factors once
+    per distinct x, gathered per point with ``take`` in the operation order
+    of ``gyre_sample_many``."""
+    xa, ya = np.broadcast_arrays(*_check_space(flow, x, y))
+    X_u, xi = np.unique(xa, return_inverse=True)
+    xi = xi.reshape(xa.shape)
+    X_u = X_u / flow.scale
+    Y = ya / flow.scale
+    cos_y, sin_y = np.cos(math.pi * Y), np.sin(math.pi * Y)
+    A = flow.amplitude
+
+    def sample(t):
+        ta = _check_time(flow, t, clamp_time)
+        # an array, not a scalar, so np.sin takes gyre_sample_many's path
+        b = flow.epsilon * np.sin(flow.omega * np.full(X_u.shape, ta))
+        a = 1.0 - 2.0 * b
+        f = b * (X_u * X_u) + a * X_u
+        dfdx = 2.0 * b * X_u + a
+        u = (-math.pi * A * np.sin(math.pi * f)).take(xi) * cos_y
+        v = (math.pi * A * np.cos(math.pi * f)).take(xi) * sin_y * dfdx.take(xi)
+        return u, v
+
+    return sample

@@ -1,5 +1,6 @@
 """End-to-end command-line interface: configs, commands, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -209,6 +210,39 @@ def test_gen_forecasts_series_loads_back(config, tmp_path, capsys):
     # each file covers exactly its release's window, and no more
     with pytest.raises(HorizonError):
         load_forecast_series([(t, e + 1.0, path) for t, e, path in entries])
+
+
+def test_gen_forecasts_files_equal_per_snapshot_sampling(config, tmp_path, monkeypatch):
+    """Each release's files, sampled through one sampler per release, have
+    the bytes of files sampled by sample_many at every snapshot on the
+    closed form at every point, as gen-forecasts sampled them before."""
+    from oracles import gyre_sample_many
+
+    from driftplan.flowfield import DoubleGyreFlow, FlowSource
+    from driftplan.forecast import FourierPerturbedFlow
+
+    raw = dict(config["raw"])
+    raw["scenario"] = dict(raw["scenario"], flow={
+        "kind": "double_gyre", "amplitude": 0.16, "omega": 7.27e-5, "epsilon": 0.25,
+        "scale": 5000.0})
+    raw["forecast"] = {"target_rmse": 0.1, "spatial_correlation_length": 2500.0,
+                       "temporal_correlation": 40000.0, "n_modes": 8,
+                       "cadence": 45000.0, "horizon": 90000.0}
+    p = tmp_path / "gyre.json"
+    p.write_text(json.dumps(raw))
+
+    def digests(out):
+        assert main(["gen-forecasts", "--config", str(p), "--out", str(out)]) == EXIT_OK
+        entries = read_series_manifest(out / "forecasts.json")
+        return [hashlib.sha256(open(path, "rb").read()).hexdigest() for _, _, path in entries]
+
+    new = digests(tmp_path / "new")
+    with monkeypatch.context() as m:
+        m.setattr(FourierPerturbedFlow, "sampler", FlowSource.sampler)
+        m.setattr(DoubleGyreFlow, "sampler", FlowSource.sampler)
+        m.setattr(DoubleGyreFlow, "sample_many", gyre_sample_many)
+        old = digests(tmp_path / "old")
+    assert len(new) == 3 and new == old
 
 
 def _gridded_truth_config(config, tmp_path, forecast, span=None):

@@ -1,7 +1,11 @@
 """Flow sources: analytic fields, gridded interpolation, binary round-trip."""
 
+import json
 import math
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -311,6 +315,104 @@ def test_nan_coordinate_is_outside_every_extent(name, method, array, axis, clamp
     err = info.value
     assert err.axis == axis and math.isnan(err.value)
     assert (err.lo, err.hi) == (getattr(f, f"{axis}_min"), getattr(f, f"{axis}_max"))
+
+
+def _mesh(xs=(0.0, 150.0, 300.0, 450.0), ys=(100.0, 400.0, 700.0), node=None, t=0.0):
+    """A meshgrid inside every NAN_FLOWS extent with the given axes, and
+    ``node = (axis, row, col, value)`` set at one node, which leaves the
+    mesh not grid-shaped."""
+    x, y = np.meshgrid(xs, ys)
+    if node is not None:
+        axis, j, i, value = node
+        (x if axis == "x" else y)[j, i] = value
+    return x, y, t
+
+
+MESH_CASES = {
+    "x_column_nan": _mesh(xs=(0.0, 150.0, math.nan, 450.0)),
+    "x_node_nan": _mesh(node=("x", 1, 2, math.nan)),
+    "y_row_nan": _mesh(ys=(100.0, math.nan, 700.0)),
+    "x_far_then_y_nan": _mesh(xs=(0.0, 150.0, 300.0, 1e9), ys=(math.nan, 400.0, 700.0)),
+    "y_far_then_t_nan": _mesh(ys=(100.0, 400.0, -1e9), t=math.nan),
+    "x_node_far_then_t_nan": _mesh(node=("x", 2, 1, -1e9), t=math.nan),
+    "t_far_then_y_node_nan": _mesh(node=("y", 0, 3, math.nan), t=1e9),
+    "t_nan": _mesh(t=math.nan),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAN_FLOWS))
+@pytest.mark.parametrize("case", sorted(MESH_CASES))
+@pytest.mark.parametrize("method", ["sample_many", "sampler"])
+@pytest.mark.parametrize("clamp_time", [False, True])
+def test_first_point_outside_a_mesh_is_the_one_named(name, case, method, clamp_time):
+    """On a 2-D mesh, grid-shaped or not, a NaN or a point beyond the padded
+    extent raises an ExtentError for the first such point, x before y
+    before t and in C order within an axis, as at scattered points; with
+    clamp_time a finite time beyond the extent is clamped instead."""
+    from oracles import padded_extent
+
+    f = NAN_FLOWS[name]
+    x, y, t = MESH_CASES[case]
+    lo, hi = padded_extent(f)
+    for k, (axis, a) in enumerate(zip("xyt", (x, y, t))):
+        a = np.ravel(a)
+        bad = np.isnan(a) if clamp_time and axis == "t" else ~((a >= lo[k]) & (a <= hi[k]))
+        if bad.any():
+            break
+    with pytest.raises(ExtentError) as info:
+        if method == "sampler":
+            f.sampler(x, y, clamp_time=clamp_time)(t)
+        else:
+            f.sample_many(x, y, t, clamp_time=clamp_time)
+    err = info.value
+    assert (err.axis, struct.pack("<d", err.value)) == (axis, struct.pack("<d", a[bad][0]))
+    assert (err.lo, err.hi) == (getattr(f, f"{axis}_min"), getattr(f, f"{axis}_max"))
+
+
+#: the SIMD groups that ROADMAP item 2 turns off to test host independence
+SIMD_OFF = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
+_HOST_SCRIPT = """
+import json, math, sys
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:
+    from numpy.core._multiarray_umath import __cpu_features__
+from driftplan.flowfield import SpaceTimeGrid, make_double_gyre
+
+groups = sys.argv[1].split()
+gyre = make_double_gyre(0.16, 2 * math.pi / 86400.0, 0.25, 20000.0)
+X, Y = SpaceTimeGrid(x0=0.0, y0=0.0, dx=200.0, dy=200.0, nx=201, ny=101).meshgrid()
+sample = gyre.sampler(X, Y)
+mismatches = 0
+for t in (0.0, 25200.0, 43210.5, 432000.0):
+    want = [a.reshape(X.shape) for a in gyre.sample_many(X.ravel(), Y.ravel(), t)]
+    for got in (gyre.sample_many(X, Y, t), sample(t)):
+        mismatches += any(a.tobytes() != b.tobytes() for a, b in zip(got, want))
+print(json.dumps({"known": [g for g in groups if g in __cpu_features__],
+                  "still_on": [g for g in groups if __cpu_features__.get(g)],
+                  "mismatches": mismatches}))
+"""
+
+
+def test_grid_path_equals_pointwise_path_with_simd_groups_off():
+    """In a process whose numpy dispatches none of SIMD_OFF, the double
+    gyre's grid path gives the pointwise path's bytes on the 201 x 101 grid
+    of the drift benchmark's set-up. Where numpy refuses the setting, or
+    has no such groups, the test is skipped with the reason."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=SIMD_OFF,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _HOST_SCRIPT, SIMD_OFF], env=env,
+                          capture_output=True, text=True, timeout=300)
+    if proc.returncode and "NPY_DISABLE_CPU_FEATURES" in proc.stderr:
+        pytest.skip(f"numpy refuses NPY_DISABLE_CPU_FEATURES={SIMD_OFF!r}: "
+                    + proc.stderr.strip().splitlines()[-1])
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    if not out["known"] or out["still_on"]:
+        pytest.skip(f"numpy on this host dispatches {out['known']} of {SIMD_OFF!r}, "
+                    f"and {out['still_on']} stay on under the setting")
+    assert out["mismatches"] == 0
 
 
 @pytest.mark.parametrize("name", ["gridded_nt1", "gridded_nt4", "release"])

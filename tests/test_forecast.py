@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import WindowedFlow
+from oracles import WindowedFlow, gyre_sample_many, gyre_unique_sampler, padded_extent
 
 from driftplan.errors import ExtentError, FormatError, HorizonError, ParameterError
 from driftplan.flowfield import (
@@ -198,14 +198,44 @@ SAMPLER_FLOWS = _sampler_flows()
 WINDOWED = [k for k, f in SAMPLER_FLOWS.items() if math.isfinite(f.t_max)]
 
 
+#: (lo, hi) of the padded extent in x and in y of the bounded flows above
+EDGE = list(zip(*padded_extent(SAMPLER_FLOWS["gridded"])))[:2]
+MESHES = ["mesh", "row", "column", "signed_zero", "mixed_zero", "edge", "ij"]
+
+
 def _points(seed, shape):
-    """Random points of the given shape; ``"mesh"`` is a solver-style
-    meshgrid whose x axis is unsorted and repeats values."""
+    """Random points of the given shape, or a mesh named in MESHES:
+    - ``"mesh"``, a solver-style meshgrid whose x axis is unsorted and
+      repeats values;
+    - ``"row"`` and ``"column"``, meshes of one row and of one column;
+    - ``"signed_zero"``, a mesh with -0.0 nodes on both axes, and
+      ``"mixed_zero"``, one whose first column holds 0.0 in one row and
+      -0.0 in the others, so that it is grid-shaped by == but not by bits;
+    - ``"edge"``, a mesh with nodes on each edge of the padded extent;
+    - ``"ij"``, a meshgrid with ``indexing="ij"``, which is not grid-shaped.
+    """
     rng = np.random.default_rng(seed)
+
+    def axis(n):
+        return rng.uniform(0.0, 10000.0, n)
+
     if shape == "mesh":
-        xs = rng.choice(rng.uniform(0.0, 10000.0, 5), size=9)
-        return np.meshgrid(xs, rng.uniform(0.0, 10000.0, 6))
-    return rng.uniform(0.0, 10000.0, shape), rng.uniform(0.0, 10000.0, shape)
+        return np.meshgrid(rng.choice(axis(5), size=9), axis(6))
+    if shape == "row":
+        return np.meshgrid(axis(7), axis(1))
+    if shape == "column":
+        return np.meshgrid(axis(1), axis(7))
+    if shape in ("signed_zero", "mixed_zero"):
+        x, y = np.meshgrid(np.r_[-0.0, axis(3), -0.0], np.r_[axis(2), -0.0])
+        if shape == "mixed_zero":
+            x[0, 0] = 0.0
+        return x, y
+    if shape == "edge":
+        (x_lo, x_hi), (y_lo, y_hi) = EDGE
+        return np.meshgrid(np.r_[x_lo, axis(3), x_hi], np.r_[y_hi, axis(2), y_lo])
+    if shape == "ij":
+        return np.meshgrid(axis(5), axis(4), indexing="ij")
+    return axis(shape), axis(shape)
 
 
 def _assert_bitwise(got, want):
@@ -218,7 +248,7 @@ def _assert_bitwise(got, want):
 @given(
     name=st.sampled_from(sorted(SAMPLER_FLOWS)),
     seed=st.integers(0, 2**31 - 1),
-    shape=st.sampled_from([(), (1,), (7,), (5, 9), (11, 11), "mesh"]),
+    shape=st.sampled_from([(), (1,), (7,), (5, 9), (11, 11)] + MESHES),
     ts=st.lists(st.floats(0.0, 50000.0), min_size=1, max_size=4),
 )
 def test_sampler_matches_sample_many_bitwise(name, seed, shape, ts):
@@ -227,6 +257,30 @@ def test_sampler_matches_sample_many_bitwise(name, seed, shape, ts):
     sample = flow.sampler(x, y)
     for t in ts:
         _assert_bitwise(sample(t), flow.sample_many(x, y, t))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    shape=st.sampled_from([(), (7,), (5, 9)] + MESHES),
+    ts=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=4),
+    clamp=st.booleans(),
+)
+def test_gyre_matches_pointwise_and_replaced_sampler_bitwise(seed, shape, ts, clamp):
+    """On the double gyre, sample_many and sampler(x, y)(t) equal the closed
+    form at every point and the np.unique/take sampler that the grid path
+    replaced, byte for byte, on every mesh and on scattered points. That
+    sampler took 0.0 and -0.0 as one x, so it is left out where x has both."""
+    gyre = SAMPLER_FLOWS["gyre"]
+    x, y = _points(seed, shape)
+    sample = gyre.sampler(x, y, clamp_time=clamp)
+    replaced = gyre_unique_sampler(gyre, x, y, clamp)
+    for t in ts:
+        want = gyre_sample_many(gyre, x, y, t, clamp)
+        _assert_bitwise(gyre.sample_many(x, y, t, clamp_time=clamp), want)
+        _assert_bitwise(sample(t), want)
+        if shape != "mixed_zero":
+            _assert_bitwise(replaced(t), want)
 
 
 def _short_truth_flows():
@@ -251,7 +305,7 @@ SHORT_TRUTH_FLOWS = _short_truth_flows()
 @given(
     name=st.sampled_from(sorted(SHORT_TRUTH_FLOWS)),
     seed=st.integers(0, 2**31 - 1),
-    shape=st.sampled_from([(), (7,), (5, 9), "mesh"]),
+    shape=st.sampled_from([(), (7,), (5, 9)] + MESHES),
     ts=st.lists(st.floats(-20000.0, 80000.0), min_size=1, max_size=4),
 )
 def test_clamped_sampler_matches_sample_many_bitwise(name, seed, shape, ts):

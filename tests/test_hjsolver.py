@@ -409,8 +409,11 @@ def test_unsteady_solve_evaluates_forecast_error_once_per_component(monkeypatch)
     assert counts["error"] == 2
     assert counts["truth"] == 0
 
-    # the CFL rule, recomputed from sample_many at both interval endpoints
+    # the CFL rule, recomputed from sample_many at both interval endpoints;
+    # sample_many samples grid-shaped points through sampler, so both are
+    # restored first, or the recount would record its own times
     monkeypatch.setattr(DoubleGyreFlow, "sample_many", real_truth)
+    monkeypatch.setattr(DoubleGyreFlow, "sampler", real_sampler)
     X, Y = vf.grid.meshgrid()
     pad = cfg.u_max + cfg.d_max
 

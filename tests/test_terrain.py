@@ -7,7 +7,13 @@ import struct
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import bfs_hops, distance_value_at, scipy_euclidean_distance, scipy_taxicab_distance
+from oracles import (
+    bfs_hops,
+    distance_gradient_at,
+    distance_value_at,
+    scipy_euclidean_distance,
+    scipy_taxicab_distance,
+)
 
 from driftplan import gridio
 from driftplan.errors import FormatError, ParameterError
@@ -283,6 +289,35 @@ def test_distance_value_at_matches_reference(ny, nx, seed, no_obstacles):
             want = distance_value_at(padded, x, y)
         assert math.isfinite(want)
         assert struct.pack("<d", got) == struct.pack("<d", want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ny=st.integers(1, 6),
+    nx=st.integers(1, 6),
+    seed=st.integers(0, 2**31 - 1),
+    no_obstacles=st.booleans(),
+)
+def test_distance_gradient_at_matches_reference(ny, nx, seed, no_obstacles):
+    """DistanceMap.gradient_at equals its numpy-scalar reference byte for
+    byte, on and up to one cell off a grid with a non-zero origin and
+    dx != dy, single rows and columns included; an obstacle-free map is
+    flat everywhere, with no floating-point warning."""
+    rng = np.random.default_rng(seed)
+    g = SpatialGrid(-350.0, 120.0, 90.0, 160.0, nx, ny)
+    d = np.full((ny, nx), np.inf) if no_obstacles else rng.integers(0, 9, (ny, nx)) * 90.0
+    dmap = DistanceMap(g, d)
+    for _ in range(20):
+        x = rng.uniform(g.x0 - g.dx, g.x_max + g.dx)
+        y = rng.uniform(g.y0 - g.dy, g.y_max + g.dy)
+        if rng.random() < 0.3:  # on a node
+            x = g.x0 + g.dx * int(rng.integers(-1, nx + 1))
+        with np.errstate(all="raise"):
+            got = dmap.gradient_at(x, y)
+        want = distance_gradient_at(dmap, x, y)
+        if no_obstacles:
+            assert want == (0.0, 0.0)
+        assert struct.pack("<2d", *got) == struct.pack("<2d", *want)
 
 
 @pytest.mark.parametrize("array,expect", [
