@@ -10,12 +10,12 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import __version__
-from .controllers import ControllerKind
+from .controllers import SWITCH_THRESHOLD, ControllerKind
 from .errors import ConfigError, DegenerateInputError, DriftplanError, ParameterError
 from .flowfield import (
     GriddedFlow,
@@ -36,9 +36,10 @@ from .missions import (
     validate_missions,
     write_missions,
 )
-from .simulator import BatchSpec, Outcome, SimConfig, run_batch, stranding_study, tally_outcomes
+from .simulator import BatchSpec, SimConfig, run_batch, stranding_study, tally_outcomes
 from .stats import OutcomeTally, rates, z_prop_test
 from .terrain import (
+    DEFAULT_THRESHOLD_M,
     ElevationGrid,
     SpatialGrid,
     coarsen_max,
@@ -57,40 +58,30 @@ class Experiment:
     """Fully constructed experiment objects, parsed from a config JSON."""
 
     truth: object
-    obstacles: object
-    dmap: object
     region: tuple
-    solver_config: SolverConfig
+    batch: BatchSpec  # solver, terrain and forecasts of every controller; kind = controllers[0]
     sim_config: SimConfig
-    error_model: ErrorModelConfig | None
-    cadence: float
-    horizon: float
     constraints: SamplingConstraints | None
+    mission_t_max: float | None
     controllers: list
     baseline: str
-    switch_threshold: float
-    mission_t_max: float | None
+    solve: tuple | None  # (TargetSpec, t_start, terminal_time)
+    study_t_range: tuple
+    forecast_span: tuple
     seed: int
     out_dir: str
-    raw: dict
-
-
-def _grid_from_spec(spec: dict) -> SpaceTimeGrid:
-    return SpaceTimeGrid(
-        x0=spec["x0"], y0=spec["y0"], dx=spec["dx"], dy=spec["dy"],
-        nx=spec["nx"], ny=spec["ny"],
-        t0=spec.get("t0", 0.0), dt_snap=spec.get("dt_snap", 1.0),
-        nt=spec.get("nt", 1),
-    )
 
 
 def _controller_kinds(names) -> list:
-    """The ControllerKind of each name; an unknown name is a config error."""
+    """The ControllerKind of each name; an unknown name, or none, is a config error."""
     try:
-        return [ControllerKind(k) for k in names]
+        kinds = [ControllerKind(k) for k in names]
     except ValueError as exc:
         known = ", ".join(k.value for k in ControllerKind)
         raise ConfigError(f"{exc}; known kinds: {known}") from exc
+    if not kinds:
+        raise ConfigError("no controller kind given")
+    return kinds
 
 
 def build_flow(spec: dict):
@@ -113,16 +104,13 @@ def build_flow(spec: dict):
 def build_terrain(spec: dict):
     """Returns (obstacle_mask, distance_map)."""
     kind = spec.get("kind")
-    threshold = spec.get("threshold", -150.0)
     if kind == "file":
         path = spec["path"]
         if not os.path.exists(path):
             raise ConfigError(f"elevation file not found: {path}")
         elev = read_elevation_file(path)
     elif kind == "synthetic":
-        g = spec["grid"]
-        grid = SpatialGrid(x0=g["x0"], y0=g["y0"], dx=g["dx"], dy=g["dy"],
-                           nx=g["nx"], ny=g["ny"])
+        grid = SpatialGrid(**spec["grid"])
         e = np.full((grid.ny, grid.nx), float(spec.get("base_elevation", -4000.0)))
         X, Y = grid.meshgrid()
         for x1, x2, y1, y2, elev_val in spec.get("blocks", []):
@@ -133,72 +121,70 @@ def build_terrain(spec: dict):
     factor = spec.get("coarsen", 1)
     if factor > 1:
         elev = coarsen_max(elev, factor)
-    mask = obstacle_mask(elev, threshold)
+    mask = obstacle_mask(elev, spec.get("threshold", DEFAULT_THRESHOLD_M))
     return mask, distance_map(mask)
 
 
 def load_experiment(path: str, seed_override=None, out_override=None) -> Experiment:
+    """Parse every section that any command reads; its keys are the fields of the
+    dataclass that owns their defaults, so an unknown key is a config error too."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
+        seed = seed_override if seed_override is not None else raw.get("seed", 0)
         scenario = raw["scenario"]
         truth = build_flow(scenario["flow"])
         obstacles, dmap = build_terrain(scenario["terrain"])
         region = tuple(scenario["region"])
-        sv = raw["solver"]
-        solver_config = SolverConfig(
-            grid=_grid_from_spec(sv["grid"]),
-            u_max=sv["u_max"], d_max=sv.get("d_max", 0.0),
-            alpha=sv.get("alpha", 1.0), cfl=sv.get("cfl", 0.5),
-            sentinel=sv.get("sentinel", 1e10),
-        )
-        sm = raw.get("sim", {})
-        if sm.get("integrator", "rk4") != "rk4":
-            raise ConfigError(f"unsupported integrator {sm['integrator']!r}; only 'rk4'")
-        sim_config = SimConfig(step_dt=sm.get("step_dt", 600.0), region=region)
-        fc = raw.get("forecast", {})
+        sv = dict(raw["solver"])
+        solver_config = SolverConfig(grid=SpaceTimeGrid(**sv.pop("grid")), **sv)
+        sm = dict(raw.get("sim", {}))
+        integrator = sm.pop("integrator", "rk4")
+        if integrator != "rk4":
+            raise ConfigError(f"unsupported integrator {integrator!r}; only 'rk4'")
+        fc = dict(raw.get("forecast", {}))
+        timing = {k: fc.pop(k) for k in ("cadence", "horizon") if k in fc}
+        # checked here, as perfect forecasts (target_rmse 0) build no ErrorModelConfig
+        unknown = set(fc) - {f.name for f in fields(ErrorModelConfig) if f.name != "seed"}
+        if unknown:
+            raise ConfigError(f"unknown forecast keys: {', '.join(sorted(unknown))}")
         error_model = None
         if fc.get("target_rmse", 0.0) > 0.0:
-            error_model = ErrorModelConfig(
-                target_rmse=fc["target_rmse"],
-                spatial_correlation_length=fc["spatial_correlation_length"],
-                temporal_correlation=fc["temporal_correlation"],
-                n_modes=fc.get("n_modes", 24),
-                seed=raw.get("seed", 0),
-            )
-        cadence = fc.get("cadence", 86400.0)
-        horizon = fc.get("horizon", 5 * 86400.0)
-        constraints = None
-        mission_t_max = None
+            error_model = ErrorModelConfig(**fc, seed=seed)
+        constraints = mission_t_max = None
         if "missions" in raw:
-            ms = raw["missions"]
-            constraints = SamplingConstraints(
-                min_boundary_dist=ms["min_boundary_dist"],
-                min_obstacle_dist=ms["min_obstacle_dist"],
-                max_obstacle_dist=ms["max_obstacle_dist"],
-                target_radius=ms["target_radius"],
-                ttr_window=tuple(ms["ttr_window"]),
-                final_time_horizon=tuple(ms["final_time_horizon"]),
-            )
-            mission_t_max = ms.get("t_max")
+            ms = dict(raw["missions"])
+            mission_t_max = ms.pop("t_max", None)
+            constraints = SamplingConstraints(**ms)
         controllers = _controller_kinds(raw.get("controllers", ["mtr"]))
         baseline = raw.get("baseline", "mtr_no_obs")
-        seed = seed_override if seed_override is not None else raw.get("seed", 0)
-        out_dir = out_override or raw.get("out", "out")
+        _controller_kinds([baseline])
+        solve = None
+        if "solve" in raw:
+            so = raw["solve"]
+            cx, cy = so["target_center"]
+            solve = (TargetSpec(center=(cx, cy), radius=so["target_radius"]),
+                     so["t_start"], so["terminal_time"])
+        g = solver_config.grid
+        study_lo, study_hi = raw.get("study_t_range", (0.0, 0.0))
+        span_lo, span_hi = raw.get("forecast_span", (g.t0, g.t_max))
         return Experiment(
-            truth=truth, obstacles=obstacles, dmap=dmap, region=region,
-            solver_config=solver_config, sim_config=sim_config,
-            error_model=error_model, cadence=cadence, horizon=horizon,
-            constraints=constraints, controllers=controllers,
-            baseline=baseline,
-            switch_threshold=raw.get("switch_threshold", 20_000.0),
-            mission_t_max=mission_t_max, seed=seed, out_dir=out_dir, raw=raw,
+            truth=truth, region=region,
+            batch=BatchSpec(kind=controllers[0], solver_config=solver_config,
+                            obstacles=obstacles, dmap=dmap, error_model=error_model,
+                            switch_threshold=raw.get("switch_threshold", SWITCH_THRESHOLD),
+                            **timing),
+            sim_config=SimConfig(**sm, region=region),
+            constraints=constraints, mission_t_max=mission_t_max,
+            controllers=controllers, baseline=baseline, solve=solve,
+            study_t_range=(study_lo, study_hi), forecast_span=(span_lo, span_hi),
+            seed=seed, out_dir=out_override or raw.get("out", "out"),
         )
-    except (KeyError, TypeError, ValueError, DriftplanError) as exc:
-        # a bad parameter or flow file is a bad config too
+    except (AttributeError, KeyError, TypeError, ValueError, DriftplanError) as exc:
+        # a section of the wrong JSON type, a bad parameter or flow file is a bad config too
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"invalid config {path}: {exc!r}") from exc
@@ -211,14 +197,11 @@ def _dump_json(obj, path):
 
 
 def cmd_solve(exp: Experiment, args) -> int:
-    spec = exp.raw.get("solve")
-    if not spec:
+    if exp.solve is None:
         raise ConfigError("config lacks a 'solve' section with target and horizon")
-    target = TargetSpec(center=tuple(spec["target_center"]),
-                        radius=spec["target_radius"])
-    t_start = spec["t_start"]
-    t_end = spec["terminal_time"]
-    vf = solve_mtr(exp.truth, exp.obstacles, target, exp.solver_config, t_start, t_end)
+    target, t_start, t_end = exp.solve
+    vf = solve_mtr(exp.truth, exp.batch.obstacles, target, exp.batch.solver_config,
+                   t_start, t_end)
     os.makedirs(exp.out_dir, exist_ok=True)
     at = args.at if args.at is not None else t_start
     ttr_map = safe_ttr(vf, at)
@@ -279,17 +262,7 @@ def cmd_batch(exp: Experiment, args) -> int:
     # an empty manifest is not a failure
     all_failed = bool(missions)
     for kind in kinds:
-        spec = BatchSpec(
-            kind=kind,
-            solver_config=exp.solver_config,
-            obstacles=exp.obstacles,
-            dmap=exp.dmap,
-            switch_threshold=exp.switch_threshold,
-            error_model=exp.error_model,
-            cadence=exp.cadence,
-            horizon=exp.horizon,
-        )
-        records = run_batch(missions, exp.truth, spec, exp.sim_config,
+        records = run_batch(missions, exp.truth, replace(exp.batch, kind=kind), exp.sim_config,
                             master_seed=exp.seed, workers=args.workers)
         t = tally_outcomes(records)
         # aborted missions are runtime failures, kept out of the rate tally
@@ -314,10 +287,9 @@ def cmd_batch(exp: Experiment, args) -> int:
 
 def cmd_stranding_study(exp: Experiment, args) -> int:
     res = stranding_study(
-        exp.region, exp.truth, exp.obstacles,
+        exp.region, exp.truth, exp.batch.obstacles,
         n=args.n, horizon=args.horizon, seed=exp.seed,
-        t_range=tuple(exp.raw.get("study_t_range", (0.0, 0.0))),
-        step_dt=exp.sim_config.step_dt,
+        t_range=exp.study_t_range, step_dt=exp.sim_config.step_dt,
     )
     os.makedirs(exp.out_dir, exist_ok=True)
     heat = res.pop("heatmap")
@@ -332,19 +304,14 @@ def cmd_sample_missions(exp: Experiment, args) -> int:
     if exp.constraints is None:
         raise ConfigError("config lacks a 'missions' section")
     os.makedirs(exp.out_dir, exist_ok=True)
-    manifest = os.path.join(exp.out_dir, "missions.jsonl")
-    if args.n == 0:
-        write_missions([], manifest)
-        print(json.dumps({"n": 0, "violations": 0}))
-        return EXIT_OK
     missions = sample_missions(
-        exp.region, exp.truth, exp.obstacles, exp.dmap,
+        exp.region, exp.truth, exp.batch.obstacles, exp.batch.dmap,
         n=args.n, constraints=exp.constraints,
-        solver_config=exp.solver_config, seed=exp.seed,
+        solver_config=exp.batch.solver_config, seed=exp.seed,
         t_max=exp.mission_t_max,
     )
-    write_missions(missions, manifest)
-    problems = validate_missions(missions, exp.region, exp.dmap, exp.constraints)
+    write_missions(missions, os.path.join(exp.out_dir, "missions.jsonl"))
+    problems = validate_missions(missions, exp.region, exp.batch.dmap, exp.constraints)
     _dump_json({"n": len(missions), "violations": problems},
                os.path.join(exp.out_dir, "missions_validation.json"))
     print(json.dumps({"n": len(missions), "violations": len(problems)}))
@@ -352,12 +319,11 @@ def cmd_sample_missions(exp: Experiment, args) -> int:
 
 
 def cmd_gen_forecasts(exp: Experiment, args) -> int:
-    if exp.error_model is None:
+    if exp.batch.error_model is None:
         raise ConfigError("config lacks a forecast error model (target_rmse > 0)")
-    g = exp.solver_config.grid
-    span = tuple(exp.raw.get("forecast_span", (g.t0, g.t_max)))
-    series = gen_forecast_series(exp.truth, exp.error_model, exp.cadence,
-                                 exp.horizon, span)
+    g = exp.batch.solver_config.grid
+    series = gen_forecast_series(exp.truth, exp.batch.error_model, exp.batch.cadence,
+                                 exp.batch.horizon, exp.forecast_span)
     os.makedirs(exp.out_dir, exist_ok=True)
     entries = []
     for idx, (rt, flow) in enumerate(series.releases):
@@ -448,12 +414,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        exp = load_experiment(args.config, seed_override=args.seed,
-                              out_override=args.out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
+        exp = load_experiment(args.config, seed_override=args.seed, out_override=args.out)
         return _COMMANDS[args.command](exp, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

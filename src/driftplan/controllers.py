@@ -16,6 +16,9 @@ from .terrain import DistanceMap, ObstacleMask
 EPS_GRAD = 1e-8
 #: disturbance bound d_max, in m/s, that smalldist_mtr plans against
 SMALL_DISTURBANCE = 0.05
+#: distance to the nearest obstacle, in m, below which switching controllers
+#: steer away from it
+SWITCH_THRESHOLD = 20_000.0
 
 
 @dataclass(frozen=True)
@@ -136,7 +139,7 @@ def build_controller(
     target: TargetSpec | None = None,
     obstacles: ObstacleMask | None = None,
     dmap: DistanceMap | None = None,
-    switch_threshold: float = 20_000.0,
+    switch_threshold: float = SWITCH_THRESHOLD,
 ) -> Controller:
     """Assemble a controller of the given kind, validating its inputs."""
     if isinstance(kind, str):

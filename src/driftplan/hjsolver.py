@@ -23,8 +23,12 @@ from .flowfield import FlowSource, SpaceTimeGrid
 from .gridio import euclidean_distance
 from .terrain import ObstacleMask, SpatialGrid
 
-#: fraction of the sentinel above which a value is treated as unreachable
-SENTINEL_FRACTION = 0.5
+#: rate, per second, at which the reach value falls inside the target
+ALPHA = 1.0
+#: the large finite value pinned on obstacle and inevitably-lost cells
+SENTINEL = 1e10
+#: values at or above half the sentinel are treated as unreachable
+SENTINEL_THRESHOLD = 0.5 * SENTINEL
 #: smallest substep a solve may take before it gives up on the grid
 MIN_DT = 1e-9
 
@@ -36,17 +40,13 @@ class SolverConfig:
     grid: SpaceTimeGrid
     u_max: float
     d_max: float = 0.0
-    alpha: float = 1.0
     cfl: float = 0.5
-    sentinel: float = 1e10
 
     def __post_init__(self):
         if self.u_max < 0 or self.d_max < 0:
             raise ParameterError("speed bounds must be non-negative")
         if not (0.0 < self.cfl <= 1.0):
             raise ParameterError("cfl must be in (0, 1]")
-        if self.sentinel <= 0:
-            raise ParameterError("sentinel must be a large positive value")
 
 
 @dataclass(frozen=True)
@@ -76,11 +76,6 @@ class ValueFunction:
     values: np.ndarray = field(repr=False)  # (nt, ny, nx) float64
     t_start: float = 0.0
     terminal_time: float = 0.0
-    sentinel: float = 1e10
-
-    @property
-    def sentinel_threshold(self) -> float:
-        return SENTINEL_FRACTION * self.sentinel
 
     def _time_bracket(self, t: float):
         g = self.grid
@@ -98,14 +93,13 @@ class ValueFunction:
         k0, k1, w = self._time_bracket(t)
         a, b = self.values[k0], self.values[k1]
         out = (1.0 - w) * a + w * b
-        th = self.sentinel_threshold
-        out[(a >= th) | (b >= th)] = self.sentinel
+        out[(a >= SENTINEL_THRESHOLD) | (b >= SENTINEL_THRESHOLD)] = SENTINEL
         return out
 
     def is_sentinel_at(self, x: float, y: float, t: float) -> bool:
         k0, k1, w = self._time_bracket(t)
         j, i = self.grid.nearest_cell(x, y)
-        return self.values.item(k0 if w < 0.5 else k1, j, i) >= self.sentinel_threshold
+        return self.values.item(k0 if w < 0.5 else k1, j, i) >= SENTINEL_THRESHOLD
 
     def _corners(self, x: float, y: float):
         """The (j, i, weight) of the 4 bilinear corners of (x, y)."""
@@ -117,7 +111,7 @@ class ValueFunction:
         """values[k, j, i], or None at a sentinel node or off the grid."""
         if 0 <= j < self.grid.ny and 0 <= i < self.grid.nx:
             v = self.values.item(k, j, i)
-            if v < self.sentinel_threshold:
+            if v < SENTINEL_THRESHOLD:
                 return v
         return None
 
@@ -134,7 +128,7 @@ class ValueFunction:
         """Bilinear value of slice_at(t) at (x, y); sentinel corners are
         excluded by renormalizing the interpolation weights."""
         k0, k1, w = self._time_bracket(t)
-        th = self.sentinel_threshold
+        th = SENTINEL_THRESHOLD
         ws, cs = [], []
         for j, i, s in self._corners(x, y):
             a, b = self.values.item(k0, j, i), self.values.item(k1, j, i)
@@ -143,7 +137,7 @@ class ValueFunction:
                 ws.append(s)
                 cs.append(c)
         v = _blend(ws, cs)
-        return self.sentinel if v is None else float(v)
+        return SENTINEL if v is None else float(v)
 
     def grad_at(self, x: float, y: float, t: float) -> tuple[float, float]:
         """Spatial gradient, bilinear in space and linear in time.
@@ -256,7 +250,7 @@ def solve_mtr(
 ) -> ValueFunction:
     """Backward solve of the frozen-dynamics reachability PDE.
 
-    Per-cell update rates: alpha inside the target, zero on obstacle and
+    Per-cell update rates: ALPHA inside the target, zero on obstacle and
     inevitably-lost cells (pinned at the sentinel), and the
     upwind-discretized Hamiltonian elsewhere, with effective
     control authority u_max - d_max against a worst-case isotropic
@@ -278,8 +272,6 @@ def solve_mtr(
         raise ParameterError("obstacle mask shape does not match the solver grid")
     tgt_mask, terminal_dist = _target_masks(out_grid, target)
 
-    sent = config.sentinel
-    th = SENTINEL_FRACTION * sent
     u_eff = max(config.u_max - config.d_max, 0.0)
     diss_pad = config.u_max + config.d_max
 
@@ -290,12 +282,12 @@ def solve_mtr(
     # best-case control), so both step with one Hamiltonian call. Cells
     # with V > 0 are doomed. Layer 1's mask stays all true.
     S = np.empty((2 if have_obst else 1, g.ny, g.nx))
-    S[0] = np.where(obst, sent, terminal_dist)
+    S[0] = np.where(obst, SENTINEL, terminal_dist)
     if have_obst:
         # V starts at minus the signed clearance (distance to the obstacles less
         # that to free water), capped at the sentinel where there is no free water
         clearance = euclidean_distance(obst, g.dy, g.dx) - euclidean_distance(~obst, g.dy, g.dx)
-        S[1] = np.minimum(-clearance, sent)
+        S[1] = np.minimum(-clearance, SENTINEL)
     valid = np.ones(S.shape, dtype=bool)
 
     values = np.empty((n_snap, g.ny, g.nx))
@@ -337,23 +329,23 @@ def solve_mtr(
             if not steady:
                 vx, vy = sample(t_mid)
             blocked = obst | (S[1] > 0) if have_obst else obst
-            valid[0] = (S[0] < th) & ~blocked
+            valid[0] = (S[0] < SENTINEL_THRESHOLD) & ~blocked
             H = _hamiltonian(S, valid, vx, vy, u_eff, g.dx, g.dy)
             if have_obst:
                 np.maximum(0.0, H[1], out=H[1])
-            J_tgt = S[0][tgt_free] - config.alpha * dt
+            J_tgt = S[0][tgt_free] - ALPHA * dt
             H *= dt
             S += H
             J = S[0]
             J[tgt_free] = J_tgt
-            np.minimum(J, sent, out=J)
-            J[blocked] = sent
+            np.minimum(J, SENTINEL, out=J)
+            J[blocked] = SENTINEL
             if have_obst:
-                J[S[1] > 0] = sent
+                J[S[1] > 0] = SENTINEL
         values[k] = S[0]
 
     return ValueFunction(grid=out_grid, values=values, t_start=t_start,
-                         terminal_time=terminal_time, sentinel=sent)
+                         terminal_time=terminal_time)
 
 
 def safe_ttr(vf: ValueFunction, t: float) -> SafeTTRMap:

@@ -15,6 +15,9 @@ from .hjsolver import SolverConfig, TargetSpec, safe_ttr, solve_mtr
 from .simulator import Mission
 from .terrain import DistanceMap, ObstacleMask
 
+#: largest rejected share of candidate targets before sampling gives up
+REJECTION_CAP = 0.999
+
 
 @dataclass(frozen=True)
 class SamplingConstraints:
@@ -28,11 +31,16 @@ class SamplingConstraints:
     final_time_horizon: tuple[float, float]  # window to sample t_T from
 
     def __post_init__(self):
+        # each window is a (lo, hi) pair, kept as a tuple (JSON configs give lists)
+        (lo, hi), (t_lo, t_hi) = self.ttr_window, self.final_time_horizon
+        object.__setattr__(self, "ttr_window", (lo, hi))
+        object.__setattr__(self, "final_time_horizon", (t_lo, t_hi))
         if not (0 <= self.min_obstacle_dist < self.max_obstacle_dist):
             raise ParameterError("need 0 <= min_obstacle_dist < max_obstacle_dist")
-        lo, hi = self.ttr_window
         if not (0 < lo < hi):
             raise ParameterError("ttr_window must satisfy 0 < lo < hi")
+        if t_lo > t_hi:
+            raise ParameterError("final_time_horizon must satisfy lo <= hi")
 
 
 def sample_missions(
@@ -45,7 +53,6 @@ def sample_missions(
     solver_config: SolverConfig,
     seed: int = 0,
     t_max: float | None = None,
-    rejection_cap: float = 0.999,
 ) -> list[Mission]:
     """Rejection-sample n missions.
 
@@ -65,7 +72,7 @@ def sample_missions(
     g = solver_config.grid
     missions: list[Mission] = []
     attempts = 0
-    max_attempts = max(20, int(math.ceil(n / max(1e-3, 1.0 - rejection_cap))))
+    max_attempts = max(20, int(math.ceil(n / (1.0 - REJECTION_CAP))))
     Xg, Yg = g.meshgrid()
     while len(missions) < n:
         attempts += 1

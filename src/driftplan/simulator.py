@@ -16,12 +16,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .controllers import Controller, ControllerKind, build_controller
+from .controllers import SWITCH_THRESHOLD, Controller, ControllerKind, build_controller
 from .errors import DriftplanError, ExtentError, ParameterError
 from .flowfield import FlowSource
 from .forecast import ErrorModelConfig, ForecastSeries, gen_forecast_series, perfect_series
 from .hjsolver import SolverConfig, TargetSpec
 from .terrain import ObstacleMask
+
+#: default integration step, in seconds, of missions and passive drift
+STEP_DT = 600.0
 
 
 class Outcome(enum.Enum):
@@ -51,7 +54,7 @@ class Mission:
 class SimConfig:
     """Stepping and termination settings for closed-loop runs."""
 
-    step_dt: float = 600.0
+    step_dt: float = STEP_DT
     region: tuple[float, float, float, float] | None = None  # xmin, xmax, ymin, ymax
 
     def __post_init__(self):
@@ -122,7 +125,7 @@ def _state_ttr(ctrl: Controller, x, y, t) -> float:
         return float("nan")
     t = min(max(t, vf.t_start), vf.terminal_time)
     val = vf.value_at(x, y, t)
-    if val > 0 or val >= vf.sentinel_threshold:
+    if val > 0:  # a sentinel value too
         return float("nan")
     return max(vf.terminal_time + val - t, 0.0)
 
@@ -213,7 +216,7 @@ class BatchSpec:
     solver_config: SolverConfig
     obstacles: ObstacleMask
     dmap: object = None
-    switch_threshold: float = 20_000.0
+    switch_threshold: float = SWITCH_THRESHOLD
     error_model: ErrorModelConfig | None = None  # None = perfect forecasts
     cadence: float = 86400.0
     horizon: float = 5 * 86400.0
@@ -275,7 +278,7 @@ class DriftEnd(enum.IntEnum):
 
 
 def drift_particles(truth: FlowSource, obstacles: ObstacleMask, region, x, y, t,
-                    horizon: float, step_dt: float = 600.0):
+                    horizon: float, step_dt: float = STEP_DT):
     """Drift passive particles from (x, y) at times t for ``horizon`` seconds.
 
     All live particles advance together, one RK4 step of ``integrate_step``'s
@@ -336,7 +339,7 @@ def stranding_study(
     horizon: float,
     seed: int = 0,
     t_range: tuple[float, float] = (0.0, 0.0),
-    step_dt: float = 600.0,
+    step_dt: float = STEP_DT,
 ):
     """Monte-Carlo drift study: n passive trajectories from uniform starts.
 

@@ -18,7 +18,7 @@ from scipy import ndimage
 
 from driftplan.errors import AlreadyStrandedError, ExtentError, HorizonError
 from driftplan.flowfield import FlowSource
-from driftplan.hjsolver import _one_sided_diffs
+from driftplan.hjsolver import SENTINEL, SENTINEL_THRESHOLD, _one_sided_diffs
 from driftplan.simulator import DriftEnd, integrate_step
 
 
@@ -238,12 +238,12 @@ def slice_value_at(vf, x, y, t):
     weights = np.array(
         [(1 - wx) * (1 - wy), wx * (1 - wy), (1 - wx) * wy, wx * wy]
     )
-    ok = corners < vf.sentinel_threshold
+    ok = corners < SENTINEL_THRESHOLD
     if not ok.any():
-        return vf.sentinel
+        return SENTINEL
     wsum = weights[ok].sum()
     if wsum <= 0:
-        return vf.sentinel if not ok[int(np.argmax(weights))] else float(
+        return SENTINEL if not ok[int(np.argmax(weights))] else float(
             corners[int(np.argmax(weights))]
         )
     return float((corners[ok] * weights[ok]).sum() / wsum)
@@ -329,7 +329,7 @@ def is_sentinel_at(vf, x, y, t):
     g = vf.grid
     i = int(np.clip(round((x - g.x0) / g.dx), 0, g.nx - 1))
     j = int(np.clip(round((y - g.y0) / g.dy), 0, g.ny - 1))
-    return bool(vf.values[k, j, i] >= vf.sentinel_threshold)
+    return bool(vf.values[k, j, i] >= SENTINEL_THRESHOLD)
 
 
 def grad_at(vf, x, y, t):
@@ -352,7 +352,7 @@ def grad_at(vf, x, y, t):
         if tw == 0.0:
             continue
         J = vf.values[k]
-        valid = J < vf.sentinel_threshold
+        valid = J < SENTINEL_THRESHOLD
         gx = roll_masked_central_diff(J, valid, g.dx, axis=1)
         gy = roll_masked_central_diff(J, valid, g.dy, axis=0)
         cj = (j0, j0, j0 + 1, j0 + 1)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -307,7 +308,10 @@ def test_stats_command_recomputes_report(config, tmp_path, capsys):
 
 def test_empty_manifest_batch_reports_null_rates(config, capsys):
     assert main(["sample-missions", "--config", config["path"], "--n", "0"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out.strip()) == {"n": 0, "violations": 0}
     out = config["tmp"] / "out"
+    validation = json.loads((out / "missions_validation.json").read_text())
+    assert validation == {"n": 0, "violations": []}
     rc = main(["batch", "--config", config["path"],
                "--missions", str(out / "missions.jsonl")])
     assert rc == EXIT_OK
@@ -386,6 +390,55 @@ def test_batch_with_unknown_controller_is_config_error(config, tmp_path, capsys,
         p.write_text(json.dumps(dict(config["raw"], controllers=["mtr", "bogus"])))
         argv += ["--config", str(p)]
     assert "bogus" in _config_error(capsys, argv)
+
+
+_ERROR_MODEL = {"target_rmse": 0.1, "spatial_correlation_length": 2500.0,
+                "temporal_correlation": 40000.0, "n_modes": 8,
+                "cadence": 45000.0, "horizon": 90000.0}
+
+
+@pytest.mark.parametrize("command, change", [
+    (["solve"], lambda c: c["solve"].pop("target_radius")),
+    (["solve"], lambda c: c["solve"].update(target_radius=0)),
+    (["stranding-study", "--n", "10", "--horizon", "600"],
+     lambda c: c.update(study_t_range=[0.0])),
+    (["gen-forecasts"], lambda c: c.update(forecast=_ERROR_MODEL, forecast_span=[0.0])),
+    (["batch", "--missions", "EMPTY"], lambda c: c.update(baseline="no_such_kind")),
+    (["solve"], lambda c: c["solver"].update(alpha=1.0)),
+    (["solve"], lambda c: c["forecast"].update(cadense=45000.0)),
+    (["batch", "--missions", "EMPTY"], lambda c: c.update(controllers=[])),
+    (["sample-missions", "--n", "2"],
+     lambda c: c["missions"].update(final_time_horizon=[80000.0])),
+    (["solve"], lambda c: c["scenario"].update(flow=["highway"])),
+], ids=["solve-without-radius", "zero-radius", "short-study-range", "short-forecast-span",
+        "unknown-baseline", "solver-alpha", "unknown-forecast-key", "no-controllers",
+        "short-final-time-window", "flow-not-an-object"])
+def test_bad_config_section_is_config_error(config, tmp_path, capsys, command, change):
+    """Every section that any command reads is parsed, and checked, before
+    the command runs: a missing key, a bad value, an unknown key or kind."""
+    raw = json.loads(json.dumps(config["raw"]))
+    change(raw)
+    p = tmp_path / "bad_section.json"
+    p.write_text(json.dumps(raw))
+    manifest = tmp_path / "empty.jsonl"
+    manifest.write_text("")
+    argv = [str(manifest) if a == "EMPTY" else a for a in command]
+    _config_error(capsys, [argv[0], "--config", str(p), *argv[1:]])
+
+
+def test_seed_flag_reaches_the_forecast_error_model(config, tmp_path, capsys):
+    p = tmp_path / "fc.json"
+    p.write_text(json.dumps(dict(config["raw"], forecast=_ERROR_MODEL)))
+
+    def files(*flags):
+        out = tmp_path / "-".join(("out",) + flags)
+        assert main(["gen-forecasts", "--config", str(p), "--out", str(out), *flags]) == EXIT_OK
+        entries = read_series_manifest(out / "forecasts.json")
+        return [pathlib.Path(path).read_bytes() for _, _, path in entries]
+
+    config_seed = str(config["raw"]["seed"])
+    assert files("--seed", "1") != files("--seed", "2")
+    assert files("--seed", config_seed) == files()
 
 
 def test_batch_with_missing_missions_file_is_config_error(config, tmp_path, capsys):

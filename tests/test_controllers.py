@@ -18,7 +18,7 @@ from driftplan.controllers import (
 )
 from driftplan.errors import ConfigError
 from driftplan.flowfield import SpaceTimeGrid, make_highway, make_uniform
-from driftplan.hjsolver import SolverConfig, TargetSpec, solve_mtr
+from driftplan.hjsolver import SENTINEL, SENTINEL_THRESHOLD, SolverConfig, TargetSpec, solve_mtr
 from driftplan.terrain import ObstacleMask, SpatialGrid, distance_map
 
 U_MAX = 0.1
@@ -145,9 +145,9 @@ def test_replan_respects_obstacle_awareness(highway_setup):
     blind.replan(s["truth"], 0.0, s["grid"].t_max)
     blind_given_mask.replan(s["truth"], 0.0, s["grid"].t_max)
     wall = s["om"].mask
-    assert np.all(aware.vf.values[0][wall] == s["cfg"].sentinel)
+    assert np.all(aware.vf.values[0][wall] == SENTINEL)
     for ctrl in (blind, blind_given_mask):
-        assert not np.any(ctrl.vf.values[0][wall] >= ctrl.vf.sentinel_threshold)
+        assert not np.any(ctrl.vf.values[0][wall] >= SENTINEL_THRESHOLD)
     np.testing.assert_array_equal(blind_given_mask.vf.values, blind.vf.values)
 
 

@@ -28,7 +28,10 @@ from driftplan.flowfield import (
 )
 from driftplan.forecast import ErrorModelConfig, FourierPerturbedFlow, gen_forecast_series
 from driftplan.hjsolver import (
+    ALPHA,
     MIN_DT,
+    SENTINEL,
+    SENTINEL_THRESHOLD,
     SolverConfig,
     TargetSpec,
     ValueFunction,
@@ -99,7 +102,7 @@ def test_obstacle_cells_carry_sentinel_at_every_slice():
     cfg = SolverConfig(grid=g, u_max=U_MAX)
     vf = solve_mtr(make_uniform(0.0, 0.0), _mask(g, ob), TargetSpec((2000.0, 2000.0), 300.0),
                    cfg, 0.0, g.t_max)
-    assert np.all(vf.values[:, ob] == cfg.sentinel)
+    assert np.all(vf.values[:, ob] == SENTINEL)
 
 
 def test_all_obstacle_grid_is_sentinel_everywhere(recwarn):
@@ -109,7 +112,7 @@ def test_all_obstacle_grid_is_sentinel_everywhere(recwarn):
     cfg = SolverConfig(grid=g, u_max=U_MAX)
     vf = solve_mtr(make_uniform(0.05, 0.0), _mask(g, np.ones((7, 9), dtype=bool)),
                    TargetSpec((800.0, 600.0), 300.0), cfg, 0.0, g.t_max)
-    assert np.all(vf.values == cfg.sentinel)
+    assert np.all(vf.values == SENTINEL)
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
@@ -127,7 +130,7 @@ def test_inevitably_pushed_band_cells_are_sentinel():
     in_band = (Y >= 4000.0) & (Y <= 6000.0) & ~wall
     # mid-band escape needs 1000 m / 0.1 m/s = 10^4 s, during which the
     # band sweeps the vehicle 14 km east: every mid-band cell is lost
-    sent = J0 >= vf.sentinel_threshold
+    sent = J0 >= SENTINEL_THRESHOLD
     assert sent[25, 40]  # (x, y) = (8000, 5000)
     assert sent[25, 2]   # even far upstream, mid-band is lost
     # near the band edge the escape is short: 200 m costs 2000 s and
@@ -147,7 +150,7 @@ def test_d_max_never_decreases_values():
                    0.0, g.t_max)
     v1 = solve_mtr(truth, _mask(g, ob), tgt,
                    SolverConfig(grid=g, u_max=U_MAX, d_max=0.04), 0.0, g.t_max)
-    fin = (v0.values < v0.sentinel_threshold) & (v1.values < v1.sentinel_threshold)
+    fin = (v0.values < SENTINEL_THRESHOLD) & (v1.values < SENTINEL_THRESHOLD)
     assert np.all(v1.values[fin] >= v0.values[fin] - 1e-6)
 
 
@@ -162,7 +165,7 @@ def test_values_monotone_in_time_without_adverse_flow():
 
 
 def test_values_bounded_below_by_target_rate():
-    # J can never drop faster than alpha per second of remaining horizon
+    # J can never drop faster than ALPHA per second of remaining horizon
     g = _grid()
     truth = make_highway(4000.0, 6000.0, (0.4, 0.0))
     X, _ = g.meshgrid()
@@ -170,9 +173,9 @@ def test_values_bounded_below_by_target_rate():
     vf = solve_mtr(truth, _mask(g, X >= 8600.0), TargetSpec((2000.0, 2000.0), 300.0),
                    cfg, 0.0, g.t_max)
     for k, t in enumerate(vf.grid.ts):
-        bound = -cfg.alpha * (vf.terminal_time - t)
+        bound = -ALPHA * (vf.terminal_time - t)
         J = vf.values[k]
-        fin = J < vf.sentinel_threshold
+        fin = J < SENTINEL_THRESHOLD
         assert np.all(J[fin] >= bound - 1e-6)
 
 
@@ -188,7 +191,7 @@ def test_greedy_descent_never_enters_obstacle():
     tgt = TargetSpec((2000.0, 2000.0), 300.0)
     cfg = SolverConfig(grid=g, u_max=U_MAX)
     vf = solve_mtr(truth, om, tgt, cfg, 0.0, g.t_max)
-    sent0 = vf.values[0] >= vf.sentinel_threshold
+    sent0 = vf.values[0] >= SENTINEL_THRESHOLD
     starts = [(1000.0, 5000.0), (3000.0, 4300.0), (6000.0, 1000.0), (400.0, 4800.0)]
     for x, y in starts:
         j, i = om.grid.nearest_cell(x, y)

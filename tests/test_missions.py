@@ -59,6 +59,15 @@ def test_constraints_validation():
         _constraints(ttr_window=(0.0, 100.0))
     with pytest.raises(ParameterError):
         _constraints(ttr_window=(200.0, 100.0))
+    with pytest.raises(ParameterError):
+        _constraints(final_time_horizon=(60000.0, 40000.0))
+    with pytest.raises(ValueError):
+        _constraints(final_time_horizon=[40000.0])
+
+
+def test_constraint_windows_from_json_lists_are_tuples():
+    c = _constraints(ttr_window=[10000.0, 40000.0], final_time_horizon=[40000.0, 40000.0])
+    assert c.ttr_window == (10000.0, 40000.0) and c.final_time_horizon == (40000.0, 40000.0)
 
 
 def test_sampled_missions_satisfy_all_constraints(setup):
@@ -111,7 +120,7 @@ def test_infeasible_constraints_raise(setup):
     c = _constraints(min_obstacle_dist=8000.0, max_obstacle_dist=8001.0)
     with pytest.raises(InfeasibleConstraintsError):
         sample_missions(REGION, s["truth"], s["om"], s["dmap"], 5, c,
-                        s["cfg"], seed=0, rejection_cap=0.95)
+                        s["cfg"], seed=0)
 
 
 def test_validate_missions_flags_violations(setup):
@@ -134,7 +143,7 @@ def test_obstacle_free_map_rejects_every_target(setup):
     dmap = distance_map(_no_obstacles(SpatialGrid(0, 0, 200.0, 200.0, 11, 11)))
     with pytest.raises(InfeasibleConstraintsError):
         sample_missions(REGION, s["truth"], _no_obstacles(s["om"].grid), dmap, 1,
-                        _constraints(), s["cfg"], seed=0, rejection_cap=0.95)
+                        _constraints(), s["cfg"], seed=0)
 
 
 def test_validate_missions_flags_targets_on_obstacle_free_map(setup):
