@@ -37,7 +37,7 @@ from .missions import (
     write_missions,
 )
 from .simulator import BatchSpec, SimConfig, run_batch, stranding_study, tally_outcomes
-from .stats import OutcomeTally, rates, z_prop_test
+from .stats import rates, z_prop_test
 from .terrain import (
     DEFAULT_THRESHOLD_M,
     ElevationGrid,
@@ -58,7 +58,6 @@ class Experiment:
     """Fully constructed experiment objects, parsed from a config JSON."""
 
     truth: object
-    region: tuple
     batch: BatchSpec  # solver, terrain and forecasts of every controller; kind = controllers[0]
     sim_config: SimConfig
     constraints: SamplingConstraints | None
@@ -94,10 +93,7 @@ def build_flow(spec: dict):
         return make_double_gyre(spec["amplitude"], spec["omega"],
                                 spec["epsilon"], spec["scale"])
     if kind == "file":
-        path = spec["path"]
-        if not os.path.exists(path):
-            raise ConfigError(f"flow file not found: {path}")
-        return read_flow_file(path)
+        return read_flow_file(spec["path"])
     raise ConfigError(f"unknown flow kind {kind!r}")
 
 
@@ -105,10 +101,7 @@ def build_terrain(spec: dict):
     """Returns (obstacle_mask, distance_map)."""
     kind = spec.get("kind")
     if kind == "file":
-        path = spec["path"]
-        if not os.path.exists(path):
-            raise ConfigError(f"elevation file not found: {path}")
-        elev = read_elevation_file(path)
+        elev = read_elevation_file(spec["path"])
     elif kind == "synthetic":
         grid = SpatialGrid(**spec["grid"])
         e = np.full((grid.ny, grid.nx), float(spec.get("base_elevation", -4000.0)))
@@ -138,13 +131,8 @@ def load_experiment(path: str, seed_override=None, out_override=None) -> Experim
         scenario = raw["scenario"]
         truth = build_flow(scenario["flow"])
         obstacles, dmap = build_terrain(scenario["terrain"])
-        region = tuple(scenario["region"])
         sv = dict(raw["solver"])
         solver_config = SolverConfig(grid=SpaceTimeGrid(**sv.pop("grid")), **sv)
-        sm = dict(raw.get("sim", {}))
-        integrator = sm.pop("integrator", "rk4")
-        if integrator != "rk4":
-            raise ConfigError(f"unsupported integrator {integrator!r}; only 'rk4'")
         fc = dict(raw.get("forecast", {}))
         timing = {k: fc.pop(k) for k in ("cadence", "horizon") if k in fc}
         # checked here, as perfect forecasts (target_rmse 0) build no ErrorModelConfig
@@ -166,28 +154,35 @@ def load_experiment(path: str, seed_override=None, out_override=None) -> Experim
         if "solve" in raw:
             so = raw["solve"]
             cx, cy = so["target_center"]
-            solve = (TargetSpec(center=(cx, cy), radius=so["target_radius"]),
-                     so["t_start"], so["terminal_time"])
+            t_start, t_end = so["t_start"], so["terminal_time"]
+            if not t_start < t_end:
+                raise ConfigError(f"solve: t_start {t_start} must precede terminal_time {t_end}")
+            solve = (TargetSpec(center=(cx, cy), radius=so["target_radius"]), t_start, t_end)
         g = solver_config.grid
-        study_lo, study_hi = raw.get("study_t_range", (0.0, 0.0))
-        span_lo, span_hi = raw.get("forecast_span", (g.t0, g.t_max))
+        study_t_range = tuple(raw.get("study_t_range", (0.0, 0.0)))
+        forecast_span = tuple(raw.get("forecast_span", (g.t0, g.t_max)))
+        # an equal pair is one start time, or one release
+        for name, (lo, hi) in (("study_t_range", study_t_range), ("forecast_span", forecast_span)):
+            if not lo <= hi:
+                raise ConfigError(f"{name} must satisfy lo <= hi, not [{lo}, {hi}]")
         return Experiment(
-            truth=truth, region=region,
+            truth=truth,
             batch=BatchSpec(kind=controllers[0], solver_config=solver_config,
                             obstacles=obstacles, dmap=dmap, error_model=error_model,
                             switch_threshold=raw.get("switch_threshold", SWITCH_THRESHOLD),
                             **timing),
-            sim_config=SimConfig(**sm, region=region),
+            sim_config=SimConfig(**raw.get("sim", {}), region=tuple(scenario["region"])),
             constraints=constraints, mission_t_max=mission_t_max,
             controllers=controllers, baseline=baseline, solve=solve,
-            study_t_range=(study_lo, study_hi), forecast_span=(span_lo, span_hi),
+            study_t_range=study_t_range, forecast_span=forecast_span,
             seed=seed, out_dir=out_override or raw.get("out", "out"),
         )
-    except (AttributeError, KeyError, TypeError, ValueError, DriftplanError) as exc:
-        # a section of the wrong JSON type, a bad parameter or flow file is a bad config too
+    except (AttributeError, KeyError, TypeError, ValueError, OSError, DriftplanError) as exc:
+        # a section of the wrong JSON type, a bad parameter, or a flow or
+        # terrain file that cannot be read is a bad config too
         if isinstance(exc, ConfigError):
             raise
-        raise ConfigError(f"invalid config {path}: {exc!r}") from exc
+        raise ConfigError(f"invalid config {path}: {type(exc).__name__}: {exc}") from exc
 
 
 def _dump_json(obj, path):
@@ -204,14 +199,14 @@ def cmd_solve(exp: Experiment, args) -> int:
                    t_start, t_end)
     os.makedirs(exp.out_dir, exist_ok=True)
     at = args.at if args.at is not None else t_start
-    ttr_map = safe_ttr(vf, at)
-    write_pgm(os.path.join(exp.out_dir, "ttr.pgm"), ttr_map.ttr)
-    write_csv_grid(os.path.join(exp.out_dir, "ttr.csv"), ttr_map.ttr)
-    finite = np.isfinite(ttr_map.ttr)
+    ttr = safe_ttr(vf, at)
+    write_pgm(os.path.join(exp.out_dir, "ttr.pgm"), ttr)
+    write_csv_grid(os.path.join(exp.out_dir, "ttr.csv"), ttr)
+    finite = np.isfinite(ttr)
     summary = {
         "t": at,
-        "ttr_min_s": float(np.nanmin(ttr_map.ttr)) if finite.any() else None,
-        "ttr_max_s": float(np.nanmax(ttr_map.ttr)) if finite.any() else None,
+        "ttr_min_s": float(np.nanmin(ttr)) if finite.any() else None,
+        "ttr_max_s": float(np.nanmax(ttr)) if finite.any() else None,
         "finite_fraction": float(finite.mean()),
     }
     _dump_json(summary, os.path.join(exp.out_dir, "solve_summary.json"))
@@ -219,20 +214,11 @@ def cmd_solve(exp: Experiment, args) -> int:
     return EXIT_OK
 
 
-_RATE_NAMES = ("stranding_rate", "success_rate", "timeout_rate", "left_rate")
-
-
 def _stats_report(tallies: dict, baseline: str) -> dict:
     report = {"baseline": baseline, "controllers": {}, "tests": {}}
     for name, t in tallies.items():
-        tally = OutcomeTally(
-            n_total=t["n_total"], n_success=t["n_success"],
-            n_stranded=t["n_stranded"], n_timeout=t["n_timeout"],
-            n_left_region=t["n_left_region"],
-        )
-        # an empty tally (no missions, or every one aborted) has no rates
-        rate = rates(tally) if tally.n_total else dict.fromkeys(_RATE_NAMES)
-        report["controllers"][name] = {**t, **rate}
+        # an empty tally (no missions, or every one aborted) has None rates
+        report["controllers"][name] = {**t, **rates(t)}
     base = tallies.get(baseline)
     if base:
         for name, t in tallies.items():
@@ -287,7 +273,7 @@ def cmd_batch(exp: Experiment, args) -> int:
 
 def cmd_stranding_study(exp: Experiment, args) -> int:
     res = stranding_study(
-        exp.region, exp.truth, exp.batch.obstacles,
+        exp.sim_config.region, exp.truth, exp.batch.obstacles,
         n=args.n, horizon=args.horizon, seed=exp.seed,
         t_range=exp.study_t_range, step_dt=exp.sim_config.step_dt,
     )
@@ -305,13 +291,14 @@ def cmd_sample_missions(exp: Experiment, args) -> int:
         raise ConfigError("config lacks a 'missions' section")
     os.makedirs(exp.out_dir, exist_ok=True)
     missions = sample_missions(
-        exp.region, exp.truth, exp.batch.obstacles, exp.batch.dmap,
+        exp.sim_config.region, exp.truth, exp.batch.obstacles, exp.batch.dmap,
         n=args.n, constraints=exp.constraints,
         solver_config=exp.batch.solver_config, seed=exp.seed,
         t_max=exp.mission_t_max,
     )
     write_missions(missions, os.path.join(exp.out_dir, "missions.jsonl"))
-    problems = validate_missions(missions, exp.region, exp.batch.dmap, exp.constraints)
+    problems = validate_missions(missions, exp.sim_config.region, exp.batch.dmap,
+                                 exp.constraints)
     _dump_json({"n": len(missions), "violations": problems},
                os.path.join(exp.out_dir, "missions_validation.json"))
     print(json.dumps({"n": len(missions), "violations": len(problems)}))
@@ -419,7 +406,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except DriftplanError as exc:
+    except (DriftplanError, OSError) as exc:
+        # a run that cannot write its outputs fails at run time
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -91,7 +91,6 @@ class Controller:
     """
 
     kind: ControllerKind
-    u_max: float
     solver_config: SolverConfig | None = None
     target: TargetSpec | None = None
     obstacles: ObstacleMask | None = None
@@ -118,7 +117,8 @@ class Controller:
                 return u
         self.last_branch = "plan"
         try:
-            return mtr_policy(self.vf, x, y, min(t, self.vf.terminal_time), self.u_max)
+            return mtr_policy(self.vf, x, y, min(t, self.vf.terminal_time),
+                              self.solver_config.u_max)
         except AlreadyStrandedError:
             # The current plan marks this state as lost; steer away from
             # obstacles if a distance map is held, otherwise drift.
@@ -128,13 +128,14 @@ class Controller:
     def _ascent(self, x: float, y: float) -> ControlInput | None:
         """Safety ascent on the held distance map; None without one or on a
         degenerate gradient."""
-        return None if self.dmap is None else safety_ascent_policy(self.dmap, x, y, self.u_max)
+        if self.dmap is None:
+            return None
+        return safety_ascent_policy(self.dmap, x, y, self.solver_config.u_max)
 
 
 def build_controller(
     kind: ControllerKind | str,
     *,
-    u_max: float,
     solver_config: SolverConfig | None = None,
     target: TargetSpec | None = None,
     obstacles: ObstacleMask | None = None,
@@ -145,7 +146,7 @@ def build_controller(
     if isinstance(kind, str):
         kind = ControllerKind(kind)
     if kind is ControllerKind.FLOATING:
-        return Controller(kind=kind, u_max=u_max, dmap=dmap)
+        return Controller(kind=kind, dmap=dmap)
     if solver_config is None or target is None:
         raise ConfigError(f"{kind.value} requires a solver config and target")
     if kind in _OBSTACLE_AWARE and obstacles is None:
@@ -156,7 +157,6 @@ def build_controller(
         solver_config = replace(solver_config, d_max=SMALL_DISTURBANCE)
     return Controller(
         kind=kind,
-        u_max=u_max,
         solver_config=solver_config,
         target=target,
         obstacles=obstacles if kind in _OBSTACLE_AWARE else None,

@@ -207,6 +207,8 @@ class DoubleGyreFlow(FlowSource):
 
         def sample(t):
             ta, = self._check_extent(t, axes="t", clamp_time=clamp_time)
+            if ta.ndim:  # a time per point, as sample_many allows
+                return self._pointwise(x, y, t, clamp_time)
             # an array, not a scalar, so np.sin takes the pointwise path's loop
             return self._uv(X, cos_y, sin_y, np.full(X.shape, ta))
 

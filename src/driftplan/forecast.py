@@ -71,12 +71,7 @@ class FourierPerturbedFlow(FlowSource):
         )
 
     def sample_many(self, x, y, t, clamp_time=False):
-        xa, ya, ta = self._check_extent(x, y, t, clamp_time=clamp_time)
-        xa, ya = np.broadcast_arrays(xa, ya)
-        u, v = self.truth.sample_many(xa, ya, ta, clamp_time=True)
-        if self.amplitude == 0.0:
-            return u, v
-        return u + self._error(0, xa, ya), v + self._error(1, xa, ya)
+        return self.sampler(x, y, clamp_time)(t)
 
     def sampler(self, x, y, clamp_time=False):
         # bind the truth's sampler once; the error is frozen within a

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import AlreadyStrandedError, HorizonError, ParameterError
 from .flowfield import FlowSource, SpaceTimeGrid
 from .gridio import euclidean_distance
-from .terrain import ObstacleMask, SpatialGrid
+from .terrain import ObstacleMask
 
 #: rate, per second, at which the reach value falls inside the target
 ALPHA = 1.0
@@ -31,6 +31,8 @@ SENTINEL = 1e10
 SENTINEL_THRESHOLD = 0.5 * SENTINEL
 #: smallest substep a solve may take before it gives up on the grid
 MIN_DT = 1e-9
+#: Courant number: the largest product of a substep and the CFL rate
+CFL = 0.5
 
 
 @dataclass(frozen=True)
@@ -40,13 +42,10 @@ class SolverConfig:
     grid: SpaceTimeGrid
     u_max: float
     d_max: float = 0.0
-    cfl: float = 0.5
 
     def __post_init__(self):
         if self.u_max < 0 or self.d_max < 0:
             raise ParameterError("speed bounds must be non-negative")
-        if not (0.0 < self.cfl <= 1.0):
-            raise ParameterError("cfl must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -72,16 +71,15 @@ class ValueFunction:
     floats, so they cost the same on any grid size.
     """
 
-    grid: SpaceTimeGrid  # t axis spans [t_start, T]
+    grid: SpaceTimeGrid  # t axis spans [t0, terminal_time]
     values: np.ndarray = field(repr=False)  # (nt, ny, nx) float64
-    t_start: float = 0.0
     terminal_time: float = 0.0
 
     def _time_bracket(self, t: float):
         g = self.grid
-        if t < self.t_start - 1e-6 or t > self.terminal_time + 1e-6:
+        if t < g.t0 - 1e-6 or t > self.terminal_time + 1e-6:
             raise HorizonError(
-                f"t={t} outside solve horizon [{self.t_start}, {self.terminal_time}]"
+                f"t={t} outside solve horizon [{g.t0}, {self.terminal_time}]"
             )
         ft = min(max((t - g.t0) / g.dt_snap, 0.0), g.nt - 1.0)
         k0 = min(int(ft), g.nt - 2) if g.nt > 1 else 0
@@ -179,18 +177,6 @@ def _blend(weights, values):
         wsum += s
         acc += v * s
     return None if wsum <= 0 else acc / wsum
-
-
-@dataclass(frozen=True)
-class SafeTTRMap:
-    """Time-to-reach the target, defined where the value function is <= 0."""
-
-    grid: SpatialGrid
-    ttr: np.ndarray = field(repr=False)  # (ny, nx), nan where undefined
-
-    def value_at(self, x: float, y: float) -> float:
-        """Nearest-node TTR; nan where undefined."""
-        return self.ttr.item(self.grid.nearest_cell(x, y))
 
 
 def _axis_pair(ndim, axis):
@@ -317,7 +303,7 @@ def solve_mtr(
         if rate <= 0:
             m = 1
         else:
-            m = max(1, int(math.ceil(dt_eff * rate / config.cfl)))
+            m = max(1, int(math.ceil(dt_eff * rate / CFL)))
         dt = dt_eff / m
         if dt < MIN_DT:
             raise ParameterError(
@@ -344,14 +330,13 @@ def solve_mtr(
                 J[S[1] > 0] = SENTINEL
         values[k] = S[0]
 
-    return ValueFunction(grid=out_grid, values=values, t_start=t_start,
-                         terminal_time=terminal_time)
+    return ValueFunction(grid=out_grid, values=values, terminal_time=terminal_time)
 
 
-def safe_ttr(vf: ValueFunction, t: float) -> SafeTTRMap:
-    """Safe time-to-reach map: terminal_time + J - t where J <= 0."""
+def safe_ttr(vf: ValueFunction, t: float) -> np.ndarray:
+    """Safe time-to-reach map on vf.grid's (ny, nx) nodes: terminal_time + J - t
+    where J <= 0, nan elsewhere."""
     sl = vf.slice_at(t)
     ttr = vf.terminal_time + sl - t
     ttr[sl > 0] = np.nan
-    ttr = np.maximum(ttr, 0.0)
-    return SafeTTRMap(grid=vf.grid, ttr=ttr)
+    return np.maximum(ttr, 0.0)

@@ -91,7 +91,7 @@ def sample_missions(
         t_T = rng.uniform(*c.final_time_horizon)
         target = TargetSpec(center=(cx, cy), radius=c.target_radius)
         vf = solve_mtr(truth, None, target, solver_config, t_T - hi, t_T)
-        ttr = safe_ttr(vf, t_T - hi).ttr
+        ttr = safe_ttr(vf, t_T - hi)
         ok = (
             np.isfinite(ttr)
             & (ttr >= lo)

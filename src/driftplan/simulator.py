@@ -123,7 +123,7 @@ def _state_ttr(ctrl: Controller, x, y, t) -> float:
     vf = ctrl.vf
     if vf is None:
         return float("nan")
-    t = min(max(t, vf.t_start), vf.terminal_time)
+    t = min(max(t, vf.grid.t0), vf.terminal_time)
     val = vf.value_at(x, y, t)
     if val > 0:  # a sentinel value too
         return float("nan")
@@ -231,10 +231,9 @@ def _run_one(args):
     (index, mission, truth, spec, cfg, master_seed) = args
     t1 = mission.t0 + mission.t_max
     try:
-        ctrl = build_controller(spec.kind, u_max=spec.solver_config.u_max,
-                                solver_config=spec.solver_config, target=mission.target,
-                                obstacles=spec.obstacles, dmap=spec.dmap,
-                                switch_threshold=spec.switch_threshold)
+        ctrl = build_controller(spec.kind, solver_config=spec.solver_config,
+                                target=mission.target, obstacles=spec.obstacles,
+                                dmap=spec.dmap, switch_threshold=spec.switch_threshold)
         if spec.error_model is None:
             series = perfect_series(truth, mission.t0, t1, spec.cadence, spec.horizon)
         else:

@@ -12,37 +12,21 @@ from .errors import DegenerateInputError, ParameterError
 
 
 @dataclass(frozen=True)
-class OutcomeTally:
-    n_total: int
-    n_success: int
-    n_stranded: int
-    n_timeout: int
-    n_left_region: int
-
-    def __post_init__(self):
-        parts = self.n_success + self.n_stranded + self.n_timeout + self.n_left_region
-        if parts != self.n_total:
-            raise ParameterError(
-                f"outcome counts sum to {parts}, expected n_total={self.n_total}"
-            )
-
-
-@dataclass(frozen=True)
 class TestResult:
     z: float
     p: float
 
 
-def rates(t: OutcomeTally) -> dict:
-    if t.n_total < 1:
-        raise DegenerateInputError("rates undefined for an empty tally")
-    n = t.n_total
-    return {
-        "stranding_rate": t.n_stranded / n,
-        "success_rate": t.n_success / n,
-        "timeout_rate": t.n_timeout / n,
-        "left_rate": t.n_left_region / n,
-    }
+def rates(tally: dict) -> dict:
+    """Outcome rates of a dict of ``n_total`` and its four outcome counts
+    (other keys are ignored); each rate is None when the tally is empty."""
+    n = tally["n_total"]
+    counts = {"stranding_rate": tally["n_stranded"], "success_rate": tally["n_success"],
+              "timeout_rate": tally["n_timeout"], "left_rate": tally["n_left_region"]}
+    parts = sum(counts.values())
+    if parts != n:
+        raise ParameterError(f"outcome counts sum to {parts}, expected n_total={n}")
+    return {name: k / n if n else None for name, k in counts.items()}
 
 
 def normal_sf(z: float) -> float:

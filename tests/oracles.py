@@ -311,9 +311,9 @@ def time_bracket(vf, t):
     """Reference ``ValueFunction._time_bracket``: the snapshots around t and
     the weight of the later one."""
     g = vf.grid
-    if t < vf.t_start - 1e-6 or t > vf.terminal_time + 1e-6:
+    if t < g.t0 - 1e-6 or t > vf.terminal_time + 1e-6:
         raise HorizonError(
-            f"t={t} outside solve horizon [{vf.t_start}, {vf.terminal_time}]"
+            f"t={t} outside solve horizon [{g.t0}, {vf.terminal_time}]"
         )
     ft = np.clip((t - g.t0) / g.dt_snap, 0.0, g.nt - 1.0)
     k0 = min(int(ft), g.nt - 2) if g.nt > 1 else 0
@@ -515,6 +515,18 @@ def gyre_sample_many(flow, x, y, t, clamp_time=False):
     u = -math.pi * flow.amplitude * np.sin(math.pi * f) * np.cos(math.pi * Y)
     v = math.pi * flow.amplitude * np.cos(math.pi * f) * np.sin(math.pi * Y) * dfdx
     return u, v
+
+
+def fourier_sample_many(flow, x, y, t, clamp_time=False):
+    """Reference ``FourierPerturbedFlow.sample_many`` before it sampled
+    through ``sampler``: the truth's ``sample_many`` at the checked points,
+    plus the error evaluated at every call."""
+    xa, ya, ta = flow._check_extent(x, y, t, clamp_time=clamp_time)
+    xa, ya = np.broadcast_arrays(xa, ya)
+    u, v = flow.truth.sample_many(xa, ya, ta, clamp_time=True)
+    if flow.amplitude == 0.0:
+        return u, v
+    return u + flow._error(0, xa, ya), v + flow._error(1, xa, ya)
 
 
 def gyre_unique_sampler(flow, x, y, clamp_time=False):

@@ -79,7 +79,7 @@ def test_criterion_2_eikonal_convergence():
         cfg = SolverConfig(grid=g, u_max=U_MAX)
         vf = solve_mtr(make_uniform(0.0, 0.0), None,
                        TargetSpec((0.0, 0.0), 500.0), cfg, 0.0, g.t_max)
-        ttr = safe_ttr(vf, 0.0).ttr
+        ttr = safe_ttr(vf, 0.0)
         X, Y = g.meshgrid()
         r = np.hypot(X, Y)
         true = np.maximum(r - 500.0, 0.0) / U_MAX
@@ -110,7 +110,7 @@ def _dp_compare(flow, obst, grid, tgt_center, tgt_radius):
     ob = obst if obst is not None else np.zeros((grid.ny, grid.nx), bool)
     V = dp_backward_ttr(flow, grid, ob, tmask, U_MAX)
     t = grid.ts[0]
-    ttr_pde = safe_ttr(vf, t).ttr
+    ttr_pde = safe_ttr(vf, t)
     ttr_dp = dp_ttr_map(V[0], t, grid.t_max)
     sent_agree = np.mean((vf.values[0] >= 0.5 * SENT) == (V[0] >= 0.5 * SENT))
     both = np.isfinite(ttr_pde) & np.isfinite(ttr_dp)
@@ -175,15 +175,15 @@ def test_criterion_4_closed_loop_safety_on_truth():
     tm = safe_ttr(vf, 0.0)
     sent0 = vf.values[0] >= 0.5 * SENT
     near_sent = ndimage.binary_dilation(sent0, iterations=2)
-    feasible = (np.isfinite(tm.ttr) & ~near_sent & ~wall
-                & (tm.ttr > 0) & (tm.ttr < 0.7 * T))
+    feasible = (np.isfinite(tm) & ~near_sent & ~wall
+                & (tm > 0) & (tm < 0.7 * T))
 
     rng = np.random.default_rng(7)
     cand = np.argwhere(feasible)
     sel = cand[rng.choice(len(cand), size=200, replace=False)]
     missions = [
         Mission(x0=float(X[j, i]), y0=float(Y[j, i]), t0=0.0, target=target,
-                t_max=float(max(1.5 * tm.ttr[j, i], 20000.0)))
+                t_max=float(max(1.5 * tm[j, i], 20000.0)))
         for j, i in sel
     ]
     sim = SimConfig(step_dt=300.0, region=(0.0, 10000.0, 0.0, 10000.0))
@@ -305,10 +305,10 @@ def test_criterion_6_safe_ttr_identity():
             tm = safe_ttr(vf, t)
             reach = sl <= 0
             expect = np.maximum(vf.terminal_time + sl[reach] - t, 0.0)
-            err = np.abs(tm.ttr[reach] - expect)
+            err = np.abs(tm[reach] - expect)
             if err.size:
                 worst = max(worst, float(err.max()))
-            if np.any(~np.isnan(tm.ttr[~reach])):
+            if np.any(~np.isnan(tm[~reach])):
                 worst = np.inf
     ok = worst == 0.0
     _report("criterion-6 ttr-identity", ok,

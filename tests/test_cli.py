@@ -217,7 +217,7 @@ def test_gen_forecasts_files_equal_per_snapshot_sampling(config, tmp_path, monke
     """Each release's files, sampled through one sampler per release, have
     the bytes of files sampled by sample_many at every snapshot on the
     closed form at every point, as gen-forecasts sampled them before."""
-    from oracles import gyre_sample_many
+    from oracles import fourier_sample_many, gyre_sample_many
 
     from driftplan.flowfield import DoubleGyreFlow, FlowSource
     from driftplan.forecast import FourierPerturbedFlow
@@ -235,11 +235,13 @@ def test_gen_forecasts_files_equal_per_snapshot_sampling(config, tmp_path, monke
     def digests(out):
         assert main(["gen-forecasts", "--config", str(p), "--out", str(out)]) == EXIT_OK
         entries = read_series_manifest(out / "forecasts.json")
-        return [hashlib.sha256(open(path, "rb").read()).hexdigest() for _, _, path in entries]
+        return [hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
+                for _, _, path in entries]
 
     new = digests(tmp_path / "new")
     with monkeypatch.context() as m:
         m.setattr(FourierPerturbedFlow, "sampler", FlowSource.sampler)
+        m.setattr(FourierPerturbedFlow, "sample_many", fourier_sample_many)
         m.setattr(DoubleGyreFlow, "sampler", FlowSource.sampler)
         m.setattr(DoubleGyreFlow, "sample_many", gyre_sample_many)
         old = digests(tmp_path / "old")
@@ -344,14 +346,6 @@ def test_stats_command_with_an_empty_tally(config, tmp_path, capsys):
     assert report["tests"]["mtr"] == {"z": None, "p": None}
 
 
-def test_non_rk4_integrator_is_config_error(config, tmp_path, capsys):
-    raw = dict(config["raw"], sim={"step_dt": 600.0, "integrator": "euler"})
-    p = tmp_path / "c5.json"
-    p.write_text(json.dumps(raw))
-    assert main(["solve", "--config", str(p)]) == EXIT_CONFIG
-    assert "integrator" in capsys.readouterr().err
-
-
 def _config_error(capsys, argv):
     """Run the CLI on bad input: exit code 2 and a one-line config error,
     never a traceback."""
@@ -359,13 +353,6 @@ def _config_error(capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "Traceback" not in err
     return err
-
-
-def test_invalid_solver_parameter_is_config_error(config, tmp_path, capsys):
-    raw = dict(config["raw"], solver=dict(config["raw"]["solver"], cfl=2.0))
-    p = tmp_path / "c6.json"
-    p.write_text(json.dumps(raw))
-    assert "cfl" in _config_error(capsys, ["solve", "--config", str(p)])
 
 
 def test_flow_file_with_bad_magic_is_config_error(config, tmp_path, capsys):
@@ -410,12 +397,25 @@ _ERROR_MODEL = {"target_rmse": 0.1, "spatial_correlation_length": 2500.0,
     (["sample-missions", "--n", "2"],
      lambda c: c["missions"].update(final_time_horizon=[80000.0])),
     (["solve"], lambda c: c["scenario"].update(flow=["highway"])),
+    (["solve"], lambda c: c["sim"].update(integrator="euler")),
+    (["solve"], lambda c: c["solver"].update(cfl=2.0)),
+    (["solve"], lambda c: c["solve"].update(t_start=90000.0, terminal_time=0.0)),
+    (["stranding-study", "--n", "10", "--horizon", "600"],
+     lambda c: c.update(study_t_range=[5000.0, 0.0])),
+    (["gen-forecasts"], lambda c: c.update(forecast=_ERROR_MODEL, forecast_span=[60000.0, 0.0])),
+    # "." is a directory wherever the tests run
+    (["solve"], lambda c: c["scenario"].update(flow={"kind": "file", "path": "."})),
+    (["solve"], lambda c: c["scenario"].update(terrain={"kind": "file", "path": "."})),
+    (["solve"], lambda c: c["scenario"].update(flow={"kind": "file", "path": "no_such.ofg1"})),
 ], ids=["solve-without-radius", "zero-radius", "short-study-range", "short-forecast-span",
         "unknown-baseline", "solver-alpha", "unknown-forecast-key", "no-controllers",
-        "short-final-time-window", "flow-not-an-object"])
+        "short-final-time-window", "flow-not-an-object", "sim-integrator", "solver-cfl",
+        "reversed-solve-window", "reversed-study-range", "reversed-forecast-span",
+        "flow-path-is-a-directory", "terrain-path-is-a-directory", "missing-flow-file"])
 def test_bad_config_section_is_config_error(config, tmp_path, capsys, command, change):
     """Every section that any command reads is parsed, and checked, before
-    the command runs: a missing key, a bad value, an unknown key or kind."""
+    the command runs: a missing key, a bad value, an unknown key or kind, a
+    reversed time window, or a flow or terrain file that cannot be read."""
     raw = json.loads(json.dumps(config["raw"]))
     change(raw)
     p = tmp_path / "bad_section.json"
@@ -424,6 +424,18 @@ def test_bad_config_section_is_config_error(config, tmp_path, capsys, command, c
     manifest.write_text("")
     argv = [str(manifest) if a == "EMPTY" else a for a in command]
     _config_error(capsys, [argv[0], "--config", str(p), *argv[1:]])
+
+
+@pytest.mark.parametrize("command", [["solve"],
+                                     ["stranding-study", "--n", "10", "--horizon", "600"]],
+                         ids=["solve", "stranding-study"])
+def test_out_naming_an_existing_file_is_runtime_error(config, tmp_path, capsys, command):
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert main([command[0], "--config", config["path"], "--out", str(out),
+                 *command[1:]]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_seed_flag_reaches_the_forecast_error_model(config, tmp_path, capsys):

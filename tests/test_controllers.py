@@ -100,7 +100,7 @@ def test_safety_ascent_degenerate_gradient_returns_none():
 def test_switching_branch_below_threshold(highway_setup):
     s = highway_setup
     ctrl = build_controller(
-        ControllerKind.SWITCH_MTR, u_max=U_MAX, solver_config=s["cfg"],
+        ControllerKind.SWITCH_MTR, solver_config=s["cfg"],
         target=s["tgt"], obstacles=s["om"], dmap=s["dmap"],
         switch_threshold=1000.0,
     )
@@ -115,7 +115,7 @@ def test_switching_branch_below_threshold(highway_setup):
 def test_doomed_cell_falls_back_to_ascent(highway_setup):
     s = highway_setup
     ctrl = build_controller(
-        ControllerKind.MTR, u_max=U_MAX, solver_config=s["cfg"],
+        ControllerKind.MTR, solver_config=s["cfg"],
         target=s["tgt"], obstacles=s["om"], dmap=s["dmap"],
     )
     ctrl.vf = s["vf"]
@@ -128,16 +128,16 @@ def test_doomed_cell_falls_back_to_ascent(highway_setup):
 def test_replan_respects_obstacle_awareness(highway_setup):
     s = highway_setup
     aware = build_controller(
-        ControllerKind.MTR, u_max=U_MAX, solver_config=s["cfg"],
+        ControllerKind.MTR, solver_config=s["cfg"],
         target=s["tgt"], obstacles=s["om"], dmap=s["dmap"],
     )
     blind = build_controller(
-        ControllerKind.MTR_NO_OBS, u_max=U_MAX, solver_config=s["cfg"],
+        ControllerKind.MTR_NO_OBS, solver_config=s["cfg"],
         target=s["tgt"],
     )
     # a blind kind handed the mask still plans without it
     blind_given_mask = build_controller(
-        ControllerKind.MTR_NO_OBS, u_max=U_MAX, solver_config=s["cfg"],
+        ControllerKind.MTR_NO_OBS, solver_config=s["cfg"],
         target=s["tgt"], obstacles=s["om"],
     )
     assert blind_given_mask.obstacles is None
@@ -154,7 +154,7 @@ def test_replan_respects_obstacle_awareness(highway_setup):
 def test_smalldist_variant_uses_margin(highway_setup):
     s = highway_setup
     ctrl = build_controller(
-        ControllerKind.SMALLDIST_MTR, u_max=U_MAX, solver_config=s["cfg"],
+        ControllerKind.SMALLDIST_MTR, solver_config=s["cfg"],
         target=s["tgt"], obstacles=s["om"], dmap=s["dmap"],
     )
     assert ctrl.solver_config.d_max == SMALL_DISTURBANCE == 0.05
@@ -169,20 +169,18 @@ def test_smalldist_variant_uses_margin(highway_setup):
 def test_build_controller_validation(highway_setup):
     s = highway_setup
     with pytest.raises(ConfigError):
-        build_controller(ControllerKind.MTR, u_max=U_MAX)
+        build_controller(ControllerKind.MTR)
     with pytest.raises(ConfigError):
-        build_controller(ControllerKind.MTR, u_max=U_MAX,
-                         solver_config=s["cfg"], target=s["tgt"])
+        build_controller(ControllerKind.MTR, solver_config=s["cfg"], target=s["tgt"])
     with pytest.raises(ConfigError):
-        build_controller(ControllerKind.SWITCH_MTR, u_max=U_MAX,
-                         solver_config=s["cfg"], target=s["tgt"],
+        build_controller(ControllerKind.SWITCH_MTR, solver_config=s["cfg"], target=s["tgt"],
                          obstacles=s["om"])
     with pytest.raises(ValueError):
-        build_controller("no_such_kind", u_max=U_MAX)
+        build_controller("no_such_kind")
 
 
 def test_build_controller_accepts_kind_strings():
-    c = build_controller("floating", u_max=U_MAX)
+    c = build_controller("floating")
     assert c.kind is ControllerKind.FLOATING
     assert c.control(0.0, 0.0, 0.0).magnitude == 0.0
     assert c.last_branch == "float"

@@ -7,7 +7,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import WindowedFlow, gyre_sample_many, gyre_unique_sampler, padded_extent
+from oracles import (
+    WindowedFlow,
+    fourier_sample_many,
+    gyre_sample_many,
+    gyre_unique_sampler,
+    padded_extent,
+)
 
 from driftplan.errors import ExtentError, FormatError, HorizonError, ParameterError
 from driftplan.flowfield import (
@@ -20,6 +26,7 @@ from driftplan.flowfield import (
 from driftplan.forecast import (
     ErrorModelConfig,
     ForecastSeries,
+    FourierPerturbedFlow,
     gen_forecast_series,
     perfect_series,
     read_series_manifest,
@@ -257,6 +264,27 @@ def test_sampler_matches_sample_many_bitwise(name, seed, shape, ts):
     sample = flow.sampler(x, y)
     for t in ts:
         _assert_bitwise(sample(t), flow.sample_many(x, y, t))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    name=st.sampled_from(sorted(k for k, f in SAMPLER_FLOWS.items()
+                                if isinstance(f, FourierPerturbedFlow))),
+    seed=st.integers(0, 2**31 - 1),
+    shape=st.sampled_from([(), (1,), (7,), (5, 9), (11, 11)] + MESHES),
+    ts=st.lists(st.floats(0.0, 50000.0), min_size=1, max_size=4),
+    clamp=st.booleans(),
+)
+def test_release_sample_many_matches_replaced_path_bitwise(name, seed, shape, ts, clamp):
+    """A release's sample_many, which samples through its sampler, equals the
+    path it replaced, which added the error at every call, byte for byte, at
+    one time for all points and at a time per point."""
+    flow = SAMPLER_FLOWS[name]
+    x, y = _points(seed, shape)
+    per_point = np.random.default_rng(seed).uniform(0.0, 50000.0, np.shape(x))
+    for t in [*ts, per_point]:
+        _assert_bitwise(flow.sample_many(x, y, t, clamp_time=clamp),
+                        fourier_sample_many(flow, x, y, t, clamp))
 
 
 @settings(max_examples=150, deadline=None)

@@ -29,6 +29,7 @@ from driftplan.flowfield import (
 from driftplan.forecast import ErrorModelConfig, FourierPerturbedFlow, gen_forecast_series
 from driftplan.hjsolver import (
     ALPHA,
+    CFL,
     MIN_DT,
     SENTINEL,
     SENTINEL_THRESHOLD,
@@ -62,12 +63,12 @@ def test_zero_current_matches_distance_over_speed():
     cfg = SolverConfig(grid=g, u_max=U_MAX)
     vf = solve_mtr(make_uniform(0.0, 0.0), None, TargetSpec((0.0, 0.0), 500.0),
                    cfg, 0.0, g.t_max)
-    tm = safe_ttr(vf, 0.0)
+    ttr = safe_ttr(vf, 0.0)
     X, Y = g.meshgrid()
     r = np.hypot(X, Y)
     true = np.maximum(r - 500.0, 0.0) / U_MAX
-    m = (r >= 1000.0) & np.isfinite(tm.ttr)
-    rel = np.abs(tm.ttr[m] - true[m]) / true[m]
+    m = (r >= 1000.0) & np.isfinite(ttr)
+    rel = np.abs(ttr[m] - true[m]) / true[m]
     assert rel.max() < 0.09  # first-order error at 100 m resolution
 
 
@@ -77,7 +78,7 @@ def test_uniform_current_downstream_transit():
     cfg = SolverConfig(grid=g, u_max=U_MAX)
     vf = solve_mtr(make_uniform(0.1, 0.0), None, TargetSpec((1000.0, 0.0), 1.0),
                    cfg, 0.0, g.t_max)
-    d = safe_ttr(vf, 0.0).value_at(0.0, 0.0)
+    d = safe_ttr(vf, 0.0)[vf.grid.nearest_cell(0.0, 0.0)]
     assert d == pytest.approx(1000.0 / (0.1 + U_MAX), rel=0.02)
 
 
@@ -88,11 +89,11 @@ def test_safe_ttr_identity_machine_precision():
                    cfg, 0.0, g.t_max)
     for t in (0.0, g.t_max / 3, g.t_max):
         sl = vf.slice_at(t)
-        tm = safe_ttr(vf, t)
+        ttr = safe_ttr(vf, t)
         reach = sl <= 0
         expect = np.maximum(vf.terminal_time + sl[reach] - t, 0.0)
-        np.testing.assert_array_equal(tm.ttr[reach], expect)
-        assert np.all(np.isnan(tm.ttr[~reach]))
+        np.testing.assert_array_equal(ttr[reach], expect)
+        assert np.all(np.isnan(ttr[~reach]))
 
 
 def test_obstacle_cells_carry_sentinel_at_every_slice():
@@ -426,7 +427,7 @@ def test_unsteady_solve_evaluates_forecast_error_once_per_component(monkeypatch)
 
     ts = vf.grid.ts
     substeps = [
-        max(1, math.ceil(vf.grid.dt_snap * max(rate(lo), rate(hi)) / cfg.cfl))
+        max(1, math.ceil(vf.grid.dt_snap * max(rate(lo), rate(hi)) / CFL))
         for lo, hi in zip(ts[:-1], ts[1:])
     ]
     assert len(times) == len(ts) + sum(substeps)
@@ -443,7 +444,7 @@ def _random_value_function(rng, ny, nx, nt, p_sentinel):
                       t0=1000.0, dt_snap=700.0, nt=nt)
     values = rng.standard_normal((nt, ny, nx)) * 10.0 ** rng.integers(-2, 6)
     values[rng.random((nt, ny, nx)) < p_sentinel] = 1e10
-    return ValueFunction(grid=g, values=values, t_start=g.t0, terminal_time=g.t_max)
+    return ValueFunction(grid=g, values=values, terminal_time=g.t_max)
 
 
 @settings(max_examples=200, deadline=None)
@@ -514,7 +515,7 @@ def test_point_queries_on_negative_zeros_match_references():
                       t0=0.0, dt_snap=50.0, nt=2)
     values = np.full((2, 3, 3), -0.0)
     values[:, 2, 2] = 1e10
-    vf = ValueFunction(grid=g, values=values, t_start=0.0, terminal_time=50.0)
+    vf = ValueFunction(grid=g, values=values, terminal_time=50.0)
     for x, y, t in [(30.0, 40.0, 0.0), (150.0, 120.0, 20.0), (100.0, 200.0, 50.0)]:
         got, want = vf.value_at(x, y, t), slice_value_at(vf, x, y, t)
         assert struct.pack("<d", got) == struct.pack("<d", want) == struct.pack("<d", 0.0)
@@ -532,7 +533,7 @@ def test_point_queries_allocate_no_slice():
     values = np.zeros((2, n, n))
     values[:, 1000, 1001] = 1e10  # a sentinel corner beside the query
     values[1, 999, 1000] = 3.0
-    vf = ValueFunction(grid=g, values=values, t_start=0.0, terminal_time=100.0)
+    vf = ValueFunction(grid=g, values=values, terminal_time=100.0)
     tracemalloc.start()
     try:
         for query in (vf.grad_at, vf.value_at, vf.is_sentinel_at) * 2:

@@ -99,7 +99,7 @@ def test_start_time_matches_certified_arrival(setup):
     for m in missions:
         vf = solve_mtr(s["truth"], None, m.target, s["cfg"], m.t0, m.t0 + hi)
         # the TTR window must have been honored at the start cell
-        ttr = safe_ttr(vf, m.t0).ttr
+        ttr = safe_ttr(vf, m.t0)
         j, i = s["om"].grid.nearest_cell(m.x0, m.y0)
         assert np.isfinite(ttr[j, i])
         assert ttr[j, i] <= hi + 1e-6

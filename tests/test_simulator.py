@@ -82,7 +82,7 @@ def _mission(x0=1000.0, y0=5000.0, t_max=90000.0):
 
 def _ctrl(g, om, kind=ControllerKind.MTR, target=None):
     cfg = SolverConfig(grid=g, u_max=U_MAX)
-    return build_controller(kind, u_max=U_MAX, solver_config=cfg,
+    return build_controller(kind, solver_config=cfg,
                             target=target or TargetSpec((2000.0, 2000.0), 300.0),
                             obstacles=om, dmap=distance_map(om))
 
@@ -115,7 +115,7 @@ def test_mission_start_inside_target_is_immediate_success():
 
 def test_floating_in_band_strands_on_wall():
     g, truth, om = _wall_setup()
-    ctrl = build_controller(ControllerKind.FLOATING, u_max=U_MAX)
+    ctrl = build_controller(ControllerKind.FLOATING)
     m = _mission(x0=2000.0, y0=5000.0)  # in the 0.4 m/s band
     series = perfect_series(truth, 0.0, g.t_max, 30000.0, m.t_max)
     rec = run_mission(m, truth, om, ctrl, series, SimConfig(step_dt=600.0))
@@ -138,7 +138,7 @@ def test_left_region_detection():
     truth = make_uniform(0.0, 0.5)  # strong northward push
     om = ObstacleMask(grid=SpatialGrid(0, 0, 200.0, 200.0, 51, 51),
                       mask=np.zeros((51, 51), dtype=bool))
-    ctrl = build_controller(ControllerKind.FLOATING, u_max=U_MAX)
+    ctrl = build_controller(ControllerKind.FLOATING)
     m = _mission(x0=5000.0, y0=9000.0)
     series = perfect_series(truth, 0.0, g.t_max, 30000.0, m.t_max)
     cfg = SimConfig(step_dt=600.0, region=(0.0, 10000.0, 0.0, 10000.0))
@@ -235,7 +235,8 @@ def test_trajectory_csv_round_trip(tmp_path):
     rec = run_mission(m, truth, om, _ctrl(g, om), series, SimConfig(step_dt=600.0))
     p = tmp_path / "traj.csv"
     rec.write_csv(p)
-    rows = list(csv.reader(p.open()))
+    with p.open(newline="") as fh:
+        rows = list(csv.reader(fh))
     assert rows[0] == ["t_s", "x_m", "y_m", "ux_ms", "uy_ms", "branch", "ttr_s"]
     assert len(rows) == len(rec.times) + 1
     assert float(rows[1][1]) == pytest.approx(rec.xs[0])

@@ -7,7 +7,6 @@ import pytest
 
 from driftplan.errors import DegenerateInputError, ParameterError
 from driftplan.stats import (
-    OutcomeTally,
     normal_sf,
     rates,
     vector_rmse,
@@ -15,23 +14,32 @@ from driftplan.stats import (
 )
 
 
+def _tally(n_total, n_success, n_stranded, n_timeout, n_left_region):
+    return dict(n_total=n_total, n_success=n_success, n_stranded=n_stranded,
+                n_timeout=n_timeout, n_left_region=n_left_region)
+
+
 def test_tally_requires_consistent_counts():
-    OutcomeTally(10, 5, 2, 2, 1)
+    assert rates(_tally(10, 5, 2, 2, 1)) == {
+        "stranding_rate": 0.2, "success_rate": 0.5, "timeout_rate": 0.2, "left_rate": 0.1}
     with pytest.raises(ParameterError):
-        OutcomeTally(10, 5, 2, 2, 2)
+        rates(_tally(10, 5, 2, 2, 2))
+    with pytest.raises(ParameterError):
+        rates(_tally(0, 0, 1, 0, 0))
 
 
 def test_rates_reference_values():
     # 11/1146 and 54/1146 are the fleet stranding rates 0.96% and 4.71%
-    t = OutcomeTally(1146, 1135, 11, 0, 0)
+    t = _tally(1146, 1135, 11, 0, 0)
     assert rates(t)["stranding_rate"] * 100 == pytest.approx(0.96, abs=0.005)
-    t = OutcomeTally(1146, 1092, 54, 0, 0)
+    t = _tally(1146, 1092, 54, 0, 0)
     assert rates(t)["stranding_rate"] * 100 == pytest.approx(4.71, abs=0.005)
 
 
 def test_rates_empty_tally():
-    with pytest.raises(DegenerateInputError):
-        rates(OutcomeTally(0, 0, 0, 0, 0))
+    # no missions, or every one aborted: the counts other than the four are ignored
+    assert rates({**_tally(0, 0, 0, 0, 0), "n_aborted": 3}) == {
+        "stranding_rate": None, "success_rate": None, "timeout_rate": None, "left_rate": None}
 
 
 def test_normal_sf_tail_accuracy():
