@@ -52,6 +52,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
+_TOP_LEVEL_KEYS = ("seed", "out", "scenario", "solver", "sim", "forecast", "forecast_span",
+                   "missions", "controllers", "baseline", "switch_threshold", "solve",
+                   "study_t_range")
+
 
 @dataclass
 class Experiment:
@@ -83,39 +87,37 @@ def _controller_kinds(names) -> list:
     return kinds
 
 
-def build_flow(spec: dict):
-    kind = spec.get("kind")
-    if kind == "uniform":
-        return make_uniform(*spec["velocity"])
-    if kind == "highway":
-        return make_highway(spec["y1"], spec["y2"], spec["band_velocity"])
-    if kind == "double_gyre":
-        return make_double_gyre(spec["amplitude"], spec["omega"],
-                                spec["epsilon"], spec["scale"])
-    if kind == "file":
-        return read_flow_file(spec["path"])
-    raise ConfigError(f"unknown flow kind {kind!r}")
+def _check_keys(section, known, name: str) -> None:
+    """An unknown key in a config section is a config error, not a silent default."""
+    unknown = set(section) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown {name} keys: {', '.join(sorted(unknown))}")
 
 
-def build_terrain(spec: dict):
-    """Returns (obstacle_mask, distance_map)."""
-    kind = spec.get("kind")
-    if kind == "file":
-        elev = read_elevation_file(spec["path"])
-    elif kind == "synthetic":
-        grid = SpatialGrid(**spec["grid"])
-        e = np.full((grid.ny, grid.nx), float(spec.get("base_elevation", -4000.0)))
-        X, Y = grid.meshgrid()
-        for x1, x2, y1, y2, elev_val in spec.get("blocks", []):
-            e[(X >= x1) & (X <= x2) & (Y >= y1) & (Y <= y2)] = elev_val
-        elev = ElevationGrid(grid, e)
-    else:
-        raise ConfigError(f"unknown terrain kind {kind!r}")
-    factor = spec.get("coarsen", 1)
-    if factor > 1:
-        elev = coarsen_max(elev, factor)
-    mask = obstacle_mask(elev, spec.get("threshold", DEFAULT_THRESHOLD_M))
-    return mask, distance_map(mask)
+def _synthetic_elevation(grid, base_elevation=-4000.0, blocks=()) -> ElevationGrid:
+    """Seafloor at base_elevation, raised to e on each [x1, x2, y1, y2, e] block."""
+    grid = SpatialGrid(**grid)
+    e = np.full((grid.ny, grid.nx), float(base_elevation))
+    X, Y = grid.meshgrid()
+    for x1, x2, y1, y2, elev_val in blocks:
+        e[(X >= x1) & (X <= x2) & (Y >= y1) & (Y <= y2)] = elev_val
+    return ElevationGrid(grid, e)
+
+
+#: the builder of each kind, per scenario section; a section's other keys are its arguments
+_BUILDERS = {
+    "flow": {"uniform": lambda velocity: make_uniform(*velocity), "highway": make_highway,
+             "double_gyre": make_double_gyre, "file": read_flow_file},
+    "terrain": {"synthetic": _synthetic_elevation, "file": read_elevation_file},
+}
+
+
+def _build(section: str, spec: dict):
+    params = dict(spec)
+    kind = params.pop("kind", None)
+    if kind not in _BUILDERS[section]:
+        raise ConfigError(f"unknown {section} kind {kind!r}")
+    return _BUILDERS[section][kind](**params)
 
 
 def load_experiment(path: str, seed_override=None, out_override=None) -> Experiment:
@@ -127,18 +129,24 @@ def load_experiment(path: str, seed_override=None, out_override=None) -> Experim
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
+        _check_keys(raw, _TOP_LEVEL_KEYS, "top-level")
         seed = seed_override if seed_override is not None else raw.get("seed", 0)
         scenario = raw["scenario"]
-        truth = build_flow(scenario["flow"])
-        obstacles, dmap = build_terrain(scenario["terrain"])
+        _check_keys(scenario, ("flow", "terrain", "region"), "scenario")
+        truth = _build("flow", scenario["flow"])
+        tr = dict(scenario["terrain"])
+        factor, threshold = tr.pop("coarsen", 1), tr.pop("threshold", DEFAULT_THRESHOLD_M)
+        obstacles = obstacle_mask(coarsen_max(_build("terrain", tr), factor), threshold)
+        dmap = distance_map(obstacles)
+        # the terrain gives the planning grid's space and solver.grid its time
+        # axis, so the obstacle mask lies on the solver's nodes
         sv = dict(raw["solver"])
-        solver_config = SolverConfig(grid=SpaceTimeGrid(**sv.pop("grid")), **sv)
+        grid = SpaceTimeGrid(**vars(obstacles.grid), **sv.pop("grid"))
+        solver_config = SolverConfig(grid=grid, **sv)
         fc = dict(raw.get("forecast", {}))
         timing = {k: fc.pop(k) for k in ("cadence", "horizon") if k in fc}
         # checked here, as perfect forecasts (target_rmse 0) build no ErrorModelConfig
-        unknown = set(fc) - {f.name for f in fields(ErrorModelConfig) if f.name != "seed"}
-        if unknown:
-            raise ConfigError(f"unknown forecast keys: {', '.join(sorted(unknown))}")
+        _check_keys(fc, {f.name for f in fields(ErrorModelConfig)} - {"seed"}, "forecast")
         error_model = None
         if fc.get("target_rmse", 0.0) > 0.0:
             error_model = ErrorModelConfig(**fc, seed=seed)
@@ -153,14 +161,15 @@ def load_experiment(path: str, seed_override=None, out_override=None) -> Experim
         solve = None
         if "solve" in raw:
             so = raw["solve"]
+            _check_keys(so, ("target_center", "target_radius", "t_start", "terminal_time"),
+                        "solve")
             cx, cy = so["target_center"]
             t_start, t_end = so["t_start"], so["terminal_time"]
             if not t_start < t_end:
                 raise ConfigError(f"solve: t_start {t_start} must precede terminal_time {t_end}")
             solve = (TargetSpec(center=(cx, cy), radius=so["target_radius"]), t_start, t_end)
-        g = solver_config.grid
         study_t_range = tuple(raw.get("study_t_range", (0.0, 0.0)))
-        forecast_span = tuple(raw.get("forecast_span", (g.t0, g.t_max)))
+        forecast_span = tuple(raw.get("forecast_span", (grid.t0, grid.t_max)))
         # an equal pair is one start time, or one release
         for name, (lo, hi) in (("study_t_range", study_t_range), ("forecast_span", forecast_span)):
             if not lo <= hi:
@@ -256,7 +265,8 @@ def cmd_batch(exp: Experiment, args) -> int:
         if t["n_aborted"] < t["n_total"]:
             all_failed = False
         per_mission[kind.value] = [
-            {"index": i, "outcome": r.outcome.value, "outcome_time_s": r.outcome_time}
+            {"index": i, "outcome": r.outcome.value, "outcome_time_s": r.outcome_time,
+             "note": r.note}
             for i, r in enumerate(records)
         ]
         ctrl_dir = os.path.join(exp.out_dir, kind.value)
@@ -339,7 +349,7 @@ def cmd_stats(exp: Experiment, args) -> int:
         raise ConfigError(f"cannot read summary {args.summary}: {exc}") from exc
     try:
         report = _stats_report(summary["tallies"], exp.baseline)
-    except (KeyError, TypeError, AttributeError) as exc:
+    except (KeyError, TypeError, AttributeError, ParameterError) as exc:
         raise ConfigError(f"invalid summary {args.summary}: {exc!r}") from exc
     os.makedirs(exp.out_dir, exist_ok=True)
     _dump_json(report, os.path.join(exp.out_dir, "stats_report.json"))

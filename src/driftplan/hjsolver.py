@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import AlreadyStrandedError, HorizonError, ParameterError
 from .flowfield import FlowSource, SpaceTimeGrid
-from .gridio import euclidean_distance
+from .gridio import SpatialGrid, euclidean_distance
 from .terrain import ObstacleMask
 
 #: rate, per second, at which the reach value falls inside the target
@@ -226,6 +226,17 @@ def _target_masks(grid: SpaceTimeGrid, target: TargetSpec):
     return mask, terminal
 
 
+def check_mask_grid(obstacles: ObstacleMask, grid: SpatialGrid) -> None:
+    """Raise ParameterError unless the mask lies on the grid's nodes, with its
+    origin, spacing and node counts: only then is the unsafe set a hard
+    constraint of the solve."""
+    mask_nodes, grid_nodes = ([getattr(g, k) for k in ("x0", "y0", "dx", "dy", "nx", "ny")]
+                              for g in (obstacles.grid, grid))
+    if mask_nodes != grid_nodes:
+        raise ParameterError(f"the obstacle mask's grid (x0, y0, dx, dy, nx, ny) {mask_nodes} "
+                             f"is not the solver grid's {grid_nodes}")
+
+
 def solve_mtr(
     flow: FlowSource,
     obstacles: ObstacleMask | None,
@@ -253,9 +264,9 @@ def solve_mtr(
     n_snap = max(2, int(math.ceil(span / g.dt_snap - 1e-9)) + 1)
     dt_eff = span / (n_snap - 1)
     out_grid = replace(g, t0=t_start, dt_snap=dt_eff, nt=n_snap)
+    if obstacles is not None:
+        check_mask_grid(obstacles, g)
     obst = obstacles.mask if obstacles is not None else np.zeros((g.ny, g.nx), dtype=bool)
-    if obst.shape != (g.ny, g.nx):
-        raise ParameterError("obstacle mask shape does not match the solver grid")
     tgt_mask, terminal_dist = _target_masks(out_grid, target)
 
     u_eff = max(config.u_max - config.d_max, 0.0)

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import InfeasibleConstraintsError, ParameterError
 from .flowfield import FlowSource
-from .hjsolver import SolverConfig, TargetSpec, safe_ttr, solve_mtr
+from .hjsolver import SolverConfig, TargetSpec, check_mask_grid, safe_ttr, solve_mtr
 from .simulator import Mission
 from .terrain import DistanceMap, ObstacleMask
 
@@ -70,6 +70,7 @@ def sample_missions(
     if t_max is None:
         t_max = hi * (10.0 / 9.0)  # default slack mirrors a 9-day TTR / 240 h cap
     g = solver_config.grid
+    check_mask_grid(obstacles, g)
     missions: list[Mission] = []
     attempts = 0
     max_attempts = max(20, int(math.ceil(n / (1.0 - REJECTION_CAP))))

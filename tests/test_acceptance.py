@@ -374,9 +374,7 @@ def test_criterion_8_batch_determinism(tmp_path):
             "region": [0.0, 10000.0, 0.0, 10000.0],
         },
         "solver": {
-            "grid": {"x0": 0, "y0": 0, "dx": 200.0, "dy": 200.0,
-                     "nx": 51, "ny": 51, "t0": 0.0, "dt_snap": 3000.0,
-                     "nt": 31},
+            "grid": {"t0": 0.0, "dt_snap": 3000.0, "nt": 31},
             "u_max": U_MAX,
         },
         "forecast": {"target_rmse": 0.05,

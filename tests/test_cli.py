@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import pathlib
+import struct
 import subprocess
 import sys
 
@@ -14,6 +15,9 @@ from driftplan.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from driftplan.errors import HorizonError
 from driftplan.flowfield import GriddedFlow, SpaceTimeGrid, read_flow_file, write_flow_file
 from driftplan.forecast import load_forecast_series, read_series_manifest
+from driftplan.hjsolver import TargetSpec
+from driftplan.missions import write_missions
+from driftplan.simulator import Mission
 
 
 @pytest.fixture()
@@ -35,9 +39,7 @@ def config(tmp_path):
             "region": [0.0, 10000.0, 0.0, 10000.0],
         },
         "solver": {
-            "grid": {"x0": 0, "y0": 0, "dx": 200.0, "dy": 200.0,
-                     "nx": 51, "ny": 51, "t0": 0.0, "dt_snap": 3000.0,
-                     "nt": 31},
+            "grid": {"t0": 0.0, "dt_snap": 3000.0, "nt": 31},
             "u_max": 0.1,
         },
         "sim": {"step_dt": 600.0},
@@ -184,11 +186,11 @@ def test_gen_forecasts_writes_series(config, tmp_path, capsys):
     out = config["tmp"] / "out"
     manifest = json.loads((out / "forecasts.json").read_text())
     assert [r["t_s"] for r in manifest["releases"]] == [0.0, 45000.0, 90000.0]
-    solver = raw["solver"]["grid"]
+    terrain = raw["scenario"]["terrain"]["grid"]
     for release in manifest["releases"]:
         g = read_flow_file(release["path"]).grid
         assert (g.x0, g.y0, g.dx, g.dy, g.nx, g.ny) == tuple(
-            solver[k] for k in ("x0", "y0", "dx", "dy", "nx", "ny"))
+            terrain[k] for k in ("x0", "y0", "dx", "dy", "nx", "ny"))
         assert g.t0 == release["t_s"]
     printed = json.loads(capsys.readouterr().out.strip())
     assert printed == {"releases": 3}
@@ -285,6 +287,44 @@ def test_gen_forecasts_window_cut_at_truth_end_loads_back(config, tmp_path, caps
     # the second window is cut at the truth's end, 15 ks short of the horizon
     assert [(rt, f.t_min, f.t_max) for rt, f in series.releases] == [
         (0.0, 0.0, 60000.0), (45000.0, 45000.0, 90000.0)]
+
+
+def test_batch_summary_carries_each_missions_note(config, tmp_path, capsys):
+    # the second mission's deadline lies past the gridded truth's end, so its
+    # forecast series cannot be built and it aborts alone
+    p = _gridded_truth_config(config, tmp_path, {"cadence": 45000.0, "horizon": 45000.0})
+    target = TargetSpec((5000.0, 5000.0), 300.0)
+    manifest = tmp_path / "missions.jsonl"
+    write_missions([Mission(1000.0, 5000.0, 0.0, target, 30000.0),
+                    Mission(1000.0, 5000.0, 0.0, target, 120000.0)], str(manifest))
+    assert main(["batch", "--config", p, "--missions", str(manifest),
+                 "--controllers", "floating"]) == EXIT_OK
+    summary = json.loads((config["tmp"] / "out" / "batch_summary.json").read_text())
+    first, second = summary["missions"]["floating"]
+    assert first["outcome"] != "aborted" and first["note"] == ""
+    assert second["outcome"] == "aborted"
+    assert second["note"].startswith("setup failed: ")
+
+
+def test_elevation_file_terrain_sets_the_coarsened_planning_grid(config, tmp_path, capsys):
+    """An ELG1 terrain at 100 m, coarsened by 2, is the fixture's 51^2 terrain
+    at 200 m, and solve runs on that grid with no spatial key in solver.grid."""
+    assert main(["solve", "--config", config["path"]]) == EXIT_OK
+    synthetic = json.loads(capsys.readouterr().out.strip())
+    xs = 100.0 * np.arange(101)
+    elevation = np.where(xs >= 8600.0, 0.0, -4000.0) * np.ones((101, 1))
+    path = tmp_path / "terrain.elg1"
+    path.write_bytes(struct.pack("<4sII4d", b"ELG1", 101, 101, 0.0, 100.0, 0.0, 100.0)
+                     + elevation.astype("<f4").tobytes())
+    raw = dict(config["raw"], out=str(tmp_path / "elg1"))
+    raw["scenario"] = dict(raw["scenario"],
+                           terrain={"kind": "file", "path": str(path), "coarsen": 2})
+    p = tmp_path / "elg1.json"
+    p.write_text(json.dumps(raw))
+    assert main(["solve", "--config", str(p)]) == EXIT_OK
+    ttr = np.loadtxt(tmp_path / "elg1" / "ttr.csv", delimiter=",")
+    assert ttr.shape == (51, 51)
+    assert json.loads(capsys.readouterr().out.strip()) == synthetic
 
 
 def test_stats_command_recomputes_report(config, tmp_path, capsys):
@@ -407,11 +447,23 @@ _ERROR_MODEL = {"target_rmse": 0.1, "spatial_correlation_length": 2500.0,
     (["solve"], lambda c: c["scenario"].update(flow={"kind": "file", "path": "."})),
     (["solve"], lambda c: c["scenario"].update(terrain={"kind": "file", "path": "."})),
     (["solve"], lambda c: c["scenario"].update(flow={"kind": "file", "path": "no_such.ofg1"})),
+    # the terrain gives the planning grid's space; solver.grid gives only its time axis
+    (["solve"], lambda c: c["solver"]["grid"].update(dx=200.0)),
+    (["solve"], lambda c: c["scenario"]["flow"].update(band_velocty=[0.4, 0.0])),
+    (["solve"], lambda c: c["scenario"]["terrain"].update(treshold=-100.0)),
+    (["solve"], lambda c: c["scenario"]["terrain"].update(coarsen=0)),
+    (["solve"], lambda c: c["scenario"].update(regoin=[0.0, 10000.0, 0.0, 10000.0])),
+    (["solve"], lambda c: c["solve"].update(target_raduis=300.0)),
+    (["batch", "--missions", "EMPTY"], lambda c: c.update(controlers=["switch_mtr"])),
+    (["batch", "--missions", "EMPTY"], lambda c: c.update(switch_treshold=5000.0)),
 ], ids=["solve-without-radius", "zero-radius", "short-study-range", "short-forecast-span",
         "unknown-baseline", "solver-alpha", "unknown-forecast-key", "no-controllers",
         "short-final-time-window", "flow-not-an-object", "sim-integrator", "solver-cfl",
         "reversed-solve-window", "reversed-study-range", "reversed-forecast-span",
-        "flow-path-is-a-directory", "terrain-path-is-a-directory", "missing-flow-file"])
+        "flow-path-is-a-directory", "terrain-path-is-a-directory", "missing-flow-file",
+        "solver-grid-spatial-key", "unknown-flow-key", "unknown-terrain-key", "coarsen-zero",
+        "unknown-scenario-key", "unknown-solve-key", "unknown-top-level-key",
+        "misspelt-switch-threshold"])
 def test_bad_config_section_is_config_error(config, tmp_path, capsys, command, change):
     """Every section that any command reads is parsed, and checked, before
     the command runs: a missing key, a bad value, an unknown key or kind, a
@@ -472,9 +524,13 @@ def test_batch_with_bad_missions_line_is_config_error(config, tmp_path, capsys, 
     assert "line 1" in err
 
 
-@pytest.mark.parametrize("summary", [{"seed": 1}, {"tallies": {"mtr": {"n_total": 3}}}])
+@pytest.mark.parametrize("summary", [
+    {"seed": 1}, {"tallies": {"mtr": {"n_total": 3}}},
+    {"tallies": {"mtr": {"n_total": 5, "n_success": 1, "n_stranded": 1, "n_timeout": 0,
+                         "n_left_region": 0}}}])
 def test_stats_with_incomplete_summary_is_config_error(config, tmp_path, capsys, summary):
-    # no tallies at all, and a tally without its counts
+    # no tallies at all, a tally without its counts, and counts that do not
+    # sum to n_total
     path = tmp_path / "summary.json"
     path.write_text(json.dumps(summary))
     err = _config_error(capsys, ["stats", "--config", config["path"], "--summary", str(path)])

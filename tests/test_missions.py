@@ -70,6 +70,21 @@ def test_constraint_windows_from_json_lists_are_tuples():
     assert c.ttr_window == (10000.0, 40000.0) and c.final_time_horizon == (40000.0, 40000.0)
 
 
+@pytest.mark.parametrize("mask_grid", [SpatialGrid(100.0, 0, 200.0, 200.0, 51, 51),
+                                       SpatialGrid(0, 0, 250.0, 250.0, 41, 41)],
+                         ids=["shifted-half-a-cell", "other-shape"])
+def test_mask_off_the_solver_nodes_is_refused(setup, mask_grid):
+    """A mask that does not lie on the solver grid's nodes cannot be the
+    solve's hard constraint, so the solver and the sampler both refuse it."""
+    s = setup
+    X, Y = mask_grid.meshgrid()
+    om = ObstacleMask(mask_grid, (X >= 3000) & (X <= 7000) & (Y >= 4600) & (Y <= 5400))
+    with pytest.raises(ParameterError, match="solver grid"):
+        solve_mtr(s["truth"], om, TargetSpec((2000.0, 2000.0), 300.0), s["cfg"], 0.0, 30000.0)
+    with pytest.raises(ParameterError, match="solver grid"):
+        sample_missions(REGION, s["truth"], om, distance_map(om), 2, _constraints(), s["cfg"])
+
+
 def test_sampled_missions_satisfy_all_constraints(setup):
     s = setup
     c = _constraints()
