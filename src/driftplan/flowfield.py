@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -45,6 +45,13 @@ class SpaceTimeGrid(SpatialGrid):
     @property
     def ts(self) -> np.ndarray:
         return self.t0 + self.dt_snap * np.arange(self.nt)
+
+    def spanning(self, t_start: float, t_end: float) -> SpaceTimeGrid:
+        """This grid's space over [t_start, t_end], in the fewest equal
+        intervals no longer than dt_snap, and at least one."""
+        span = t_end - t_start
+        n = max(1, math.ceil(span / self.dt_snap - 1e-9))
+        return replace(self, t0=t_start, dt_snap=span / n, nt=n + 1)
 
 
 class FlowSource:

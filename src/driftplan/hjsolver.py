@@ -14,7 +14,7 @@ inevitably-lost region.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -260,10 +260,8 @@ def solve_mtr(
         raise HorizonError(
             f"flow extent does not cover the solve domain x [{t_start}, {terminal_time}]"
         )
-    span = terminal_time - t_start
-    n_snap = max(2, int(math.ceil(span / g.dt_snap - 1e-9)) + 1)
-    dt_eff = span / (n_snap - 1)
-    out_grid = replace(g, t0=t_start, dt_snap=dt_eff, nt=n_snap)
+    out_grid = g.spanning(t_start, terminal_time)
+    n_snap, dt_eff = out_grid.nt, out_grid.dt_snap
     if obstacles is not None:
         check_mask_grid(obstacles, g)
     obst = obstacles.mask if obstacles is not None else np.zeros((g.ny, g.nx), dtype=bool)

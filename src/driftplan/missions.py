@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +64,8 @@ def sample_missions(
     TTR window, and the start time is set so the arrival lands at the
     sampled final time.
     """
+    if n < 0:
+        raise ParameterError(f"cannot sample {n} missions")
     rng = np.random.default_rng(seed)
     xmin, xmax, ymin, ymax = region
     c = constraints
@@ -113,34 +116,6 @@ def sample_missions(
     return missions
 
 
-def validate_missions(
-    missions,
-    region,
-    dmap: DistanceMap,
-    constraints: SamplingConstraints,
-) -> list[str]:
-    """Independent post-hoc re-check of the distance constraints.
-
-    Returns a list of violation strings, empty when every mission passes.
-    Feasibility is certified for the obstacle-free solve only, so this
-    validator deliberately does not demand obstacle-aware feasibility.
-    """
-    xmin, xmax, ymin, ymax = region
-    c = constraints
-    problems = []
-    for k, m in enumerate(missions):
-        cx, cy = m.target.center
-        bd = min(cx - xmin, xmax - cx, cy - ymin, ymax - cy)
-        if bd < c.min_boundary_dist:
-            problems.append(f"mission {k}: target too close to boundary ({bd:.1f} m)")
-        d = dmap.value_at(cx, cy)
-        if d < c.min_obstacle_dist:
-            problems.append(f"mission {k}: target too close to obstacles ({d:.1f} m)")
-        if d > c.max_obstacle_dist:
-            problems.append(f"mission {k}: target too far from obstacles ({d:.1f} m)")
-    return problems
-
-
 def write_missions(missions, path) -> None:
     """One JSON object per line; round-trip exact."""
     with open(path, "w") as fh:
@@ -174,8 +149,12 @@ def read_missions(path) -> list[Mission]:
             for key in _REQUIRED:
                 if key not in doc:
                     raise ParameterError(f"line {lineno}: missing field {key!r}")
-                if isinstance(doc[key], bool) or not isinstance(doc[key], (int, float)):
+                value = doc[key]
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
                     raise ParameterError(f"line {lineno}: field {key!r} is not a number")
+                # json reads NaN and Infinity, and integers beyond any float
+                if not abs(value) <= sys.float_info.max:
+                    raise ParameterError(f"line {lineno}: field {key!r} is not finite")
             missions.append(Mission(
                 x0=doc["x0_m"], y0=doc["y0_m"], t0=doc["t0_s"],
                 target=TargetSpec(

@@ -77,6 +77,11 @@ class SimulationRecord:
     outcome_time: float = 0.0
     note: str = ""
 
+    def end(self, outcome: Outcome, time: float, note: str = "") -> SimulationRecord:
+        """Record how and when the mission ended; returns the record."""
+        self.outcome, self.outcome_time, self.note = outcome, time, note
+        return self
+
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
@@ -138,42 +143,27 @@ def run_mission(
     series: ForecastSeries,
     cfg: SimConfig,
 ) -> SimulationRecord:
-    """Execute one mission closed-loop; never raises on solver failure,
-    the record carries an ABORTED outcome instead. A step that samples the
-    truth outside its extent ends the mission as LEFT_REGION. Ending a step
-    on ``obstacles`` strands the vehicle, whatever its controller plans on."""
+    """Execute one mission closed-loop. A release that is missing or cannot be
+    planned on ends it ABORTED, a step that samples the truth outside its extent
+    LEFT_REGION, and ending a step on ``obstacles`` strands the vehicle, whatever
+    its controller plans on."""
     rec = SimulationRecord(mission=mission)
     x, y, t = mission.x0, mission.y0, mission.t0
     deadline = mission.t0 + mission.t_max
-
-    def do_replan(now: float) -> bool:
-        fc = series.current(now)
-        t_end = min(fc.t_max, deadline)
-        if t_end <= now:
-            t_end = deadline
-        try:
-            ctrl.replan(fc, now, t_end)
-            return True
-        except DriftplanError as exc:
-            rec.outcome = Outcome.ABORTED
-            rec.outcome_time = now
-            rec.note = f"replan failed: {exc}"
-            return False
-
     if mission.target.contains(x, y):
-        rec.outcome = Outcome.SUCCESS
-        rec.outcome_time = t
-        return rec
-
-    if not do_replan(t):
-        return rec
-    future_releases = [rt for rt in series.release_times if rt > mission.t0]
+        return rec.end(Outcome.SUCCESS, t)
+    # the first plan is made at the start, and one more on each later release
+    replans = [t] + [rt for rt in series.release_times if rt > t]
 
     while True:
-        while future_releases and future_releases[0] <= t:
-            rt = future_releases.pop(0)
-            if not do_replan(rt):
-                return rec
+        while replans and replans[0] <= t:
+            now = replans.pop(0)
+            try:
+                fc = series.current(now)
+                t_end = min(fc.t_max, deadline)
+                ctrl.replan(fc, now, t_end if t_end > now else deadline)
+            except DriftplanError as exc:
+                return rec.end(Outcome.ABORTED, now, f"replan failed: {exc}")
         u = ctrl.control(x, y, t)
         rec.times.append(t)
         rec.xs.append(x)
@@ -185,27 +175,16 @@ def run_mission(
             x, y = integrate_step((x, y), u.vector, truth, t, cfg.step_dt)
         except ExtentError as exc:
             # an integration stage left the truth's extent
-            rec.outcome = Outcome.LEFT_REGION
-            rec.outcome_time = t + cfg.step_dt
-            rec.note = str(exc)
-            return rec
+            return rec.end(Outcome.LEFT_REGION, t + cfg.step_dt, str(exc))
         t += cfg.step_dt
         if obstacles.contains(x, y):
-            rec.outcome = Outcome.STRANDED
-            rec.outcome_time = t
-            return rec
+            return rec.end(Outcome.STRANDED, t)
         if mission.target.contains(x, y):
-            rec.outcome = Outcome.SUCCESS
-            rec.outcome_time = t
-            return rec
+            return rec.end(Outcome.SUCCESS, t)
         if not _in_region(x, y, cfg.region):
-            rec.outcome = Outcome.LEFT_REGION
-            rec.outcome_time = t
-            return rec
+            return rec.end(Outcome.LEFT_REGION, t)
         if t >= deadline - 1e-9:
-            rec.outcome = Outcome.TIMEOUT
-            rec.outcome_time = deadline
-            return rec
+            return rec.end(Outcome.TIMEOUT, deadline)
 
 
 @dataclass(frozen=True)
@@ -241,9 +220,8 @@ def _run_one(args):
             series = gen_forecast_series(truth, em, spec.cadence, spec.horizon, (mission.t0, t1))
     except DriftplanError as exc:
         # a mission whose controller or forecasts cannot be built aborts alone
-        return index, SimulationRecord(mission=mission, outcome=Outcome.ABORTED,
-                                       outcome_time=mission.t0, note=f"setup failed: {exc}")
-    return index, run_mission(mission, truth, spec.obstacles, ctrl, series, cfg)
+        return SimulationRecord(mission).end(Outcome.ABORTED, mission.t0, f"setup failed: {exc}")
+    return run_mission(mission, truth, spec.obstacles, ctrl, series, cfg)
 
 
 def run_batch(
@@ -260,12 +238,9 @@ def run_batch(
         (i, m, truth, spec, cfg, master_seed) for i, m in enumerate(missions)
     ]
     if workers <= 1:
-        results = [_run_one(j) for j in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_one, jobs))
-    results.sort(key=lambda r: r[0])
-    return [rec for _, rec in results]
+        return [_run_one(j) for j in jobs]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_run_one, jobs))
 
 
 class DriftEnd(enum.IntEnum):
@@ -349,6 +324,8 @@ def stranding_study(
     """
     if n < 1:
         raise ParameterError("need at least one sample")
+    if not horizon > 0:
+        raise ParameterError(f"drift horizon must be positive, not {horizon}")
     rng = np.random.default_rng(seed)
     xmin, xmax, ymin, ymax = region
     xs, ys, ts = np.empty(n), np.empty(n), np.empty(n)

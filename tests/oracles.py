@@ -14,7 +14,6 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from driftplan.errors import AlreadyStrandedError, ExtentError, HorizonError
 from driftplan.flowfield import FlowSource
@@ -159,13 +158,18 @@ def bfs_hops(mask):
 
 def scipy_euclidean_distance(marked, dy, dx):
     """scipy's Euclidean distance transform, to the nearest marked cell,
-    which ``gridio.euclidean_distance`` replaces."""
+    which ``gridio.euclidean_distance`` replaces. scipy is imported here, so
+    the other oracles serve where it is not installed."""
+    from scipy import ndimage
+
     return ndimage.distance_transform_edt(~marked, sampling=(dy, dx))
 
 
 def scipy_taxicab_distance(marked):
     """scipy's 4-connected chamfer transform, to the nearest marked cell,
     which ``gridio.taxicab_distance`` replaces."""
+    from scipy import ndimage
+
     return ndimage.distance_transform_cdt(~marked, metric="taxicab")
 
 

@@ -11,11 +11,11 @@ import sys
 import numpy as np
 import pytest
 
-from driftplan.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
+from driftplan.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, load_experiment, main
 from driftplan.errors import HorizonError
 from driftplan.flowfield import GriddedFlow, SpaceTimeGrid, read_flow_file, write_flow_file
 from driftplan.forecast import load_forecast_series, read_series_manifest
-from driftplan.hjsolver import TargetSpec
+from driftplan.hjsolver import TargetSpec, solve_mtr
 from driftplan.missions import write_missions
 from driftplan.simulator import Mission
 
@@ -122,8 +122,6 @@ def test_sample_missions_and_batch_pipeline(config, capsys):
     out = config["tmp"] / "out"
     manifest = out / "missions.jsonl"
     assert len(manifest.read_text().splitlines()) == 6
-    validation = json.loads((out / "missions_validation.json").read_text())
-    assert validation == {"n": 6, "violations": []}
     capsys.readouterr()
 
     rc = main(["batch", "--config", config["path"],
@@ -194,6 +192,26 @@ def test_gen_forecasts_writes_series(config, tmp_path, capsys):
         assert g.t0 == release["t_s"]
     printed = json.loads(capsys.readouterr().out.strip())
     assert printed == {"releases": 3}
+
+
+def test_gen_forecasts_files_have_the_solvers_snapshots(config, tmp_path, capsys):
+    """A 40 ks window at dt_snap 3 ks is 14 intervals of 2857.1 s, no longer
+    than dt_snap, as a solve over that window plans on: 15 snapshots."""
+    raw = dict(config["raw"], forecast=dict(_ERROR_MODEL, cadence=30000.0, horizon=40000.0))
+    p = tmp_path / "c5.json"
+    p.write_text(json.dumps(raw))
+    assert main(["gen-forecasts", "--config", str(p)]) == EXIT_OK
+    solver_config = load_experiment(str(p)).batch.solver_config
+    target = TargetSpec((2000.0, 2000.0), 300.0)
+    entries = read_series_manifest(config["tmp"] / "out" / "forecasts.json")
+    assert len(entries) == 4
+    for rt, t_end, path in entries:
+        flow = read_flow_file(path)
+        g = flow.grid
+        assert (g.nt, g.t0, g.t_max) == (15, rt, t_end)
+        assert g.dt_snap == pytest.approx(40000.0 / 14)
+        vf = solve_mtr(flow, None, target, solver_config, rt, t_end)
+        assert g == vf.grid
 
 
 def test_gen_forecasts_series_loads_back(config, tmp_path, capsys):
@@ -350,10 +368,8 @@ def test_stats_command_recomputes_report(config, tmp_path, capsys):
 
 def test_empty_manifest_batch_reports_null_rates(config, capsys):
     assert main(["sample-missions", "--config", config["path"], "--n", "0"]) == EXIT_OK
-    assert json.loads(capsys.readouterr().out.strip()) == {"n": 0, "violations": 0}
+    assert json.loads(capsys.readouterr().out.strip()) == {"n": 0}
     out = config["tmp"] / "out"
-    validation = json.loads((out / "missions_validation.json").read_text())
-    assert validation == {"n": 0, "violations": []}
     rc = main(["batch", "--config", config["path"],
                "--missions", str(out / "missions.jsonl")])
     assert rc == EXIT_OK
@@ -456,6 +472,11 @@ _ERROR_MODEL = {"target_rmse": 0.1, "spatial_correlation_length": 2500.0,
     (["solve"], lambda c: c["solve"].update(target_raduis=300.0)),
     (["batch", "--missions", "EMPTY"], lambda c: c.update(controlers=["switch_mtr"])),
     (["batch", "--missions", "EMPTY"], lambda c: c.update(switch_treshold=5000.0)),
+    # the numbers given as flags are checked as well
+    (["stranding-study", "--n", "0", "--horizon", "600"], lambda c: None),
+    (["stranding-study", "--n", "10", "--horizon", "-600"], lambda c: None),
+    (["sample-missions", "--n", "-3"], lambda c: None),
+    (["solve", "--at", "1e6"], lambda c: None),
 ], ids=["solve-without-radius", "zero-radius", "short-study-range", "short-forecast-span",
         "unknown-baseline", "solver-alpha", "unknown-forecast-key", "no-controllers",
         "short-final-time-window", "flow-not-an-object", "sim-integrator", "solver-cfl",
@@ -463,7 +484,8 @@ _ERROR_MODEL = {"target_rmse": 0.1, "spatial_correlation_length": 2500.0,
         "flow-path-is-a-directory", "terrain-path-is-a-directory", "missing-flow-file",
         "solver-grid-spatial-key", "unknown-flow-key", "unknown-terrain-key", "coarsen-zero",
         "unknown-scenario-key", "unknown-solve-key", "unknown-top-level-key",
-        "misspelt-switch-threshold"])
+        "misspelt-switch-threshold", "study-n-zero", "negative-horizon", "negative-n",
+        "at-outside-the-solve-window"])
 def test_bad_config_section_is_config_error(config, tmp_path, capsys, command, change):
     """Every section that any command reads is parsed, and checked, before
     the command runs: a missing key, a bad value, an unknown key or kind, a
@@ -513,10 +535,18 @@ def test_batch_with_missing_missions_file_is_config_error(config, tmp_path, caps
 
 @pytest.mark.parametrize("line", ['{"x0_m": 1.0', '{"x0_m": 1.0, "y0_m": 2.0}', "5",
                                   '{"x0_m": 1.0, "y0_m": 2.0, "t0_s": 0.0, "target_x_m": 3.0, '
-                                  '"target_y_m": 4.0, "target_radius_m": "big", "t_max_s": 9.0}'])
+                                  '"target_y_m": 4.0, "target_radius_m": "big", "t_max_s": 9.0}',
+                                  '{"x0_m": NaN, "y0_m": 2000.0, "t0_s": 0.0, "target_x_m": '
+                                  '5000.0, "target_y_m": 2000.0, "target_radius_m": 300.0, '
+                                  '"t_max_s": 9000.0}',
+                                  '{"x0_m": 1000.0, "y0_m": 1000.0, "t0_s": 0.0, "target_x_m": '
+                                  '5000.0, "target_y_m": 2000.0, "target_radius_m": 300.0, '
+                                  '"t_max_s": Infinity}'])
 def test_batch_with_bad_missions_line_is_config_error(config, tmp_path, capsys, line):
     # a malformed line, one with missing fields, one that is not an object,
-    # and one with a field that is not a number
+    # one with a field that is not a number, and two with a field that is
+    # not finite: a NaN start, which mtr cannot place on its grid, and an
+    # endless deadline, on which floating in still water never ends
     manifest = tmp_path / "bad.jsonl"
     manifest.write_text(line + "\n")
     err = _config_error(capsys, ["batch", "--config", config["path"],

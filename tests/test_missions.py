@@ -1,5 +1,7 @@
 """Mission sampling under distance/feasibility constraints; manifests."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from driftplan.missions import (
     SamplingConstraints,
     read_missions,
     sample_missions,
-    validate_missions,
     write_missions,
 )
 from driftplan.simulator import Mission
@@ -100,7 +101,6 @@ def test_sampled_missions_satisfy_all_constraints(setup):
         assert m.target.radius == c.target_radius
         assert not s["om"].contains(m.x0, m.y0)
         assert xmin <= m.x0 <= xmax and ymin <= m.y0 <= ymax
-    assert validate_missions(missions, REGION, s["dmap"], c) == []
 
 
 def test_start_time_matches_certified_arrival(setup):
@@ -138,17 +138,12 @@ def test_infeasible_constraints_raise(setup):
                         s["cfg"], seed=0)
 
 
-def test_validate_missions_flags_violations(setup):
+def test_negative_mission_count_is_refused(setup):
     s = setup
-    c = _constraints()
-    bad = [
-        Mission(5000.0, 8000.0, 0.0, TargetSpec((100.0, 5000.0), 300.0), 60000.0),
-        Mission(5000.0, 8000.0, 0.0, TargetSpec((5000.0, 5000.0), 300.0), 60000.0),
-    ]
-    problems = validate_missions(bad, REGION, s["dmap"], c)
-    assert len(problems) == 2
-    assert "boundary" in problems[0]
-    assert "close to obstacles" in problems[1]
+    with pytest.raises(ParameterError, match="-3"):
+        sample_missions(REGION, s["truth"], s["om"], s["dmap"], -3, _constraints(), s["cfg"])
+    assert sample_missions(REGION, s["truth"], s["om"], s["dmap"], 0, _constraints(),
+                           s["cfg"]) == []
 
 
 def test_obstacle_free_map_rejects_every_target(setup):
@@ -159,16 +154,6 @@ def test_obstacle_free_map_rejects_every_target(setup):
     with pytest.raises(InfeasibleConstraintsError):
         sample_missions(REGION, s["truth"], _no_obstacles(s["om"].grid), dmap, 1,
                         _constraints(), s["cfg"], seed=0)
-
-
-def test_validate_missions_flags_targets_on_obstacle_free_map(setup):
-    dmap = distance_map(_no_obstacles(setup["om"].grid))
-    # inside a cell, on a grid line, on a node, and off the grid
-    targets = [(5050.0, 5050.0), (5100.0, 5050.0), (5000.0, 5000.0), (5000.0, 10500.0)]
-    missions = [Mission(5000.0, 8000.0, 0.0, TargetSpec(t, 300.0), 60000.0) for t in targets]
-    problems = validate_missions(missions, REGION, dmap, _constraints())
-    assert [p for p in problems if "boundary" not in p] == [
-        f"mission {k}: target too far from obstacles (inf m)" for k in range(4)]
 
 
 def test_manifest_round_trip(tmp_path):
@@ -197,15 +182,28 @@ def test_read_missions_rejects_missing_field(tmp_path):
         read_missions(p)
 
 
-@pytest.mark.parametrize("line", ["5", '{"x0_m": 1.0, "y0_m": 2.0, "t0_s": 0.0, '
-                                  '"target_x_m": 3.0, "target_y_m": 4.0, '
-                                  '"target_radius_m": "big", "t_max_s": 10.0}'])
-def test_read_missions_rejects_non_object_or_non_number(tmp_path, line):
+def _manifest_line(**fields):
+    doc = {"x0_m": 1.0, "y0_m": 2.0, "t0_s": 0.0, "target_x_m": 3.0, "target_y_m": 4.0,
+           "target_radius_m": 5.0, "t_max_s": 10.0}
+    return json.dumps({**doc, **fields})
+
+
+@pytest.mark.parametrize("line, error", [
+    ("5", "not a JSON object"),
+    (_manifest_line(target_radius_m="big"), "field 'target_radius_m' is not a number"),
+    # json reads NaN, Infinity and 1e400, which is inf, and integers of any size
+    (_manifest_line(x0_m=float("nan")), "field 'x0_m' is not finite"),
+    (_manifest_line(t_max_s=float("inf")), "field 't_max_s' is not finite"),
+    (_manifest_line(t0_s=float("-inf")), "field 't0_s' is not finite"),
+    (_manifest_line(target_x_m=1e400), "field 'target_x_m' is not finite"),
+    (_manifest_line(t0_s=10 ** 400), "field 't0_s' is not finite"),
+], ids=["not-an-object", "string", "nan", "inf", "minus-inf", "1e400", "integer-beyond-float"])
+def test_read_missions_rejects_non_object_or_non_number(tmp_path, line, error):
     p = tmp_path / "bad.jsonl"
     write_missions([Mission(1.0, 2.0, 3.0, TargetSpec((4.0, 5.0), 6.0), 7.0)], p)
     with open(p, "a") as fh:
         fh.write(line + "\n")
-    with pytest.raises(ParameterError, match="line 2: (not a JSON object|field 'target_radius_m')"):
+    with pytest.raises(ParameterError, match=f"line 2: {error}"):
         read_missions(p)
 
 

@@ -206,6 +206,31 @@ def test_truth_that_ends_early_aborts_only_its_mission():
     assert perfect[0].outcome is Outcome.SUCCESS
 
 
+def test_mission_that_starts_after_the_truth_ends_aborts_alone():
+    """With perfect forecasts, a mission that starts after the end of a
+    gridded truth has no release to plan on: it aborts with that in its note,
+    and the batch runs on, the same on two workers."""
+    g = SpaceTimeGrid(x0=0.0, y0=0.0, dx=1000.0, dy=1000.0, nx=11, ny=11,
+                      t0=0.0, dt_snap=30000.0, nt=2)
+    truth = GriddedFlow(g, np.full((2, 11, 11), 0.1), np.zeros((2, 11, 11)))
+    om = ObstacleMask(grid=SpatialGrid(0, 0, 200.0, 200.0, 51, 51),
+                      mask=np.zeros((51, 51), dtype=bool))
+    target = TargetSpec((5000.0, 5000.0), 300.0)
+    missions = [Mission(1000.0, 5000.0, 0.0, target, 20000.0),
+                Mission(1000.0, 5000.0, 40000.0, target, 20000.0)]
+    spec = BatchSpec(kind=ControllerKind.FLOATING,
+                     solver_config=SolverConfig(grid=_grid(), u_max=U_MAX), obstacles=om)
+    cfg = SimConfig(step_dt=600.0)
+    recs = run_batch(missions, truth, spec, cfg)
+    assert [r.outcome for r in recs] == [Outcome.TIMEOUT, Outcome.ABORTED]
+    assert (recs[1].outcome_time, recs[1].note) == (
+        40000.0, "replan failed: no forecast released yet at t=40000.0")
+    assert recs[1].times == []
+    two = run_batch(missions, truth, spec, cfg, workers=2)
+    assert [(r.outcome, r.outcome_time, r.note, r.xs, r.ys) for r in two] == \
+        [(r.outcome, r.outcome_time, r.note, r.xs, r.ys) for r in recs]
+
+
 def test_stranding_study_counts_extent_exit_as_left_region():
     truth = _eastward_gridded_truth()
     om = ObstacleMask(grid=SpatialGrid(0, 0, 1000.0, 1000.0, 11, 11),
@@ -318,6 +343,13 @@ def test_stranding_study_validates_n():
         stranding_study((0, 1, 0, 1), truth, om, n=0, horizon=100.0)
 
 
+@pytest.mark.parametrize("horizon", [0.0, -600.0, float("nan")])
+def test_stranding_study_validates_horizon(horizon):
+    _, truth, om = _wall_setup()
+    with pytest.raises(ParameterError, match="horizon"):
+        stranding_study((0, 1, 0, 1), truth, om, n=5, horizon=horizon)
+
+
 def test_stranding_study_deterministic_in_seed():
     _, truth, om = _wall_setup()
     kw = dict(n=50, horizon=50000.0, seed=9, step_dt=1200.0)
@@ -408,3 +440,89 @@ def test_nan_stage_ends_its_particle_only():
     assert (x[1], y[1]) == (6000.0, 500.0)
     alone = drift_particles(truth, om, region, [1000.0], [500.0], 0.0, 6000.0)
     assert (x[0], y[0]) == (alone[0][0], alone[1][0])
+
+
+# The mission contract: whatever finite manifest read_missions accepts,
+# run_batch returns one record per mission and never raises. The truth is
+# gridded on [0, 10 km]^2 x [0, 30 ks], with an island on the planning grid.
+_CONTRACT_GRID = SpaceTimeGrid(x0=0.0, y0=0.0, dx=1000.0, dy=1000.0, nx=11, ny=11,
+                               t0=0.0, dt_snap=3000.0, nt=2)
+_CONTRACT_REGION = (500.0, 9500.0, 500.0, 9500.0)
+_ISLAND = ((5000.0, 5000.0), (5500.0, 4200.0), (6000.0, 6000.0))
+_EDGES = ((0.0, 0.0), (10000.0, 10000.0), (9999.0, 9800.0), (300.0, 5000.0),
+          (-1.0, 5000.0), (10001.0, 5000.0), (5000.0, -3000.0), (5000.0, 13000.0))
+_TRUTH_END = 30000.0
+
+
+def _contract_setup():
+    g = replace(_CONTRACT_GRID, dt_snap=_TRUTH_END / 2, nt=3)
+    X, Y = g.meshgrid()
+    # eastward, fastest mid-window, with a northward drift near the east wall
+    u = np.stack([np.full((11, 11), s) for s in (0.2, 0.3, 0.2)])
+    v = np.stack([0.1 * (X >= 8000.0)] * 3)
+    truth = GriddedFlow(g, u, v)
+    island = (X >= 5000.0) & (X <= 6000.0) & (Y >= 4000.0) & (Y <= 6000.0)
+    om = ObstacleMask(SpatialGrid(0.0, 0.0, 1000.0, 1000.0, 11, 11), island)
+    return truth, om, distance_map(om)
+
+
+_CONTRACT = _contract_setup()
+_FOURIER = ErrorModelConfig(target_rmse=0.05, spatial_correlation_length=2500.0,
+                            temporal_correlation=40000.0, n_modes=4)
+
+
+def _contract_batch(missions, kind, error_model, workers=1):
+    truth, om, dmap = _CONTRACT
+    spec = BatchSpec(kind=kind, solver_config=SolverConfig(grid=_CONTRACT_GRID, u_max=U_MAX),
+                     obstacles=om, dmap=dmap, switch_threshold=1500.0,
+                     error_model=error_model, cadence=10000.0, horizon=20000.0)
+    cfg = SimConfig(step_dt=600.0, region=_CONTRACT_REGION)
+    return run_batch(missions, truth, spec, cfg, master_seed=11, workers=workers)
+
+
+_point = st.one_of(st.tuples(st.floats(-3000.0, 13000.0), st.floats(-3000.0, 13000.0)),
+                   st.sampled_from(_EDGES + _ISLAND))
+
+
+@st.composite
+def _contract_missions(draw):
+    x0, y0 = draw(_point)
+    t0 = draw(st.one_of(st.sampled_from([0.0, 29400.0, _TRUTH_END, 30001.0, 45000.0]),
+                        st.floats(-5000.0, 60000.0)))
+    target = TargetSpec(draw(_point), draw(st.floats(1.0, 3000.0)))
+    t_max = draw(st.one_of(st.sampled_from([1.0, 600.0, 40000.0]), st.floats(1.0, 80000.0)))
+    return Mission(x0, y0, t0, target, t_max)
+
+
+@settings(max_examples=200, deadline=None)
+@given(missions=st.lists(_contract_missions(), min_size=1, max_size=3),
+       kind=st.sampled_from(list(ControllerKind)),
+       error_model=st.sampled_from([None, _FOURIER]))
+def test_no_mission_input_aborts_a_batch(missions, kind, error_model):
+    """Starts on the island, outside the region and outside the truth's
+    extent; starts before and after the truth's end, deadlines past it, and
+    targets off the grid: every mission ends with one record of its own."""
+    recs = _contract_batch(missions, kind, error_model)
+    assert [r.mission for r in recs] == missions
+    for r in recs:
+        assert isinstance(r.outcome, Outcome)
+        assert math.isfinite(r.outcome_time)
+
+
+def test_mission_contract_edge_cases_are_the_same_on_two_workers():
+    # starts on the island, outside the region and outside the extent; a
+    # start after the truth's end, a deadline past it, and a target off the grid
+    target = TargetSpec((3000.0, 3000.0), 500.0)
+    missions = [Mission(5000.0, 5000.0, 0.0, target, 20000.0),
+                Mission(200.0, 5000.0, 0.0, target, 20000.0),
+                Mission(-500.0, 5000.0, 0.0, target, 20000.0),
+                Mission(2000.0, 2000.0, 35000.0, target, 20000.0),
+                Mission(2000.0, 2000.0, 25000.0, target, 60000.0),
+                Mission(2000.0, 8000.0, 0.0, TargetSpec((15000.0, -4000.0), 300.0), 40000.0)]
+    for kind in (ControllerKind.FLOATING, ControllerKind.MTR):
+        for error_model in (None, _FOURIER):
+            one = _contract_batch(missions, kind, error_model)
+            two = _contract_batch(missions, kind, error_model, workers=2)
+            assert len(one) == len(missions)
+            assert [(r.outcome, r.outcome_time, r.note, r.xs, r.ys, r.branches) for r in two] \
+                == [(r.outcome, r.outcome_time, r.note, r.xs, r.ys, r.branches) for r in one]
