@@ -311,7 +311,12 @@ def cmd_gen_forecasts(exp: Experiment, args) -> int:
     if exp.batch.error_model is None:
         raise ConfigError("config lacks a forecast error model (target_rmse > 0)")
     g = exp.batch.solver_config.grid
-    series = gen_forecast_series(exp.truth, exp.batch.error_model, exp.batch.cadence,
+    (lo, hi), truth = exp.forecast_span, exp.truth
+    # past the truth's ends, the series would silently hold fewer releases or a clamped truth
+    if not (truth.t_min <= lo < truth.t_max and hi <= truth.t_max):
+        raise ConfigError(f"forecast_span [{lo}, {hi}] must lie within the truth's time "
+                          f"extent [{truth.t_min}, {truth.t_max}] and start before its end")
+    series = gen_forecast_series(truth, exp.batch.error_model, exp.batch.cadence,
                                  exp.batch.horizon, exp.forecast_span)
     os.makedirs(exp.out_dir, exist_ok=True)
     entries = []

@@ -112,11 +112,19 @@ class ForecastSeries:
         return self.releases[idx][1]
 
 
+def check_release_timing(cadence: float, horizon: float) -> None:
+    """A release cadence or window horizon that is not positive is bad input."""
+    if not (cadence > 0 and horizon > 0):
+        raise ParameterError(
+            f"forecast cadence and horizon must be positive, not {cadence} and {horizon}")
+
+
 def _release_windows(truth: FlowSource, t0: float, t1: float,
                      cadence: float, horizon: float):
     """(release time, window end) for each release in [t0, t1]; a window
     ends at the horizon or at the end of the truth, whichever is first, and
     no release comes at or after the end of the truth."""
+    check_release_timing(cadence, horizon)
     rt = t0
     while rt <= t1 + 1e-9 and rt < truth.t_max:
         yield rt, min(rt + horizon, truth.t_max)
@@ -125,7 +133,7 @@ def _release_windows(truth: FlowSource, t0: float, t1: float,
 
 def gen_forecast_series(
     truth: FlowSource,
-    cfg: ErrorModelConfig,
+    cfg: ErrorModelConfig | None,
     cadence: float,
     horizon: float,
     span: tuple[float, float],
@@ -133,14 +141,17 @@ def gen_forecast_series(
     """Generate releases at ``cadence`` covering ``span = (t0, t1)``.
 
     Each release is truth plus a Fourier-mode error field whose expected
-    vector RMSE equals cfg.target_rmse. Deterministic given cfg.seed.
+    vector RMSE equals cfg.target_rmse. Deterministic given cfg.seed. With
+    cfg None each release has no modes and amplitude 0, so it is the truth
+    on its window: a perfect series, which draws nothing.
     """
-    t0, t1 = span
-    if not truth.covers(truth.x_min, truth.x_max, truth.y_min, truth.y_max,
-                        t0, min(t1 + horizon, truth.t_max)):
-        raise HorizonError("truth flow does not cover the requested span")
-    if truth.t_max < t1 or truth.t_max <= t0:
-        raise HorizonError("truth flow ends before the requested span")
+    windows = _release_windows(truth, *span, cadence, horizon)
+    if cfg is None:
+        no_modes = np.zeros((2, 0))
+        return ForecastSeries(tuple(
+            (rt, FourierPerturbedFlow(truth=truth, kx=no_modes, ky=no_modes, coef_a=no_modes,
+                                      coef_b=no_modes, t_lo=rt, t_hi=t_hi))
+            for rt, t_hi in windows))
     rng = np.random.default_rng(cfg.seed)
     n = cfg.n_modes
     # wavelengths at or above the correlation length, isotropic directions
@@ -155,7 +166,7 @@ def gen_forecast_series(
     coef_a = rng.standard_normal((2, n))
     coef_b = rng.standard_normal((2, n))
     releases = []
-    for rt, t_hi in _release_windows(truth, t0, t1, cadence, horizon):
+    for rt, t_hi in windows:
         releases.append((rt, FourierPerturbedFlow(
             truth=truth, kx=kx, ky=ky,
             coef_a=coef_a.copy(), coef_b=coef_b.copy(),
@@ -166,18 +177,6 @@ def gen_forecast_series(
         coef_a = rho * coef_a + math.sqrt(1.0 - rho * rho) * noise_a
         coef_b = rho * coef_b + math.sqrt(1.0 - rho * rho) * noise_b
     return ForecastSeries(tuple(releases))
-
-
-def perfect_series(truth: FlowSource, t0: float, t1: float,
-                   cadence: float, horizon: float) -> ForecastSeries:
-    """Zero-error series: every release is the truth on its window."""
-    no_modes = np.zeros((2, 0))
-    releases = tuple(
-        (rt, FourierPerturbedFlow(truth=truth, kx=no_modes, ky=no_modes, coef_a=no_modes,
-                                  coef_b=no_modes, t_lo=rt, t_hi=t_hi))
-        for rt, t_hi in _release_windows(truth, t0, t1, cadence, horizon)
-    )
-    return ForecastSeries(releases)
 
 
 def load_forecast_series(entries) -> ForecastSeries:

@@ -19,7 +19,7 @@ import numpy as np
 from .controllers import SWITCH_THRESHOLD, Controller, ControllerKind, build_controller
 from .errors import DriftplanError, ExtentError, ParameterError
 from .flowfield import FlowSource
-from .forecast import ErrorModelConfig, ForecastSeries, gen_forecast_series, perfect_series
+from .forecast import ErrorModelConfig, ForecastSeries, check_release_timing, gen_forecast_series
 from .hjsolver import SolverConfig, TargetSpec
 from .terrain import ObstacleMask
 
@@ -143,25 +143,31 @@ def run_mission(
     series: ForecastSeries,
     cfg: SimConfig,
 ) -> SimulationRecord:
-    """Execute one mission closed-loop. A release that is missing or cannot be
-    planned on ends it ABORTED, a step that samples the truth outside its extent
-    LEFT_REGION, and ending a step on ``obstacles`` strands the vehicle, whatever
-    its controller plans on."""
+    """Execute one mission closed-loop. The start and the end of every step are
+    checked in one order: on ``obstacles`` strands the vehicle, whatever its
+    controller plans on, then the target, ``cfg.region`` and the deadline. A
+    release that is missing or cannot be planned on ends it ABORTED, and a
+    step that samples the truth outside its extent LEFT_REGION."""
     rec = SimulationRecord(mission=mission)
     x, y, t = mission.x0, mission.y0, mission.t0
     deadline = mission.t0 + mission.t_max
-    if mission.target.contains(x, y):
-        return rec.end(Outcome.SUCCESS, t)
     # the first plan is made at the start, and one more on each later release
     replans = [t] + [rt for rt in series.release_times if rt > t]
 
     while True:
+        if obstacles.contains(x, y):
+            return rec.end(Outcome.STRANDED, t)
+        if mission.target.contains(x, y):
+            return rec.end(Outcome.SUCCESS, t)
+        if not _in_region(x, y, cfg.region):
+            return rec.end(Outcome.LEFT_REGION, t)
+        if t >= deadline - 1e-9:
+            return rec.end(Outcome.TIMEOUT, deadline)
         while replans and replans[0] <= t:
             now = replans.pop(0)
             try:
                 fc = series.current(now)
-                t_end = min(fc.t_max, deadline)
-                ctrl.replan(fc, now, t_end if t_end > now else deadline)
+                ctrl.replan(fc, now, min(fc.t_max, deadline))
             except DriftplanError as exc:
                 return rec.end(Outcome.ABORTED, now, f"replan failed: {exc}")
         u = ctrl.control(x, y, t)
@@ -177,14 +183,6 @@ def run_mission(
             # an integration stage left the truth's extent
             return rec.end(Outcome.LEFT_REGION, t + cfg.step_dt, str(exc))
         t += cfg.step_dt
-        if obstacles.contains(x, y):
-            return rec.end(Outcome.STRANDED, t)
-        if mission.target.contains(x, y):
-            return rec.end(Outcome.SUCCESS, t)
-        if not _in_region(x, y, cfg.region):
-            return rec.end(Outcome.LEFT_REGION, t)
-        if t >= deadline - 1e-9:
-            return rec.end(Outcome.TIMEOUT, deadline)
 
 
 @dataclass(frozen=True)
@@ -200,6 +198,9 @@ class BatchSpec:
     cadence: float = 86400.0
     horizon: float = 5 * 86400.0
 
+    def __post_init__(self):
+        check_release_timing(self.cadence, self.horizon)
+
 
 def _mission_seed(master_seed: int, index: int) -> int:
     ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(index,))
@@ -208,16 +209,13 @@ def _mission_seed(master_seed: int, index: int) -> int:
 
 def _run_one(args):
     (index, mission, truth, spec, cfg, master_seed) = args
-    t1 = mission.t0 + mission.t_max
     try:
         ctrl = build_controller(spec.kind, solver_config=spec.solver_config,
                                 target=mission.target, obstacles=spec.obstacles,
                                 dmap=spec.dmap, switch_threshold=spec.switch_threshold)
-        if spec.error_model is None:
-            series = perfect_series(truth, mission.t0, t1, spec.cadence, spec.horizon)
-        else:
-            em = replace(spec.error_model, seed=_mission_seed(master_seed, index))
-            series = gen_forecast_series(truth, em, spec.cadence, spec.horizon, (mission.t0, t1))
+        em = spec.error_model and replace(spec.error_model, seed=_mission_seed(master_seed, index))
+        series = gen_forecast_series(truth, em, spec.cadence, spec.horizon,
+                                     (mission.t0, mission.t0 + mission.t_max))
     except DriftplanError as exc:
         # a mission whose controller or forecasts cannot be built aborts alone
         return SimulationRecord(mission).end(Outcome.ABORTED, mission.t0, f"setup failed: {exc}")

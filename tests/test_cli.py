@@ -308,20 +308,29 @@ def test_gen_forecasts_window_cut_at_truth_end_loads_back(config, tmp_path, caps
 
 
 def test_batch_summary_carries_each_missions_note(config, tmp_path, capsys):
-    # the second mission's deadline lies past the gridded truth's end, so its
-    # forecast series cannot be built and it aborts alone
+    # the second mission starts after the gridded truth's end, so no forecast
+    # is released for it and it aborts alone
     p = _gridded_truth_config(config, tmp_path, {"cadence": 45000.0, "horizon": 45000.0})
     target = TargetSpec((5000.0, 5000.0), 300.0)
     manifest = tmp_path / "missions.jsonl"
     write_missions([Mission(1000.0, 5000.0, 0.0, target, 30000.0),
-                    Mission(1000.0, 5000.0, 0.0, target, 120000.0)], str(manifest))
+                    Mission(1000.0, 5000.0, 100000.0, target, 30000.0)], str(manifest))
     assert main(["batch", "--config", p, "--missions", str(manifest),
                  "--controllers", "floating"]) == EXIT_OK
     summary = json.loads((config["tmp"] / "out" / "batch_summary.json").read_text())
     first, second = summary["missions"]["floating"]
     assert first["outcome"] != "aborted" and first["note"] == ""
-    assert second["outcome"] == "aborted"
-    assert second["note"].startswith("setup failed: ")
+    assert (second["outcome"], second["outcome_time_s"], second["note"]) == (
+        "aborted", 100000.0, "replan failed: no forecast released yet at t=100000.0")
+
+
+@pytest.mark.parametrize("span", [[0.0, 120000.0], [-5000.0, 45000.0], [90000.0, 90000.0]],
+                         ids=["past-the-end", "before-the-start", "at-the-end"])
+def test_gen_forecasts_span_outside_a_gridded_truth_is_config_error(config, tmp_path, capsys,
+                                                                      span):
+    p = _gridded_truth_config(config, tmp_path, {"cadence": 45000.0, "horizon": 45000.0},
+                              span=span)
+    assert "forecast_span" in _config_error(capsys, ["gen-forecasts", "--config", p])
 
 
 def test_elevation_file_terrain_sets_the_coarsened_planning_grid(config, tmp_path, capsys):
@@ -477,6 +486,9 @@ _ERROR_MODEL = {"target_rmse": 0.1, "spatial_correlation_length": 2500.0,
     (["stranding-study", "--n", "10", "--horizon", "-600"], lambda c: None),
     (["sample-missions", "--n", "-3"], lambda c: None),
     (["solve", "--at", "1e6"], lambda c: None),
+    # a cadence of 0 would release forecasts at one time forever
+    (["solve"], lambda c: c["forecast"].update(cadence=0.0)),
+    (["batch", "--missions", "EMPTY"], lambda c: c["forecast"].update(horizon=-5.0)),
 ], ids=["solve-without-radius", "zero-radius", "short-study-range", "short-forecast-span",
         "unknown-baseline", "solver-alpha", "unknown-forecast-key", "no-controllers",
         "short-final-time-window", "flow-not-an-object", "sim-integrator", "solver-cfl",
@@ -485,7 +497,7 @@ _ERROR_MODEL = {"target_rmse": 0.1, "spatial_correlation_length": 2500.0,
         "solver-grid-spatial-key", "unknown-flow-key", "unknown-terrain-key", "coarsen-zero",
         "unknown-scenario-key", "unknown-solve-key", "unknown-top-level-key",
         "misspelt-switch-threshold", "study-n-zero", "negative-horizon", "negative-n",
-        "at-outside-the-solve-window"])
+        "at-outside-the-solve-window", "zero-cadence", "negative-forecast-horizon"])
 def test_bad_config_section_is_config_error(config, tmp_path, capsys, command, change):
     """Every section that any command reads is parsed, and checked, before
     the command runs: a missing key, a bad value, an unknown key or kind, a

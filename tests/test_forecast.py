@@ -28,7 +28,6 @@ from driftplan.forecast import (
     ForecastSeries,
     FourierPerturbedFlow,
     gen_forecast_series,
-    perfect_series,
     read_series_manifest,
     write_series_manifest,
 )
@@ -69,16 +68,15 @@ def test_series_stops_before_the_end_of_a_gridded_truth():
                       t0=0.0, dt_snap=45000.0, nt=3)
     truth = GriddedFlow(g, np.zeros((3, 3, 3)), np.zeros((3, 3, 3)))
     # a release at the truth's last time would have an empty window
-    for s in (gen_forecast_series(truth, _cfg(), 45000.0, 60000.0, (0.0, 90000.0)),
-              perfect_series(truth, 0.0, 90000.0, 45000.0, 60000.0)):
+    for cfg in (_cfg(), None):
+        s = gen_forecast_series(truth, cfg, 45000.0, 60000.0, (0.0, 90000.0))
         assert [(rt, f.t_min, f.t_max) for rt, f in s.releases] == [
             (0.0, 0.0, 60000.0), (45000.0, 45000.0, 90000.0)]
-    with pytest.raises(HorizonError):
-        gen_forecast_series(truth, _cfg(), 45000.0, 60000.0, (90000.0, 90000.0))
+        assert gen_forecast_series(truth, cfg, 45000.0, 60000.0, (90000.0, 90000.0)).releases == ()
 
 
 def test_current_release_selection():
-    s = perfect_series(TRUTH, 0.0, 50000.0, 25000.0, 60000.0)
+    s = gen_forecast_series(TRUTH, None, 25000.0, 60000.0, (0.0, 50000.0))
     assert s.current(0.0) is s.releases[0][1]
     assert s.current(24999.0) is s.releases[0][1]
     assert s.current(25000.0) is s.releases[1][1]
@@ -86,10 +84,22 @@ def test_current_release_selection():
         s.current(-1.0)
 
 
-def test_perfect_series_is_exact():
-    s = perfect_series(TRUTH, 0.0, 50000.0, 25000.0, 60000.0)
+def test_series_without_error_model_is_exact(monkeypatch):
+    # a perfect series draws nothing
+    monkeypatch.setattr(np.random, "default_rng", None)
+    s = gen_forecast_series(TRUTH, None, 25000.0, 60000.0, (0.0, 50000.0))
     fc = s.current(10.0)
     assert fc.sample(123.0, 456.0, 789.0) == TRUTH.sample(123.0, 456.0, 789.0)
+
+
+@pytest.mark.parametrize("cadence, horizon", [(0.0, 50000.0), (-1.0, 50000.0),
+                                              (20000.0, 0.0), (20000.0, -5.0),
+                                              (math.nan, 50000.0)])
+@pytest.mark.parametrize("cfg", [None, _cfg()], ids=["perfect", "fourier"])
+def test_non_positive_cadence_or_horizon_is_refused(cfg, cadence, horizon):
+    # a cadence of 0 would release at t0 forever
+    with pytest.raises(ParameterError, match="cadence and horizon must be positive"):
+        gen_forecast_series(TRUTH, cfg, cadence, horizon, (0.0, 50000.0))
 
 
 def test_error_rmse_calibration():
@@ -194,7 +204,7 @@ def _sampler_flows():
         "highway": make_highway(4000.0, 6000.0, (0.4, 0.0)),
         "gyre": gyre,
         "gridded": gridded,
-        "perfect": perfect_series(gyre, 0.0, 0.0, DAY_S, 50000.0).current(0.0),
+        "perfect": gen_forecast_series(gyre, None, DAY_S, 50000.0, (0.0, 0.0)).current(0.0),
         "fourier_zero": release(gyre, target_rmse=0.0),
         "fourier_gyre": release(gyre),
         "fourier_gridded": release(gridded),
@@ -391,7 +401,8 @@ def test_perfect_release_matches_windowed_reference(name, release, seed, shape,
     """A perfect release samples like the truth restricted to its window,
     byte for byte, through sample_many and sampler alike."""
     truth = PERFECT_TRUTHS[name]
-    rt, fc = perfect_series(truth, 10000.0, 30000.0, 20000.0, 50000.0).releases[release]
+    series = gen_forecast_series(truth, None, 20000.0, 50000.0, (10000.0, 30000.0))
+    rt, fc = series.releases[release]
     ref = WindowedFlow(truth, rt, fc.t_max)
     x, y = _points(seed, shape)
     sample = fc.sampler(x, y)
@@ -406,7 +417,7 @@ def test_perfect_release_samples_truth_just_past_its_window():
     """Within the time tolerance past t_hi, a perfect release samples the
     truth at t, as every Fourier release does, rather than at t_hi."""
     gyre = SAMPLER_FLOWS["gyre"]
-    fc = perfect_series(gyre, 0.0, 0.0, DAY_S, 50000.0).current(0.0)
+    fc = gen_forecast_series(gyre, None, DAY_S, 50000.0, (0.0, 0.0)).current(0.0)
     x, y = _points(1, (6,))
     t = fc.t_max + 0.01  # inside the 1e-6 relative tolerance of 50 ks
     for a, b in zip(fc.sample_many(x, y, t), gyre.sample_many(x, y, t)):

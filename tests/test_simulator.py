@@ -1,6 +1,9 @@
 """Closed-loop mission execution, batches, and passive drift studies."""
 
+import json
 import math
+import os
+import tempfile
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -18,8 +21,9 @@ from driftplan.flowfield import (
     make_highway,
     make_uniform,
 )
-from driftplan.forecast import ErrorModelConfig, perfect_series
+from driftplan.forecast import ErrorModelConfig, gen_forecast_series
 from driftplan.hjsolver import SolverConfig, TargetSpec
+from driftplan.missions import read_missions
 from driftplan.simulator import (
     BatchSpec,
     DriftEnd,
@@ -90,7 +94,7 @@ def _ctrl(g, om, kind=ControllerKind.MTR, target=None):
 def test_mission_success_and_record_shape():
     g, truth, om = _wall_setup()
     m = _mission()
-    series = perfect_series(truth, 0.0, g.t_max, 30000.0, m.t_max)
+    series = gen_forecast_series(truth, None, 30000.0, m.t_max, (0.0, g.t_max))
     rec = run_mission(m, truth, om, _ctrl(g, om), series, SimConfig(step_dt=600.0))
     assert rec.outcome is Outcome.SUCCESS
     assert rec.outcome_time <= m.t_max
@@ -106,7 +110,7 @@ def test_mission_success_and_record_shape():
 def test_mission_start_inside_target_is_immediate_success():
     g, truth, om = _wall_setup()
     m = Mission(2000.0, 2000.0, 0.0, TargetSpec((2000.0, 2000.0), 300.0), 1000.0)
-    series = perfect_series(truth, 0.0, g.t_max, 30000.0, 1000.0)
+    series = gen_forecast_series(truth, None, 30000.0, 1000.0, (0.0, g.t_max))
     rec = run_mission(m, truth, om, _ctrl(g, om), series, SimConfig())
     assert rec.outcome is Outcome.SUCCESS
     assert rec.outcome_time == 0.0
@@ -117,7 +121,7 @@ def test_floating_in_band_strands_on_wall():
     g, truth, om = _wall_setup()
     ctrl = build_controller(ControllerKind.FLOATING)
     m = _mission(x0=2000.0, y0=5000.0)  # in the 0.4 m/s band
-    series = perfect_series(truth, 0.0, g.t_max, 30000.0, m.t_max)
+    series = gen_forecast_series(truth, None, 30000.0, m.t_max, (0.0, g.t_max))
     rec = run_mission(m, truth, om, ctrl, series, SimConfig(step_dt=600.0))
     assert rec.outcome is Outcome.STRANDED
     # 6600 m of drift at 0.4 m/s
@@ -127,7 +131,7 @@ def test_floating_in_band_strands_on_wall():
 def test_timeout_when_deadline_too_short():
     g, truth, om = _wall_setup()
     m = _mission(t_max=6000.0)  # far too short to cross the domain
-    series = perfect_series(truth, 0.0, g.t_max, 30000.0, m.t_max)
+    series = gen_forecast_series(truth, None, 30000.0, m.t_max, (0.0, g.t_max))
     rec = run_mission(m, truth, om, _ctrl(g, om), series, SimConfig(step_dt=600.0))
     assert rec.outcome is Outcome.TIMEOUT
     assert rec.outcome_time == m.t_max
@@ -140,7 +144,7 @@ def test_left_region_detection():
                       mask=np.zeros((51, 51), dtype=bool))
     ctrl = build_controller(ControllerKind.FLOATING)
     m = _mission(x0=5000.0, y0=9000.0)
-    series = perfect_series(truth, 0.0, g.t_max, 30000.0, m.t_max)
+    series = gen_forecast_series(truth, None, 30000.0, m.t_max, (0.0, g.t_max))
     cfg = SimConfig(step_dt=600.0, region=(0.0, 10000.0, 0.0, 10000.0))
     rec = run_mission(m, truth, om, ctrl, series, cfg)
     assert rec.outcome is Outcome.LEFT_REGION
@@ -173,10 +177,10 @@ def test_rk4_stage_outside_gridded_extent_is_left_region():
     assert recs[1].xs[-1] == pytest.approx(1000.0 + 9 * 300.0)
 
 
-def test_truth_that_ends_early_aborts_only_its_mission():
-    """A Fourier error model cannot draw forecasts past the end of a gridded
-    truth. That mission aborts with the error in its note; the batch runs
-    on, the same on two workers, and with perfect forecasts it succeeds."""
+def test_deadline_past_the_end_of_a_gridded_truth_runs_under_both_error_models():
+    """A deadline past the end of a gridded truth cuts the forecast windows
+    there, as a release samples its truth with time clamped: the mission runs
+    with Fourier forecasts as with perfect ones, the same on two workers."""
     g = SpaceTimeGrid(x0=0.0, y0=0.0, dx=1000.0, dy=1000.0, nx=11, ny=11,
                       t0=0.0, dt_snap=30000.0, nt=2)
     truth = GriddedFlow(g, np.full((2, 11, 11), 0.5), np.zeros((2, 11, 11)))
@@ -194,16 +198,13 @@ def test_truth_that_ends_early_aborts_only_its_mission():
                                                   n_modes=8),
                      cadence=10000.0, horizon=30000.0)
     cfg = SimConfig(step_dt=600.0)
-    recs = run_batch(missions, truth, spec, cfg, master_seed=3)
-    assert recs[0].outcome is Outcome.ABORTED
-    assert recs[0].outcome_time == 0.0
-    assert "truth flow ends before the requested span" in recs[0].note
-    assert recs[1].outcome is Outcome.SUCCESS
-    two = run_batch(missions, truth, spec, cfg, master_seed=3, workers=2)
-    assert [(r.outcome, r.outcome_time, r.note, r.xs, r.ys) for r in two] == \
-        [(r.outcome, r.outcome_time, r.note, r.xs, r.ys) for r in recs]
-    perfect = run_batch(missions[:1], truth, replace(spec, error_model=None), cfg)
-    assert perfect[0].outcome is Outcome.SUCCESS
+    for error_model in (spec.error_model, None):
+        spec = replace(spec, error_model=error_model)
+        recs = run_batch(missions, truth, spec, cfg, master_seed=3)
+        assert [(r.outcome, r.note) for r in recs] == [(Outcome.SUCCESS, "")] * 2
+        two = run_batch(missions, truth, spec, cfg, master_seed=3, workers=2)
+        assert [(r.outcome, r.outcome_time, r.note, r.xs, r.ys) for r in two] == \
+            [(r.outcome, r.outcome_time, r.note, r.xs, r.ys) for r in recs]
 
 
 def test_mission_that_starts_after_the_truth_ends_aborts_alone():
@@ -231,6 +232,14 @@ def test_mission_that_starts_after_the_truth_ends_aborts_alone():
         [(r.outcome, r.outcome_time, r.note, r.xs, r.ys) for r in recs]
 
 
+def test_batch_spec_refuses_non_positive_cadence_or_horizon():
+    kw = dict(kind=ControllerKind.FLOATING, solver_config=SolverConfig(grid=_grid(), u_max=U_MAX),
+              obstacles=_wall_setup()[2])
+    for timing in ({"cadence": 0.0}, {"cadence": -1.0}, {"horizon": -5.0}, {"horizon": 0.0}):
+        with pytest.raises(ParameterError, match="cadence and horizon must be positive"):
+            BatchSpec(**kw, **timing)
+
+
 def test_stranding_study_counts_extent_exit_as_left_region():
     truth = _eastward_gridded_truth()
     om = ObstacleMask(grid=SpatialGrid(0, 0, 1000.0, 1000.0, 11, 11),
@@ -243,9 +252,9 @@ def test_stranding_study_counts_extent_exit_as_left_region():
 
 def test_aborted_when_replanning_fails():
     g, truth, om = _wall_setup()
-    m = _mission()
-    # zero-length forecast windows cannot cover any planning horizon
-    series = perfect_series(truth, 0.0, 0.0, 30000.0, 0.0)
+    m = replace(_mission(), t0=5000.0)
+    # the one release's window closed before the mission starts
+    series = gen_forecast_series(truth, None, 30000.0, 1000.0, (0.0, 0.0))
     rec = run_mission(m, truth, om, _ctrl(g, om), series, SimConfig())
     assert rec.outcome is Outcome.ABORTED
     assert "replan failed" in rec.note
@@ -256,7 +265,7 @@ def test_trajectory_csv_round_trip(tmp_path):
 
     g, truth, om = _wall_setup()
     m = _mission()
-    series = perfect_series(truth, 0.0, g.t_max, 30000.0, m.t_max)
+    series = gen_forecast_series(truth, None, 30000.0, m.t_max, (0.0, g.t_max))
     rec = run_mission(m, truth, om, _ctrl(g, om), series, SimConfig(step_dt=600.0))
     p = tmp_path / "traj.csv"
     rec.write_csv(p)
@@ -480,28 +489,62 @@ def _contract_batch(missions, kind, error_model, workers=1):
     return run_batch(missions, truth, spec, cfg, master_seed=11, workers=workers)
 
 
-_point = st.one_of(st.tuples(st.floats(-3000.0, 13000.0), st.floats(-3000.0, 13000.0)),
+def _ends(records):
+    return [(r.outcome, r.outcome_time, r.note, r.xs, r.ys, r.branches) for r in records]
+
+
+def _number(lo, hi):
+    """A manifest number in [lo, hi], as JSON writes an integer or a float."""
+    return st.one_of(st.integers(int(lo), int(hi)), st.floats(lo, hi))
+
+
+_point = st.one_of(st.tuples(_number(-3000.0, 13000.0), _number(-3000.0, 13000.0)),
                    st.sampled_from(_EDGES + _ISLAND))
 
 
 @st.composite
-def _contract_missions(draw):
-    x0, y0 = draw(_point)
+def _manifest_line(draw):
+    (x0, y0), (tx, ty) = draw(_point), draw(_point)
     t0 = draw(st.one_of(st.sampled_from([0.0, 29400.0, _TRUTH_END, 30001.0, 45000.0]),
-                        st.floats(-5000.0, 60000.0)))
-    target = TargetSpec(draw(_point), draw(st.floats(1.0, 3000.0)))
-    t_max = draw(st.one_of(st.sampled_from([1.0, 600.0, 40000.0]), st.floats(1.0, 80000.0)))
-    return Mission(x0, y0, t0, target, t_max)
+                        _number(-5000.0, 60000.0)))
+    t_max = draw(st.one_of(st.sampled_from([1.0, 600.0, 40000.0]), _number(1.0, 80000.0)))
+    return json.dumps({"x0_m": x0, "y0_m": y0, "t0_s": t0, "target_x_m": tx, "target_y_m": ty,
+                       "target_radius_m": draw(_number(1.0, 3000.0)), "t_max_s": t_max})
 
 
-@settings(max_examples=200, deadline=None)
-@given(missions=st.lists(_contract_missions(), min_size=1, max_size=3),
+@st.composite
+def _contract_missions(draw, max_size=3):
+    """A manifest of 1 to ``max_size`` missions, drawn as JSON lines and read
+    back through ``read_missions``."""
+    lines = draw(st.lists(_manifest_line(), min_size=1, max_size=max_size))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "missions.jsonl")
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines))
+        return read_missions(path)
+
+
+# starts on the island, outside the region and outside the extent; starts
+# before and after the truth's end, a deadline past it, and a target off the grid
+_TARGET = TargetSpec((3000.0, 3000.0), 500.0)
+_EDGE_MISSIONS = [Mission(5000.0, 5000.0, 0.0, _TARGET, 20000.0),
+                  Mission(200.0, 5000.0, 0.0, _TARGET, 20000.0),
+                  Mission(-500.0, 5000.0, 0.0, _TARGET, 20000.0),
+                  Mission(2000.0, 2000.0, 35000.0, _TARGET, 20000.0),
+                  Mission(2000.0, 2000.0, 25000.0, _TARGET, 60000.0),
+                  Mission(2000.0, 2000.0, -5000.0, _TARGET, 20000.0),
+                  Mission(2000.0, 8000.0, 0.0, TargetSpec((15000.0, -4000.0), 300.0), 40000.0)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(missions=_contract_missions(),
        kind=st.sampled_from(list(ControllerKind)),
        error_model=st.sampled_from([None, _FOURIER]))
 def test_no_mission_input_aborts_a_batch(missions, kind, error_model):
-    """Starts on the island, outside the region and outside the truth's
-    extent; starts before and after the truth's end, deadlines past it, and
-    targets off the grid: every mission ends with one record of its own."""
+    """Whatever manifest read_missions accepts: starts on the island, outside
+    the region and outside the truth's extent; starts before and after the
+    truth's end, deadlines past it, and targets off the grid: every mission
+    ends with one record of its own."""
     recs = _contract_batch(missions, kind, error_model)
     assert [r.mission for r in recs] == missions
     for r in recs:
@@ -509,20 +552,43 @@ def test_no_mission_input_aborts_a_batch(missions, kind, error_model):
         assert math.isfinite(r.outcome_time)
 
 
+@settings(max_examples=200, deadline=None)
+@given(missions=_contract_missions(), kind=st.sampled_from(list(ControllerKind)))
+@example(missions=_EDGE_MISSIONS, kind=ControllerKind.FLOATING)
+@example(missions=_EDGE_MISSIONS, kind=ControllerKind.MTR)
+def test_perfect_forecasts_are_the_zero_error_forecasts(missions, kind):
+    """A Fourier error model with zero RMSE gives the records of perfect
+    forecasts, at a bounded truth's edges too."""
+    assert _ends(_contract_batch(missions, kind, replace(_FOURIER, target_rmse=0.0))) == \
+        _ends(_contract_batch(missions, kind, None))
+
+
+@settings(max_examples=20, deadline=None)
+@given(missions=_contract_missions(max_size=4),
+       kind=st.sampled_from(list(ControllerKind)),
+       error_model=st.sampled_from([None, _FOURIER]))
+def test_drawn_manifests_are_the_same_on_two_workers(missions, kind, error_model):
+    assert _ends(_contract_batch(missions, kind, error_model, workers=2)) == \
+        _ends(_contract_batch(missions, kind, error_model))
+
+
 def test_mission_contract_edge_cases_are_the_same_on_two_workers():
-    # starts on the island, outside the region and outside the extent; a
-    # start after the truth's end, a deadline past it, and a target off the grid
-    target = TargetSpec((3000.0, 3000.0), 500.0)
-    missions = [Mission(5000.0, 5000.0, 0.0, target, 20000.0),
-                Mission(200.0, 5000.0, 0.0, target, 20000.0),
-                Mission(-500.0, 5000.0, 0.0, target, 20000.0),
-                Mission(2000.0, 2000.0, 35000.0, target, 20000.0),
-                Mission(2000.0, 2000.0, 25000.0, target, 60000.0),
-                Mission(2000.0, 8000.0, 0.0, TargetSpec((15000.0, -4000.0), 300.0), 40000.0)]
     for kind in (ControllerKind.FLOATING, ControllerKind.MTR):
         for error_model in (None, _FOURIER):
-            one = _contract_batch(missions, kind, error_model)
-            two = _contract_batch(missions, kind, error_model, workers=2)
-            assert len(one) == len(missions)
-            assert [(r.outcome, r.outcome_time, r.note, r.xs, r.ys, r.branches) for r in two] \
-                == [(r.outcome, r.outcome_time, r.note, r.xs, r.ys, r.branches) for r in one]
+            one = _contract_batch(_EDGE_MISSIONS, kind, error_model)
+            two = _contract_batch(_EDGE_MISSIONS, kind, error_model, workers=2)
+            assert len(one) == len(_EDGE_MISSIONS)
+            assert _ends(two) == _ends(one)
+
+
+@pytest.mark.parametrize("kind", [ControllerKind.FLOATING, ControllerKind.MTR])
+def test_start_is_checked_as_every_steps_end_is(kind):
+    """A start on the island strands, one outside the region leaves it, and
+    one in the target succeeds, each at t0 before any step."""
+    starts = {(6400.0, 5000.0): Outcome.STRANDED, (200.0, 5000.0): Outcome.LEFT_REGION,
+              (3200.0, 2800.0): Outcome.SUCCESS}
+    missions = [Mission(x, y, 1000.0, _TARGET, 20000.0) for x, y in starts]
+    for error_model in (None, _FOURIER):
+        recs = _contract_batch(missions, kind, error_model)
+        assert [(r.outcome, r.outcome_time, r.times) for r in recs] == \
+            [(outcome, 1000.0, []) for outcome in starts.values()]
