@@ -135,6 +135,18 @@ class FlowSource:
                            & ((x_hi, y_hi, t_hi) <= self._hi[:, 0])))
 
 
+def grid_lines(xa: np.ndarray, ya: np.ndarray):
+    """The first row of x and the first column of y of grid-shaped points,
+    or None: 2-D float arrays of one shape whose rows of x, and columns of
+    y, have the bits of the first, as ``SpatialGrid.meshgrid()`` makes them
+    (bits, so that a 0.0 and a -0.0 node differ)."""
+    if (xa.ndim == 2 and xa.shape == ya.shape
+            and (xa.view(np.int64) == xa[:1].view(np.int64)).all()
+            and (ya.view(np.int64) == ya[:, :1].view(np.int64)).all()):
+        return xa[:1], ya[:, :1]
+    return None
+
+
 @dataclass(frozen=True)
 class UniformFlow(FlowSource):
     """Spatially and temporally constant velocity."""
@@ -202,13 +214,10 @@ class DoubleGyreFlow(FlowSource):
         return self._pointwise(x, y, t, clamp_time)
 
     def sampler(self, x, y, clamp_time=False):
-        xa, ya = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        # grid-shaped, compared as bits so that a 0.0 and a -0.0 node differ
-        if not (xa.ndim == 2 and xa.shape == ya.shape
-                and (xa.view(np.int64) == xa[:1].view(np.int64)).all()
-                and (ya.view(np.int64) == ya[:, :1].view(np.int64)).all()):
+        lines = grid_lines(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        if lines is None:
             return lambda t: self._pointwise(x, y, t, clamp_time)
-        row, col = self._check_extent(xa[:1], ya[:, :1], axes="xy")
+        row, col = self._check_extent(*lines, axes="xy")
         X, Y = row / self.scale, col / self.scale
         cos_y, sin_y = np.cos(math.pi * Y), np.sin(math.pi * Y)
 

@@ -5,7 +5,11 @@ The synthetic generator perturbs the true flow with a sum of random
 Fourier modes per velocity component. Mode coefficients evolve between
 releases as a stationary AR(1) process, so consecutive forecasts share
 error structure, and amplitudes are calibrated analytically so the
-expected vector RMSE equals the configured target.
+expected vector RMSE equals the configured target. The releases of one
+series share their modes, so a release evaluates the error once per series
+and point set: the first grid-shaped point set sampled gets every release's
+error from one cosine and one sine basis per component. Other point sets
+are evaluated once per release and point set.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FormatError, HorizonError, ParameterError
-from .flowfield import FlowSource, read_flow_file
+from .flowfield import FlowSource, grid_lines, read_flow_file
 
 
 @dataclass(frozen=True)
@@ -40,6 +44,49 @@ class ErrorModelConfig:
             raise ParameterError("need at least one Fourier mode")
 
 
+def _error_fields(kx, ky, amplitude, coefs, xa, ya):
+    """The error of each (coef_a, coef_b) pair at the points (xa, ya), as
+    (2, *xa.shape) arrays: cos and sin of every mode's phase are evaluated
+    once per component, however many pairs share them."""
+    fields = [np.empty((2, *xa.shape)) for _ in coefs]
+    for comp in (0, 1):
+        phase = np.multiply.outer(xa, kx[comp])
+        phase += np.multiply.outer(ya, ky[comp])
+        trig = np.cos(phase)
+        for f, (a, _) in zip(fields, coefs):
+            f[comp] = trig @ a[comp]
+        np.sin(phase, out=trig)
+        for f, (_, b) in zip(fields, coefs):
+            f[comp] = amplitude * (f[comp] + trig @ b[comp])
+        del phase, trig  # so that one component's basis is alive at a time
+    return fields
+
+
+class _SeriesErrors:
+    """The errors of a series' releases on one grid-shaped point set, all
+    evaluated at the first request. Releases reference it and it references
+    none of them, so a series is freed without the cycle collector."""
+
+    def __init__(self, kx, ky, amplitude):
+        self.kx, self.ky, self.amplitude = kx, ky, amplitude
+        self.coefs = []  # (coef_a, coef_b) of each release, in release order
+        self.held = None  # (bits of the point set's grid lines, fields per release)
+
+    def lookup(self, flow, xa, ya):
+        """flow's error fields at (xa, ya), or None where the held ones do not
+        apply: another point set, or a release not built with these values."""
+        lines = grid_lines(xa, ya)
+        idx = next((i for i, (a, b) in enumerate(self.coefs)
+                    if a is flow.coef_a and b is flow.coef_b), None)
+        if (lines is None or idx is None or flow.kx is not self.kx
+                or flow.ky is not self.ky or flow.amplitude != self.amplitude):
+            return None
+        key = (lines[0].tobytes(), lines[1].tobytes())
+        if self.held is None:
+            self.held = key, _error_fields(self.kx, self.ky, self.amplitude, self.coefs, xa, ya)
+        return self.held[1][idx] if self.held[0] == key else None
+
+
 @dataclass(frozen=True)
 class FourierPerturbedFlow(FlowSource):
     """Truth plus a frozen-in-time sum of Fourier modes per component,
@@ -54,6 +101,8 @@ class FourierPerturbedFlow(FlowSource):
     amplitude: float = 0.0
     t_lo: float = -math.inf
     t_hi: float = math.inf
+    #: the errors shared by the releases of one generated series
+    series_errors: _SeriesErrors | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         tr = self.truth
@@ -64,23 +113,20 @@ class FourierPerturbedFlow(FlowSource):
         # the perturbation coefficients are frozen within a release
         return self.truth.is_steady
 
-    def _error(self, comp, xa, ya):
-        phase = np.multiply.outer(xa, self.kx[comp]) + np.multiply.outer(ya, self.ky[comp])
-        return self.amplitude * (
-            np.cos(phase) @ self.coef_a[comp] + np.sin(phase) @ self.coef_b[comp]
-        )
-
     def sample_many(self, x, y, t, clamp_time=False):
         return self.sampler(x, y, clamp_time)(t)
 
     def sampler(self, x, y, clamp_time=False):
         # bind the truth's sampler once; the error is frozen within a
-        # release, so it too is evaluated once per point set
+        # release, so it too is evaluated once per point set, and once per
+        # series for the grid-shaped point set its releases share
         xa, ya = np.broadcast_arrays(*self._check_extent(x, y, axes="xy"))
         truth = self.truth.sampler(xa, ya, clamp_time=True)
         if self.amplitude == 0.0:
             return lambda t: truth(*self._check_extent(t, axes="t", clamp_time=clamp_time))
-        eu, ev = self._error(0, xa, ya), self._error(1, xa, ya)
+        held = self.series_errors and self.series_errors.lookup(self, xa, ya)
+        eu, ev = held if held is not None else _error_fields(
+            self.kx, self.ky, self.amplitude, [(self.coef_a, self.coef_b)], xa, ya)[0]
 
         def sample(t):
             u, v = truth(*self._check_extent(t, axes="t", clamp_time=clamp_time))
@@ -123,11 +169,15 @@ def _release_windows(truth: FlowSource, t0: float, t1: float,
                      cadence: float, horizon: float):
     """(release time, window end) for each release in [t0, t1]; a window
     ends at the horizon or at the end of the truth, whichever is first, and
-    no release comes at or after the end of the truth."""
+    no release comes at or after the end of the truth. A cadence too small
+    to advance a release time raises ParameterError."""
     check_release_timing(cadence, horizon)
     rt = t0
     while rt <= t1 + 1e-9 and rt < truth.t_max:
         yield rt, min(rt + horizon, truth.t_max)
+        if rt + cadence == rt:
+            raise ParameterError(f"forecast cadence {cadence} is below the float spacing "
+                                 f"of the release time {rt}, which would never advance")
         rt += cadence
 
 
@@ -165,12 +215,13 @@ def gen_forecast_series(
     rho = math.exp(-cadence / cfg.temporal_correlation)
     coef_a = rng.standard_normal((2, n))
     coef_b = rng.standard_normal((2, n))
+    errors = _SeriesErrors(kx, ky, amplitude)
     releases = []
     for rt, t_hi in windows:
+        errors.coefs.append((coef_a.copy(), coef_b.copy()))
         releases.append((rt, FourierPerturbedFlow(
-            truth=truth, kx=kx, ky=ky,
-            coef_a=coef_a.copy(), coef_b=coef_b.copy(),
-            amplitude=amplitude, t_lo=rt, t_hi=t_hi,
+            truth=truth, kx=kx, ky=ky, coef_a=errors.coefs[-1][0], coef_b=errors.coefs[-1][1],
+            amplitude=amplitude, t_lo=rt, t_hi=t_hi, series_errors=errors,
         )))
         noise_a = rng.standard_normal((2, n))
         noise_b = rng.standard_normal((2, n))

@@ -8,11 +8,13 @@ pushes the vehicle into an obstacle are detected by an auxiliary
 obstacle-avoidance value function (running minimum of the signed distance
 to the obstacle set under best-case control) and pinned at the sentinel as
 well, so the resulting time-to-reach map spares both the obstacles and the
-inevitably-lost region.
+inevitably-lost region. The avoidance value never falls, so that blocked
+set only grows during a solve: it is pinned once per substep.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -20,7 +22,7 @@ import numpy as np
 
 from .errors import AlreadyStrandedError, HorizonError, ParameterError
 from .flowfield import FlowSource, SpaceTimeGrid
-from .gridio import SpatialGrid, euclidean_distance
+from .gridio import SpatialGrid
 from .terrain import ObstacleMask
 
 #: rate, per second, at which the reach value falls inside the target
@@ -179,6 +181,7 @@ def _blend(weights, values):
     return None if wsum <= 0 else acc / wsum
 
 
+@functools.cache
 def _axis_pair(ndim, axis):
     """Index tuples selecting the cells [:-1] and [1:] along ``axis``."""
     lo = [slice(None)] * ndim
@@ -192,7 +195,8 @@ def _one_sided_diffs(J, valid, h, axis):
     """(D-, D+) pairs with invalid sides (sentinel neighbors or the domain
     edge) zeroed, which drops them from the upwind candidate sets."""
     lo, hi = _axis_pair(J.ndim, axis)
-    d = (J[hi] - J[lo]) / h
+    d = J[hi] - J[lo]
+    d /= h
     dm = np.zeros_like(J)
     dp = np.zeros_like(J)
     np.copyto(dm[hi], d, where=valid[lo])
@@ -200,18 +204,27 @@ def _one_sided_diffs(J, valid, h, axis):
     return dm, dp
 
 
-def _hamiltonian(J, valid, vx, vy, u_eff, dx, dy):
+def _hamiltonian(J, valid, vx, vy, u_eff, dx, dy, downstream=None):
     """Monotone upwind Hamiltonian of the reach update: the drift term reads
     the downstream neighbor, the control term the per-axis descent
     direction (Osher & Fedkiw 2003). ``J`` and ``valid`` may stack several
-    (ny, nx) layers along a leading axis; each layer is stepped alone."""
+    (ny, nx) layers along a leading axis; each layer is stepped alone.
+    ``downstream`` may hold the masks (vx > 0, vy > 0) of a steady flow."""
     dxm, dxp = _one_sided_diffs(J, valid, dx, axis=-1)
     dym, dyp = _one_sided_diffs(J, valid, dy, axis=-2)
-    adv_x = np.where(vx > 0, dxp, dxm)
-    adv_y = np.where(vy > 0, dyp, dym)
-    ex = np.maximum(np.maximum(dxm, -dxp), 0.0)
-    ey = np.maximum(np.maximum(dym, -dyp), 0.0)
-    return vx * adv_x + vy * adv_y - u_eff * np.hypot(ex, ey)
+    px, py = (vx > 0, vy > 0) if downstream is None else downstream
+    ex, ey = np.negative(dxp), np.negative(dyp)
+    for e, dm, dp, v, p in ((ex, dxm, dxp, vx, px), (ey, dym, dyp, vy, py)):
+        # max(D-, -D+, 0); only hypot reads it, so a zero's sign is moot
+        np.maximum(np.maximum(e, dm, out=e), 0.0, out=e)
+        # then the drift term, in the D- buffer
+        np.copyto(dm, dp, where=p)
+        dm *= v
+    dxm += dym
+    np.hypot(ex, ey, out=ex)
+    ex *= u_eff
+    dxm -= ex
+    return dxm
 
 
 def _target_masks(grid: SpaceTimeGrid, target: TargetSpec):
@@ -278,18 +291,19 @@ def solve_mtr(
     # with V > 0 are doomed. Layer 1's mask stays all true.
     S = np.empty((2 if have_obst else 1, g.ny, g.nx))
     S[0] = np.where(obst, SENTINEL, terminal_dist)
-    if have_obst:
-        # V starts at minus the signed clearance (distance to the obstacles less
-        # that to free water), capped at the sentinel where there is no free water
-        clearance = euclidean_distance(obst, g.dy, g.dx) - euclidean_distance(~obst, g.dy, g.dx)
-        S[1] = np.minimum(-clearance, SENTINEL)
-    valid = np.ones(S.shape, dtype=bool)
-
+    J = S[0]
     values = np.empty((n_snap, g.ny, g.nx))
-    values[n_snap - 1] = S[0]
+    values[n_snap - 1] = J
+    if have_obst:
+        # V starts at minus the clearance, capped at the sentinel where there
+        # is no free water, so it is positive on the obstacles alone. Its rate
+        # is clamped at >= 0, so V never falls and the blocked set, obstacles
+        # and doomed cells, only grows: pinned at the sentinel from the start
+        # and after each substep, it stays out of J's valid mask
+        S[1] = np.minimum(-obstacles.clearance, SENTINEL)
+    valid = np.ones(S.shape, dtype=bool)
     ts = out_grid.ts
-    free = ~obst
-    tgt_free = tgt_mask & free
+    tgt_cells = np.flatnonzero(tgt_mask & ~obst)
 
     def cfl_rate(vx, vy):
         return float(np.max((np.abs(vx) + diss_pad) / g.dx + (np.abs(vy) + diss_pad) / g.dy))
@@ -300,6 +314,7 @@ def solve_mtr(
     # time bounds the interval on either side of it
     vx, vy = sample(ts[-1])
     rate_hi = cfl_rate(vx, vy)
+    downstream = (vx > 0, vy > 0) if steady else None
 
     for k in range(n_snap - 2, -1, -1):
         t_hi = ts[k + 1]
@@ -323,21 +338,18 @@ def solve_mtr(
             t_mid = t_cur - 0.5 * dt
             if not steady:
                 vx, vy = sample(t_mid)
-            blocked = obst | (S[1] > 0) if have_obst else obst
-            valid[0] = (S[0] < SENTINEL_THRESHOLD) & ~blocked
-            H = _hamiltonian(S, valid, vx, vy, u_eff, g.dx, g.dy)
+            np.less(J, SENTINEL_THRESHOLD, out=valid[0])
+            H = _hamiltonian(S, valid, vx, vy, u_eff, g.dx, g.dy, downstream)
             if have_obst:
                 np.maximum(0.0, H[1], out=H[1])
-            J_tgt = S[0][tgt_free] - ALPHA * dt
+            J_tgt = J.take(tgt_cells) - ALPHA * dt
             H *= dt
             S += H
-            J = S[0]
-            J[tgt_free] = J_tgt
+            J.put(tgt_cells, J_tgt)
             np.minimum(J, SENTINEL, out=J)
-            J[blocked] = SENTINEL
             if have_obst:
-                J[S[1] > 0] = SENTINEL
-        values[k] = S[0]
+                J[obst | (S[1] > 0)] = SENTINEL
+        values[k] = J
 
     return ValueFunction(grid=out_grid, values=values, terminal_time=terminal_time)
 

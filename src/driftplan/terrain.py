@@ -5,11 +5,12 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import FormatError, ParameterError
-from .gridio import SpatialGrid, taxicab_distance
+from .gridio import SpatialGrid, euclidean_distance, taxicab_distance
 
 #: default obstacle threshold: seafloor shallower than 150 m is unsafe
 DEFAULT_THRESHOLD_M = -150.0
@@ -46,6 +47,15 @@ class ObstacleMask:
             np.asarray(self.mask, dtype=bool).reshape(self.grid.ny, self.grid.nx)
         )
         object.__setattr__(self, "mask", m)
+
+    @cached_property
+    def clearance(self) -> np.ndarray:
+        """Signed clearance on the nodes, read-only and computed at first use:
+        the distance to the obstacles less that to free water."""
+        g, m = self.grid, self.mask
+        out = euclidean_distance(m, g.dy, g.dx) - euclidean_distance(~m, g.dy, g.dx)
+        out.flags.writeable = False
+        return out
 
     def contains(self, x: float, y: float) -> bool:
         """Obstacle membership by nearest-cell lookup."""

@@ -17,7 +17,15 @@ import numpy as np
 
 from driftplan.errors import AlreadyStrandedError, ExtentError, HorizonError
 from driftplan.flowfield import FlowSource
-from driftplan.hjsolver import SENTINEL, SENTINEL_THRESHOLD, _one_sided_diffs
+from driftplan.gridio import euclidean_distance
+from driftplan.hjsolver import (
+    ALPHA,
+    CFL,
+    SENTINEL,
+    SENTINEL_THRESHOLD,
+    _one_sided_diffs,
+    _target_masks,
+)
 from driftplan.simulator import DriftEnd, integrate_step
 
 
@@ -266,6 +274,80 @@ def avoidance_w_step(W, vx, vy, u_eff, dx, dy, dt):
     ewy = np.maximum(np.maximum(wyp, -wym), 0.0)
     ham_w = vx * adv_wx + vy * adv_wy + u_eff * np.hypot(ewx, ewy)
     return W + dt * np.minimum(0.0, ham_w)
+
+
+def upwind_hamiltonian(J, valid, vx, vy, u_eff, dx, dy):
+    """Reference ``hjsolver._hamiltonian``: each term in a fresh array, on
+    the np.roll differences."""
+    dxm, dxp = roll_one_sided_diffs(J, valid, dx, axis=-1)
+    dym, dyp = roll_one_sided_diffs(J, valid, dy, axis=-2)
+    adv_x = np.where(vx > 0, dxp, dxm)
+    adv_y = np.where(vy > 0, dyp, dym)
+    ex = np.maximum(np.maximum(dxm, -dxp), 0.0)
+    ey = np.maximum(np.maximum(dym, -dyp), 0.0)
+    return vx * adv_x + vy * adv_y - u_eff * np.hypot(ex, ey)
+
+
+def solve_mtr_values(flow, obstacles, target, config, t_start, terminal_time):
+    """Reference ``solve_mtr(...).values`` for a valid problem: the clearance
+    computed per solve, and every substep recomputes the blocked set before
+    its update, masks the target cells with booleans, and pins the blocked
+    and the newly doomed cells at the sentinel one after the other."""
+    g = config.grid
+    out_grid = g.spanning(t_start, terminal_time)
+    n_snap, dt_eff = out_grid.nt, out_grid.dt_snap
+    obst = obstacles.mask if obstacles is not None else np.zeros((g.ny, g.nx), dtype=bool)
+    tgt_mask, terminal_dist = _target_masks(out_grid, target)
+    u_eff = max(config.u_max - config.d_max, 0.0)
+    diss_pad = config.u_max + config.d_max
+    X, Y = out_grid.meshgrid()
+    have_obst = obst.any()
+    S = np.empty((2 if have_obst else 1, g.ny, g.nx))
+    S[0] = np.where(obst, SENTINEL, terminal_dist)
+    if have_obst:
+        clearance = euclidean_distance(obst, g.dy, g.dx) - euclidean_distance(~obst, g.dy, g.dx)
+        S[1] = np.minimum(-clearance, SENTINEL)
+    valid = np.ones(S.shape, dtype=bool)
+    values = np.empty((n_snap, g.ny, g.nx))
+    values[n_snap - 1] = S[0]
+    ts = out_grid.ts
+    tgt_free = tgt_mask & ~obst
+
+    def cfl_rate(vx, vy):
+        return float(np.max((np.abs(vx) + diss_pad) / g.dx + (np.abs(vy) + diss_pad) / g.dy))
+
+    sample = flow.sampler(X, Y)
+    vx, vy = sample(ts[-1])
+    rate_hi = cfl_rate(vx, vy)
+    for k in range(n_snap - 2, -1, -1):
+        t_hi = ts[k + 1]
+        if flow.is_steady:
+            rate = rate_hi
+        else:
+            rate_lo = cfl_rate(*sample(ts[k]))
+            rate = max(rate_hi, rate_lo)
+            rate_hi = rate_lo
+        m = 1 if rate <= 0 else max(1, int(math.ceil(dt_eff * rate / CFL)))
+        dt = dt_eff / m
+        for s in range(m):
+            if not flow.is_steady:
+                vx, vy = sample(t_hi - s * dt - 0.5 * dt)
+            blocked = obst | (S[1] > 0) if have_obst else obst
+            valid[0] = (S[0] < SENTINEL_THRESHOLD) & ~blocked
+            H = upwind_hamiltonian(S, valid, vx, vy, u_eff, g.dx, g.dy)
+            if have_obst:
+                np.maximum(0.0, H[1], out=H[1])
+            J_tgt = S[0][tgt_free] - ALPHA * dt
+            H *= dt
+            S += H
+            J = S[0]
+            J[tgt_free] = J_tgt
+            np.minimum(J, SENTINEL, out=J)
+            J[blocked] = SENTINEL
+            if have_obst:
+                J[S[1] > 0] = SENTINEL
+        values[k] = S[0]
+    return values
 
 
 @dataclass(frozen=True)
@@ -521,6 +603,15 @@ def gyre_sample_many(flow, x, y, t, clamp_time=False):
     return u, v
 
 
+def fourier_error(flow, comp, xa, ya):
+    """Reference error of one release and component at the points (xa, ya):
+    its own phases, cosines and sines at every call."""
+    phase = np.multiply.outer(xa, flow.kx[comp]) + np.multiply.outer(ya, flow.ky[comp])
+    return flow.amplitude * (
+        np.cos(phase) @ flow.coef_a[comp] + np.sin(phase) @ flow.coef_b[comp]
+    )
+
+
 def fourier_sample_many(flow, x, y, t, clamp_time=False):
     """Reference ``FourierPerturbedFlow.sample_many`` before it sampled
     through ``sampler``: the truth's ``sample_many`` at the checked points,
@@ -530,7 +621,7 @@ def fourier_sample_many(flow, x, y, t, clamp_time=False):
     u, v = flow.truth.sample_many(xa, ya, ta, clamp_time=True)
     if flow.amplitude == 0.0:
         return u, v
-    return u + flow._error(0, xa, ya), v + flow._error(1, xa, ya)
+    return u + fourier_error(flow, 0, xa, ya), v + fourier_error(flow, 1, xa, ya)
 
 
 def gyre_unique_sampler(flow, x, y, clamp_time=False):

@@ -489,6 +489,9 @@ _ERROR_MODEL = {"target_rmse": 0.1, "spatial_correlation_length": 2500.0,
     # a cadence of 0 would release forecasts at one time forever
     (["solve"], lambda c: c["forecast"].update(cadence=0.0)),
     (["batch", "--missions", "EMPTY"], lambda c: c["forecast"].update(horizon=-5.0)),
+    # 1000.0 + 1e-20 == 1000.0: the second release time would never advance
+    (["gen-forecasts"], lambda c: c.update(forecast=dict(_ERROR_MODEL, cadence=1e-20),
+                                           forecast_span=[1000.0, 2000.0])),
 ], ids=["solve-without-radius", "zero-radius", "short-study-range", "short-forecast-span",
         "unknown-baseline", "solver-alpha", "unknown-forecast-key", "no-controllers",
         "short-final-time-window", "flow-not-an-object", "sim-integrator", "solver-cfl",
@@ -497,7 +500,8 @@ _ERROR_MODEL = {"target_rmse": 0.1, "spatial_correlation_length": 2500.0,
         "solver-grid-spatial-key", "unknown-flow-key", "unknown-terrain-key", "coarsen-zero",
         "unknown-scenario-key", "unknown-solve-key", "unknown-top-level-key",
         "misspelt-switch-threshold", "study-n-zero", "negative-horizon", "negative-n",
-        "at-outside-the-solve-window", "zero-cadence", "negative-forecast-horizon"])
+        "at-outside-the-solve-window", "zero-cadence", "negative-forecast-horizon",
+        "cadence-below-float-spacing"])
 def test_bad_config_section_is_config_error(config, tmp_path, capsys, command, change):
     """Every section that any command reads is parsed, and checked, before
     the command runs: a missing key, a bad value, an unknown key or kind, a

@@ -1,7 +1,9 @@
 """Synthetic forecast-error model and forecast release series."""
 
+import gc
 import json
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +21,7 @@ from driftplan.errors import ExtentError, FormatError, HorizonError, ParameterEr
 from driftplan.flowfield import (
     GriddedFlow,
     SpaceTimeGrid,
+    UniformFlow,
     make_double_gyre,
     make_highway,
     make_uniform,
@@ -100,6 +103,13 @@ def test_non_positive_cadence_or_horizon_is_refused(cfg, cadence, horizon):
     # a cadence of 0 would release at t0 forever
     with pytest.raises(ParameterError, match="cadence and horizon must be positive"):
         gen_forecast_series(TRUTH, cfg, cadence, horizon, (0.0, 50000.0))
+
+
+@pytest.mark.parametrize("cfg", [None, _cfg()], ids=["perfect", "fourier"])
+def test_cadence_below_the_float_spacing_of_a_release_is_refused(cfg):
+    # 1000.0 + 1e-20 == 1000.0: the release time would never advance
+    with pytest.raises(ParameterError, match="never advance"):
+        gen_forecast_series(TRUTH, cfg, 1e-20, 5000.0, (1000.0, 2000.0))
 
 
 def test_error_rmse_calibration():
@@ -422,3 +432,74 @@ def test_perfect_release_samples_truth_just_past_its_window():
     t = fc.t_max + 0.01  # inside the 1e-6 relative tolerance of 50 ks
     for a, b in zip(fc.sample_many(x, y, t), gyre.sample_many(x, y, t)):
         assert a.tobytes() == b.tobytes()
+
+
+#: a truth of -0.0 everywhere, the additive identity: a release samples its error
+SIGNED_ZERO_TRUTH = UniformFlow(-0.0, -0.0)
+
+
+def _error_point_sets(seed):
+    """Grid A, a second grid B, grid A with a -0.0 node, grid A's lines
+    broadcast against each other, scattered points and one scalar point."""
+    rng = np.random.default_rng(seed)
+    xs, ys = (np.r_[0.0, rng.uniform(1.0, 9000.0, n)] for n in (6, 3))
+    grid_a = np.meshgrid(xs, ys)
+    signed = grid_a[0].copy()
+    signed[:, 0] = -0.0
+    return {
+        "grid_a": grid_a,
+        "grid_b": np.meshgrid(rng.uniform(0.0, 9000.0, 5), rng.uniform(0.0, 9000.0, 3)),
+        "signed_zero_node": (signed, grid_a[1]),
+        "broadcast": (xs[None, :], ys[:, None]),
+        "scattered": (rng.uniform(0.0, 9000.0, 7), rng.uniform(0.0, 9000.0, 7)),
+        "scalar": (float(xs[3]), float(ys[1])),
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    order=st.permutations(["grid_a", "grid_b", "signed_zero_node", "broadcast",
+                           "scattered", "scalar"]),
+    n_modes=st.integers(1, 30),
+)
+def test_release_errors_match_per_release_path_bitwise(seed, order, n_modes):
+    """Each release's error, from the basis its series evaluates once, equals
+    the per-release reference byte for byte, whichever point set comes first:
+    on a second grid, on a grid that differs only by a -0.0 node, on
+    broadcast and scalar points, and on releases built with
+    dataclasses.replace, sharing the series' values or not."""
+    series = gen_forecast_series(SIGNED_ZERO_TRUTH, _cfg(seed=seed, n_modes=n_modes),
+                                 20000.0, 50000.0, (0.0, 40000.0))
+    releases = [f for _, f in series.releases]
+    first = releases[0]
+    releases += [replace(first, t_hi=first.t_hi + 1.0),
+                 replace(first, coef_a=first.coef_a + 1.0),
+                 replace(first, amplitude=2.0 * first.amplitude),
+                 replace(first, kx=1.5 * first.kx)]
+    points = _error_point_sets(seed)
+    for name in order:
+        x, y = points[name]
+        for flow in releases:
+            t = flow.t_lo
+            _assert_bitwise(flow.sample_many(x, y, t), fourier_sample_many(flow, x, y, t))
+    held_key = first.series_errors.held[0]
+    grid_first = next(n for n in order if n in ("grid_a", "grid_b", "signed_zero_node",
+                                                "broadcast"))
+    x, y = np.broadcast_arrays(*points[grid_first])
+    assert held_key == (x[0].tobytes(), y[:, 0].tobytes())
+
+
+def test_series_is_freed_without_the_cycle_collector():
+    """A sampled release holds its series' errors, and they hold no release."""
+    X, Y = np.meshgrid(np.linspace(0.0, 9000.0, 7), np.linspace(0.0, 9000.0, 5))
+    gc.disable()
+    try:
+        series = gen_forecast_series(TRUTH, _cfg(), 20000.0, 50000.0, (0.0, 40000.0))
+        series.current(0.0).sampler(X, Y)
+        assert series.current(0.0).series_errors.held is not None
+        refs = [weakref.ref(f) for _, f in series.releases]
+        del series
+        assert [r() for r in refs] == [None] * len(refs)
+    finally:
+        gc.enable()

@@ -7,7 +7,7 @@ sampling, of the drift stepping or of the mission loop must leave every hash
 unchanged.
 
 The hashes are of float64 output. Every forecast error goes through the
-``@`` in ``FourierPerturbedFlow._error``, which runs OpenBLAS's ``dgemv``,
+``@`` in ``forecast._error_fields``, which runs OpenBLAS's ``dgemv``,
 and that kernel's last bits depend on the core type OpenBLAS picks for the
 host's CPU. Under ``OPENBLAS_CORETYPE=Prescott`` the ``island_fourier`` solve
 digest and both mission digests change on unchanged code, while

@@ -12,6 +12,8 @@ from oracles import (
     avoidance_w_step,
     roll_one_sided_diffs,
     slice_value_at,
+    solve_mtr_values,
+    upwind_hamiltonian,
 )
 
 from driftplan.errors import (
@@ -26,7 +28,8 @@ from driftplan.flowfield import (
     make_highway,
     make_uniform,
 )
-from driftplan.forecast import ErrorModelConfig, FourierPerturbedFlow, gen_forecast_series
+from driftplan import forecast
+from driftplan.forecast import ErrorModelConfig, gen_forecast_series
 from driftplan.hjsolver import (
     ALPHA,
     CFL,
@@ -370,27 +373,134 @@ def test_stacked_hamiltonian_matches_per_layer(seed, ny, nx, p_valid, p_sentinel
     assert got[1].tobytes() == _hamiltonian(V, all_valid, vx, vy, u_eff, dx, dy).tobytes()
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    ny=st.integers(1, 9),
+    nx=st.integers(1, 9),
+    p_valid=st.floats(0.0, 1.0),
+    p_sentinel=st.floats(0.0, 0.5),
+    p_still=st.floats(0.0, 1.0),
+    steady=st.booleans(),
+)
+def test_hamiltonian_matches_reference(seed, ny, nx, p_valid, p_sentinel, p_still, steady):
+    """_hamiltonian, with its buffers reused in place and, for a steady flow,
+    the downstream masks given, equals the reference expression byte for
+    byte on a stacked (2, ny, nx) state."""
+    J, valid, dx = _stencil_case(seed, ny, nx, p_valid, p_sentinel)
+    rng = np.random.default_rng(seed + 1)
+    V = rng.standard_normal((ny, nx)) * 10.0 ** rng.integers(-2, 5)
+    vx, vy = 0.5 * rng.standard_normal((2, ny, nx))
+    vx[rng.random((ny, nx)) < p_still] = 0.0
+    vy[rng.random((ny, nx)) < p_still] = -0.0
+    dy = float(rng.uniform(0.5, 500.0))
+    u_eff = float(rng.uniform(0.0, 0.5))
+    S = np.stack([J, V])
+    masks = np.stack([valid, np.ones((ny, nx), dtype=bool)])
+    downstream = (vx > 0, vy > 0) if steady else None
+    got = _hamiltonian(S, masks, vx, vy, u_eff, dx, dy, downstream)
+    assert got.tobytes() == upwind_hamiltonian(S, masks, vx, vy, u_eff, dx, dy).tobytes()
+
+
+def _solve_case(seed, nx, ny, nt, flow_kind, obstacles, point_target):
+    """A small solve problem drawn from ``seed``: grid, flow, mask, target,
+    speeds and window. Flows up to ~1.5 m/s against ``u_max`` of at most
+    0.5 m/s leave cells doomed beside a wall."""
+    rng = np.random.default_rng(seed)
+    dx, dy = (float(h) for h in rng.uniform(100.0, 500.0, 2))
+    g = SpaceTimeGrid(x0=float(rng.uniform(-1000.0, 1000.0)), y0=0.0, dx=dx, dy=dy,
+                      nx=nx, ny=ny, t0=0.0, dt_snap=float(rng.uniform(100.0, 1000.0)), nt=nt)
+    u, v = rng.normal(0.0, 0.6, 2)
+    if obstacles == "wall":
+        u = abs(u) + 0.2  # onto the wall
+    truth = {
+        "uniform": lambda: make_uniform(u, v),
+        "highway": lambda: make_highway(g.y0 + dy, g.y0 + 2.5 * dy, (u, v)),
+        "gyre": lambda: make_double_gyre(abs(u) + 0.1, 2 * math.pi / 2000.0, 0.25,
+                                         0.5 * (g.x_max - g.x0)),
+    }
+    if flow_kind == "fourier":
+        base = truth["gyre" if rng.random() < 0.5 else "uniform"]()
+        series = gen_forecast_series(base, ErrorModelConfig(0.4, 2 * dx, 5000.0, n_modes=6,
+                                                            seed=seed), 500.0, 5000.0,
+                                     (0.0, 1000.0))
+        flow = series.current(float(rng.uniform(0.0, 1000.0)))
+    else:
+        flow = truth[flow_kind]()
+    X, Y = g.meshgrid()
+    mask = {"none": None,
+            "empty": np.zeros((ny, nx), dtype=bool),
+            "random": rng.random((ny, nx)) < 0.2,
+            "wall": X >= g.x_max - dx * rng.integers(0, max(1, nx // 3))}[obstacles]
+    cfg = SolverConfig(grid=g, u_max=float(rng.uniform(0.02, 0.5)))
+    if rng.random() < 0.3:
+        cfg = SolverConfig(grid=g, u_max=cfg.u_max, d_max=float(rng.uniform(0.0, cfg.u_max)))
+    center = (float(rng.uniform(g.x0, g.x_max)), float(rng.uniform(g.y0, g.y_max)))
+    if point_target:  # no node within the radius: the nearest node seeds the solve
+        center = (g.x0 + dx * (int(rng.integers(0, nx)) + 0.37),
+                  g.y0 + dy * (int(rng.integers(0, ny)) + 0.41))
+    target = TargetSpec(center, 1.0 if point_target else float(rng.uniform(0.5, 3.0)) * dx)
+    t_start = flow.t_min if flow_kind == "fourier" else float(rng.uniform(0.0, g.dt_snap))
+    return (flow, mask if mask is None else _mask(g, mask), target, cfg,
+            t_start, t_start + g.t_max)
+
+
+_solve_cases = dict(
+    seed=st.integers(0, 2**31 - 1),
+    nx=st.integers(2, 9),
+    ny=st.integers(2, 9),
+    nt=st.integers(2, 4),
+    flow_kind=st.sampled_from(["uniform", "highway", "gyre", "fourier"]),
+    obstacles=st.sampled_from(["none", "empty", "random", "wall"]),
+    point_target=st.booleans(),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(**_solve_cases)
+def test_solve_matches_reference_loop(seed, nx, ny, nt, flow_kind, obstacles, point_target):
+    """solve_mtr's values equal those of the reference substep loop byte for
+    byte, on steady and unsteady flows, with no obstacles or a mask, and on
+    point-like targets and two-snapshot grids."""
+    case = _solve_case(seed, nx, ny, nt, flow_kind, obstacles, point_target)
+    assert solve_mtr(*case).values.tobytes() == solve_mtr_values(*case).tobytes()
+
+
+@pytest.mark.parametrize("seed, flow_kind", [(3, "uniform"), (11, "gyre"), (5, "fourier")])
+def test_solve_matches_reference_loop_with_doomed_cells(seed, flow_kind):
+    """Flow onto a wall faster than the vehicle: free cells turn doomed
+    during the solve, and the values still equal the reference loop's."""
+    case = _solve_case(seed, 9, 6, 4, flow_kind, "wall", False)
+    want = solve_mtr_values(*case)
+    obst = case[1].mask
+    assert ((want[0] >= SENTINEL_THRESHOLD) & ~obst).any()
+    assert not ((want[-1] >= SENTINEL_THRESHOLD) & ~obst).any()
+    assert solve_mtr(*case).values.tobytes() == want.tobytes()
+
+
 def test_unsteady_solve_evaluates_forecast_error_once_per_component(monkeypatch):
-    """One unsteady solve evaluates the Fourier error once per component,
-    never calls the truth's sample_many, and samples the truth once per
-    snapshot time (the CFL endpoints shared by neighbouring intervals) and
-    once per substep."""
+    """Two unsteady solves on two releases of one series evaluate the
+    Fourier basis once, for every release at the first solve, never call the
+    truth's sample_many, and sample the truth once per snapshot time (the
+    CFL endpoints shared by neighbouring intervals) and once per substep."""
     g = SpaceTimeGrid(x0=0.0, y0=0.0, dx=500.0, dy=500.0, nx=21, ny=11,
                       t0=0.0, dt_snap=5000.0, nt=5)
     truth = make_double_gyre(0.16, 2 * math.pi / 86400.0, 0.25, 5000.0)
-    fc = gen_forecast_series(
+    series = gen_forecast_series(
         truth, ErrorModelConfig(0.2, 2500.0, 40000.0, seed=0),
-        20000.0, 20000.0, (0.0, 0.0),
-    ).current(0.0)
+        20000.0, 20000.0, (0.0, 20000.0),
+    )
+    (_, fc), (t_second, second) = series.releases
     counts = {"error": 0, "truth": 0}
     times = []
-    real_error = FourierPerturbedFlow._error
+    real_error = forecast._error_fields
     real_truth = DoubleGyreFlow.sample_many
     real_sampler = DoubleGyreFlow.sampler
 
-    def count_error(self, *args):
+    def count_error(kx, ky, amplitude, coefs, *points):
         counts["error"] += 1
-        return real_error(self, *args)
+        assert len(coefs) == 2  # every release of the series at once
+        return real_error(kx, ky, amplitude, coefs, *points)
 
     def count_truth(self, *args, **kw):
         counts["truth"] += 1
@@ -405,13 +515,17 @@ def test_unsteady_solve_evaluates_forecast_error_once_per_component(monkeypatch)
 
         return sample
 
-    monkeypatch.setattr(FourierPerturbedFlow, "_error", count_error)
+    monkeypatch.setattr(forecast, "_error_fields", count_error)
     monkeypatch.setattr(DoubleGyreFlow, "sample_many", count_truth)
     monkeypatch.setattr(DoubleGyreFlow, "sampler", record_sampler)
     cfg = SolverConfig(grid=g, u_max=U_MAX)
-    vf = solve_mtr(fc, None, TargetSpec((2000.0, 2000.0), 600.0), cfg, 0.0, 20000.0)
-    assert counts["error"] == 2
-    assert counts["truth"] == 0
+    target = TargetSpec((2000.0, 2000.0), 600.0)
+    vf = solve_mtr(fc, None, target, cfg, 0.0, 20000.0)
+    assert counts == {"error": 1, "truth": 0}
+    n_first = len(times)
+    solve_mtr(second, None, target, cfg, t_second, t_second + 20000.0)
+    assert counts == {"error": 1, "truth": 0}
+    del times[n_first:]  # the first solve's times are checked below
 
     # the CFL rule, recomputed from sample_many at both interval endpoints;
     # sample_many samples grid-shaped points through sampler, so both are
@@ -435,6 +549,30 @@ def test_unsteady_solve_evaluates_forecast_error_once_per_component(monkeypatch)
         assert times.count(t) == 1
     for (lo, hi), m in zip(zip(ts[:-1], ts[1:]), substeps):
         assert sum(lo < t < hi for t in times) == m
+
+
+def test_clearance_is_computed_once_per_mask_at_first_use(monkeypatch):
+    """Building a mask computes no distance transform; two solves on it
+    compute the clearance pair once, read-only and equal to the difference
+    of the two transforms."""
+    from driftplan import terrain
+
+    calls = []
+    real = terrain.euclidean_distance
+    monkeypatch.setattr(terrain, "euclidean_distance",
+                        lambda m, dy, dx: calls.append(m.sum()) or real(m, dy, dx))
+    g = _grid(nx=21, ny=21)
+    X, Y = g.meshgrid()
+    om = _mask(g, (X >= 1000.0) & (X <= 2000.0) & (Y >= 1800.0) & (Y <= 2200.0))
+    assert calls == []
+    cfg = SolverConfig(grid=g, u_max=U_MAX)
+    for t_end in (30_000.0, 60_000.0):
+        solve_mtr(make_uniform(0.05, 0.0), om, TargetSpec((3000.0, 3000.0), 300.0),
+                  cfg, 0.0, t_end)
+    assert calls == [om.mask.sum(), (~om.mask).sum()]
+    want = real(om.mask, g.dy, g.dx) - real(~om.mask, g.dy, g.dx)
+    assert om.clearance.tobytes() == want.tobytes()
+    assert not om.clearance.flags.writeable
 
 
 def _random_value_function(rng, ny, nx, nt, p_sentinel):

@@ -240,6 +240,19 @@ def test_batch_spec_refuses_non_positive_cadence_or_horizon():
             BatchSpec(**kw, **timing)
 
 
+def test_cadence_below_the_float_spacing_of_a_release_aborts_its_mission_alone():
+    """From 1000 s on, a 1e-20 s cadence would never advance the release
+    time: each such mission aborts at set-up, promptly, and the batch runs on."""
+    g, truth, om = _wall_setup()
+    spec = BatchSpec(kind=ControllerKind.FLOATING, solver_config=SolverConfig(grid=g, u_max=U_MAX),
+                     obstacles=om, cadence=1e-20, horizon=5000.0)
+    recs = run_batch([replace(_mission(), t0=t0) for t0 in (1000.0, 5000.0)], truth, spec,
+                     SimConfig())
+    assert [(r.outcome, r.outcome_time) for r in recs] == [
+        (Outcome.ABORTED, 1000.0), (Outcome.ABORTED, 5000.0)]
+    assert all(r.note.startswith("setup failed: forecast cadence 1e-20 ") for r in recs)
+
+
 def test_stranding_study_counts_extent_exit_as_left_region():
     truth = _eastward_gridded_truth()
     om = ObstacleMask(grid=SpatialGrid(0, 0, 1000.0, 1000.0, 11, 11),
