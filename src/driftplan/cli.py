@@ -142,7 +142,7 @@ def load_experiment(path: str, seed_override=None, out_override=None) -> Experim
         # checked here, as perfect forecasts (target_rmse 0) build no ErrorModelConfig
         _check_keys(fc, {f.name for f in fields(ErrorModelConfig)} - {"seed"}, "forecast")
         error_model = None
-        if fc.get("target_rmse", 0.0) > 0.0:
+        if fc.get("target_rmse", 0.0) != 0.0:
             error_model = ErrorModelConfig(**fc, seed=seed)
         constraints = mission_t_max = None
         if "missions" in raw:

@@ -5,11 +5,11 @@ The synthetic generator perturbs the true flow with a sum of random
 Fourier modes per velocity component. Mode coefficients evolve between
 releases as a stationary AR(1) process, so consecutive forecasts share
 error structure, and amplitudes are calibrated analytically so the
-expected vector RMSE equals the configured target. The releases of one
-series share their modes, so a release evaluates the error once per series
-and point set: the first grid-shaped point set sampled gets every release's
-error from one cosine and one sine basis per component. Other point sets
-are evaluated once per release and point set.
+expected vector RMSE equals the configured target. A release is an index
+into its series, which holds the modes and every release's coefficients:
+the first grid-shaped point set sampled gets every release's error from one
+cosine and one sine basis per component. Other point sets are evaluated
+once per release and point set.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,12 +37,12 @@ class ErrorModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.target_rmse < 0:
-            raise ParameterError("target_rmse must be >= 0")
-        if self.spatial_correlation_length <= 0 or self.temporal_correlation <= 0:
+        if not 0 <= self.target_rmse < math.inf:
+            raise ParameterError(f"target_rmse must be finite and >= 0, not {self.target_rmse}")
+        if not (self.spatial_correlation_length > 0 and self.temporal_correlation > 0):
             raise ParameterError("correlation scales must be positive")
-        if self.n_modes < 1:
-            raise ParameterError("need at least one Fourier mode")
+        if not (isinstance(self.n_modes, numbers.Integral) and self.n_modes >= 1):
+            raise ParameterError(f"n_modes must be an integer >= 1, not {self.n_modes!r}")
 
 
 def _error_fields(kx, ky, amplitude, coefs, xa, ya):
@@ -63,46 +64,40 @@ def _error_fields(kx, ky, amplitude, coefs, xa, ya):
 
 
 class _SeriesErrors:
-    """The errors of a series' releases on one grid-shaped point set, all
-    evaluated at the first request. Releases reference it and it references
-    none of them, so a series is freed without the cycle collector."""
+    """A generated series' modes and each release's coefficients, and its
+    releases' errors on the first grid-shaped point set sampled. Releases
+    reference it by index and it references none of them, so a series is
+    freed without the cycle collector."""
 
     def __init__(self, kx, ky, amplitude):
         self.kx, self.ky, self.amplitude = kx, ky, amplitude
         self.coefs = []  # (coef_a, coef_b) of each release, in release order
         self.held = None  # (bits of the point set's grid lines, fields per release)
 
-    def lookup(self, flow, xa, ya):
-        """flow's error fields at (xa, ya), or None where the held ones do not
-        apply: another point set, or a release not built with these values."""
+    def error(self, index, xa, ya):
+        """Release ``index``'s error fields at (xa, ya): held for every release
+        on the held grid, evaluated for this release alone elsewhere."""
         lines = grid_lines(xa, ya)
-        idx = next((i for i, (a, b) in enumerate(self.coefs)
-                    if a is flow.coef_a and b is flow.coef_b), None)
-        if (lines is None or idx is None or flow.kx is not self.kx
-                or flow.ky is not self.ky or flow.amplitude != self.amplitude):
-            return None
-        key = (lines[0].tobytes(), lines[1].tobytes())
-        if self.held is None:
-            self.held = key, _error_fields(self.kx, self.ky, self.amplitude, self.coefs, xa, ya)
-        return self.held[1][idx] if self.held[0] == key else None
+        key = lines and (lines[0].tobytes(), lines[1].tobytes())
+        modes = self.kx, self.ky, self.amplitude
+        if key and self.held is None:
+            self.held = key, _error_fields(*modes, self.coefs, xa, ya)
+        if key and self.held[0] == key:
+            return self.held[1][index]
+        return _error_fields(*modes, self.coefs[index:index + 1], xa, ya)[0]
 
 
 @dataclass(frozen=True)
 class FourierPerturbedFlow(FlowSource):
-    """Truth plus a frozen-in-time sum of Fourier modes per component,
-    valid over one release window [t_lo, t_hi]. With amplitude 0 it is the
-    truth on that window: a perfect release."""
+    """Truth plus the frozen-in-time Fourier error of release ``index`` of
+    its series, valid over one release window [t_lo, t_hi]. With ``errors``
+    None it is the truth on that window: a perfect release."""
 
     truth: FlowSource
-    kx: np.ndarray = field(repr=False)  # (2, n_modes): per component
-    ky: np.ndarray = field(repr=False)
-    coef_a: np.ndarray = field(repr=False)
-    coef_b: np.ndarray = field(repr=False)
-    amplitude: float = 0.0
+    errors: _SeriesErrors | None = field(default=None, repr=False)
+    index: int = 0
     t_lo: float = -math.inf
     t_hi: float = math.inf
-    #: the errors shared by the releases of one generated series
-    series_errors: _SeriesErrors | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         tr = self.truth
@@ -122,11 +117,9 @@ class FourierPerturbedFlow(FlowSource):
         # series for the grid-shaped point set its releases share
         xa, ya = np.broadcast_arrays(*self._check_extent(x, y, axes="xy"))
         truth = self.truth.sampler(xa, ya, clamp_time=True)
-        if self.amplitude == 0.0:
+        if self.errors is None:
             return lambda t: truth(*self._check_extent(t, axes="t", clamp_time=clamp_time))
-        held = self.series_errors and self.series_errors.lookup(self, xa, ya)
-        eu, ev = held if held is not None else _error_fields(
-            self.kx, self.ky, self.amplitude, [(self.coef_a, self.coef_b)], xa, ya)[0]
+        eu, ev = self.errors.error(self.index, xa, ya)
 
         def sample(t):
             u, v = truth(*self._check_extent(t, axes="t", clamp_time=clamp_time))
@@ -165,13 +158,24 @@ def check_release_timing(cadence: float, horizon: float) -> None:
             f"forecast cadence and horizon must be positive, not {cadence} and {horizon}")
 
 
+#: the most releases one series may hold: a year of hourly releases fits, and
+#: a 1e-20 s cadence from 0 s, which would release about 9e15 times, does not
+MAX_RELEASES = 10_000
+
+
 def _release_windows(truth: FlowSource, t0: float, t1: float,
                      cadence: float, horizon: float):
     """(release time, window end) for each release in [t0, t1]; a window
     ends at the horizon or at the end of the truth, whichever is first, and
-    no release comes at or after the end of the truth. A cadence too small
-    to advance a release time raises ParameterError."""
+    no release comes at or after the end of the truth. More than
+    MAX_RELEASES releases, or a cadence too small to advance a release time,
+    raises ParameterError: a span only a few float spacings long can pass the
+    count and still not advance."""
     check_release_timing(cadence, horizon)
+    intervals = (min(t1 + 1e-9, truth.t_max) - t0) / cadence
+    if intervals >= MAX_RELEASES:  # one release more than whole intervals
+        raise ParameterError(f"forecast cadence {cadence} over [{t0}, {t1}] would make "
+                             f"{intervals + 1:.3g} releases, more than {MAX_RELEASES}")
     rt = t0
     while rt <= t1 + 1e-9 and rt < truth.t_max:
         yield rt, min(rt + horizon, truth.t_max)
@@ -192,16 +196,13 @@ def gen_forecast_series(
 
     Each release is truth plus a Fourier-mode error field whose expected
     vector RMSE equals cfg.target_rmse. Deterministic given cfg.seed. With
-    cfg None each release has no modes and amplitude 0, so it is the truth
-    on its window: a perfect series, which draws nothing.
+    cfg None, or a target_rmse of 0, each release has no error, so it is the
+    truth on its window: a perfect series, which draws nothing.
     """
     windows = _release_windows(truth, *span, cadence, horizon)
-    if cfg is None:
-        no_modes = np.zeros((2, 0))
-        return ForecastSeries(tuple(
-            (rt, FourierPerturbedFlow(truth=truth, kx=no_modes, ky=no_modes, coef_a=no_modes,
-                                      coef_b=no_modes, t_lo=rt, t_hi=t_hi))
-            for rt, t_hi in windows))
+    if cfg is None or cfg.target_rmse == 0.0:
+        return ForecastSeries(tuple((rt, FourierPerturbedFlow(truth, t_lo=rt, t_hi=t_hi))
+                                    for rt, t_hi in windows))
     rng = np.random.default_rng(cfg.seed)
     n = cfg.n_modes
     # wavelengths at or above the correlation length, isotropic directions
@@ -217,12 +218,9 @@ def gen_forecast_series(
     coef_b = rng.standard_normal((2, n))
     errors = _SeriesErrors(kx, ky, amplitude)
     releases = []
-    for rt, t_hi in windows:
-        errors.coefs.append((coef_a.copy(), coef_b.copy()))
-        releases.append((rt, FourierPerturbedFlow(
-            truth=truth, kx=kx, ky=ky, coef_a=errors.coefs[-1][0], coef_b=errors.coefs[-1][1],
-            amplitude=amplitude, t_lo=rt, t_hi=t_hi, series_errors=errors,
-        )))
+    for index, (rt, t_hi) in enumerate(windows):
+        errors.coefs.append((coef_a, coef_b))  # the AR(1) step below makes new arrays
+        releases.append((rt, FourierPerturbedFlow(truth, errors, index, rt, t_hi)))
         noise_a = rng.standard_normal((2, n))
         noise_b = rng.standard_normal((2, n))
         coef_a = rho * coef_a + math.sqrt(1.0 - rho * rho) * noise_a

@@ -317,15 +317,27 @@ def stranding_study(
 
     Starts are drawn one particle at a time (x, y until off obstacles, then
     t), and all particles then drift together through ``drift_particles``.
-    Returns counts, rates, and a per-cell heatmap of stranding end
-    locations on the obstacle-mask grid.
+    A region whose draws round to obstacle cells alone, save on its edges,
+    raises ParameterError. Returns counts, rates, and a per-cell heatmap of
+    stranding end locations on the obstacle-mask grid.
     """
     if n < 1:
         raise ParameterError("need at least one sample")
     if not horizon > 0:
         raise ParameterError(f"drift horizon must be positive, not {horizon}")
-    rng = np.random.default_rng(seed)
     xmin, xmax, ymin, ymax = region
+    g = obstacles.grid
+
+    def cells(lo, hi, origin, step, count):
+        # the nodes that the draws in [lo, hi) round to, as nearest_cell does
+        a, b = sorted(((lo - origin) / step, (hi - origin) / step))
+        first, last = (round(a),) * 2 if a == b else (math.floor(a + 0.5), math.ceil(b - 0.5))
+        return slice(min(max(first, 0), count - 1), min(max(last, 0), count - 1) + 1)
+
+    rows, cols = cells(ymin, ymax, g.y0, g.dy, g.ny), cells(xmin, xmax, g.x0, g.dx, g.nx)
+    if obstacles.mask[rows, cols].all():
+        raise ParameterError(f"region {region} holds no free cell to start a drift from")
+    rng = np.random.default_rng(seed)
     xs, ys, ts = np.empty(n), np.empty(n), np.empty(n)
     for k in range(n):
         while True:

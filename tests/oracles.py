@@ -605,10 +605,13 @@ def gyre_sample_many(flow, x, y, t, clamp_time=False):
 
 def fourier_error(flow, comp, xa, ya):
     """Reference error of one release and component at the points (xa, ya):
-    its own phases, cosines and sines at every call."""
-    phase = np.multiply.outer(xa, flow.kx[comp]) + np.multiply.outer(ya, flow.ky[comp])
-    return flow.amplitude * (
-        np.cos(phase) @ flow.coef_a[comp] + np.sin(phase) @ flow.coef_b[comp]
+    its own phases, cosines and sines at every call, from its series' modes
+    and the coefficients at its index."""
+    errors = flow.errors
+    coef_a, coef_b = errors.coefs[flow.index]
+    phase = np.multiply.outer(xa, errors.kx[comp]) + np.multiply.outer(ya, errors.ky[comp])
+    return errors.amplitude * (
+        np.cos(phase) @ coef_a[comp] + np.sin(phase) @ coef_b[comp]
     )
 
 
@@ -619,7 +622,7 @@ def fourier_sample_many(flow, x, y, t, clamp_time=False):
     xa, ya, ta = flow._check_extent(x, y, t, clamp_time=clamp_time)
     xa, ya = np.broadcast_arrays(xa, ya)
     u, v = flow.truth.sample_many(xa, ya, ta, clamp_time=True)
-    if flow.amplitude == 0.0:
+    if flow.errors is None:
         return u, v
     return u + fourier_error(flow, 0, xa, ya), v + fourier_error(flow, 1, xa, ya)
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import pathlib
 import struct
@@ -492,6 +493,22 @@ _ERROR_MODEL = {"target_rmse": 0.1, "spatial_correlation_length": 2500.0,
     # 1000.0 + 1e-20 == 1000.0: the second release time would never advance
     (["gen-forecasts"], lambda c: c.update(forecast=dict(_ERROR_MODEL, cadence=1e-20),
                                            forecast_span=[1000.0, 2000.0])),
+    # from 0 s a 1e-20 s cadence advances, but would release about 9e15 times
+    (["gen-forecasts"], lambda c: c.update(forecast=dict(_ERROR_MODEL, cadence=1e-20),
+                                           forecast_span=[0.0, 2000.0])),
+    # an error model that is present and not 0 is built, and checked
+    (["batch", "--missions", "EMPTY"],
+     lambda c: c.update(forecast=dict(_ERROR_MODEL, target_rmse=math.nan))),
+    (["batch", "--missions", "EMPTY"],
+     lambda c: c.update(forecast=dict(_ERROR_MODEL, target_rmse=-0.1))),
+    (["batch", "--missions", "EMPTY"],
+     lambda c: c.update(forecast=dict(_ERROR_MODEL, target_rmse=math.inf))),
+    (["batch", "--missions", "EMPTY"],
+     lambda c: c.update(forecast=dict(_ERROR_MODEL, spatial_correlation_length=math.nan))),
+    (["batch", "--missions", "EMPTY"], lambda c: c.update(forecast=dict(_ERROR_MODEL, n_modes=2.5))),
+    # every start drawn in the region would lie on the coastal wall
+    (["stranding-study", "--n", "10", "--horizon", "600"],
+     lambda c: c["scenario"].update(region=[9000.0, 10000.0, 0.0, 10000.0])),
 ], ids=["solve-without-radius", "zero-radius", "short-study-range", "short-forecast-span",
         "unknown-baseline", "solver-alpha", "unknown-forecast-key", "no-controllers",
         "short-final-time-window", "flow-not-an-object", "sim-integrator", "solver-cfl",
@@ -501,7 +518,9 @@ _ERROR_MODEL = {"target_rmse": 0.1, "spatial_correlation_length": 2500.0,
         "unknown-scenario-key", "unknown-solve-key", "unknown-top-level-key",
         "misspelt-switch-threshold", "study-n-zero", "negative-horizon", "negative-n",
         "at-outside-the-solve-window", "zero-cadence", "negative-forecast-horizon",
-        "cadence-below-float-spacing"])
+        "cadence-below-float-spacing", "release-count-over-the-cap", "nan-target-rmse",
+        "negative-target-rmse", "infinite-target-rmse", "nan-correlation-length",
+        "fractional-n-modes", "study-region-on-the-wall"])
 def test_bad_config_section_is_config_error(config, tmp_path, capsys, command, change):
     """Every section that any command reads is parsed, and checked, before
     the command runs: a missing key, a bad value, an unknown key or kind, a

@@ -1,6 +1,7 @@
 """Synthetic forecast-error model and forecast release series."""
 
 import gc
+import itertools
 import json
 import math
 import weakref
@@ -17,6 +18,7 @@ from oracles import (
     padded_extent,
 )
 
+from driftplan import forecast
 from driftplan.errors import ExtentError, FormatError, HorizonError, ParameterError
 from driftplan.flowfield import (
     GriddedFlow,
@@ -48,13 +50,15 @@ def _cfg(**kw):
     return ErrorModelConfig(**base)
 
 
-def test_config_validation():
+@pytest.mark.parametrize("change", [
+    dict(target_rmse=-0.1), dict(target_rmse=math.nan), dict(target_rmse=math.inf),
+    dict(spatial_correlation_length=0.0), dict(spatial_correlation_length=math.nan),
+    dict(temporal_correlation=-1.0), dict(temporal_correlation=math.nan),
+    dict(n_modes=0), dict(n_modes=2.5), dict(n_modes=2.0), dict(n_modes="3"),
+], ids=repr)
+def test_config_validation(change):
     with pytest.raises(ParameterError):
-        _cfg(target_rmse=-0.1)
-    with pytest.raises(ParameterError):
-        _cfg(spatial_correlation_length=0.0)
-    with pytest.raises(ParameterError):
-        _cfg(n_modes=0)
+        _cfg(**change)
 
 
 def test_series_covers_span_at_cadence():
@@ -107,9 +111,33 @@ def test_non_positive_cadence_or_horizon_is_refused(cfg, cadence, horizon):
 
 @pytest.mark.parametrize("cfg", [None, _cfg()], ids=["perfect", "fourier"])
 def test_cadence_below_the_float_spacing_of_a_release_is_refused(cfg):
-    # 1000.0 + 1e-20 == 1000.0: the release time would never advance
+    # 1e6 + 5e-11 == 1e6: the release time would never advance, although the
+    # span's 1e-9 s of tolerance counts only 20 releases
+    assert 1e6 + 5e-11 == 1e6
     with pytest.raises(ParameterError, match="never advance"):
-        gen_forecast_series(TRUTH, cfg, 1e-20, 5000.0, (1000.0, 2000.0))
+        gen_forecast_series(TRUTH, cfg, 5e-11, 5000.0, (1e6, 1e6))
+
+
+@pytest.mark.parametrize("cfg", [None, _cfg()], ids=["perfect", "fourier"])
+@pytest.mark.parametrize("t0, cadence, t1", [(0.0, 1e-20, 2000.0), (1000.0, 1e-20, 2000.0),
+                                             (0.0, 1e-3, 90000.0), (0.0, 3600.0, math.inf)])
+def test_releases_over_the_cap_are_refused_before_the_first(cfg, t0, cadence, t1):
+    """The releases are counted once, up front: from 0 s a 1e-20 s cadence
+    advances each release time, and would release about 9e15 times."""
+    # only the first releases are taken, in case they are not refused
+    with pytest.raises(ParameterError, match="more than") as info:
+        list(itertools.islice(forecast._release_windows(TRUTH, t0, t1, cadence, 5000.0), 4))
+    assert str(info.value).endswith(f"more than {forecast.MAX_RELEASES}")
+    with pytest.raises(ParameterError, match=f"more than {forecast.MAX_RELEASES}"):
+        gen_forecast_series(TRUTH, cfg, cadence, 5000.0, (t0, t1))
+
+
+def test_series_may_hold_the_cap_of_releases_and_no_more():
+    cap = forecast.MAX_RELEASES
+    series = gen_forecast_series(TRUTH, None, 90000.0 / (cap - 1), 5000.0, (0.0, 90000.0))
+    assert len(series.releases) == cap
+    with pytest.raises(ParameterError, match=f"more than {cap}"):
+        gen_forecast_series(TRUTH, None, 90000.0 / cap, 5000.0, (0.0, 90000.0))
 
 
 def test_error_rmse_calibration():
@@ -467,27 +495,38 @@ def test_release_errors_match_per_release_path_bitwise(seed, order, n_modes):
     """Each release's error, from the basis its series evaluates once, equals
     the per-release reference byte for byte, whichever point set comes first:
     on a second grid, on a grid that differs only by a -0.0 node, on
-    broadcast and scalar points, and on releases built with
-    dataclasses.replace, sharing the series' values or not."""
-    series = gen_forecast_series(SIGNED_ZERO_TRUTH, _cfg(seed=seed, n_modes=n_modes),
-                                 20000.0, 50000.0, (0.0, 40000.0))
+    broadcast and scalar points, on a release built with dataclasses.replace,
+    and on a second series on the same truth. A release's index picks its own
+    coefficients, and each series holds its own fields."""
+    series, other = (gen_forecast_series(SIGNED_ZERO_TRUTH, _cfg(seed=s, n_modes=n_modes),
+                                         20000.0, 50000.0, (0.0, 40000.0))
+                     for s in (seed, seed + 1))
     releases = [f for _, f in series.releases]
     first = releases[0]
-    releases += [replace(first, t_hi=first.t_hi + 1.0),
-                 replace(first, coef_a=first.coef_a + 1.0),
-                 replace(first, amplitude=2.0 * first.amplitude),
-                 replace(first, kx=1.5 * first.kx)]
+    assert [f.index for f in releases] == list(range(len(releases)))
+    # another index on the first release's window: the error of that release
+    reindexed = [replace(first, index=f.index) for f in releases[1:]]
+    flows = [*releases, replace(first, t_hi=first.t_hi + 1.0), *reindexed,
+             *(f for _, f in other.releases)]
     points = _error_point_sets(seed)
     for name in order:
         x, y = points[name]
-        for flow in releases:
-            t = flow.t_lo
-            _assert_bitwise(flow.sample_many(x, y, t), fourier_sample_many(flow, x, y, t))
-    held_key = first.series_errors.held[0]
+        got = {}
+        for flow in flows:
+            got[id(flow)] = flow.sample_many(x, y, flow.t_lo)
+            _assert_bitwise(got[id(flow)], fourier_sample_many(flow, x, y, flow.t_lo))
+        for f, r in zip(releases[1:], reindexed):
+            _assert_bitwise(got[id(r)], got[id(f)])
+        # the second series' first release has the same index, not the same error
+        assert got[id(first)][0].tobytes() != got[id(other.releases[0][1])][0].tobytes()
     grid_first = next(n for n in order if n in ("grid_a", "grid_b", "signed_zero_node",
                                                 "broadcast"))
     x, y = np.broadcast_arrays(*points[grid_first])
-    assert held_key == (x[0].tobytes(), y[:, 0].tobytes())
+    for s in (series, other):
+        assert s.releases[0][1].errors.held[0] == (x[0].tobytes(), y[:, 0].tobytes())
+    held, other_held = first.errors.held[1], other.releases[0][1].errors.held[1]
+    assert len(held) == len(other_held) == len(releases)
+    assert not any(np.shares_memory(a, b) for a in held for b in other_held)
 
 
 def test_series_is_freed_without_the_cycle_collector():
@@ -497,7 +536,7 @@ def test_series_is_freed_without_the_cycle_collector():
     try:
         series = gen_forecast_series(TRUTH, _cfg(), 20000.0, 50000.0, (0.0, 40000.0))
         series.current(0.0).sampler(X, Y)
-        assert series.current(0.0).series_errors.held is not None
+        assert series.current(0.0).errors.held is not None
         refs = [weakref.ref(f) for _, f in series.releases]
         del series
         assert [r() for r in refs] == [None] * len(refs)

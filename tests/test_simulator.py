@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import dataclass, replace
 
@@ -242,15 +244,59 @@ def test_batch_spec_refuses_non_positive_cadence_or_horizon():
 
 def test_cadence_below_the_float_spacing_of_a_release_aborts_its_mission_alone():
     """From 1000 s on, a 1e-20 s cadence would never advance the release
-    time: each such mission aborts at set-up, promptly, and the batch runs on."""
+    time, and from 0 s it would release about 9e15 times: each such mission
+    aborts at set-up, promptly, and the batch runs on."""
     g, truth, om = _wall_setup()
     spec = BatchSpec(kind=ControllerKind.FLOATING, solver_config=SolverConfig(grid=g, u_max=U_MAX),
                      obstacles=om, cadence=1e-20, horizon=5000.0)
-    recs = run_batch([replace(_mission(), t0=t0) for t0 in (1000.0, 5000.0)], truth, spec,
+    recs = run_batch([replace(_mission(), t0=t0) for t0 in (0.0, 1000.0, 5000.0)], truth, spec,
                      SimConfig())
     assert [(r.outcome, r.outcome_time) for r in recs] == [
-        (Outcome.ABORTED, 1000.0), (Outcome.ABORTED, 5000.0)]
+        (Outcome.ABORTED, 0.0), (Outcome.ABORTED, 1000.0), (Outcome.ABORTED, 5000.0)]
     assert all(r.note.startswith("setup failed: forecast cadence 1e-20 ") for r in recs)
+
+
+#: stranding studies on a 5 x 5 island at cells 3-7 of an 11^2 mask at 1 km,
+#: in the region given as the script's four arguments
+_ISLAND_STUDY = """
+import sys
+import numpy as np
+from driftplan.errors import ParameterError
+from driftplan.flowfield import make_uniform
+from driftplan.simulator import stranding_study
+from driftplan.terrain import ObstacleMask, SpatialGrid
+mask = np.zeros((11, 11), dtype=bool)
+mask[3:8, 3:8] = True
+om = ObstacleMask(SpatialGrid(0.0, 0.0, 1000.0, 1000.0, 11, 11), mask)
+try:
+    region = tuple(map(float, sys.argv[1:]))
+    stranding_study(region, make_uniform(0.0, 0.0), om, n=5, horizon=600.0)
+    print("ran")
+except ParameterError as exc:
+    print("refused", exc)
+"""
+
+
+@pytest.mark.parametrize("region, ends", [
+    ((4000.0, 6000.0, 4000.0, 6000.0), "refused"),
+    # edges half-way between nodes: the draws round to cells 3-7 alone
+    ((2500.0, 7500.0, 2500.0, 7500.0), "refused"),
+    ((5000.0, 5000.0, 5000.0, 5000.0), "refused"),
+    # draws in [2.4, 2.5) km round to the free cells of column and row 2
+    ((2400.0, 7500.0, 2400.0, 7500.0), "ran"),
+], ids=["inside", "half-node-edges", "one-point", "free-cells-on-the-edge"])
+def test_stranding_study_refuses_a_region_with_no_free_cell(region, ends):
+    """Starts drawn until one is off the obstacles would never end: the study
+    refuses the region up front. It runs in a subprocess under a timeout,
+    as drawing without that check does not return."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _ISLAND_STUDY, *map(repr, region)], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[0] == ends
+    assert ("no free cell" in proc.stdout) == (ends == "refused")
 
 
 def test_stranding_study_counts_extent_exit_as_left_region():
