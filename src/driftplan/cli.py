@@ -17,16 +17,8 @@ import numpy as np
 from . import __version__
 from .controllers import SWITCH_THRESHOLD, ControllerKind
 from .errors import ConfigError, DegenerateInputError, DriftplanError, ParameterError
-from .flowfield import (
-    GriddedFlow,
-    SpaceTimeGrid,
-    make_double_gyre,
-    make_highway,
-    make_uniform,
-    read_flow_file,
-    write_flow_file,
-)
-from .forecast import ErrorModelConfig, gen_forecast_series, write_series_manifest
+from .flowfield import SpaceTimeGrid, make_double_gyre, make_highway, make_uniform, read_flow_file
+from .forecast import ErrorModelConfig
 from .gridio import write_csv_grid, write_pgm
 from .hjsolver import SolverConfig, TargetSpec, safe_ttr, solve_mtr
 from .missions import SamplingConstraints, read_missions, sample_missions, write_missions
@@ -46,9 +38,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
-_TOP_LEVEL_KEYS = ("seed", "out", "scenario", "solver", "sim", "forecast", "forecast_span",
-                   "missions", "controllers", "baseline", "switch_threshold", "solve",
-                   "study_t_range")
+_TOP_LEVEL_KEYS = ("seed", "out", "scenario", "solver", "sim", "forecast", "missions",
+                   "controllers", "baseline", "switch_threshold", "solve", "study_t_range")
 
 
 @dataclass
@@ -64,7 +55,6 @@ class Experiment:
     baseline: str
     solve: tuple | None  # (TargetSpec, t_start, terminal_time)
     study_t_range: tuple
-    forecast_span: tuple
     seed: int
     out_dir: str
 
@@ -125,6 +115,8 @@ def load_experiment(path: str, seed_override=None, out_override=None) -> Experim
     try:
         _check_keys(raw, _TOP_LEVEL_KEYS, "top-level")
         seed = seed_override if seed_override is not None else raw.get("seed", 0)
+        if type(seed) is not int or seed < 0:  # not isinstance: JSON's true is an int
+            raise ConfigError(f"seed must be an integer >= 0, not {seed!r}")
         scenario = raw["scenario"]
         _check_keys(scenario, ("flow", "terrain", "region"), "scenario")
         truth = _build("flow", scenario["flow"])
@@ -162,12 +154,9 @@ def load_experiment(path: str, seed_override=None, out_override=None) -> Experim
             if not t_start < t_end:
                 raise ConfigError(f"solve: t_start {t_start} must precede terminal_time {t_end}")
             solve = (TargetSpec(center=(cx, cy), radius=so["target_radius"]), t_start, t_end)
-        study_t_range = tuple(raw.get("study_t_range", (0.0, 0.0)))
-        forecast_span = tuple(raw.get("forecast_span", (grid.t0, grid.t_max)))
-        # an equal pair is one start time, or one release
-        for name, (lo, hi) in (("study_t_range", study_t_range), ("forecast_span", forecast_span)):
-            if not lo <= hi:
-                raise ConfigError(f"{name} must satisfy lo <= hi, not [{lo}, {hi}]")
+        lo, hi = study_t_range = tuple(raw.get("study_t_range", (0.0, 0.0)))
+        if not lo <= hi:  # an equal pair is one start time
+            raise ConfigError(f"study_t_range must satisfy lo <= hi, not [{lo}, {hi}]")
         return Experiment(
             truth=truth,
             batch=BatchSpec(kind=controllers[0], solver_config=solver_config,
@@ -177,7 +166,7 @@ def load_experiment(path: str, seed_override=None, out_override=None) -> Experim
             sim_config=SimConfig(**raw.get("sim", {}), region=tuple(scenario["region"])),
             constraints=constraints, mission_t_max=mission_t_max,
             controllers=controllers, baseline=baseline, solve=solve,
-            study_t_range=study_t_range, forecast_span=forecast_span,
+            study_t_range=study_t_range,
             seed=seed, out_dir=out_override or raw.get("out", "out"),
         )
     except (AttributeError, KeyError, TypeError, ValueError, OSError, DriftplanError) as exc:
@@ -219,29 +208,10 @@ def cmd_solve(exp: Experiment, args) -> int:
     return EXIT_OK
 
 
-def _stats_report(tallies: dict, baseline: str) -> dict:
-    report = {"baseline": baseline, "controllers": {}, "tests": {}}
-    for name, t in tallies.items():
-        # an empty tally (no missions, or every one aborted) has None rates
-        report["controllers"][name] = {**t, **rates(t)}
-    base = tallies.get(baseline)
-    if base:
-        for name, t in tallies.items():
-            if name == baseline:
-                continue
-            report["tests"][name] = {"z": None, "p": None}
-            if base["n_total"] < 1 or t["n_total"] < 1:
-                continue
-            try:
-                res = z_prop_test(base["n_stranded"], base["n_total"],
-                                  t["n_stranded"], t["n_total"])
-            except DegenerateInputError:
-                continue
-            report["tests"][name] = {"z": res.z, "p": res.p}
-    return report
-
-
 def cmd_batch(exp: Experiment, args) -> int:
+    """Run each controller over the manifest; an aborted mission is its own
+    outcome, noted in batch_summary.json. Exit 3 only when the manifest is not
+    empty and every mission of every controller aborted, 0 otherwise."""
     try:
         missions = read_missions(args.missions)
     except (OSError, ParameterError) as exc:
@@ -271,8 +241,6 @@ def cmd_batch(exp: Experiment, args) -> int:
             r.write_csv(os.path.join(ctrl_dir, f"mission_{i:04d}.csv"))
     summary = {"seed": exp.seed, "tallies": tallies, "missions": per_mission}
     _dump_json(summary, os.path.join(exp.out_dir, "batch_summary.json"))
-    report = _stats_report(tallies, exp.baseline)
-    _dump_json(report, os.path.join(exp.out_dir, "stats_report.json"))
     print(json.dumps({"tallies": tallies}, sort_keys=True))
     return EXIT_RUNTIME if all_failed else EXIT_OK
 
@@ -307,45 +275,31 @@ def cmd_sample_missions(exp: Experiment, args) -> int:
     return EXIT_OK
 
 
-def cmd_gen_forecasts(exp: Experiment, args) -> int:
-    if exp.batch.error_model is None:
-        raise ConfigError("config lacks a forecast error model (target_rmse > 0)")
-    g = exp.batch.solver_config.grid
-    (lo, hi), truth = exp.forecast_span, exp.truth
-    # past the truth's ends, the series would silently hold fewer releases or a clamped truth
-    if not (truth.t_min <= lo < truth.t_max and hi <= truth.t_max):
-        raise ConfigError(f"forecast_span [{lo}, {hi}] must lie within the truth's time "
-                          f"extent [{truth.t_min}, {truth.t_max}] and start before its end")
-    series = gen_forecast_series(truth, exp.batch.error_model, exp.batch.cadence,
-                                 exp.batch.horizon, exp.forecast_span)
-    os.makedirs(exp.out_dir, exist_ok=True)
-    entries = []
-    for idx, (rt, flow) in enumerate(series.releases):
-        # the snapshots a solve over the release's window plans on
-        fg = g.spanning(rt, flow.t_max)
-        # one sampler per release, so its frozen error is evaluated once;
-        # sampled straight into the file's float32, which GriddedFlow keeps
-        sample = flow.sampler(*fg.meshgrid())
-        u = np.empty((fg.nt, fg.ny, fg.nx), dtype=np.float32)
-        v = np.empty_like(u)
-        for k, tk in enumerate(fg.ts):
-            u[k], v[k] = sample(tk)
-        path = os.path.join(exp.out_dir, f"forecast_{idx:03d}.ofg1")
-        write_flow_file(GriddedFlow(fg, u, v), path)
-        entries.append((rt, flow.t_max, path))
-    write_series_manifest(entries, os.path.join(exp.out_dir, "forecasts.json"))
-    print(json.dumps({"releases": len(entries)}))
-    return EXIT_OK
-
-
 def cmd_stats(exp: Experiment, args) -> int:
     try:
         with open(args.summary) as fh:
             summary = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read summary {args.summary}: {exc}") from exc
+    report = {"baseline": exp.baseline, "controllers": {}, "tests": {}}
     try:
-        report = _stats_report(summary["tallies"], exp.baseline)
+        tallies = summary["tallies"]
+        for name, t in tallies.items():
+            # an empty tally (no missions, or every one aborted) has None rates
+            report["controllers"][name] = {**t, **rates(t)}
+        base = tallies.get(exp.baseline)
+        for name, t in tallies.items():
+            if not base or name == exp.baseline:
+                continue
+            report["tests"][name] = {"z": None, "p": None}
+            if base["n_total"] < 1 or t["n_total"] < 1:
+                continue
+            try:
+                res = z_prop_test(base["n_stranded"], base["n_total"],
+                                  t["n_stranded"], t["n_total"])
+            except DegenerateInputError:
+                continue
+            report["tests"][name] = {"z": res.z, "p": res.p}
     except (KeyError, TypeError, AttributeError, ParameterError) as exc:
         raise ConfigError(f"invalid summary {args.summary}: {exc!r}") from exc
     os.makedirs(exp.out_dir, exist_ok=True)
@@ -386,10 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--n", type=int, required=True)
 
-    sp = sub.add_parser("gen-forecasts", help="write synthetic forecast OFG1 files")
-    common(sp)
-
-    sp = sub.add_parser("stats", help="recompute the stats report from a batch summary")
+    sp = sub.add_parser("stats", help="write the stats report of a batch summary")
     common(sp)
     sp.add_argument("--summary", required=True, help="batch_summary.json path")
     return p
@@ -400,7 +351,6 @@ _COMMANDS = {
     "batch": cmd_batch,
     "stranding-study": cmd_stranding_study,
     "sample-missions": cmd_sample_missions,
-    "gen-forecasts": cmd_gen_forecasts,
     "stats": cmd_stats,
 }
 

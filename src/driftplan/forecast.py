@@ -1,5 +1,4 @@
-"""Imperfect forecasts: file-backed release series and a synthetic
-structured-error generator.
+"""Imperfect forecasts: release series and a synthetic structured-error generator.
 
 The synthetic generator perturbs the true flow with a sum of random
 Fourier modes per velocity component. Mode coefficients evolve between
@@ -15,15 +14,14 @@ once per release and point set.
 from __future__ import annotations
 
 import bisect
-import json
 import math
 import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FormatError, HorizonError, ParameterError
-from .flowfield import FlowSource, grid_lines, read_flow_file
+from .errors import HorizonError, ParameterError
+from .flowfield import FlowSource, grid_lines
 
 
 @dataclass(frozen=True)
@@ -227,34 +225,3 @@ def gen_forecast_series(
         coef_b = rho * coef_b + math.sqrt(1.0 - rho * rho) * noise_b
     return ForecastSeries(tuple(releases))
 
-
-def load_forecast_series(entries) -> ForecastSeries:
-    """Build a series from (release time, window end, OFG1 path) triples;
-    each file must cover its release's window."""
-    releases = []
-    for rt, t_end, path in entries:
-        flow = read_flow_file(path)
-        if flow.t_min > rt + 1e-9 or flow.t_max < t_end - 1e-9:
-            raise HorizonError(
-                f"file {path} covers [{flow.t_min}, {flow.t_max}], "
-                f"release at {rt} needs [{rt}, {t_end}]"
-            )
-        releases.append((rt, flow))
-    return ForecastSeries(tuple(releases))
-
-
-def write_series_manifest(entries, path) -> None:
-    """Write (release time, window end, path) triples to a JSON manifest."""
-    releases = [{"t_s": t, "t_end_s": e, "path": str(p)} for t, e, p in entries]
-    with open(path, "w") as fh:
-        json.dump({"releases": releases}, fh, indent=2)
-
-
-def read_series_manifest(path):
-    """The (release time, window end, path) triples of a manifest."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    try:
-        return [(e["t_s"], e["t_end_s"], e["path"]) for e in doc["releases"]]
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"{path}: each release needs t_s, t_end_s and path") from exc

@@ -89,68 +89,32 @@ def taxicab_distance(marked: np.ndarray) -> np.ndarray:
 
 def euclidean_distance(marked: np.ndarray, dy: float, dx: float) -> np.ndarray:
     """Distance to the nearest marked cell, rows ``dy`` and columns ``dx``
-    apart, +inf without one: byte for byte scipy.ndimage's
-    ``distance_transform_edt(~marked, sampling=(dy, dx))``, which takes
-    ``sqrt((dr*dy)**2 + (dc*dx)**2)`` in float64 for an offset (dr, dc)."""
+    apart, +inf without one: the square root of the least float64
+    ``(dr*dy)**2 + (dc*dx)**2`` over the offsets (dr, dc) to marked cells.
+    That is scipy.ndimage's ``distance_transform_edt(~marked, sampling=(dy, dx))``
+    to one ulp: where offsets at one exact distance round to different
+    floats, scipy keeps the one its envelope walk meets first, not the least."""
     if not marked.any():
         return np.full(marked.shape, np.inf)
     work = [m.any(1).sum() * (~m.all(1)).sum() * m.shape[1] for m in (marked, marked.T)]
     if work[0] <= work[1]:
-        d2, twins = _least_squares(marked, dy, dx)
-    else:
-        d2, twins = (a.T for a in _least_squares(marked.T, dx, dy))
-    # Offsets at one exact distance can round to different floats, and scipy keeps the
-    # one its envelope walk meets first: rows with such twins take its float steps.
-    rows = np.flatnonzero(twins.any(axis=1))
-    if rows.size:
-        cols = np.flatnonzero(marked.any(axis=0))
-        h2 = np.square(_row_gaps(marked[:, cols].T).T[rows] * dy).tolist()
-        for r, h in zip(rows, h2):
-            d2[r] = _envelope_row(h, cols.tolist(), marked.shape[1], float(dx))
-    return np.sqrt(d2)
+        return np.sqrt(_least_squares(marked, dy, dx))
+    return np.sqrt(_least_squares(marked.T, dx, dy).T)
 
 
-def _least_squares(marked: np.ndarray, dy: float, dx: float):
+def _least_squares(marked: np.ndarray, dy: float, dx: float) -> np.ndarray:
     """Least squared distances from one candidate per marked row, its nearest
-    cell in the row, and the cells with twins: another candidate within 1e-9
-    of the least, relative, and not equal to it."""
+    marked cell in the row: float rounding is monotone, so no farther cell in
+    that row gives a smaller float."""
     src = np.flatnonzero(marked.any(axis=1))
     dst = np.flatnonzero(~marked.all(axis=1))  # the other rows are all 0
     gx = np.square(_row_gaps(marked[src]) * dx)
-    d2, twins = np.zeros(marked.shape), np.zeros(marked.shape, dtype=bool)
+    d2 = np.zeros(marked.shape)
     step = max(1, (1 << 16) // gx.size)  # at most 64 Ki candidates at once
     for a in range(0, dst.size, step):
         rows = dst[a:a + step]
-        cand = np.square((src[:, None] - rows) * dy)[:, :, None] + gx[:, None]
-        least = d2[rows] = cand.min(axis=0)
-        twins[rows] = ((cand <= least * (1 + 1e-9)) & (cand != least)).any(axis=0)
-    return d2, twins
-
-
-def _envelope_row(h: list, cols: list, nx: int, dx: float) -> list:
-    """One row of scipy's squared distances in its float steps, from the squared
-    heights ``h`` of the nearest marked cells in columns ``cols``: the lower envelope
-    of their parabolas, built and walked left to right (Maurer, Qi & Raghavan, 2003)."""
-    env = []
-    for q, hq in zip(cols, h):
-        while len(env) > 1:
-            (u, hu), (v, hv) = env[-2:]
-            a, b = (v - u) * dx, (q - v) * dx
-            if (a + b) * hv - b * hu - a * hq - a * b * (a + b) <= 0:
-                break
-            env.pop()
-        env.append((q, hq))
-    out, k = [], 0
-    for x in range(nx):
-        t = (env[k][0] - x) * dx
-        best = env[k][1] + t * t
-        while k + 1 < len(env):
-            t = (env[k + 1][0] - x) * dx
-            if not env[k + 1][1] + t * t < best:
-                break
-            k, best = k + 1, env[k + 1][1] + t * t
-        out.append(best)
-    return out
+        d2[rows] = (np.square((src[:, None] - rows) * dy)[:, :, None] + gx[:, None]).min(axis=0)
+    return d2
 
 
 def write_pgm(path, array) -> None:

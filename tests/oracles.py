@@ -173,6 +173,18 @@ def scipy_euclidean_distance(marked, dy, dx):
     return ndimage.distance_transform_edt(~marked, sampling=(dy, dx))
 
 
+def brute_euclidean_distance(marked, dy, dx):
+    """The Euclidean distance to the nearest marked cell by brute force: the
+    square root of the least float64 ``(dr*dy)**2 + (dc*dx)**2`` over every
+    marked cell, which ``gridio.euclidean_distance`` takes from one candidate
+    per row or column."""
+    rows, cols = np.indices(marked.shape)
+    d2 = np.full(marked.shape, np.inf)
+    for r, c in np.argwhere(marked):
+        np.minimum(d2, np.square((rows - r) * dy) + np.square((cols - c) * dx), out=d2)
+    return np.sqrt(d2)
+
+
 def scipy_taxicab_distance(marked):
     """scipy's 4-connected chamfer transform, to the nearest marked cell,
     which ``gridio.taxicab_distance`` replaces."""

@@ -1,10 +1,8 @@
 """End-to-end command-line interface: configs, commands, exit codes."""
 
-import hashlib
 import json
 import math
 import os
-import pathlib
 import struct
 import subprocess
 import sys
@@ -12,11 +10,9 @@ import sys
 import numpy as np
 import pytest
 
-from driftplan.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, load_experiment, main
-from driftplan.errors import HorizonError
-from driftplan.flowfield import GriddedFlow, SpaceTimeGrid, read_flow_file, write_flow_file
-from driftplan.forecast import load_forecast_series, read_series_manifest
-from driftplan.hjsolver import TargetSpec, solve_mtr
+from driftplan.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
+from driftplan.flowfield import GriddedFlow, SpaceTimeGrid, write_flow_file
+from driftplan.hjsolver import TargetSpec
 from driftplan.missions import write_missions
 from driftplan.simulator import Mission
 
@@ -135,6 +131,10 @@ def test_sample_missions_and_batch_pipeline(config, capsys):
     assert mtr["n_success"] + mtr["n_stranded"] + mtr["n_timeout"] + \
         mtr["n_left_region"] == 6
     assert (out / "mtr" / "mission_0000.csv").exists()
+    # batch writes the summary alone; stats writes the report from it
+    assert not (out / "stats_report.json").exists()
+    summary_path = str(out / "batch_summary.json")
+    assert main(["stats", "--config", config["path"], "--summary", summary_path]) == EXIT_OK
     report = json.loads((out / "stats_report.json").read_text())
     assert report["baseline"] == "floating"
     assert "mtr" in report["controllers"]
@@ -169,107 +169,7 @@ def test_stranding_study_outputs(config, capsys):
     assert (out / "stranding_heatmap.csv").exists()
 
 
-def test_gen_forecasts_requires_error_model(config):
-    assert main(["gen-forecasts", "--config", config["path"]]) == EXIT_CONFIG
-
-
-def test_gen_forecasts_writes_series(config, tmp_path, capsys):
-    raw = dict(config["raw"])
-    raw["forecast"] = {"target_rmse": 0.1, "spatial_correlation_length": 2500.0,
-                       "temporal_correlation": 40000.0, "n_modes": 8,
-                       "cadence": 45000.0, "horizon": 90000.0}
-    p = tmp_path / "c4.json"
-    p.write_text(json.dumps(raw))
-    rc = main(["gen-forecasts", "--config", str(p)])
-    assert rc == EXIT_OK
-    out = config["tmp"] / "out"
-    manifest = json.loads((out / "forecasts.json").read_text())
-    assert [r["t_s"] for r in manifest["releases"]] == [0.0, 45000.0, 90000.0]
-    terrain = raw["scenario"]["terrain"]["grid"]
-    for release in manifest["releases"]:
-        g = read_flow_file(release["path"]).grid
-        assert (g.x0, g.y0, g.dx, g.dy, g.nx, g.ny) == tuple(
-            terrain[k] for k in ("x0", "y0", "dx", "dy", "nx", "ny"))
-        assert g.t0 == release["t_s"]
-    printed = json.loads(capsys.readouterr().out.strip())
-    assert printed == {"releases": 3}
-
-
-def test_gen_forecasts_files_have_the_solvers_snapshots(config, tmp_path, capsys):
-    """A 40 ks window at dt_snap 3 ks is 14 intervals of 2857.1 s, no longer
-    than dt_snap, as a solve over that window plans on: 15 snapshots."""
-    raw = dict(config["raw"], forecast=dict(_ERROR_MODEL, cadence=30000.0, horizon=40000.0))
-    p = tmp_path / "c5.json"
-    p.write_text(json.dumps(raw))
-    assert main(["gen-forecasts", "--config", str(p)]) == EXIT_OK
-    solver_config = load_experiment(str(p)).batch.solver_config
-    target = TargetSpec((2000.0, 2000.0), 300.0)
-    entries = read_series_manifest(config["tmp"] / "out" / "forecasts.json")
-    assert len(entries) == 4
-    for rt, t_end, path in entries:
-        flow = read_flow_file(path)
-        g = flow.grid
-        assert (g.nt, g.t0, g.t_max) == (15, rt, t_end)
-        assert g.dt_snap == pytest.approx(40000.0 / 14)
-        vf = solve_mtr(flow, None, target, solver_config, rt, t_end)
-        assert g == vf.grid
-
-
-def test_gen_forecasts_series_loads_back(config, tmp_path, capsys):
-    raw = dict(config["raw"])
-    raw["forecast"] = {"target_rmse": 0.1, "spatial_correlation_length": 2500.0,
-                       "temporal_correlation": 40000.0, "n_modes": 8,
-                       "cadence": 45000.0, "horizon": 90000.0}
-    p = tmp_path / "c4.json"
-    p.write_text(json.dumps(raw))
-    assert main(["gen-forecasts", "--config", str(p)]) == EXIT_OK
-    entries = read_series_manifest(config["tmp"] / "out" / "forecasts.json")
-    assert [e for _, e, _ in entries] == [90000.0, 135000.0, 180000.0]
-    series = load_forecast_series(entries)
-    assert series.release_times == [0.0, 45000.0, 90000.0]
-    for rt, flow in series.releases:
-        assert (flow.t_min, flow.t_max) == (rt, rt + 90000.0)
-    # each file covers exactly its release's window, and no more
-    with pytest.raises(HorizonError):
-        load_forecast_series([(t, e + 1.0, path) for t, e, path in entries])
-
-
-def test_gen_forecasts_files_equal_per_snapshot_sampling(config, tmp_path, monkeypatch):
-    """Each release's files, sampled through one sampler per release, have
-    the bytes of files sampled by sample_many at every snapshot on the
-    closed form at every point, as gen-forecasts sampled them before."""
-    from oracles import fourier_sample_many, gyre_sample_many
-
-    from driftplan.flowfield import DoubleGyreFlow, FlowSource
-    from driftplan.forecast import FourierPerturbedFlow
-
-    raw = dict(config["raw"])
-    raw["scenario"] = dict(raw["scenario"], flow={
-        "kind": "double_gyre", "amplitude": 0.16, "omega": 7.27e-5, "epsilon": 0.25,
-        "scale": 5000.0})
-    raw["forecast"] = {"target_rmse": 0.1, "spatial_correlation_length": 2500.0,
-                       "temporal_correlation": 40000.0, "n_modes": 8,
-                       "cadence": 45000.0, "horizon": 90000.0}
-    p = tmp_path / "gyre.json"
-    p.write_text(json.dumps(raw))
-
-    def digests(out):
-        assert main(["gen-forecasts", "--config", str(p), "--out", str(out)]) == EXIT_OK
-        entries = read_series_manifest(out / "forecasts.json")
-        return [hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
-                for _, _, path in entries]
-
-    new = digests(tmp_path / "new")
-    with monkeypatch.context() as m:
-        m.setattr(FourierPerturbedFlow, "sampler", FlowSource.sampler)
-        m.setattr(FourierPerturbedFlow, "sample_many", fourier_sample_many)
-        m.setattr(DoubleGyreFlow, "sampler", FlowSource.sampler)
-        m.setattr(DoubleGyreFlow, "sample_many", gyre_sample_many)
-        old = digests(tmp_path / "old")
-    assert len(new) == 3 and new == old
-
-
-def _gridded_truth_config(config, tmp_path, forecast, span=None):
+def _gridded_truth_config(config, tmp_path, forecast):
     """The fixture's experiment on an 11^2 OFG1 truth over [0, 90 ks], with a
     forecast error model on ``forecast``'s cadence and horizon."""
     g = SpaceTimeGrid(x0=0.0, y0=0.0, dx=1000.0, dy=1000.0, nx=11, ny=11,
@@ -281,31 +181,9 @@ def _gridded_truth_config(config, tmp_path, forecast, span=None):
     raw["scenario"] = dict(raw["scenario"], flow={"kind": "file", "path": str(truth)})
     raw["forecast"] = {"target_rmse": 0.1, "spatial_correlation_length": 2500.0,
                        "temporal_correlation": 40000.0, "n_modes": 8, **forecast}
-    if span is not None:
-        raw["forecast_span"] = span
     p = tmp_path / "gridded.json"
     p.write_text(json.dumps(raw))
     return str(p)
-
-
-def test_gen_forecasts_makes_no_release_at_the_end_of_a_gridded_truth(config, tmp_path, capsys):
-    # a release at the truth's last time would have an empty window
-    p = _gridded_truth_config(config, tmp_path, {"cadence": 45000.0, "horizon": 45000.0})
-    assert main(["gen-forecasts", "--config", p]) == EXIT_OK
-    assert json.loads(capsys.readouterr().out.strip()) == {"releases": 2}
-    entries = read_series_manifest(config["tmp"] / "out" / "forecasts.json")
-    assert [(t, e) for t, e, _ in entries] == [(0.0, 45000.0), (45000.0, 90000.0)]
-
-
-def test_gen_forecasts_window_cut_at_truth_end_loads_back(config, tmp_path, capsys):
-    p = _gridded_truth_config(config, tmp_path, {"cadence": 45000.0, "horizon": 60000.0},
-                              span=[0.0, 45000.0])
-    assert main(["gen-forecasts", "--config", p]) == EXIT_OK
-    entries = read_series_manifest(config["tmp"] / "out" / "forecasts.json")
-    series = load_forecast_series(entries)
-    # the second window is cut at the truth's end, 15 ks short of the horizon
-    assert [(rt, f.t_min, f.t_max) for rt, f in series.releases] == [
-        (0.0, 0.0, 60000.0), (45000.0, 45000.0, 90000.0)]
 
 
 def test_batch_summary_carries_each_missions_note(config, tmp_path, capsys):
@@ -325,13 +203,19 @@ def test_batch_summary_carries_each_missions_note(config, tmp_path, capsys):
         "aborted", 100000.0, "replan failed: no forecast released yet at t=100000.0")
 
 
-@pytest.mark.parametrize("span", [[0.0, 120000.0], [-5000.0, 45000.0], [90000.0, 90000.0]],
-                         ids=["past-the-end", "before-the-start", "at-the-end"])
-def test_gen_forecasts_span_outside_a_gridded_truth_is_config_error(config, tmp_path, capsys,
-                                                                      span):
-    p = _gridded_truth_config(config, tmp_path, {"cadence": 45000.0, "horizon": 45000.0},
-                              span=span)
-    assert "forecast_span" in _config_error(capsys, ["gen-forecasts", "--config", p])
+def test_batch_whose_every_mission_aborts_is_runtime_error(config, tmp_path, capsys):
+    """Every mission starts after the gridded truth's end, so every mission of
+    every controller aborts: exit 3, with each abort in the summary."""
+    p = _gridded_truth_config(config, tmp_path, {"cadence": 45000.0, "horizon": 45000.0})
+    target = TargetSpec((5000.0, 5000.0), 300.0)
+    manifest = tmp_path / "missions.jsonl"
+    write_missions([Mission(1000.0, 5000.0, t0, target, 30000.0) for t0 in (95000.0, 100000.0)],
+                   str(manifest))
+    assert main(["batch", "--config", p, "--missions", str(manifest),
+                 "--controllers", "mtr,floating"]) == EXIT_RUNTIME
+    summary = json.loads((config["tmp"] / "out" / "batch_summary.json").read_text())
+    assert {k: [m["outcome"] for m in ms] for k, ms in summary["missions"].items()} == {
+        "mtr": ["aborted", "aborted"], "floating": ["aborted", "aborted"]}
 
 
 def test_elevation_file_terrain_sets_the_coarsened_planning_grid(config, tmp_path, capsys):
@@ -385,6 +269,9 @@ def test_empty_manifest_batch_reports_null_rates(config, capsys):
     assert rc == EXIT_OK
     summary = json.loads((out / "batch_summary.json").read_text())
     assert summary["tallies"]["mtr"]["n_total"] == 0
+    capsys.readouterr()
+    assert main(["stats", "--config", config["path"],
+                 "--summary", str(out / "batch_summary.json")]) == EXIT_OK
     report = json.loads((out / "stats_report.json").read_text())
     for name in ("mtr", "floating"):
         assert report["controllers"][name]["stranding_rate"] is None
@@ -455,7 +342,6 @@ _ERROR_MODEL = {"target_rmse": 0.1, "spatial_correlation_length": 2500.0,
     (["solve"], lambda c: c["solve"].update(target_radius=0)),
     (["stranding-study", "--n", "10", "--horizon", "600"],
      lambda c: c.update(study_t_range=[0.0])),
-    (["gen-forecasts"], lambda c: c.update(forecast=_ERROR_MODEL, forecast_span=[0.0])),
     (["batch", "--missions", "EMPTY"], lambda c: c.update(baseline="no_such_kind")),
     (["solve"], lambda c: c["solver"].update(alpha=1.0)),
     (["solve"], lambda c: c["forecast"].update(cadense=45000.0)),
@@ -468,7 +354,6 @@ _ERROR_MODEL = {"target_rmse": 0.1, "spatial_correlation_length": 2500.0,
     (["solve"], lambda c: c["solve"].update(t_start=90000.0, terminal_time=0.0)),
     (["stranding-study", "--n", "10", "--horizon", "600"],
      lambda c: c.update(study_t_range=[5000.0, 0.0])),
-    (["gen-forecasts"], lambda c: c.update(forecast=_ERROR_MODEL, forecast_span=[60000.0, 0.0])),
     # "." is a directory wherever the tests run
     (["solve"], lambda c: c["scenario"].update(flow={"kind": "file", "path": "."})),
     (["solve"], lambda c: c["scenario"].update(terrain={"kind": "file", "path": "."})),
@@ -490,12 +375,6 @@ _ERROR_MODEL = {"target_rmse": 0.1, "spatial_correlation_length": 2500.0,
     # a cadence of 0 would release forecasts at one time forever
     (["solve"], lambda c: c["forecast"].update(cadence=0.0)),
     (["batch", "--missions", "EMPTY"], lambda c: c["forecast"].update(horizon=-5.0)),
-    # 1000.0 + 1e-20 == 1000.0: the second release time would never advance
-    (["gen-forecasts"], lambda c: c.update(forecast=dict(_ERROR_MODEL, cadence=1e-20),
-                                           forecast_span=[1000.0, 2000.0])),
-    # from 0 s a 1e-20 s cadence advances, but would release about 9e15 times
-    (["gen-forecasts"], lambda c: c.update(forecast=dict(_ERROR_MODEL, cadence=1e-20),
-                                           forecast_span=[0.0, 2000.0])),
     # an error model that is present and not 0 is built, and checked
     (["batch", "--missions", "EMPTY"],
      lambda c: c.update(forecast=dict(_ERROR_MODEL, target_rmse=math.nan))),
@@ -509,18 +388,25 @@ _ERROR_MODEL = {"target_rmse": 0.1, "spatial_correlation_length": 2500.0,
     # every start drawn in the region would lie on the coastal wall
     (["stranding-study", "--n", "10", "--horizon", "600"],
      lambda c: c["scenario"].update(region=[9000.0, 10000.0, 0.0, 10000.0])),
-], ids=["solve-without-radius", "zero-radius", "short-study-range", "short-forecast-span",
-        "unknown-baseline", "solver-alpha", "unknown-forecast-key", "no-controllers",
+    # a seed is an integer >= 0, from the config or the flag, for every command
+    (["stranding-study", "--n", "10", "--horizon", "600"], lambda c: c.update(seed=2.5)),
+    (["stranding-study", "--n", "10", "--horizon", "600"], lambda c: c.update(seed=-1)),
+    (["batch", "--missions", "EMPTY"], lambda c: c.update(seed="7")),
+    (["batch", "--missions", "EMPTY"], lambda c: c.update(seed=True)),
+    (["sample-missions", "--n", "2", "--seed", "-1"], lambda c: None),
+    (["batch", "--missions", "EMPTY"], lambda c: c.update(forecast_span=[0.0, 90000.0])),
+], ids=["solve-without-radius", "zero-radius", "short-study-range", "unknown-baseline", "solver-alpha", "unknown-forecast-key", "no-controllers",
         "short-final-time-window", "flow-not-an-object", "sim-integrator", "solver-cfl",
-        "reversed-solve-window", "reversed-study-range", "reversed-forecast-span",
+        "reversed-solve-window", "reversed-study-range",
         "flow-path-is-a-directory", "terrain-path-is-a-directory", "missing-flow-file",
         "solver-grid-spatial-key", "unknown-flow-key", "unknown-terrain-key", "coarsen-zero",
         "unknown-scenario-key", "unknown-solve-key", "unknown-top-level-key",
         "misspelt-switch-threshold", "study-n-zero", "negative-horizon", "negative-n",
         "at-outside-the-solve-window", "zero-cadence", "negative-forecast-horizon",
-        "cadence-below-float-spacing", "release-count-over-the-cap", "nan-target-rmse",
-        "negative-target-rmse", "infinite-target-rmse", "nan-correlation-length",
-        "fractional-n-modes", "study-region-on-the-wall"])
+        "nan-target-rmse", "negative-target-rmse", "infinite-target-rmse",
+        "nan-correlation-length", "fractional-n-modes", "study-region-on-the-wall",
+        "fractional-seed", "negative-seed", "string-seed", "boolean-seed", "negative-seed-flag",
+        "forecast-span-key"])
 def test_bad_config_section_is_config_error(config, tmp_path, capsys, command, change):
     """Every section that any command reads is parsed, and checked, before
     the command runs: a missing key, a bad value, an unknown key or kind, a
@@ -550,16 +436,19 @@ def test_out_naming_an_existing_file_is_runtime_error(config, tmp_path, capsys, 
 def test_seed_flag_reaches_the_forecast_error_model(config, tmp_path, capsys):
     p = tmp_path / "fc.json"
     p.write_text(json.dumps(dict(config["raw"], forecast=_ERROR_MODEL)))
+    manifest = tmp_path / "missions.jsonl"
+    write_missions([Mission(1000.0, 2000.0, 0.0, TargetSpec((4000.0, 2000.0), 300.0), 60000.0)],
+                   str(manifest))
 
-    def files(*flags):
+    def mission_csv(*flags):
         out = tmp_path / "-".join(("out",) + flags)
-        assert main(["gen-forecasts", "--config", str(p), "--out", str(out), *flags]) == EXIT_OK
-        entries = read_series_manifest(out / "forecasts.json")
-        return [pathlib.Path(path).read_bytes() for _, _, path in entries]
+        assert main(["batch", "--config", str(p), "--missions", str(manifest), "--out", str(out),
+                     "--controllers", "mtr", *flags]) == EXIT_OK
+        return (out / "mtr" / "mission_0000.csv").read_bytes()
 
     config_seed = str(config["raw"]["seed"])
-    assert files("--seed", "1") != files("--seed", "2")
-    assert files("--seed", config_seed) == files()
+    assert mission_csv("--seed", "1") != mission_csv("--seed", "2")
+    assert mission_csv("--seed", config_seed) == mission_csv()
 
 
 def test_batch_with_missing_missions_file_is_config_error(config, tmp_path, capsys):
@@ -606,6 +495,12 @@ def test_stats_with_missing_summary_is_config_error(config, tmp_path, capsys):
     missing = str(tmp_path / "none.json")
     err = _config_error(capsys, ["stats", "--config", config["path"], "--summary", missing])
     assert missing in err
+
+
+def test_gen_forecasts_is_no_command(config):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-forecasts", "--config", config["path"]])
+    assert exc.value.code == 2
 
 
 def test_workers_is_a_batch_option_only(config):

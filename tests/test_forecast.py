@@ -2,7 +2,6 @@
 
 import gc
 import itertools
-import json
 import math
 import weakref
 from dataclasses import replace
@@ -19,7 +18,7 @@ from oracles import (
 )
 
 from driftplan import forecast
-from driftplan.errors import ExtentError, FormatError, HorizonError, ParameterError
+from driftplan.errors import ExtentError, HorizonError, ParameterError
 from driftplan.flowfield import (
     GriddedFlow,
     SpaceTimeGrid,
@@ -33,8 +32,6 @@ from driftplan.forecast import (
     ForecastSeries,
     FourierPerturbedFlow,
     gen_forecast_series,
-    read_series_manifest,
-    write_series_manifest,
 )
 from driftplan.stats import vector_rmse
 
@@ -207,22 +204,6 @@ def test_series_requires_increasing_releases():
     fc = TRUTH
     with pytest.raises(ParameterError):
         ForecastSeries(releases=((10.0, fc), (10.0, fc)))
-
-
-def test_manifest_round_trip(tmp_path):
-    entries = [(0.0, 5 * DAY_S, "fc_000.ofg"), (86400.0, 6 * DAY_S, "fc_001.ofg")]
-    path = tmp_path / "series.json"
-    write_series_manifest(entries, path=path)
-    assert read_series_manifest(path) == entries
-
-
-def test_manifest_without_window_ends_is_a_format_error(tmp_path):
-    # a manifest with a horizon but no window ends
-    path = tmp_path / "series.json"
-    path.write_text(json.dumps({"horizon_s": 5 * DAY_S,
-                                "releases": [{"t_s": 0.0, "path": "fc_000.ofg"}]}))
-    with pytest.raises(FormatError, match="t_end_s"):
-        read_series_manifest(path)
 
 
 def _sampler_flows():

@@ -240,6 +240,17 @@ def test_grad_at_raises_on_sentinel_state():
         vf.grad_at(9000.0, 5000.0, 0.0)  # inside the wall
 
 
+def test_solve_spans_its_window_in_the_fewest_intervals_within_dt_snap():
+    """A 40 ks window at dt_snap 3 ks is 14 intervals of 2857.1 s, no longer
+    than dt_snap: 15 snapshots, from the window's start to its end."""
+    g = _grid(nx=21, ny=21)
+    vf = solve_mtr(make_uniform(0.0, 0.0), None, TargetSpec((2000.0, 2000.0), 300.0),
+                   SolverConfig(grid=g, u_max=U_MAX), 30000.0, 70000.0)
+    assert vf.grid == g.spanning(30000.0, 70000.0)
+    assert (vf.grid.nt, vf.grid.t0, vf.grid.t_max) == (15, 30000.0, 70000.0)
+    assert vf.grid.dt_snap == pytest.approx(40000.0 / 14)
+
+
 def test_brt_grows_backward_in_time():
     # the backward reachable tube at t is the zero sublevel set of the value
     g = _grid(nx=31, ny=31)

@@ -1,5 +1,5 @@
 """Terrain pipeline: elevation grids, coarsening, masks, BFS distance, and
-the gridio distance transforms against scipy's."""
+the gridio distance transforms against a brute-force oracle and scipy's."""
 
 import math
 import struct
@@ -9,21 +9,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import (
     bfs_hops,
+    brute_euclidean_distance,
     distance_gradient_at,
     distance_value_at,
     scipy_euclidean_distance,
     scipy_taxicab_distance,
 )
 
-from driftplan import gridio
 from driftplan.errors import FormatError, ParameterError
-from driftplan.gridio import (
-    PGM_MAXVAL,
-    _least_squares,
-    euclidean_distance,
-    taxicab_distance,
-    write_pgm,
-)
+from driftplan.gridio import PGM_MAXVAL, euclidean_distance, taxicab_distance, write_pgm
 from driftplan.terrain import (
     DistanceMap,
     ElevationGrid,
@@ -354,15 +348,31 @@ def _marked_grids(draw):
 SPACINGS = st.sampled_from([1.0, 0.37, 123.456, 200.0])
 
 
+def _both_signs(marked):
+    """The marked cells and, where there is one, the unmarked cells, as the
+    solver's signed clearance takes them."""
+    return (marked, ~marked) if not marked.all() else (marked,)
+
+
+@settings(max_examples=300, deadline=None)
+@given(marked=_marked_grids(), dy=SPACINGS, dx=SPACINGS)
+def test_euclidean_distance_equals_brute_force(marked, dy, dx):
+    """The Euclidean transform has the bytes of the least float over every
+    marked cell; this needs numpy alone."""
+    for m in _both_signs(marked):
+        got = euclidean_distance(m, dy, dx)
+        assert got.tobytes() == brute_euclidean_distance(m, dy, dx).tobytes()
+
+
 @settings(max_examples=300, deadline=None)
 @given(marked=_marked_grids(), dy=SPACINGS, dx=SPACINGS)
 def test_distance_transforms_equal_scipy(marked, dy, dx):
-    """Both numpy transforms give scipy's bytes, from the marked cells and,
-    where there is one, from the unmarked cells, as the solver's signed
-    clearance takes them."""
-    for m in (marked, ~marked) if not marked.all() else (marked,):
-        got = euclidean_distance(m, dy, dx)
-        assert got.tobytes() == scipy_euclidean_distance(m, dy, dx).tobytes()
+    """The Euclidean transform is within one ulp of scipy's, which keeps the
+    first of two offsets at one exact distance that round apart, not the least;
+    the taxicab transform is scipy's bytes."""
+    for m in _both_signs(marked):
+        np.testing.assert_array_max_ulp(euclidean_distance(m, dy, dx),
+                                        scipy_euclidean_distance(m, dy, dx), maxulp=1)
         hops = taxicab_distance(m)
         assert (hops * dx).tobytes() == (scipy_taxicab_distance(m) * dx).tobytes()
 
@@ -378,35 +388,15 @@ def test_distance_transforms_equal_scipy(marked, dy, dx):
     # float test keeps it, and the walk stops at column 1
     ((2, 11), [(1, 1), (1, 9), (0, 10)], 1.0, 1 / 3),
 ])
-def test_euclidean_distance_keeps_scipy_choice_among_twins(shape, cells, dy, dx):
+def test_euclidean_distance_among_twins_is_the_least_float(shape, cells, dy, dx):
+    """Offsets at one exact distance that round to different floats: the
+    transform takes the least, one ulp below the twin scipy keeps."""
     marked = np.zeros(shape, dtype=bool)
     marked[tuple(np.transpose(cells))] = True
-    want = scipy_euclidean_distance(marked, dy, dx)
-    # the least value alone is an ulp low there
-    assert np.sqrt(_least_squares(marked, dy, dx)[0])[0, 5] < want[0, 5]
-    assert euclidean_distance(marked, dy, dx).tobytes() == want.tobytes()
-
-
-def test_euclidean_distance_redoes_only_rows_with_twins(monkeypatch):
-    """Only a row with a cell whose candidates round apart near its least
-    value takes scipy's float steps: none on a 51^2 grid with a 5 x 21
-    island at these spacings, and one on the last twin case above."""
-    redone = []
-    envelope_row = gridio._envelope_row
-    monkeypatch.setattr(gridio, "_envelope_row",
-                        lambda *args: redone.append(args) or envelope_row(*args))
-    island = np.zeros((51, 51), dtype=bool)
-    island[23:28, 15:36] = True
-    for s in (0.37, 123.456, 200.0):
-        for m in (island, ~island):
-            want = scipy_euclidean_distance(m, s, s)
-            assert euclidean_distance(m, s, s).tobytes() == want.tobytes()
-    assert redone == []
-    marked = np.zeros((2, 11), dtype=bool)
-    marked[(1, 1, 0), (1, 9, 10)] = True
-    want = scipy_euclidean_distance(marked, 1.0, 1 / 3)
-    assert euclidean_distance(marked, 1.0, 1 / 3).tobytes() == want.tobytes()
-    assert len(redone) == 1
+    got, want = euclidean_distance(marked, dy, dx), scipy_euclidean_distance(marked, dy, dx)
+    assert got.tobytes() == brute_euclidean_distance(marked, dy, dx).tobytes()
+    np.testing.assert_array_max_ulp(got, want, maxulp=1)
+    assert got[0, 5] < want[0, 5]
 
 
 def test_euclidean_distance_without_marked_cells_is_infinite():
