@@ -155,19 +155,27 @@ def load_experiment(path: str, seed_override=None, out_override=None) -> Experim
                 raise ConfigError(f"solve: t_start {t_start} must precede terminal_time {t_end}")
             solve = (TargetSpec(center=(cx, cy), radius=so["target_radius"]), t_start, t_end)
         lo, hi = study_t_range = tuple(raw.get("study_t_range", (0.0, 0.0)))
+        switch_threshold = raw.get("switch_threshold", SWITCH_THRESHOLD)
+        # a string or a boolean would pass the comparisons and fail in a run
+        if any(type(v) not in (int, float) for v in (lo, hi, switch_threshold)):
+            raise ConfigError(f"study_t_range and switch_threshold must be numbers, "
+                              f"not {[lo, hi]} and {switch_threshold!r}")
         if not lo <= hi:  # an equal pair is one start time
             raise ConfigError(f"study_t_range must satisfy lo <= hi, not [{lo}, {hi}]")
+        out_dir = out_override or raw.get("out", "out")
+        if not isinstance(out_dir, str):
+            raise ConfigError(f"out must be a path string, not {out_dir!r}")
         return Experiment(
             truth=truth,
             batch=BatchSpec(kind=controllers[0], solver_config=solver_config,
                             obstacles=obstacles, dmap=dmap, error_model=error_model,
-                            switch_threshold=raw.get("switch_threshold", SWITCH_THRESHOLD),
+                            switch_threshold=switch_threshold,
                             **timing),
             sim_config=SimConfig(**raw.get("sim", {}), region=tuple(scenario["region"])),
             constraints=constraints, mission_t_max=mission_t_max,
             controllers=controllers, baseline=baseline, solve=solve,
             study_t_range=study_t_range,
-            seed=seed, out_dir=out_override or raw.get("out", "out"),
+            seed=seed, out_dir=out_dir,
         )
     except (AttributeError, KeyError, TypeError, ValueError, OSError, DriftplanError) as exc:
         # a section of the wrong JSON type, a bad parameter, or a flow or

@@ -60,6 +60,9 @@ class SimConfig:
     def __post_init__(self):
         if self.step_dt <= 0:
             raise ParameterError("step_dt must be positive")
+        if self.region is not None and not (self.region[0] < self.region[1]
+                                            and self.region[2] < self.region[3]):
+            raise ParameterError(f"region {self.region} must satisfy xmin < xmax, ymin < ymax")
 
 
 @dataclass

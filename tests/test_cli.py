@@ -218,6 +218,22 @@ def test_batch_whose_every_mission_aborts_is_runtime_error(config, tmp_path, cap
         "mtr": ["aborted", "aborted"], "floating": ["aborted", "aborted"]}
 
 
+def test_stats_of_a_batch_whose_every_mission_aborts_has_null_rates(config, tmp_path, capsys):
+    # every mission of the summary aborted, so each controller's tally is empty
+    p = _gridded_truth_config(config, tmp_path, {"cadence": 45000.0, "horizon": 45000.0})
+    manifest = tmp_path / "missions.jsonl"
+    write_missions([Mission(1000.0, 5000.0, 100000.0, TargetSpec((5000.0, 5000.0), 300.0),
+                            30000.0)], str(manifest))
+    out = config["tmp"] / "out"
+    assert main(["batch", "--config", p, "--missions", str(manifest)]) == EXIT_RUNTIME
+    assert main(["stats", "--config", p, "--summary", str(out / "batch_summary.json")]) == EXIT_OK
+    report = json.loads((out / "stats_report.json").read_text())
+    for name in ("mtr", "floating"):
+        assert report["controllers"][name]["n_aborted"] == 1
+        assert report["controllers"][name]["stranding_rate"] is None
+    assert report["tests"] == {"mtr": {"z": None, "p": None}}
+
+
 def test_elevation_file_terrain_sets_the_coarsened_planning_grid(config, tmp_path, capsys):
     """An ELG1 terrain at 100 m, coarsened by 2, is the fixture's 51^2 terrain
     at 200 m, and solve runs on that grid with no spatial key in solver.grid."""
@@ -395,6 +411,16 @@ _ERROR_MODEL = {"target_rmse": 0.1, "spatial_correlation_length": 2500.0,
     (["batch", "--missions", "EMPTY"], lambda c: c.update(seed=True)),
     (["sample-missions", "--n", "2", "--seed", "-1"], lambda c: None),
     (["batch", "--missions", "EMPTY"], lambda c: c.update(forecast_span=[0.0, 90000.0])),
+    # a value of the wrong type or order is refused before the run that would trip on it
+    (["batch", "--missions", "EMPTY"], lambda c: c.update(switch_threshold="x")),
+    (["batch", "--missions", "EMPTY"], lambda c: c.update(switch_threshold=True)),
+    (["stranding-study", "--n", "10", "--horizon", "600"],
+     lambda c: c.update(study_t_range=["a", "b"])),
+    (["stranding-study", "--n", "10", "--horizon", "600"],
+     lambda c: c["scenario"].update(region=[10000.0, 0.0, 0.0, 10000.0])),
+    (["batch", "--missions", "EMPTY"],
+     lambda c: c["scenario"].update(region=[0.0, 10000.0, 5000.0, 5000.0])),
+    (["stranding-study", "--n", "10", "--horizon", "600"], lambda c: c.update(out=5)),
 ], ids=["solve-without-radius", "zero-radius", "short-study-range", "unknown-baseline", "solver-alpha", "unknown-forecast-key", "no-controllers",
         "short-final-time-window", "flow-not-an-object", "sim-integrator", "solver-cfl",
         "reversed-solve-window", "reversed-study-range",
@@ -406,7 +432,8 @@ _ERROR_MODEL = {"target_rmse": 0.1, "spatial_correlation_length": 2500.0,
         "nan-target-rmse", "negative-target-rmse", "infinite-target-rmse",
         "nan-correlation-length", "fractional-n-modes", "study-region-on-the-wall",
         "fractional-seed", "negative-seed", "string-seed", "boolean-seed", "negative-seed-flag",
-        "forecast-span-key"])
+        "forecast-span-key", "string-switch-threshold", "boolean-switch-threshold",
+        "string-study-range", "reversed-region", "flat-region", "non-string-out"])
 def test_bad_config_section_is_config_error(config, tmp_path, capsys, command, change):
     """Every section that any command reads is parsed, and checked, before
     the command runs: a missing key, a bad value, an unknown key or kind, a

@@ -82,6 +82,15 @@ def test_sim_config_validation():
         Mission(0, 0, 0, TargetSpec((0, 0), 100.0), t_max=0.0)
 
 
+@pytest.mark.parametrize("region", [(10000.0, 0.0, 0.0, 10000.0), (0.0, 10000.0, 10000.0, 0.0),
+                                    (0.0, 10000.0, 5000.0, 5000.0)],
+                         ids=["reversed-x", "reversed-y", "flat"])
+def test_sim_config_region_must_have_area(region):
+    # every position would lie outside such a region, so every run would leave it at once
+    with pytest.raises(ParameterError, match="xmin < xmax, ymin < ymax"):
+        SimConfig(region=region)
+
+
 def _mission(x0=1000.0, y0=5000.0, t_max=90000.0):
     return Mission(x0, y0, 0.0, TargetSpec((2000.0, 2000.0), 300.0), t_max)
 
