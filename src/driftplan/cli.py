@@ -1,5 +1,5 @@
 """Command-line orchestration: scenario building, solves, batches,
-stranding studies, and plot-ready CSV/PGM/JSON artifacts.
+stranding studies, and their outputs: plot-ready CSV grids and JSON summaries.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime error.
 """
@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -19,7 +20,6 @@ from .controllers import SWITCH_THRESHOLD, ControllerKind
 from .errors import ConfigError, DegenerateInputError, DriftplanError, ParameterError
 from .flowfield import SpaceTimeGrid, make_double_gyre, make_highway, make_uniform, read_flow_file
 from .forecast import ErrorModelConfig
-from .gridio import write_csv_grid, write_pgm
 from .hjsolver import SolverConfig, TargetSpec, safe_ttr, solve_mtr
 from .missions import SamplingConstraints, read_missions, sample_missions, write_missions
 from .simulator import BatchSpec, SimConfig, run_batch, stranding_study, tally_outcomes
@@ -124,10 +124,11 @@ def load_experiment(path: str, seed_override=None, out_override=None) -> Experim
         factor, threshold = tr.pop("coarsen", 1), tr.pop("threshold", DEFAULT_THRESHOLD_M)
         obstacles = obstacle_mask(coarsen_max(_build("terrain", tr), factor), threshold)
         dmap = distance_map(obstacles)
-        # the terrain gives the planning grid's space and solver.grid its time
-        # axis, so the obstacle mask lies on the solver's nodes
+        # the terrain gives the planning grid's space, so the obstacle mask lies on
+        # the solver's nodes, and each solve its time axis (SpaceTimeGrid.spanning)
         sv = dict(raw["solver"])
-        grid = SpaceTimeGrid(**vars(obstacles.grid), **sv.pop("grid"))
+        _check_keys(sv, ("dt_snap", "u_max", "d_max"), "solver")
+        grid = SpaceTimeGrid(**vars(obstacles.grid), dt_snap=sv.pop("dt_snap"))
         solver_config = SolverConfig(grid=grid, **sv)
         fc = dict(raw.get("forecast", {}))
         timing = {k: fc.pop(k) for k in ("cadence", "horizon") if k in fc}
@@ -156,9 +157,11 @@ def load_experiment(path: str, seed_override=None, out_override=None) -> Experim
             solve = (TargetSpec(center=(cx, cy), radius=so["target_radius"]), t_start, t_end)
         lo, hi = study_t_range = tuple(raw.get("study_t_range", (0.0, 0.0)))
         switch_threshold = raw.get("switch_threshold", SWITCH_THRESHOLD)
-        # a string or a boolean would pass the comparisons and fail in a run
-        if any(type(v) not in (int, float) for v in (lo, hi, switch_threshold)):
-            raise ConfigError(f"study_t_range and switch_threshold must be numbers, "
+        # a string or a boolean would pass the comparisons and fail in a run,
+        # and a NaN would fail every comparison of a run silently
+        if any(type(v) not in (int, float) or not math.isfinite(v)
+               for v in (lo, hi, switch_threshold)):
+            raise ConfigError(f"study_t_range and switch_threshold must be finite numbers, "
                               f"not {[lo, hi]} and {switch_threshold!r}")
         if not lo <= hi:  # an equal pair is one start time
             raise ConfigError(f"study_t_range must satisfy lo <= hi, not [{lo}, {hi}]")
@@ -202,8 +205,7 @@ def cmd_solve(exp: Experiment, args) -> int:
                    t_start, t_end)
     os.makedirs(exp.out_dir, exist_ok=True)
     ttr = safe_ttr(vf, at)
-    write_pgm(os.path.join(exp.out_dir, "ttr.pgm"), ttr)
-    write_csv_grid(os.path.join(exp.out_dir, "ttr.csv"), ttr)
+    np.savetxt(os.path.join(exp.out_dir, "ttr.csv"), ttr, delimiter=",", fmt="%.6g")
     finite = np.isfinite(ttr)
     summary = {
         "t": at,
@@ -260,9 +262,8 @@ def cmd_stranding_study(exp: Experiment, args) -> int:
         t_range=exp.study_t_range, step_dt=exp.sim_config.step_dt,
     )
     os.makedirs(exp.out_dir, exist_ok=True)
-    heat = res.pop("heatmap")
-    write_pgm(os.path.join(exp.out_dir, "stranding_heatmap.pgm"), heat)
-    write_csv_grid(os.path.join(exp.out_dir, "stranding_heatmap.csv"), heat, fmt="%d")
+    np.savetxt(os.path.join(exp.out_dir, "stranding_heatmap.csv"), res.pop("heatmap"),
+               delimiter=",", fmt="%d")
     _dump_json(res, os.path.join(exp.out_dir, "stranding_rates.json"))
     print(json.dumps(res, sort_keys=True))
     return EXIT_OK

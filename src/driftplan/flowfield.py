@@ -33,8 +33,8 @@ class SpaceTimeGrid(SpatialGrid):
         super().__post_init__()
         if self.nx < 2 or self.ny < 2:
             raise ParameterError("grid needs at least 2 nodes per spatial axis")
-        if self.dt_snap <= 0:
-            raise ParameterError("snapshot spacing must be strictly positive")
+        if not 0 < self.dt_snap < math.inf:  # NaN fails too
+            raise ParameterError(f"snapshot spacing must be positive and finite: {self.dt_snap}")
         if self.nt < 1:
             raise ParameterError("grid needs at least 1 snapshot")
 

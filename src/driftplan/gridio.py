@@ -1,4 +1,4 @@
-"""Regular 2D grids: cell lookups, distance transforms, and PGM (P2) heatmap and CSV exports."""
+"""Regular 2D grids: node geometry, cell lookups and distance transforms."""
 
 from __future__ import annotations
 
@@ -7,10 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-
-#: the gray level of a PGM's largest finite value
-PGM_MAXVAL = 255
-
 
 @dataclass(frozen=True)
 class SpatialGrid:
@@ -24,8 +20,8 @@ class SpatialGrid:
     ny: int
 
     def __post_init__(self):
-        if self.dx <= 0 or self.dy <= 0:
-            raise ParameterError("grid spacing must be positive")
+        if not (0 < self.dx < np.inf and 0 < self.dy < np.inf):  # NaN fails too
+            raise ParameterError(f"grid spacing must be positive and finite: {self.dx}, {self.dy}")
         if self.nx < 1 or self.ny < 1:
             raise ParameterError("grid must be non-empty")
 
@@ -116,28 +112,3 @@ def _least_squares(marked: np.ndarray, dy: float, dx: float) -> np.ndarray:
         d2[rows] = (np.square((src[:, None] - rows) * dy)[:, :, None] + gx[:, None]).min(axis=0)
     return d2
 
-
-def write_pgm(path, array) -> None:
-    """Write a 2D array as an ASCII PGM, linearly scaled to [0, PGM_MAXVAL].
-
-    Non-finite cells map to 0. Row 0 of the array is the bottom of the
-    grid, so rows are flipped for image convention.
-    """
-    a = np.asarray(array, dtype=float)
-    finite = np.isfinite(a)
-    if finite.any():
-        lo = float(a[finite].min())
-        hi = float(a[finite].max())
-        span = hi - lo if hi > lo else 1.0
-        scaled = np.where(finite, np.round((a - lo) / span * PGM_MAXVAL), 0)
-    else:
-        scaled = np.zeros(a.shape)
-    scaled = scaled.astype(int)[::-1]
-    with open(path, "w") as fh:
-        fh.write(f"P2\n{a.shape[1]} {a.shape[0]}\n{PGM_MAXVAL}\n")
-        for row in scaled:
-            fh.write(" ".join(str(v) for v in row) + "\n")
-
-
-def write_csv_grid(path, array, fmt: str = "%.6g") -> None:
-    np.savetxt(path, np.asarray(array, dtype=float), delimiter=",", fmt=fmt)

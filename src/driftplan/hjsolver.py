@@ -46,8 +46,9 @@ class SolverConfig:
     d_max: float = 0.0
 
     def __post_init__(self):
-        if self.u_max < 0 or self.d_max < 0:
-            raise ParameterError("speed bounds must be non-negative")
+        if not (0 <= self.u_max < math.inf and 0 <= self.d_max < math.inf):  # NaN fails too
+            raise ParameterError(f"speed bounds must be finite and non-negative, "
+                                 f"not {self.u_max}, {self.d_max}")
 
 
 @dataclass(frozen=True)
@@ -58,8 +59,8 @@ class TargetSpec:
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ParameterError("target radius must be positive")
+        if not 0 < self.radius < math.inf:  # NaN fails too
+            raise ParameterError(f"target radius must be positive and finite, not {self.radius}")
 
     def contains(self, x: float, y: float) -> bool:
         return math.hypot(x - self.center[0], y - self.center[1]) <= self.radius
@@ -100,6 +101,13 @@ class ValueFunction:
         k0, k1, w = self._time_bracket(t)
         j, i = self.grid.nearest_cell(x, y)
         return self.values.item(k0 if w < 0.5 else k1, j, i) >= SENTINEL_THRESHOLD
+
+    def ttr_at(self, x: float, y: float, t: float) -> float:
+        """``safe_ttr``'s time-to-reach at one point, with t clamped into the
+        plan's window: terminal_time + value - t, nan where the value is > 0."""
+        t = min(max(t, self.grid.t0), self.terminal_time)
+        v = self.value_at(x, y, t)
+        return math.nan if v > 0 else max(self.terminal_time + v - t, 0.0)
 
     def _corners(self, x: float, y: float):
         """The (j, i, weight) of the 4 bilinear corners of (x, y)."""

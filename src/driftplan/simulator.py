@@ -58,8 +58,8 @@ class SimConfig:
     region: tuple[float, float, float, float] | None = None  # xmin, xmax, ymin, ymax
 
     def __post_init__(self):
-        if self.step_dt <= 0:
-            raise ParameterError("step_dt must be positive")
+        if not 0 < self.step_dt < math.inf:  # NaN fails too
+            raise ParameterError(f"step_dt must be positive and finite, not {self.step_dt}")
         if self.region is not None and not (self.region[0] < self.region[1]
                                             and self.region[2] < self.region[3]):
             raise ParameterError(f"region {self.region} must satisfy xmin < xmax, ymin < ymax")
@@ -127,17 +127,6 @@ def _in_region(x, y, region):
     return (xmin <= x) & (x <= xmax) & (ymin <= y) & (y <= ymax)
 
 
-def _state_ttr(ctrl: Controller, x, y, t) -> float:
-    vf = ctrl.vf
-    if vf is None:
-        return float("nan")
-    t = min(max(t, vf.grid.t0), vf.terminal_time)
-    val = vf.value_at(x, y, t)
-    if val > 0:  # a sentinel value too
-        return float("nan")
-    return max(vf.terminal_time + val - t, 0.0)
-
-
 def run_mission(
     mission: Mission,
     truth: FlowSource,
@@ -179,7 +168,7 @@ def run_mission(
         rec.ys.append(y)
         rec.us.append(u.vector)
         rec.branches.append(ctrl.last_branch)
-        rec.ttrs.append(_state_ttr(ctrl, x, y, t))
+        rec.ttrs.append(math.nan if ctrl.vf is None else ctrl.vf.ttr_at(x, y, t))
         try:
             x, y = integrate_step((x, y), u.vector, truth, t, cfg.step_dt)
         except ExtentError as exc:

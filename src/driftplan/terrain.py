@@ -133,6 +133,8 @@ def coarsen_max(elev: ElevationGrid, factor: int) -> ElevationGrid:
 
 def obstacle_mask(elev: ElevationGrid, threshold: float = DEFAULT_THRESHOLD_M) -> ObstacleMask:
     """Cells strictly above the threshold elevation are obstacles."""
+    if not math.isfinite(threshold):
+        raise ParameterError(f"obstacle threshold must be finite, not {threshold}")
     return ObstacleMask(elev.grid, elev.elevation > threshold)
 
 

@@ -10,7 +10,6 @@ import time
 
 import numpy as np
 import pytest
-from scipy import ndimage
 
 from driftplan.cli import main as cli_main
 from driftplan.controllers import ControllerKind, mtr_policy
@@ -155,10 +154,13 @@ def test_criterion_3_dp_oracle_equivalence():
 
 # ---------------------------------------------------------------- criterion 4
 
+@pytest.mark.needs_scipy
 def test_criterion_4_closed_loop_safety_on_truth():
     """With the true currents, the reachability controller strands 0/200
     feasible missions while passive drifters strand on 100% of in-band
     starts."""
+    from scipy import ndimage
+
     t0 = time.time()
     g = SpaceTimeGrid(x0=0, y0=0, dx=200.0, dy=200.0, nx=51, ny=51,
                       t0=0.0, dt_snap=3000.0, nt=31)
@@ -373,10 +375,7 @@ def test_criterion_8_batch_determinism(tmp_path):
             },
             "region": [0.0, 10000.0, 0.0, 10000.0],
         },
-        "solver": {
-            "grid": {"t0": 0.0, "dt_snap": 3000.0, "nt": 31},
-            "u_max": U_MAX,
-        },
+        "solver": {"dt_snap": 3000.0, "u_max": U_MAX},
         "forecast": {"target_rmse": 0.05,
                      "spatial_correlation_length": 2500.0,
                      "temporal_correlation": 40000.0, "n_modes": 8,

@@ -35,10 +35,7 @@ def config(tmp_path):
             },
             "region": [0.0, 10000.0, 0.0, 10000.0],
         },
-        "solver": {
-            "grid": {"t0": 0.0, "dt_snap": 3000.0, "nt": 31},
-            "u_max": 0.1,
-        },
+        "solver": {"dt_snap": 3000.0, "u_max": 0.1},
         "sim": {"step_dt": 600.0},
         "forecast": {"target_rmse": 0.0, "cadence": 30000.0,
                      "horizon": 90000.0},
@@ -98,7 +95,7 @@ def test_solve_writes_artifacts(config, capsys):
     rc = main(["solve", "--config", config["path"]])
     assert rc == EXIT_OK
     out = config["tmp"] / "out"
-    assert {f.name for f in out.iterdir()} == {"ttr.pgm", "ttr.csv", "solve_summary.json"}
+    assert {f.name for f in out.iterdir()} == {"ttr.csv", "solve_summary.json"}
     summary = json.loads((out / "solve_summary.json").read_text())
     assert 0.0 < summary["finite_fraction"] < 1.0
     assert summary["ttr_min_s"] == 0.0
@@ -165,8 +162,9 @@ def test_stranding_study_outputs(config, capsys):
     assert res["n"] == 100
     assert res["n_stranded"] + res["n_left_region"] + res["n_survived"] == 100
     assert 0.1 < res["stranded_rate"] < 0.3
-    assert (out / "stranding_heatmap.pgm").exists()
-    assert (out / "stranding_heatmap.csv").exists()
+    assert {f.name for f in out.iterdir()} == {"stranding_heatmap.csv", "stranding_rates.json"}
+    heat = np.loadtxt(out / "stranding_heatmap.csv", delimiter=",")
+    assert heat.shape == (51, 51) and heat.sum() == res["n_stranded"]
 
 
 def _gridded_truth_config(config, tmp_path, forecast):
@@ -236,7 +234,7 @@ def test_stats_of_a_batch_whose_every_mission_aborts_has_null_rates(config, tmp_
 
 def test_elevation_file_terrain_sets_the_coarsened_planning_grid(config, tmp_path, capsys):
     """An ELG1 terrain at 100 m, coarsened by 2, is the fixture's 51^2 terrain
-    at 200 m, and solve runs on that grid with no spatial key in solver.grid."""
+    at 200 m, and solve runs on that grid: the solver section has no spatial key."""
     assert main(["solve", "--config", config["path"]]) == EXIT_OK
     synthetic = json.loads(capsys.readouterr().out.strip())
     xs = 100.0 * np.arange(101)
@@ -374,8 +372,9 @@ _ERROR_MODEL = {"target_rmse": 0.1, "spatial_correlation_length": 2500.0,
     (["solve"], lambda c: c["scenario"].update(flow={"kind": "file", "path": "."})),
     (["solve"], lambda c: c["scenario"].update(terrain={"kind": "file", "path": "."})),
     (["solve"], lambda c: c["scenario"].update(flow={"kind": "file", "path": "no_such.ofg1"})),
-    # the terrain gives the planning grid's space; solver.grid gives only its time axis
-    (["solve"], lambda c: c["solver"]["grid"].update(dx=200.0)),
+    # the terrain gives the planning grid's space and each solve its own time
+    # axis: solver.dt_snap replaced solver.grid's t0, dt_snap and nt
+    (["solve"], lambda c: c["solver"].update(grid={"t0": 0.0, "dt_snap": 3000.0, "nt": 31})),
     (["solve"], lambda c: c["scenario"]["flow"].update(band_velocty=[0.4, 0.0])),
     (["solve"], lambda c: c["scenario"]["terrain"].update(treshold=-100.0)),
     (["solve"], lambda c: c["scenario"]["terrain"].update(coarsen=0)),
@@ -421,11 +420,25 @@ _ERROR_MODEL = {"target_rmse": 0.1, "spatial_correlation_length": 2500.0,
     (["batch", "--missions", "EMPTY"],
      lambda c: c["scenario"].update(region=[0.0, 10000.0, 5000.0, 5000.0])),
     (["stranding-study", "--n", "10", "--horizon", "600"], lambda c: c.update(out=5)),
+    # NaN fails every comparison, so each number's check is written to fail on it;
+    # JSON's Infinity is a float too
+    (["solve"], lambda c: c["solver"].update(u_max=math.nan)),
+    (["batch", "--missions", "EMPTY"], lambda c: c["solver"].update(u_max=math.nan)),
+    (["solve"], lambda c: c["solver"].update(u_max=math.inf)),
+    (["solve"], lambda c: c["solver"].update(d_max=math.inf)),
+    (["solve"], lambda c: c["solver"].update(dt_snap=math.nan)),
+    (["batch", "--missions", "EMPTY"], lambda c: c["solver"].update(dt_snap=math.nan)),
+    (["solve"], lambda c: c["solve"].update(target_radius=math.nan)),
+    (["batch", "--missions", "EMPTY"], lambda c: c["sim"].update(step_dt=math.nan)),
+    (["batch", "--missions", "EMPTY"], lambda c: c.update(switch_threshold=math.nan)),
+    (["solve"], lambda c: c["scenario"]["terrain"].update(threshold=math.nan)),
+    (["stranding-study", "--n", "10", "--horizon", "600"],
+     lambda c: c.update(study_t_range=[0.0, math.inf])),
 ], ids=["solve-without-radius", "zero-radius", "short-study-range", "unknown-baseline", "solver-alpha", "unknown-forecast-key", "no-controllers",
         "short-final-time-window", "flow-not-an-object", "sim-integrator", "solver-cfl",
         "reversed-solve-window", "reversed-study-range",
         "flow-path-is-a-directory", "terrain-path-is-a-directory", "missing-flow-file",
-        "solver-grid-spatial-key", "unknown-flow-key", "unknown-terrain-key", "coarsen-zero",
+        "old-solver-grid-key", "unknown-flow-key", "unknown-terrain-key", "coarsen-zero",
         "unknown-scenario-key", "unknown-solve-key", "unknown-top-level-key",
         "misspelt-switch-threshold", "study-n-zero", "negative-horizon", "negative-n",
         "at-outside-the-solve-window", "zero-cadence", "negative-forecast-horizon",
@@ -433,7 +446,10 @@ _ERROR_MODEL = {"target_rmse": 0.1, "spatial_correlation_length": 2500.0,
         "nan-correlation-length", "fractional-n-modes", "study-region-on-the-wall",
         "fractional-seed", "negative-seed", "string-seed", "boolean-seed", "negative-seed-flag",
         "forecast-span-key", "string-switch-threshold", "boolean-switch-threshold",
-        "string-study-range", "reversed-region", "flat-region", "non-string-out"])
+        "string-study-range", "reversed-region", "flat-region", "non-string-out",
+        "nan-u-max", "nan-u-max-batch", "infinite-u-max", "infinite-d-max", "nan-dt-snap",
+        "nan-dt-snap-batch", "nan-target-radius", "nan-step-dt", "nan-switch-threshold",
+        "nan-terrain-threshold", "infinite-study-range"])
 def test_bad_config_section_is_config_error(config, tmp_path, capsys, command, change):
     """Every section that any command reads is parsed, and checked, before
     the command runs: a missing key, a bad value, an unknown key or kind, a

@@ -1,8 +1,11 @@
 """Reachability solver: analytic oracles, invariants, point queries."""
 
+import hashlib
+import json
 import math
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -249,6 +252,21 @@ def test_solve_spans_its_window_in_the_fewest_intervals_within_dt_snap():
     assert vf.grid == g.spanning(30000.0, 70000.0)
     assert (vf.grid.nt, vf.grid.t0, vf.grid.t_max) == (15, 30000.0, 70000.0)
     assert vf.grid.dt_snap == pytest.approx(40000.0 / 14)
+
+
+def test_solve_values_do_not_depend_on_the_grid_t0_and_nt():
+    """A solve spans its own window in steps of at most dt_snap, so the
+    highway-and-wall solve has the golden bytes whatever the grid's t0 and nt."""
+    golden = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                         / "digests.json").read_text())["solve_mtr/highway_wall"]
+    for t0, nt in ((0.0, 31), (12345.0, 1), (-5.0, 7)):
+        g = SpaceTimeGrid(x0=0, y0=0, dx=200.0, dy=200.0, nx=51, ny=51,
+                          t0=t0, dt_snap=3000.0, nt=nt)
+        X, _ = g.meshgrid()
+        vf = solve_mtr(make_highway(4000.0, 6000.0, (0.4, 0.0)), _mask(g, X >= 8600.0),
+                       TargetSpec((2000.0, 2000.0), 300.0), SolverConfig(grid=g, u_max=U_MAX),
+                       0.0, 90_000.0)
+        assert hashlib.sha256(vf.values.astype("<f8").tobytes()).hexdigest() == golden
 
 
 def test_brt_grows_backward_in_time():
@@ -618,6 +636,26 @@ def test_value_at_matches_slice_reference(seed, ny, nx, nt, p_sentinel):
         t = rng.choice([g.t0, g.t_max, rng.uniform(g.t0, g.t_max)])
         got, want = vf.value_at(x, y, t), slice_value_at(vf, x, y, t)
         assert struct.pack("<d", got) == struct.pack("<d", want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    ny=st.integers(2, 6),
+    nx=st.integers(2, 6),
+    nt=st.integers(1, 4),
+    p_sentinel=st.floats(0.0, 1.0),
+)
+def test_ttr_at_equals_safe_ttr_at_every_node(seed, ny, nx, nt, p_sentinel):
+    """At every node, ttr_at is safe_ttr's value, nan where it is nan; a time
+    outside the plan's window is clamped into it first."""
+    rng = np.random.default_rng(seed)
+    vf = _random_value_function(rng, ny, nx, nt, p_sentinel)
+    g = vf.grid
+    for t in (g.t0 - 500.0, g.t0, rng.uniform(g.t0, g.t_max), g.t_max, g.t_max + 500.0):
+        clamped = min(max(t, g.t0), g.t_max)
+        got = [[vf.ttr_at(x, y, t) for x in g.xs] for y in g.ys]
+        np.testing.assert_array_equal(got, safe_ttr(vf, clamped))
 
 
 def _stranded_or_bytes(grad, *args):

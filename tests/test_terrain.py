@@ -17,7 +17,7 @@ from oracles import (
 )
 
 from driftplan.errors import FormatError, ParameterError
-from driftplan.gridio import PGM_MAXVAL, euclidean_distance, taxicab_distance, write_pgm
+from driftplan.gridio import euclidean_distance, taxicab_distance
 from driftplan.terrain import (
     DistanceMap,
     ElevationGrid,
@@ -49,6 +49,13 @@ def test_threshold_is_strict():
     e = _elev([[-300.0, -150.0], [-149.0, 0.0]])
     m = obstacle_mask(e, threshold=-150.0)
     assert m.mask.tolist() == [[False, False], [True, True]]
+
+
+@pytest.mark.parametrize("spacing", [0.0, -1.0, math.nan, math.inf])
+def test_grid_spacing_must_be_positive_and_finite(spacing):
+    for dx, dy in ((spacing, 1.0), (1.0, spacing)):
+        with pytest.raises(ParameterError, match="spacing"):
+            SpatialGrid(0.0, 0.0, dx, dy, 3, 3)
 
 
 def test_mask_contains_uses_nearest_cell():
@@ -314,23 +321,6 @@ def test_distance_gradient_at_matches_reference(ny, nx, seed, no_obstacles):
         assert struct.pack("<2d", *got) == struct.pack("<2d", *want)
 
 
-@pytest.mark.parametrize("array,expect", [
-    # row 0 is the bottom of the grid, so it is written last
-    ([[0.0, 1.0, np.nan], [2.0, np.inf, 4.0]],
-     [[128, 0, PGM_MAXVAL], [0, 64, 0]]),
-    # no spread, or nothing finite: every finite cell maps to 0
-    ([[3.0, 3.0], [np.nan, 3.0]], [[0, 0], [0, 0]]),
-    ([[np.nan, -np.inf]], [[0, 0]]),
-])
-def test_write_pgm_scales_to_maxval_and_zeroes_non_finite(tmp_path, array, expect):
-    path = tmp_path / "a.pgm"
-    write_pgm(path, array)
-    ny, nx = np.shape(array)
-    lines = path.read_text().splitlines()
-    assert lines[:3] == ["P2", f"{nx} {ny}", str(PGM_MAXVAL)]
-    assert [[int(v) for v in line.split()] for line in lines[3:]] == expect
-
-
 @st.composite
 def _marked_grids(draw):
     """A 1x1 to 60x60 grid with one marked cell up to all but one, single
@@ -364,6 +354,7 @@ def test_euclidean_distance_equals_brute_force(marked, dy, dx):
         assert got.tobytes() == brute_euclidean_distance(m, dy, dx).tobytes()
 
 
+@pytest.mark.needs_scipy
 @settings(max_examples=300, deadline=None)
 @given(marked=_marked_grids(), dy=SPACINGS, dx=SPACINGS)
 def test_distance_transforms_equal_scipy(marked, dy, dx):
@@ -377,6 +368,7 @@ def test_distance_transforms_equal_scipy(marked, dy, dx):
         assert (hops * dx).tobytes() == (scipy_taxicab_distance(m) * dx).tobytes()
 
 
+@pytest.mark.needs_scipy
 @pytest.mark.parametrize("shape,cells,dy,dx", [
     # from (0, 5) the marked cells lie (8, -1), (8, 1) and (7, 4) cells
     # away, all sqrt(65) cells, and (7, 4) rounds to the least float;
