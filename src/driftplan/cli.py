@@ -104,13 +104,22 @@ def _build(section: str, spec: dict):
     return _BUILDERS[section][kind](**params)
 
 
+def _json_int(text: str) -> int:
+    """A config integer; one beyond float's range would overflow where it is
+    used as a float, so it is refused as unreadable."""
+    value = int(text)  # a ValueError beyond sys.get_int_max_str_digits()
+    if not abs(value) <= sys.float_info.max:
+        raise ValueError(f"an integer of {len(text)} digits is too large for a float")
+    return value
+
+
 def load_experiment(path: str, seed_override=None, out_override=None) -> Experiment:
     """Parse every section that any command reads; its keys are the fields of the
     dataclass that owns their defaults, so an unknown key is a config error too."""
     try:
         with open(path) as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            raw = json.load(fh, parse_int=_json_int)
+    except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         _check_keys(raw, _TOP_LEVEL_KEYS, "top-level")
@@ -156,13 +165,10 @@ def load_experiment(path: str, seed_override=None, out_override=None) -> Experim
                 raise ConfigError(f"solve: t_start {t_start} must precede terminal_time {t_end}")
             solve = (TargetSpec(center=(cx, cy), radius=so["target_radius"]), t_start, t_end)
         lo, hi = study_t_range = tuple(raw.get("study_t_range", (0.0, 0.0)))
-        switch_threshold = raw.get("switch_threshold", SWITCH_THRESHOLD)
         # a string or a boolean would pass the comparisons and fail in a run,
         # and a NaN would fail every comparison of a run silently
-        if any(type(v) not in (int, float) or not math.isfinite(v)
-               for v in (lo, hi, switch_threshold)):
-            raise ConfigError(f"study_t_range and switch_threshold must be finite numbers, "
-                              f"not {[lo, hi]} and {switch_threshold!r}")
+        if any(type(v) not in (int, float) or not math.isfinite(v) for v in (lo, hi)):
+            raise ConfigError(f"study_t_range must hold finite numbers, not {[lo, hi]}")
         if not lo <= hi:  # an equal pair is one start time
             raise ConfigError(f"study_t_range must satisfy lo <= hi, not [{lo}, {hi}]")
         out_dir = out_override or raw.get("out", "out")
@@ -172,7 +178,7 @@ def load_experiment(path: str, seed_override=None, out_override=None) -> Experim
             truth=truth,
             batch=BatchSpec(kind=controllers[0], solver_config=solver_config,
                             obstacles=obstacles, dmap=dmap, error_model=error_model,
-                            switch_threshold=switch_threshold,
+                            switch_threshold=raw.get("switch_threshold", SWITCH_THRESHOLD),
                             **timing),
             sim_config=SimConfig(**raw.get("sim", {}), region=tuple(scenario["region"])),
             constraints=constraints, mission_t_max=mission_t_max,

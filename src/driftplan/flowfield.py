@@ -379,17 +379,17 @@ def read_flow_file(path) -> GriddedFlow:
         raise FormatError(
             f"truncated payload: need {need} bytes, have {len(data)}", offset=len(data)
         )
-    payload = np.frombuffer(data, dtype="<f4", count=2 * count, offset=_HEADER.size)
-    u, v = payload[:count], payload[count:]
-    if not np.all(np.isfinite(u)):
-        bad = int(np.flatnonzero(~np.isfinite(u))[0])
-        raise FormatError("non-finite u value", offset=_HEADER.size + bad * 4)
-    if not np.all(np.isfinite(v)):
-        bad = int(np.flatnonzero(~np.isfinite(v))[0])
-        raise FormatError("non-finite v value", offset=_HEADER.size + (count + bad) * 4)
     try:
         grid = SpaceTimeGrid(x0=x0, y0=y0, dx=dx, dy=dy, nx=nx, ny=ny,
                              t0=t0, dt_snap=dt_snap, nt=nt)
     except ParameterError as exc:
         raise FormatError(f"invalid header: {exc}", offset=4) from exc
-    return GriddedFlow(grid, u.reshape(nt, ny, nx), v.reshape(nt, ny, nx))
+    payload = np.frombuffer(data, dtype="<f4", count=2 * count, offset=_HEADER.size)
+    try:
+        # GriddedFlow scans the payload for non-finite values, once
+        return GriddedFlow(grid, payload[:count].reshape(nt, ny, nx),
+                           payload[count:].reshape(nt, ny, nx))
+    except ParameterError:
+        bad = int(np.flatnonzero(~np.isfinite(payload))[0])
+        raise FormatError(f"non-finite {'v' if bad >= count else 'u'} value",
+                          offset=_HEADER.size + bad * 4) from None

@@ -6,9 +6,10 @@ releases as a stationary AR(1) process, so consecutive forecasts share
 error structure, and amplitudes are calibrated analytically so the
 expected vector RMSE equals the configured target. A release is an index
 into its series, which holds the modes and every release's coefficients:
-the first grid-shaped point set sampled gets every release's error from one
-cosine and one sine basis per component. Other point sets are evaluated
-once per release and point set.
+on the first grid-shaped point set sampled, releases get their errors in
+blocks, each block from one cosine and one sine basis per component, and the
+series holds one block at a time. Other point sets are evaluated once per
+release and point set.
 """
 
 from __future__ import annotations
@@ -61,27 +62,39 @@ def _error_fields(kx, ky, amplitude, coefs, xa, ya):
     return fields
 
 
+#: releases whose errors on the held grid are evaluated together, from one
+#: basis: a mission replans on at most this many releases in one evaluation
+_BLOCK = 16
+
+
 class _SeriesErrors:
-    """A generated series' modes and each release's coefficients, and its
-    releases' errors on the first grid-shaped point set sampled. Releases
-    reference it by index and it references none of them, so a series is
-    freed without the cycle collector."""
+    """A generated series' modes and each release's coefficients, and one
+    block of its releases' errors on the first grid-shaped point set sampled.
+    Releases reference it by index and it references none of them, so a
+    series is freed without the cycle collector."""
 
     def __init__(self, kx, ky, amplitude):
         self.kx, self.ky, self.amplitude = kx, ky, amplitude
         self.coefs = []  # (coef_a, coef_b) of each release, in release order
-        self.held = None  # (bits of the point set's grid lines, fields per release)
+        self.held = None  # (bits of the point set's grid lines, field or None per release)
 
     def error(self, index, xa, ya):
-        """Release ``index``'s error fields at (xa, ya): held for every release
-        on the held grid, evaluated for this release alone elsewhere."""
+        """Release ``index``'s error fields at (xa, ya). On the held grid, a
+        release not held yet brings in the block of _BLOCK releases from it
+        on, in place of the block held before; elsewhere it is evaluated
+        alone."""
         lines = grid_lines(xa, ya)
         key = lines and (lines[0].tobytes(), lines[1].tobytes())
         modes = self.kx, self.ky, self.amplitude
         if key and self.held is None:
-            self.held = key, _error_fields(*modes, self.coefs, xa, ya)
+            self.held = key, [None] * len(self.coefs)
         if key and self.held[0] == key:
-            return self.held[1][index]
+            fields = self.held[1]
+            if fields[index] is None:
+                fields[:] = [None] * len(fields)
+                block = _error_fields(*modes, self.coefs[index:index + _BLOCK], xa, ya)
+                fields[index:index + len(block)] = block
+            return fields[index]
         return _error_fields(*modes, self.coefs[index:index + 1], xa, ya)[0]
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 import csv
 import enum
 import math
+import numbers
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -65,20 +67,33 @@ class SimConfig:
             raise ParameterError(f"region {self.region} must satisfy xmin < xmax, ymin < ymax")
 
 
+def _floats():
+    return array("d")
+
+
 @dataclass
 class SimulationRecord:
-    """Sampled trajectory with per-step diagnostics and terminal outcome."""
+    """Sampled trajectory with per-step diagnostics and terminal outcome.
+
+    The per-step numbers are ``array("d")`` columns, 8 B per value; an
+    element reads back as a Python float, equal to the value appended."""
 
     mission: Mission
-    times: list = field(default_factory=list)
-    xs: list = field(default_factory=list)
-    ys: list = field(default_factory=list)
-    us: list = field(default_factory=list)  # (ux, uy) m/s
+    times: array = field(default_factory=_floats)
+    xs: array = field(default_factory=_floats)
+    ys: array = field(default_factory=_floats)
+    uxs: array = field(default_factory=_floats)  # control, m/s
+    uys: array = field(default_factory=_floats)
     branches: list = field(default_factory=list)
-    ttrs: list = field(default_factory=list)  # D* at state, nan if undefined
+    ttrs: array = field(default_factory=_floats)  # D* at state, nan if undefined
     outcome: Outcome = Outcome.TIMEOUT
     outcome_time: float = 0.0
     note: str = ""
+
+    @property
+    def us(self) -> list:
+        """The (ux, uy) control of each step, in m/s."""
+        return list(zip(self.uxs, self.uys))
 
     def end(self, outcome: Outcome, time: float, note: str = "") -> SimulationRecord:
         """Record how and when the mission ended; returns the record."""
@@ -89,10 +104,10 @@ class SimulationRecord:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["t_s", "x_m", "y_m", "ux_ms", "uy_ms", "branch", "ttr_s"])
-            for t, x, y, u, b, d in zip(
-                self.times, self.xs, self.ys, self.us, self.branches, self.ttrs
+            for t, x, y, ux, uy, b, d in zip(
+                self.times, self.xs, self.ys, self.uxs, self.uys, self.branches, self.ttrs
             ):
-                w.writerow([t, x, y, u[0], u[1], b, "" if math.isnan(d) else d])
+                w.writerow([t, x, y, ux, uy, b, "" if math.isnan(d) else d])
 
 
 def _rk4(deriv, px, py, t, dt):
@@ -162,15 +177,16 @@ def run_mission(
                 ctrl.replan(fc, now, min(fc.t_max, deadline))
             except DriftplanError as exc:
                 return rec.end(Outcome.ABORTED, now, f"replan failed: {exc}")
-        u = ctrl.control(x, y, t)
+        ux, uy = ctrl.control(x, y, t).vector
         rec.times.append(t)
         rec.xs.append(x)
         rec.ys.append(y)
-        rec.us.append(u.vector)
+        rec.uxs.append(ux)
+        rec.uys.append(uy)
         rec.branches.append(ctrl.last_branch)
         rec.ttrs.append(math.nan if ctrl.vf is None else ctrl.vf.ttr_at(x, y, t))
         try:
-            x, y = integrate_step((x, y), u.vector, truth, t, cfg.step_dt)
+            x, y = integrate_step((x, y), (ux, uy), truth, t, cfg.step_dt)
         except ExtentError as exc:
             # an integration stage left the truth's extent
             return rec.end(Outcome.LEFT_REGION, t + cfg.step_dt, str(exc))
@@ -192,6 +208,10 @@ class BatchSpec:
 
     def __post_init__(self):
         check_release_timing(self.cadence, self.horizon)
+        t = self.switch_threshold
+        # a string would fail in a switching step, and a NaN never switch
+        if isinstance(t, bool) or not isinstance(t, numbers.Real) or not -math.inf < t < math.inf:
+            raise ParameterError(f"switch_threshold must be a finite real number, not {t!r}")
 
 
 def _mission_seed(master_seed: int, index: int) -> int:

@@ -434,6 +434,9 @@ _ERROR_MODEL = {"target_rmse": 0.1, "spatial_correlation_length": 2500.0,
     (["solve"], lambda c: c["scenario"]["terrain"].update(threshold=math.nan)),
     (["stranding-study", "--n", "10", "--horizon", "600"],
      lambda c: c.update(study_t_range=[0.0, math.inf])),
+    # a JSON integer beyond float's range would overflow where it is used as a float
+    (["batch", "--missions", "EMPTY"], lambda c: c.update(switch_threshold=10**400)),
+    (["solve"], lambda c: c["solver"].update(u_max=10**400)),
 ], ids=["solve-without-radius", "zero-radius", "short-study-range", "unknown-baseline", "solver-alpha", "unknown-forecast-key", "no-controllers",
         "short-final-time-window", "flow-not-an-object", "sim-integrator", "solver-cfl",
         "reversed-solve-window", "reversed-study-range",
@@ -449,7 +452,8 @@ _ERROR_MODEL = {"target_rmse": 0.1, "spatial_correlation_length": 2500.0,
         "string-study-range", "reversed-region", "flat-region", "non-string-out",
         "nan-u-max", "nan-u-max-batch", "infinite-u-max", "infinite-d-max", "nan-dt-snap",
         "nan-dt-snap-batch", "nan-target-radius", "nan-step-dt", "nan-switch-threshold",
-        "nan-terrain-threshold", "infinite-study-range"])
+        "nan-terrain-threshold", "infinite-study-range", "huge-integer-switch-threshold",
+        "huge-integer-u-max"])
 def test_bad_config_section_is_config_error(config, tmp_path, capsys, command, change):
     """Every section that any command reads is parsed, and checked, before
     the command runs: a missing key, a bad value, an unknown key or kind, a

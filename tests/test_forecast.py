@@ -3,6 +3,7 @@
 import gc
 import itertools
 import math
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -523,3 +524,38 @@ def test_series_is_freed_without_the_cycle_collector():
         assert [r() for r in refs] == [None] * len(refs)
     finally:
         gc.enable()
+
+
+def test_held_errors_are_one_block_of_releases(monkeypatch):
+    """On the held grid a release brings in the errors of the block of
+    releases from it on, from one basis, and the block held before is
+    dropped: 240 hourly releases on 81 x 41 hold one block, not all 240
+    (12.8 MB), and each release's error keeps its bytes."""
+    X, Y = np.meshgrid(np.linspace(0.0, 40000.0, 81), np.linspace(0.0, 20000.0, 41))
+    series = gen_forecast_series(TRUTH, _cfg(), 3600.0, 50000.0, (0.0, 239 * 3600.0))
+    releases = [f for _, f in series.releases]
+    assert len(releases) == 240
+    original, bases = forecast._error_fields, []
+
+    def counted(kx, ky, amplitude, coefs, xa, ya):
+        bases.append(len(coefs))
+        return original(kx, ky, amplitude, coefs, xa, ya)
+
+    monkeypatch.setattr(forecast, "_error_fields", counted)
+    block = forecast._BLOCK
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for f in releases[:block]:
+            f.sampler(X, Y)
+        assert bases == [block]  # a mission of up to _BLOCK replans evaluates one basis
+        releases[100].sampler(X, Y)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert bases == [block, block]
+    assert kept <= (block + 2) * 2 * X.nbytes  # the block's (2, 41, 81) fields
+    held = releases[0].errors.held[1]
+    assert [i for i, f in enumerate(held) if f is not None] == list(range(100, 100 + block))
+    for f in (releases[0], releases[block - 1], releases[block], releases[100], releases[-1]):
+        _assert_bitwise(f.sample_many(X, Y, f.t_lo), fourier_sample_many(f, X, Y, f.t_lo))

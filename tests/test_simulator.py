@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -125,7 +126,7 @@ def test_mission_start_inside_target_is_immediate_success():
     rec = run_mission(m, truth, om, _ctrl(g, om), series, SimConfig())
     assert rec.outcome is Outcome.SUCCESS
     assert rec.outcome_time == 0.0
-    assert rec.times == []
+    assert len(rec.times) == 0
 
 
 def test_floating_in_band_strands_on_wall():
@@ -237,7 +238,7 @@ def test_mission_that_starts_after_the_truth_ends_aborts_alone():
     assert [r.outcome for r in recs] == [Outcome.TIMEOUT, Outcome.ABORTED]
     assert (recs[1].outcome_time, recs[1].note) == (
         40000.0, "replan failed: no forecast released yet at t=40000.0")
-    assert recs[1].times == []
+    assert len(recs[1].times) == 0
     two = run_batch(missions, truth, spec, cfg, workers=2)
     assert [(r.outcome, r.outcome_time, r.note, r.xs, r.ys) for r in two] == \
         [(r.outcome, r.outcome_time, r.note, r.xs, r.ys) for r in recs]
@@ -249,6 +250,15 @@ def test_batch_spec_refuses_non_positive_cadence_or_horizon():
     for timing in ({"cadence": 0.0}, {"cadence": -1.0}, {"horizon": -5.0}, {"horizon": 0.0}):
         with pytest.raises(ParameterError, match="cadence and horizon must be positive"):
             BatchSpec(**kw, **timing)
+
+
+@pytest.mark.parametrize("threshold", ["x", None, True, math.nan, math.inf, -math.inf])
+def test_batch_spec_refuses_a_switch_threshold_that_is_not_a_finite_number(threshold):
+    # a string would raise TypeError in Controller.control, out of run_batch
+    with pytest.raises(ParameterError, match="switch_threshold must be a finite real number"):
+        BatchSpec(kind=ControllerKind.SWITCH_MTR,
+                  solver_config=SolverConfig(grid=_grid(), u_max=U_MAX),
+                  obstacles=_wall_setup()[2], switch_threshold=threshold)
 
 
 def test_cadence_below_the_float_spacing_of_a_release_aborts_its_mission_alone():
@@ -342,6 +352,27 @@ def test_trajectory_csv_round_trip(tmp_path):
     assert rows[0] == ["t_s", "x_m", "y_m", "ux_ms", "uy_ms", "branch", "ttr_s"]
     assert len(rows) == len(rec.times) + 1
     assert float(rows[1][1]) == pytest.approx(rec.xs[0])
+    assert [tuple(map(float, r[3:5])) for r in rows[1:]] == rec.us
+
+
+def test_record_holds_under_100_bytes_per_step():
+    # a batch returns every mission's record, so a step is kept as 8-byte
+    # doubles, not as boxed floats and (ux, uy) tuples (173 B a step here)
+    om = ObstacleMask(grid=SpatialGrid(0, 0, 200.0, 200.0, 51, 51),
+                      mask=np.zeros((51, 51), dtype=bool))
+    truth = make_uniform(0.0, 0.0)
+    m = Mission(5000.0, 5000.0, 0.0, TargetSpec((2000.0, 2000.0), 300.0), 400 * 600.0)
+    ctrl = _ctrl(_grid(), om, kind=ControllerKind.FLOATING)
+    series = gen_forecast_series(truth, None, 86400.0, 86400.0, (0.0, m.t_max))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rec = run_mission(m, truth, om, ctrl, series, SimConfig(step_dt=600.0))
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert rec.outcome is Outcome.TIMEOUT and len(rec.times) == 400
+    assert kept / len(rec.times) <= 100
 
 
 def _batch_inputs():
@@ -658,5 +689,5 @@ def test_start_is_checked_as_every_steps_end_is(kind):
     missions = [Mission(x, y, 1000.0, _TARGET, 20000.0) for x, y in starts]
     for error_model in (None, _FOURIER):
         recs = _contract_batch(missions, kind, error_model)
-        assert [(r.outcome, r.outcome_time, r.times) for r in recs] == \
-            [(outcome, 1000.0, []) for outcome in starts.values()]
+        assert [(r.outcome, r.outcome_time, len(r.times)) for r in recs] == \
+            [(outcome, 1000.0, 0) for outcome in starts.values()]
