@@ -20,7 +20,7 @@ from .controllers import SWITCH_THRESHOLD, ControllerKind
 from .errors import ConfigError, DegenerateInputError, DriftplanError, ParameterError
 from .flowfield import SpaceTimeGrid, make_double_gyre, make_highway, make_uniform, read_flow_file
 from .forecast import ErrorModelConfig
-from .hjsolver import SolverConfig, TargetSpec, safe_ttr, solve_mtr
+from .hjsolver import FLOAT_MAX, SolverConfig, TargetSpec, safe_ttr, solve_mtr
 from .missions import SamplingConstraints, read_missions, sample_missions, write_missions
 from .simulator import BatchSpec, SimConfig, run_batch, stranding_study, tally_outcomes
 from .stats import rates, z_prop_test
@@ -108,7 +108,7 @@ def _json_int(text: str) -> int:
     """A config integer; one beyond float's range would overflow where it is
     used as a float, so it is refused as unreadable."""
     value = int(text)  # a ValueError beyond sys.get_int_max_str_digits()
-    if not abs(value) <= sys.float_info.max:
+    if not abs(value) <= FLOAT_MAX:
         raise ValueError(f"an integer of {len(text)} digits is too large for a float")
     return value
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .errors import AlreadyStrandedError, ConfigError
 from .flowfield import FlowSource
@@ -34,6 +34,10 @@ class ControlInput:
                 self.magnitude * math.sin(self.theta))
 
 
+#: zero actuation: the vehicle drifts with the flow
+DRIFT = ControlInput(0.0, 0.0)
+
+
 class ControllerKind(enum.Enum):
     FLOATING = "floating"
     MTR = "mtr"
@@ -53,11 +57,6 @@ _OBSTACLE_AWARE = {
 _SWITCHING = {ControllerKind.SWITCH_MTR, ControllerKind.SWITCH_MTR_NO_OBS}
 
 
-def floating_policy() -> ControlInput:
-    """Zero actuation: the vehicle drifts with the flow."""
-    return ControlInput(0.0, 0.0)
-
-
 def _full_speed_along(gx: float, gy: float, u_max: float) -> ControlInput | None:
     """Full actuation along the unit vector of (gx, gy); None when its norm
     is not finite or below EPS_GRAD."""
@@ -73,31 +72,38 @@ def mtr_policy(vf: ValueFunction, x: float, y: float, t: float, u_max: float) ->
     Raises AlreadyStrandedError when the query cell is sentinel-valued.
     """
     gx, gy = vf.grad_at(x, y, t)
-    return _full_speed_along(-gx, -gy, u_max) or floating_policy()
-
-
-def safety_ascent_policy(dmap: DistanceMap, x: float, y: float, u_max: float) -> ControlInput | None:
-    """Full actuation up the distance-to-obstacle gradient; None when the
-    gradient is degenerate and the caller should fall back."""
-    return _full_speed_along(*dmap.gradient_at(x, y), u_max)
+    return _full_speed_along(-gx, -gy, u_max) or DRIFT
 
 
 @dataclass
 class Controller:
-    """A controller with its held maps and replanning hook.
-
-    ``replan`` recomputes the value function from the given forecast;
-    ``control`` is memoryless in (x, t) given the held maps.
-    """
+    """A controller of one kind, given as a member or by name, with its held
+    maps; its only state is its plan ``vf``. Construction checks that the kind
+    has what it needs, sets smalldist_mtr's ``d_max`` and drops the mask of the
+    obstacle-blind kinds. ``control`` is memoryless in (x, t) given the maps."""
 
     kind: ControllerKind
     solver_config: SolverConfig | None = None
     target: TargetSpec | None = None
     obstacles: ObstacleMask | None = None
     dmap: DistanceMap | None = None
-    switch_threshold: float = 0.0
-    vf: ValueFunction | None = None
-    last_branch: str = "plan"
+    switch_threshold: float = SWITCH_THRESHOLD
+    vf: ValueFunction | None = field(default=None, init=False)
+
+    def __post_init__(self):
+        self.kind = kind = ControllerKind(self.kind)
+        if kind not in _OBSTACLE_AWARE:
+            self.obstacles = None
+        if kind is ControllerKind.FLOATING:
+            return
+        if self.solver_config is None or self.target is None:
+            raise ConfigError(f"{kind.value} requires a solver config and target")
+        if kind in _OBSTACLE_AWARE and self.obstacles is None:
+            raise ConfigError(f"{kind.value} requires an obstacle mask")
+        if kind in _SWITCHING and self.dmap is None:
+            raise ConfigError(f"{kind.value} requires a distance map")
+        if kind is ControllerKind.SMALLDIST_MTR:
+            self.solver_config = replace(self.solver_config, d_max=SMALL_DISTURBANCE)
 
     def replan(self, forecast: FlowSource, t_now: float, t_end: float) -> None:
         """Solve the reachability problem on the given forecast flow."""
@@ -106,60 +112,26 @@ class Controller:
         self.vf = solve_mtr(forecast, self.obstacles, self.target, self.solver_config,
                             t_now, t_end)
 
-    def control(self, x: float, y: float, t: float) -> ControlInput:
+    def control(self, x: float, y: float, t: float) -> tuple[ControlInput, str]:
+        """The control at (x, y, t) and the branch that chose it: ``float``,
+        ``safety``, ``plan`` or ``doomed``."""
         if self.kind is ControllerKind.FLOATING:
-            self.last_branch = "float"
-            return floating_policy()
+            return DRIFT, "float"
         if self.kind in _SWITCHING and self.dmap.value_at(x, y) < self.switch_threshold:
             u = self._ascent(x, y)
             if u is not None:
-                self.last_branch = "safety"
-                return u
-        self.last_branch = "plan"
+                return u, "safety"
         try:
             return mtr_policy(self.vf, x, y, min(t, self.vf.terminal_time),
-                              self.solver_config.u_max)
+                              self.solver_config.u_max), "plan"
         except AlreadyStrandedError:
             # The current plan marks this state as lost; steer away from
             # obstacles if a distance map is held, otherwise drift.
-            self.last_branch = "doomed"
-            return self._ascent(x, y) or floating_policy()
+            return self._ascent(x, y) or DRIFT, "doomed"
 
     def _ascent(self, x: float, y: float) -> ControlInput | None:
-        """Safety ascent on the held distance map; None without one or on a
-        degenerate gradient."""
+        """Full actuation up the held distance map's gradient; None without a
+        map or when the gradient is degenerate."""
         if self.dmap is None:
             return None
-        return safety_ascent_policy(self.dmap, x, y, self.solver_config.u_max)
-
-
-def build_controller(
-    kind: ControllerKind | str,
-    *,
-    solver_config: SolverConfig | None = None,
-    target: TargetSpec | None = None,
-    obstacles: ObstacleMask | None = None,
-    dmap: DistanceMap | None = None,
-    switch_threshold: float = SWITCH_THRESHOLD,
-) -> Controller:
-    """Assemble a controller of the given kind, validating its inputs."""
-    if isinstance(kind, str):
-        kind = ControllerKind(kind)
-    if kind is ControllerKind.FLOATING:
-        return Controller(kind=kind, dmap=dmap)
-    if solver_config is None or target is None:
-        raise ConfigError(f"{kind.value} requires a solver config and target")
-    if kind in _OBSTACLE_AWARE and obstacles is None:
-        raise ConfigError(f"{kind.value} requires an obstacle mask")
-    if kind in _SWITCHING and dmap is None:
-        raise ConfigError(f"{kind.value} requires a distance map")
-    if kind is ControllerKind.SMALLDIST_MTR:
-        solver_config = replace(solver_config, d_max=SMALL_DISTURBANCE)
-    return Controller(
-        kind=kind,
-        solver_config=solver_config,
-        target=target,
-        obstacles=obstacles if kind in _OBSTACLE_AWARE else None,
-        dmap=dmap,
-        switch_threshold=switch_threshold,
-    )
+        return _full_speed_along(*self.dmap.gradient_at(x, y), self.solver_config.u_max)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +36,9 @@ SENTINEL_THRESHOLD = 0.5 * SENTINEL
 MIN_DT = 1e-9
 #: Courant number: the largest product of a substep and the CFL rate
 CFL = 0.5
+#: the largest float: NaN, an infinity and an integer beyond float's range
+#: each fail ``abs(x) <= FLOAT_MAX``
+FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -46,7 +50,7 @@ class SolverConfig:
     d_max: float = 0.0
 
     def __post_init__(self):
-        if not (0 <= self.u_max < math.inf and 0 <= self.d_max < math.inf):  # NaN fails too
+        if not (0 <= self.u_max <= FLOAT_MAX and 0 <= self.d_max <= FLOAT_MAX):
             raise ParameterError(f"speed bounds must be finite and non-negative, "
                                  f"not {self.u_max}, {self.d_max}")
 
@@ -59,8 +63,10 @@ class TargetSpec:
     radius: float
 
     def __post_init__(self):
-        if not 0 < self.radius < math.inf:  # NaN fails too
+        if not 0 < self.radius <= FLOAT_MAX:
             raise ParameterError(f"target radius must be positive and finite, not {self.radius}")
+        if not (abs(self.center[0]) <= FLOAT_MAX and abs(self.center[1]) <= FLOAT_MAX):
+            raise ParameterError(f"target center must be finite, not {self.center}")
 
     def contains(self, x: float, y: float) -> bool:
         return math.hypot(x - self.center[0], y - self.center[1]) <= self.radius

@@ -5,14 +5,13 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InfeasibleConstraintsError, ParameterError
 from .flowfield import FlowSource
-from .hjsolver import SolverConfig, TargetSpec, check_mask_grid, safe_ttr, solve_mtr
+from .hjsolver import FLOAT_MAX, SolverConfig, TargetSpec, check_mask_grid, safe_ttr, solve_mtr
 from .simulator import Mission
 from .terrain import DistanceMap, ObstacleMask
 
@@ -153,7 +152,7 @@ def read_missions(path) -> list[Mission]:
                 if isinstance(value, bool) or not isinstance(value, (int, float)):
                     raise ParameterError(f"line {lineno}: field {key!r} is not a number")
                 # json reads NaN and Infinity, and integers beyond any float
-                if not abs(value) <= sys.float_info.max:
+                if not abs(value) <= FLOAT_MAX:
                     raise ParameterError(f"line {lineno}: field {key!r} is not finite")
             missions.append(Mission(
                 x0=doc["x0_m"], y0=doc["y0_m"], t0=doc["t0_s"],

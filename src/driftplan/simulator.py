@@ -18,11 +18,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .controllers import SWITCH_THRESHOLD, Controller, ControllerKind, build_controller
+from .controllers import SWITCH_THRESHOLD, Controller, ControllerKind
 from .errors import DriftplanError, ExtentError, ParameterError
 from .flowfield import FlowSource
 from .forecast import ErrorModelConfig, ForecastSeries, check_release_timing, gen_forecast_series
-from .hjsolver import SolverConfig, TargetSpec
+from .hjsolver import FLOAT_MAX, SolverConfig, TargetSpec
 from .terrain import ObstacleMask
 
 #: default integration step, in seconds, of missions and passive drift
@@ -48,8 +48,11 @@ class Mission:
     t_max: float
 
     def __post_init__(self):
-        if self.t_max <= 0:
-            raise ParameterError("mission deadline must be positive")
+        if not (abs(self.x0) <= FLOAT_MAX and abs(self.y0) <= FLOAT_MAX
+                and abs(self.t0) <= FLOAT_MAX):
+            raise ParameterError(f"mission start must be finite, not {(self.x0, self.y0, self.t0)}")
+        if not 0 < self.t_max <= FLOAT_MAX:
+            raise ParameterError(f"mission deadline must be positive and finite, not {self.t_max}")
 
 
 @dataclass(frozen=True)
@@ -177,13 +180,14 @@ def run_mission(
                 ctrl.replan(fc, now, min(fc.t_max, deadline))
             except DriftplanError as exc:
                 return rec.end(Outcome.ABORTED, now, f"replan failed: {exc}")
-        ux, uy = ctrl.control(x, y, t).vector
+        u, branch = ctrl.control(x, y, t)
+        ux, uy = u.vector
         rec.times.append(t)
         rec.xs.append(x)
         rec.ys.append(y)
         rec.uxs.append(ux)
         rec.uys.append(uy)
-        rec.branches.append(ctrl.last_branch)
+        rec.branches.append(branch)
         rec.ttrs.append(math.nan if ctrl.vf is None else ctrl.vf.ttr_at(x, y, t))
         try:
             x, y = integrate_step((x, y), (ux, uy), truth, t, cfg.step_dt)
@@ -222,9 +226,9 @@ def _mission_seed(master_seed: int, index: int) -> int:
 def _run_one(args):
     (index, mission, truth, spec, cfg, master_seed) = args
     try:
-        ctrl = build_controller(spec.kind, solver_config=spec.solver_config,
-                                target=mission.target, obstacles=spec.obstacles,
-                                dmap=spec.dmap, switch_threshold=spec.switch_threshold)
+        ctrl = Controller(spec.kind, solver_config=spec.solver_config, target=mission.target,
+                          obstacles=spec.obstacles, dmap=spec.dmap,
+                          switch_threshold=spec.switch_threshold)
         em = spec.error_model and replace(spec.error_model, seed=_mission_seed(master_seed, index))
         series = gen_forecast_series(truth, em, spec.cadence, spec.horizon,
                                      (mission.t0, mission.t0 + mission.t_max))

@@ -437,6 +437,9 @@ _ERROR_MODEL = {"target_rmse": 0.1, "spatial_correlation_length": 2500.0,
     # a JSON integer beyond float's range would overflow where it is used as a float
     (["batch", "--missions", "EMPTY"], lambda c: c.update(switch_threshold=10**400)),
     (["solve"], lambda c: c["solver"].update(u_max=10**400)),
+    # an endless deadline would be written to the manifest
+    (["sample-missions", "--n", "2"], lambda c: c["missions"].update(t_max=math.inf)),
+    (["sample-missions", "--n", "2"], lambda c: c["missions"].update(t_max=math.nan)),
 ], ids=["solve-without-radius", "zero-radius", "short-study-range", "unknown-baseline", "solver-alpha", "unknown-forecast-key", "no-controllers",
         "short-final-time-window", "flow-not-an-object", "sim-integrator", "solver-cfl",
         "reversed-solve-window", "reversed-study-range",
@@ -453,7 +456,7 @@ _ERROR_MODEL = {"target_rmse": 0.1, "spatial_correlation_length": 2500.0,
         "nan-u-max", "nan-u-max-batch", "infinite-u-max", "infinite-d-max", "nan-dt-snap",
         "nan-dt-snap-batch", "nan-target-radius", "nan-step-dt", "nan-switch-threshold",
         "nan-terrain-threshold", "infinite-study-range", "huge-integer-switch-threshold",
-        "huge-integer-u-max"])
+        "huge-integer-u-max", "infinite-mission-t-max", "nan-mission-t-max"])
 def test_bad_config_section_is_config_error(config, tmp_path, capsys, command, change):
     """Every section that any command reads is parsed, and checked, before
     the command runs: a missing key, a bad value, an unknown key or kind, a

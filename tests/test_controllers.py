@@ -1,23 +1,23 @@
 """Controller policies: magnitudes, directions, switching, fallbacks."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from driftplan.controllers import (
+    DRIFT,
     EPS_GRAD,
     SMALL_DISTURBANCE,
+    SWITCH_THRESHOLD,
     ControlInput,
     Controller,
     ControllerKind,
-    build_controller,
-    floating_policy,
     mtr_policy,
-    safety_ascent_policy,
 )
 from driftplan.errors import ConfigError
-from driftplan.flowfield import SpaceTimeGrid, make_highway, make_uniform
+from driftplan.flowfield import SpaceTimeGrid, make_highway
 from driftplan.hjsolver import SENTINEL, SENTINEL_THRESHOLD, SolverConfig, TargetSpec, solve_mtr
 from driftplan.terrain import ObstacleMask, SpatialGrid, distance_map
 
@@ -39,10 +39,11 @@ def highway_setup():
     return dict(grid=g, truth=truth, om=om, dmap=dmap, cfg=cfg, tgt=tgt, vf=vf)
 
 
-def test_floating_policy_zero_magnitude():
-    u = floating_policy()
-    assert u.magnitude == 0.0
-    assert u.vector == (0.0, 0.0)
+def test_floating_drifts_with_zero_control():
+    assert DRIFT.magnitude == 0.0
+    assert DRIFT.vector == (0.0, 0.0)
+    u, branch = Controller(ControllerKind.FLOATING).control(5000.0, 5000.0, 0.0)
+    assert (u, branch) == (DRIFT, "float")
 
 
 def test_control_magnitude_is_zero_or_full(highway_setup):
@@ -83,64 +84,82 @@ def test_mtr_policy_matches_exhaustive_minimization(highway_setup):
         checked += 1
 
 
+def _controller(s, kind, **kw):
+    return Controller(kind, solver_config=s["cfg"], target=s["tgt"], obstacles=s["om"], **kw)
+
+
 def test_safety_ascent_points_away_from_wall(highway_setup):
-    u = safety_ascent_policy(highway_setup["dmap"], 8000.0, 5000.0, U_MAX)
+    s = highway_setup
+    ctrl = _controller(s, ControllerKind.SWITCH_MTR, dmap=s["dmap"], switch_threshold=1000.0)
+    u, branch = ctrl.control(8000.0, 5000.0, 0.0)  # 600 m from the wall, planned or not
+    assert branch == "safety"
     assert u.magnitude == U_MAX
     assert math.cos(u.theta) < -0.99  # wall is east, ascent goes west
 
 
-def test_safety_ascent_degenerate_gradient_returns_none():
-    g = SpatialGrid(0, 0, 100.0, 100.0, 5, 5)
-    mask = np.zeros((5, 5), dtype=bool)
-    om = ObstacleMask(grid=g, mask=mask)
-    d = distance_map(om)  # no obstacles: infinite distances, flat gradient
-    assert safety_ascent_policy(d, 200.0, 200.0, U_MAX) is None
+def _flat_dmap():
+    g = SpatialGrid(0, 0, 200.0, 200.0, 51, 51)
+    # no obstacles: infinite distances, flat gradient
+    return distance_map(ObstacleMask(grid=g, mask=np.zeros((51, 51), dtype=bool)))
+
+
+def test_safety_ascent_degenerate_gradient_returns_none(highway_setup):
+    s = highway_setup
+    assert _controller(s, ControllerKind.MTR, dmap=_flat_dmap())._ascent(200.0, 200.0) is None
+    assert _controller(s, ControllerKind.MTR)._ascent(8000.0, 5000.0) is None  # no map held
+
+
+def test_doomed_cell_without_an_ascent_drifts(highway_setup):
+    s = highway_setup
+    for dmap in (_flat_dmap(), None):
+        ctrl = _controller(s, ControllerKind.MTR, dmap=dmap)
+        ctrl.vf = s["vf"]
+        assert ctrl.control(8000.0, 5000.0, 0.0) == (DRIFT, "doomed")
 
 
 def test_switching_branch_below_threshold(highway_setup):
     s = highway_setup
-    ctrl = build_controller(
-        ControllerKind.SWITCH_MTR, solver_config=s["cfg"],
-        target=s["tgt"], obstacles=s["om"], dmap=s["dmap"],
-        switch_threshold=1000.0,
-    )
+    ctrl = _controller(s, ControllerKind.SWITCH_MTR, dmap=s["dmap"], switch_threshold=1000.0)
     ctrl.vf = s["vf"]
-    u = ctrl.control(8100.0, 1000.0, 0.0)  # 500 m from the wall
-    assert ctrl.last_branch == "safety"
+    u, branch = ctrl.control(8100.0, 1000.0, 0.0)  # 500 m from the wall
+    assert branch == "safety"
     assert math.cos(u.theta) < -0.99
-    u = ctrl.control(2000.0, 8000.0, 0.0)  # far from the wall
-    assert ctrl.last_branch == "plan"
+    u, branch = ctrl.control(2000.0, 8000.0, 0.0)  # far from the wall
+    assert branch == "plan"
+    assert u == mtr_policy(s["vf"], 2000.0, 8000.0, 0.0, U_MAX)
 
 
 def test_doomed_cell_falls_back_to_ascent(highway_setup):
     s = highway_setup
-    ctrl = build_controller(
-        ControllerKind.MTR, solver_config=s["cfg"],
-        target=s["tgt"], obstacles=s["om"], dmap=s["dmap"],
-    )
+    ctrl = _controller(s, ControllerKind.MTR, dmap=s["dmap"])
     ctrl.vf = s["vf"]
     # mid-band just upstream of the wall is inevitably lost in the plan
-    u = ctrl.control(8000.0, 5000.0, 0.0)
-    assert ctrl.last_branch == "doomed"
+    u, branch = ctrl.control(8000.0, 5000.0, 0.0)
+    assert branch == "doomed"
     assert u.magnitude == U_MAX
+    assert math.cos(u.theta) < -0.99
+
+
+def test_control_leaves_the_controller_unchanged(highway_setup):
+    # a controller's only state is its plan, which only replan sets
+    s = highway_setup
+    ctrl = _controller(s, ControllerKind.SWITCH_MTR, dmap=s["dmap"], switch_threshold=1000.0)
+    ctrl.vf = s["vf"]
+    before = dict(vars(ctrl))
+    for x, y in ((8100.0, 1000.0), (2000.0, 8000.0), (8000.0, 5000.0)):
+        ctrl.control(x, y, 0.0)
+    assert vars(ctrl).keys() == before.keys()
+    assert all(vars(ctrl)[k] is v for k, v in before.items())
 
 
 def test_replan_respects_obstacle_awareness(highway_setup):
     s = highway_setup
-    aware = build_controller(
-        ControllerKind.MTR, solver_config=s["cfg"],
-        target=s["tgt"], obstacles=s["om"], dmap=s["dmap"],
-    )
-    blind = build_controller(
-        ControllerKind.MTR_NO_OBS, solver_config=s["cfg"],
-        target=s["tgt"],
-    )
+    aware = _controller(s, ControllerKind.MTR, dmap=s["dmap"])
+    blind = Controller(ControllerKind.MTR_NO_OBS, solver_config=s["cfg"], target=s["tgt"])
     # a blind kind handed the mask still plans without it
-    blind_given_mask = build_controller(
-        ControllerKind.MTR_NO_OBS, solver_config=s["cfg"],
-        target=s["tgt"], obstacles=s["om"],
-    )
+    blind_given_mask = _controller(s, ControllerKind.MTR_NO_OBS)
     assert blind_given_mask.obstacles is None
+    assert Controller(ControllerKind.FLOATING, obstacles=s["om"]).obstacles is None
     aware.replan(s["truth"], 0.0, s["grid"].t_max)
     blind.replan(s["truth"], 0.0, s["grid"].t_max)
     blind_given_mask.replan(s["truth"], 0.0, s["grid"].t_max)
@@ -153,11 +172,9 @@ def test_replan_respects_obstacle_awareness(highway_setup):
 
 def test_smalldist_variant_uses_margin(highway_setup):
     s = highway_setup
-    ctrl = build_controller(
-        ControllerKind.SMALLDIST_MTR, solver_config=s["cfg"],
-        target=s["tgt"], obstacles=s["om"], dmap=s["dmap"],
-    )
+    ctrl = _controller(s, ControllerKind.SMALLDIST_MTR, dmap=s["dmap"])
     assert ctrl.solver_config.d_max == SMALL_DISTURBANCE == 0.05
+    assert s["cfg"].d_max == 0.0  # the given config is not changed
     ctrl.replan(s["truth"], 0.0, s["grid"].t_max)
     # the margin shrinks the reachable set relative to the plain solve
     plain = s["vf"].values[0] <= 0
@@ -166,24 +183,27 @@ def test_smalldist_variant_uses_margin(highway_setup):
     assert np.all(plain[margin])
 
 
-def test_build_controller_validation(highway_setup):
+def test_controller_validation(highway_setup):
     s = highway_setup
-    with pytest.raises(ConfigError):
-        build_controller(ControllerKind.MTR)
-    with pytest.raises(ConfigError):
-        build_controller(ControllerKind.MTR, solver_config=s["cfg"], target=s["tgt"])
-    with pytest.raises(ConfigError):
-        build_controller(ControllerKind.SWITCH_MTR, solver_config=s["cfg"], target=s["tgt"],
-                         obstacles=s["om"])
+    with pytest.raises(ConfigError, match="mtr requires a solver config and target"):
+        Controller(ControllerKind.MTR)
+    with pytest.raises(ConfigError, match="requires a solver config and target"):
+        Controller(ControllerKind.MTR_NO_OBS, solver_config=s["cfg"])
+    with pytest.raises(ConfigError, match="mtr requires an obstacle mask"):
+        Controller(ControllerKind.MTR, solver_config=s["cfg"], target=s["tgt"])
+    with pytest.raises(ConfigError, match="switch_mtr requires a distance map"):
+        _controller(s, ControllerKind.SWITCH_MTR)
     with pytest.raises(ValueError):
-        build_controller("no_such_kind")
+        Controller("no_such_kind")
 
 
-def test_build_controller_accepts_kind_strings():
-    c = build_controller("floating")
+def test_controller_takes_the_kind_by_name_and_six_values():
+    c = Controller("floating")
     assert c.kind is ControllerKind.FLOATING
-    assert c.control(0.0, 0.0, 0.0).magnitude == 0.0
-    assert c.last_branch == "float"
+    assert c.control(0.0, 0.0, 0.0) == (DRIFT, "float")
+    assert c.vf is None and c.switch_threshold == SWITCH_THRESHOLD
+    assert [f.name for f in fields(Controller) if f.init] == [
+        "kind", "solver_config", "target", "obstacles", "dmap", "switch_threshold"]
 
 
 def test_control_input_vector():

@@ -17,13 +17,24 @@ kernel and numpy 2.4.6; on a host where OpenBLAS picks another kernel, the
 tests that draw a forecast error can fail on unchanged code. They do not
 depend on scipy, which the package no longer imports: the obstacle
 clearance and the distance map come from numpy transforms in ``gridio``.
+
+The benchmark's missions run only ``mtr``, ``mtr_no_obs`` and ``floating``;
+the switching and small-disturbance kinds have their own mission digests
+here, on the highway and wall with perfect forecasts, which take no ``@``.
 """
 
+import hashlib
 import importlib.util
 import json
 import sys
 import time
 from pathlib import Path
+
+from driftplan.controllers import ControllerKind
+from driftplan.flowfield import SpaceTimeGrid, make_highway
+from driftplan.hjsolver import SolverConfig, TargetSpec
+from driftplan.simulator import BatchSpec, Mission, SimConfig, run_batch
+from driftplan.terrain import ObstacleMask, SpatialGrid, distance_map
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -85,3 +96,42 @@ def test_gyre_mission_digests_match_golden():
     # every RK4 stage, which no other golden test takes
     digest = _first_tasks_digest(_scenarios(), "gyre_forecast")
     assert digest == _digests()["gyre_forecast/seed42"]
+
+
+#: sha256 of each kind's four mission CSVs, in mission order, and the
+#: branches its records take
+_WALL_MISSIONS = {
+    "switch_mtr": ("da6ecba02f170b9d831936ee75b93b9659126b5fe2fbcde168f17fd1e39e7daf",
+                   {"plan", "safety", "doomed"}),
+    "switch_mtr_no_obs": ("ae676148b4241794b74cacd48b89aa62ef717f7eba4415ae5cb868b31fb1f3d3",
+                          {"plan", "safety"}),
+    "smalldist_mtr": ("2518a65a563cc4accfceabb56cc673d284ca621675ec4457b7a63f54db134fd6",
+                      {"plan", "doomed"}),
+}
+
+
+def test_switching_and_small_disturbance_mission_digests(tmp_path):
+    """Missions on a 0.4 m/s band (y 4-6 km) that runs east into a wall (x >=
+    8.6 km): a start west of the band, one in the band 600 m from the wall,
+    which the obstacle-aware plans mark as lost, one north of the band, and
+    one in still water 400 m from the wall, inside the 500 m threshold."""
+    g = SpaceTimeGrid(x0=0, y0=0, dx=200.0, dy=200.0, nx=51, ny=51,
+                      t0=0.0, dt_snap=3000.0, nt=31)
+    truth = make_highway(4000.0, 6000.0, (0.4, 0.0))
+    X, _ = g.meshgrid()
+    om = ObstacleMask(grid=SpatialGrid(0, 0, 200.0, 200.0, 51, 51), mask=X >= 8600.0)
+    target = TargetSpec((2000.0, 2000.0), 300.0)
+    missions = [Mission(x, y, 0.0, target, 90000.0)
+                for x, y in ((1000.0, 5000.0), (8000.0, 5000.0), (7000.0, 8000.0), (8200.0, 1000.0))]
+    for kind, (digest, branches) in _WALL_MISSIONS.items():
+        spec = BatchSpec(kind=ControllerKind(kind), solver_config=SolverConfig(grid=g, u_max=0.1),
+                         obstacles=om, dmap=distance_map(om), switch_threshold=500.0,
+                         cadence=30000.0, horizon=90000.0)
+        h = hashlib.sha256()
+        for i, rec in enumerate(run_batch(missions, truth, spec, SimConfig(step_dt=600.0))):
+            path = tmp_path / f"{kind}_{i}.csv"
+            rec.write_csv(path)
+            h.update(path.read_bytes())
+            branches = branches - set(rec.branches)
+        assert branches == set(), f"{kind} never took {branches}"
+        assert h.hexdigest() == digest, kind

@@ -220,6 +220,26 @@ def test_solver_rejects_bad_horizon():
         solve_mtr(make_uniform(0, 0), None, tgt, cfg, 5000.0, 5000.0)
 
 
+@pytest.mark.parametrize("speeds", [dict(u_max=10**400), dict(u_max=U_MAX, d_max=10**400)],
+                         ids=["u-max", "d-max"])
+def test_solver_config_refuses_a_speed_beyond_float_range(speeds):
+    # an exact integer passes "< math.inf", and the solve would raise a bare OverflowError
+    with pytest.raises(ParameterError, match="speed bounds must be finite"):
+        SolverConfig(grid=_grid(nx=11, ny=11), **speeds)
+
+
+@pytest.mark.parametrize("center", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 0.0),
+                                    (10**400, 0.0)], ids=["nan-x", "inf-y", "minus-inf-x", "huge-x"])
+def test_target_center_must_be_finite(center):
+    with pytest.raises(ParameterError, match="target center must be finite"):
+        TargetSpec(center, 300.0)
+
+
+def test_target_radius_must_fit_a_float():
+    with pytest.raises(ParameterError, match="target radius must be positive and finite"):
+        TargetSpec((0.0, 0.0), 10**400)
+
+
 def test_solver_requires_flow_coverage():
     from driftplan.flowfield import GriddedFlow
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from oracles import stranding_study_loop
 
-from driftplan.controllers import ControllerKind, build_controller
+from driftplan.controllers import Controller, ControllerKind
 from driftplan.errors import ParameterError
 from driftplan.flowfield import (
     GriddedFlow,
@@ -83,6 +83,21 @@ def test_sim_config_validation():
         Mission(0, 0, 0, TargetSpec((0, 0), 100.0), t_max=0.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("x0", math.nan), ("y0", math.inf), ("t0", -math.inf), ("x0", 10**400),
+    ("t_max", math.nan), ("t_max", math.inf), ("t_max", 10**400), ("t_max", -math.inf)],
+    ids=["nan-x0", "inf-y0", "minus-inf-t0", "huge-x0", "nan-t-max", "inf-t-max", "huge-t-max",
+         "minus-inf-t-max"])
+def test_mission_refuses_numbers_that_are_not_finite(field, value):
+    # a NaN start fails the first obstacle lookup, and a NaN or
+    # infinite deadline is never reached
+    kw = dict(x0=1000.0, y0=5000.0, t0=0.0, target=TargetSpec((2000.0, 2000.0), 300.0),
+              t_max=9000.0)
+    what = "deadline must be positive and finite" if field == "t_max" else "start must be finite"
+    with pytest.raises(ParameterError, match=f"mission {what}"):
+        Mission(**dict(kw, **{field: value}))
+
+
 @pytest.mark.parametrize("region", [(10000.0, 0.0, 0.0, 10000.0), (0.0, 10000.0, 10000.0, 0.0),
                                     (0.0, 10000.0, 5000.0, 5000.0)],
                          ids=["reversed-x", "reversed-y", "flat"])
@@ -98,9 +113,9 @@ def _mission(x0=1000.0, y0=5000.0, t_max=90000.0):
 
 def _ctrl(g, om, kind=ControllerKind.MTR, target=None):
     cfg = SolverConfig(grid=g, u_max=U_MAX)
-    return build_controller(kind, solver_config=cfg,
-                            target=target or TargetSpec((2000.0, 2000.0), 300.0),
-                            obstacles=om, dmap=distance_map(om))
+    return Controller(kind, solver_config=cfg,
+                      target=target or TargetSpec((2000.0, 2000.0), 300.0),
+                      obstacles=om, dmap=distance_map(om))
 
 
 def test_mission_success_and_record_shape():
@@ -129,9 +144,29 @@ def test_mission_start_inside_target_is_immediate_success():
     assert len(rec.times) == 0
 
 
+def test_record_holds_the_branch_that_control_returns():
+    g, truth, om = _wall_setup()
+    m = _mission(x0=8200.0, y0=1000.0)  # still water, 400 m from the wall
+    series = gen_forecast_series(truth, None, 30000.0, m.t_max, (0.0, g.t_max))
+    ctrl = Controller(ControllerKind.SWITCH_MTR, solver_config=SolverConfig(grid=g, u_max=U_MAX),
+                      target=m.target, obstacles=om, dmap=distance_map(om),
+                      switch_threshold=500.0)
+    returned = []
+
+    def control(x, y, t):
+        u, branch = Controller.control(ctrl, x, y, t)
+        returned.append((u.vector, branch))
+        return u, branch
+
+    ctrl.control = control
+    rec = run_mission(m, truth, om, ctrl, series, SimConfig(step_dt=600.0))
+    assert rec.outcome is Outcome.SUCCESS and set(rec.branches) == {"safety", "plan"}
+    assert list(zip(rec.us, rec.branches)) == returned
+
+
 def test_floating_in_band_strands_on_wall():
     g, truth, om = _wall_setup()
-    ctrl = build_controller(ControllerKind.FLOATING)
+    ctrl = Controller(ControllerKind.FLOATING)
     m = _mission(x0=2000.0, y0=5000.0)  # in the 0.4 m/s band
     series = gen_forecast_series(truth, None, 30000.0, m.t_max, (0.0, g.t_max))
     rec = run_mission(m, truth, om, ctrl, series, SimConfig(step_dt=600.0))
@@ -154,7 +189,7 @@ def test_left_region_detection():
     truth = make_uniform(0.0, 0.5)  # strong northward push
     om = ObstacleMask(grid=SpatialGrid(0, 0, 200.0, 200.0, 51, 51),
                       mask=np.zeros((51, 51), dtype=bool))
-    ctrl = build_controller(ControllerKind.FLOATING)
+    ctrl = Controller(ControllerKind.FLOATING)
     m = _mission(x0=5000.0, y0=9000.0)
     series = gen_forecast_series(truth, None, 30000.0, m.t_max, (0.0, g.t_max))
     cfg = SimConfig(step_dt=600.0, region=(0.0, 10000.0, 0.0, 10000.0))
