@@ -20,14 +20,14 @@ from .controllers import SWITCH_THRESHOLD, ControllerKind
 from .errors import ConfigError, DegenerateInputError, DriftplanError, ParameterError
 from .flowfield import SpaceTimeGrid, make_double_gyre, make_highway, make_uniform, read_flow_file
 from .forecast import ErrorModelConfig
-from .hjsolver import FLOAT_MAX, SolverConfig, TargetSpec, safe_ttr, solve_mtr
+from .gridio import FLOAT_MAX, SpatialGrid
+from .hjsolver import SolverConfig, TargetSpec, safe_ttr, solve_mtr
 from .missions import SamplingConstraints, read_missions, sample_missions, write_missions
 from .simulator import BatchSpec, SimConfig, run_batch, stranding_study, tally_outcomes
 from .stats import rates, z_prop_test
 from .terrain import (
     DEFAULT_THRESHOLD_M,
     ElevationGrid,
-    SpatialGrid,
     coarsen_max,
     distance_map,
     obstacle_mask,
@@ -323,6 +323,23 @@ def cmd_stats(exp: Experiment, args) -> int:
     return EXIT_OK
 
 
+#: each command's function, help line and own flags, as {flag: argparse keywords}
+_COMMANDS = {
+    "solve": (cmd_solve, "solve the reachability PDE, export TTR maps", {
+        "--at": dict(type=float, default=None, help="slice time for the TTR map")}),
+    "batch": (cmd_batch, "run controllers over a mission manifest", {
+        "--missions": dict(required=True),
+        "--controllers": dict(default=None, help="comma-separated kinds"),
+        "--workers": dict(type=int, default=1, help="mission worker processes")}),
+    "stranding-study": (cmd_stranding_study, "passive-drift stranding Monte Carlo", {
+        "--n": dict(type=int, default=10000), "--horizon": dict(type=float, required=True)}),
+    "sample-missions": (cmd_sample_missions, "generate a mission manifest", {
+        "--n": dict(type=int, required=True)}),
+    "stats": (cmd_stats, "write the stats report of a batch summary", {
+        "--summary": dict(required=True, help="batch_summary.json path")}),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="driftplan",
@@ -330,51 +347,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
+    for name, (_, help_line, flags) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_line)
         sp.add_argument("--config", required=True, help="experiment config JSON")
         sp.add_argument("--seed", type=int, default=None, help="override config seed")
         sp.add_argument("--out", default=None, help="override output directory")
-
-    sp = sub.add_parser("solve", help="solve the reachability PDE, export TTR maps")
-    common(sp)
-    sp.add_argument("--at", type=float, default=None, help="slice time for the TTR map")
-
-    sp = sub.add_parser("batch", help="run controllers over a mission manifest")
-    common(sp)
-    sp.add_argument("--missions", required=True)
-    sp.add_argument("--controllers", default=None, help="comma-separated kinds")
-    sp.add_argument("--workers", type=int, default=1, help="mission worker processes")
-
-    sp = sub.add_parser("stranding-study", help="passive-drift stranding Monte Carlo")
-    common(sp)
-    sp.add_argument("--n", type=int, default=10000)
-    sp.add_argument("--horizon", type=float, required=True)
-
-    sp = sub.add_parser("sample-missions", help="generate a mission manifest")
-    common(sp)
-    sp.add_argument("--n", type=int, required=True)
-
-    sp = sub.add_parser("stats", help="write the stats report of a batch summary")
-    common(sp)
-    sp.add_argument("--summary", required=True, help="batch_summary.json path")
+        for flag, kwargs in flags.items():
+            sp.add_argument(flag, **kwargs)
     return p
-
-
-_COMMANDS = {
-    "solve": cmd_solve,
-    "batch": cmd_batch,
-    "stranding-study": cmd_stranding_study,
-    "sample-missions": cmd_sample_missions,
-    "stats": cmd_stats,
-}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         exp = load_experiment(args.config, seed_override=args.seed, out_override=args.out)
-        return _COMMANDS[args.command](exp, args)
+        return _COMMANDS[args.command][0](exp, args)
     except (ConfigError, ParameterError) as exc:
         # a parameter outside its documented range is bad input, from a flag too
         print(f"config error: {exc}", file=sys.stderr)

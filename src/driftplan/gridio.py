@@ -8,6 +8,11 @@ import numpy as np
 
 from .errors import ParameterError
 
+#: the largest float: NaN, an infinity and an integer beyond float's range
+#: each fail ``abs(x) <= FLOAT_MAX``
+FLOAT_MAX = float(np.finfo(np.float64).max)
+
+
 @dataclass(frozen=True)
 class SpatialGrid:
     """Regular 2D grid: origin, spacing and node count per axis."""
@@ -22,6 +27,8 @@ class SpatialGrid:
     def __post_init__(self):
         if not (0 < self.dx < np.inf and 0 < self.dy < np.inf):  # NaN fails too
             raise ParameterError(f"grid spacing must be positive and finite: {self.dx}, {self.dy}")
+        if not (abs(self.x0) <= FLOAT_MAX and abs(self.y0) <= FLOAT_MAX):
+            raise ParameterError(f"grid origin must be finite: {self.x0}, {self.y0}")
         if self.nx < 1 or self.ny < 1:
             raise ParameterError("grid must be non-empty")
 

@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import AlreadyStrandedError, HorizonError, ParameterError
 from .flowfield import FlowSource, SpaceTimeGrid
-from .gridio import SpatialGrid
+from .gridio import FLOAT_MAX, SpatialGrid
 from .terrain import ObstacleMask
 
 #: rate, per second, at which the reach value falls inside the target
@@ -36,9 +35,6 @@ SENTINEL_THRESHOLD = 0.5 * SENTINEL
 MIN_DT = 1e-9
 #: Courant number: the largest product of a substep and the CFL rate
 CFL = 0.5
-#: the largest float: NaN, an infinity and an integer beyond float's range
-#: each fail ``abs(x) <= FLOAT_MAX``
-FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -281,8 +277,8 @@ def solve_mtr(
     disturbance.
     """
     g = config.grid
-    if t_start >= terminal_time:
-        raise ParameterError("t_start must precede the terminal time")
+    if not -FLOAT_MAX <= t_start < terminal_time <= FLOAT_MAX:  # NaN fails too
+        raise ParameterError(f"need finite t_start < terminal_time, not {t_start}, {terminal_time}")
     if not flow.covers(g.x0, g.x_max, g.y0, g.y_max, t_start, terminal_time):
         raise HorizonError(
             f"flow extent does not cover the solve domain x [{t_start}, {terminal_time}]"
@@ -332,16 +328,12 @@ def solve_mtr(
 
     for k in range(n_snap - 2, -1, -1):
         t_hi = ts[k + 1]
-        if steady:
-            rate = rate_hi
-        else:
-            rate_lo = cfl_rate(*sample(ts[k]))
-            rate = max(rate_hi, rate_lo)
-            rate_hi = rate_lo
-        if rate <= 0:
-            m = 1
-        else:
-            m = max(1, int(math.ceil(dt_eff * rate / CFL)))
+        rate_lo = rate_hi if steady else cfl_rate(*sample(ts[k]))
+        steps = dt_eff * max(rate_hi, rate_lo) / CFL
+        rate_hi = rate_lo
+        if not steps <= FLOAT_MAX:  # NaN fails too
+            raise ParameterError(f"CFL step count {steps} is not finite; check the flow's speeds")
+        m = max(1, math.ceil(steps))
         dt = dt_eff / m
         if dt < MIN_DT:
             raise ParameterError(

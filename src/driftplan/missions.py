@@ -11,7 +11,8 @@ import numpy as np
 
 from .errors import InfeasibleConstraintsError, ParameterError
 from .flowfield import FlowSource
-from .hjsolver import FLOAT_MAX, SolverConfig, TargetSpec, check_mask_grid, safe_ttr, solve_mtr
+from .gridio import FLOAT_MAX
+from .hjsolver import SolverConfig, TargetSpec, check_mask_grid, safe_ttr, solve_mtr
 from .simulator import Mission
 from .terrain import DistanceMap, ObstacleMask
 

@@ -13,6 +13,7 @@ import enum
 import math
 import numbers
 from array import array
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -22,7 +23,8 @@ from .controllers import SWITCH_THRESHOLD, Controller, ControllerKind
 from .errors import DriftplanError, ExtentError, ParameterError
 from .flowfield import FlowSource
 from .forecast import ErrorModelConfig, ForecastSeries, check_release_timing, gen_forecast_series
-from .hjsolver import FLOAT_MAX, SolverConfig, TargetSpec
+from .gridio import FLOAT_MAX
+from .hjsolver import SolverConfig, TargetSpec
 from .terrain import ObstacleMask
 
 #: default integration step, in seconds, of missions and passive drift
@@ -224,18 +226,25 @@ def _mission_seed(master_seed: int, index: int) -> int:
 
 
 def _run_one(args):
+    """One mission's record. A fault of any type in building or running the
+    mission ends that mission alone, ABORTED at its start time."""
     (index, mission, truth, spec, cfg, master_seed) = args
     try:
-        ctrl = Controller(spec.kind, solver_config=spec.solver_config, target=mission.target,
-                          obstacles=spec.obstacles, dmap=spec.dmap,
-                          switch_threshold=spec.switch_threshold)
-        em = spec.error_model and replace(spec.error_model, seed=_mission_seed(master_seed, index))
-        series = gen_forecast_series(truth, em, spec.cadence, spec.horizon,
-                                     (mission.t0, mission.t0 + mission.t_max))
-    except DriftplanError as exc:
-        # a mission whose controller or forecasts cannot be built aborts alone
-        return SimulationRecord(mission).end(Outcome.ABORTED, mission.t0, f"setup failed: {exc}")
-    return run_mission(mission, truth, spec.obstacles, ctrl, series, cfg)
+        try:
+            ctrl = Controller(spec.kind, solver_config=spec.solver_config, target=mission.target,
+                              obstacles=spec.obstacles, dmap=spec.dmap,
+                              switch_threshold=spec.switch_threshold)
+            em = spec.error_model and replace(spec.error_model,
+                                              seed=_mission_seed(master_seed, index))
+            series = gen_forecast_series(truth, em, spec.cadence, spec.horizon,
+                                         (mission.t0, mission.t0 + mission.t_max))
+        except DriftplanError as exc:
+            note = f"setup failed: {exc}"
+        else:
+            return run_mission(mission, truth, spec.obstacles, ctrl, series, cfg)
+    except Exception as exc:  # not BaseException: an interrupt still ends the batch
+        note = f"{type(exc).__name__}: {exc}"
+    return SimulationRecord(mission).end(Outcome.ABORTED, mission.t0, note)
 
 
 def run_batch(
@@ -382,14 +391,6 @@ def stranding_study(
 
 
 def tally_outcomes(records) -> dict:
-    counts = {o: 0 for o in Outcome}
-    for r in records:
-        counts[r.outcome] += 1
-    return {
-        "n_total": len(records),
-        "n_success": counts[Outcome.SUCCESS],
-        "n_stranded": counts[Outcome.STRANDED],
-        "n_timeout": counts[Outcome.TIMEOUT],
-        "n_left_region": counts[Outcome.LEFT_REGION],
-        "n_aborted": counts[Outcome.ABORTED],
-    }
+    """``n_total`` and an ``n_<value>`` count for each Outcome, in its order."""
+    counts = Counter(r.outcome for r in records)
+    return {"n_total": len(records), **{f"n_{o.value}": counts[o] for o in Outcome}}

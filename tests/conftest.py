@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -26,3 +28,45 @@ def island_mask(small_grid):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture()
+def config(tmp_path):
+    """A small self-contained experiment: band flow onto a coastal wall."""
+    cfg = {
+        "seed": 7,
+        "out": str(tmp_path / "out"),
+        "scenario": {
+            "flow": {"kind": "highway", "y1": 4000.0, "y2": 6000.0,
+                     "band_velocity": [0.4, 0.0]},
+            "terrain": {
+                "kind": "synthetic",
+                "grid": {"x0": 0, "y0": 0, "dx": 200.0, "dy": 200.0,
+                         "nx": 51, "ny": 51},
+                "base_elevation": -4000.0,
+                "blocks": [[8600.0, 10000.0, 0.0, 10000.0, 0.0]],
+            },
+            "region": [0.0, 10000.0, 0.0, 10000.0],
+        },
+        "solver": {"dt_snap": 3000.0, "u_max": 0.1},
+        "sim": {"step_dt": 600.0},
+        "forecast": {"target_rmse": 0.0, "cadence": 30000.0,
+                     "horizon": 90000.0},
+        "solve": {"target_center": [2000.0, 2000.0], "target_radius": 300.0,
+                  "t_start": 0.0, "terminal_time": 90000.0},
+        "missions": {
+            "min_boundary_dist": 1000.0,
+            "min_obstacle_dist": 1500.0,
+            "max_obstacle_dist": 9000.0,
+            "target_radius": 300.0,
+            "ttr_window": [10000.0, 80000.0],
+            "final_time_horizon": [80000.0, 90000.0],
+            "t_max": 90000.0,
+        },
+        "controllers": ["mtr", "floating"],
+        "baseline": "floating",
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    return dict(path=str(path), out=str(tmp_path / "out"), raw=cfg,
+                tmp=tmp_path)

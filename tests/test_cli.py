@@ -17,48 +17,6 @@ from driftplan.missions import write_missions
 from driftplan.simulator import Mission
 
 
-@pytest.fixture()
-def config(tmp_path):
-    """A small self-contained experiment: band flow onto a coastal wall."""
-    cfg = {
-        "seed": 7,
-        "out": str(tmp_path / "out"),
-        "scenario": {
-            "flow": {"kind": "highway", "y1": 4000.0, "y2": 6000.0,
-                     "band_velocity": [0.4, 0.0]},
-            "terrain": {
-                "kind": "synthetic",
-                "grid": {"x0": 0, "y0": 0, "dx": 200.0, "dy": 200.0,
-                         "nx": 51, "ny": 51},
-                "base_elevation": -4000.0,
-                "blocks": [[8600.0, 10000.0, 0.0, 10000.0, 0.0]],
-            },
-            "region": [0.0, 10000.0, 0.0, 10000.0],
-        },
-        "solver": {"dt_snap": 3000.0, "u_max": 0.1},
-        "sim": {"step_dt": 600.0},
-        "forecast": {"target_rmse": 0.0, "cadence": 30000.0,
-                     "horizon": 90000.0},
-        "solve": {"target_center": [2000.0, 2000.0], "target_radius": 300.0,
-                  "t_start": 0.0, "terminal_time": 90000.0},
-        "missions": {
-            "min_boundary_dist": 1000.0,
-            "min_obstacle_dist": 1500.0,
-            "max_obstacle_dist": 9000.0,
-            "target_radius": 300.0,
-            "ttr_window": [10000.0, 80000.0],
-            "final_time_horizon": [80000.0, 90000.0],
-            "t_max": 90000.0,
-        },
-        "controllers": ["mtr", "floating"],
-        "baseline": "floating",
-    }
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(cfg))
-    return dict(path=str(path), out=str(tmp_path / "out"), raw=cfg,
-                tmp=tmp_path)
-
-
 def test_import_loads_no_scipy():
     # driftplan.cli imports every module of the package; scipy is a test
     # dependency only, and importing its ndimage costs ~25 MB per process
@@ -440,6 +398,18 @@ _ERROR_MODEL = {"target_rmse": 0.1, "spatial_correlation_length": 2500.0,
     # an endless deadline would be written to the manifest
     (["sample-missions", "--n", "2"], lambda c: c["missions"].update(t_max=math.inf)),
     (["sample-missions", "--n", "2"], lambda c: c["missions"].update(t_max=math.nan)),
+    # each number of the flow and the terrain is finite, or the model it enters refuses it
+    (["solve"], lambda c: c["scenario"]["flow"].update(band_velocity=[math.nan, 0.0])),
+    (["stranding-study", "--n", "20", "--horizon", "600"],
+     lambda c: c["scenario"]["flow"].update(band_velocity=[math.nan, 0.0])),
+    (["solve"], lambda c: c["scenario"]["flow"].update(y1=math.nan)),
+    (["solve"], lambda c: c["scenario"].update(flow={"kind": "uniform",
+                                                     "velocity": [math.inf, 0.0]})),
+    (["solve"], lambda c: c["scenario"].update(flow={"kind": "double_gyre", "amplitude": 0.1,
+                                                     "omega": math.nan, "epsilon": 0.25,
+                                                     "scale": 5000.0})),
+    (["solve"], lambda c: c["scenario"]["terrain"]["grid"].update(x0=math.nan)),
+    (["solve"], lambda c: c["solve"].update(terminal_time=math.inf)),
 ], ids=["solve-without-radius", "zero-radius", "short-study-range", "unknown-baseline", "solver-alpha", "unknown-forecast-key", "no-controllers",
         "short-final-time-window", "flow-not-an-object", "sim-integrator", "solver-cfl",
         "reversed-solve-window", "reversed-study-range",
@@ -456,7 +426,10 @@ _ERROR_MODEL = {"target_rmse": 0.1, "spatial_correlation_length": 2500.0,
         "nan-u-max", "nan-u-max-batch", "infinite-u-max", "infinite-d-max", "nan-dt-snap",
         "nan-dt-snap-batch", "nan-target-radius", "nan-step-dt", "nan-switch-threshold",
         "nan-terrain-threshold", "infinite-study-range", "huge-integer-switch-threshold",
-        "huge-integer-u-max", "infinite-mission-t-max", "nan-mission-t-max"])
+        "huge-integer-u-max", "infinite-mission-t-max", "nan-mission-t-max",
+        "nan-band-velocity", "nan-band-velocity-study", "nan-highway-y1",
+        "infinite-uniform-velocity", "nan-gyre-omega", "nan-terrain-origin",
+        "infinite-terminal-time"])
 def test_bad_config_section_is_config_error(config, tmp_path, capsys, command, change):
     """Every section that any command reads is parsed, and checked, before
     the command runs: a missing key, a bad value, an unknown key or kind, a

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from driftplan.errors import ExtentError, FormatError
+from driftplan.errors import ExtentError, FormatError, ParameterError
 from driftplan.flowfield import (
     GriddedFlow,
     SpaceTimeGrid,
@@ -23,6 +23,7 @@ from driftplan.flowfield import (
     write_flow_file,
 )
 from driftplan.forecast import ErrorModelConfig, gen_forecast_series
+from driftplan.gridio import SpatialGrid
 
 
 def test_uniform_flow_everywhere():
@@ -31,6 +32,38 @@ def test_uniform_flow_everywhere():
     u, v = f.sample_many(np.linspace(0, 1e6, 7), np.zeros(7), 0.0)
     assert np.all(u == 0.3) and np.all(v == -0.1)
     assert f.is_steady
+
+
+_GRID = dict(x0=0.0, y0=0.0, dx=1.0, dy=1.0, nx=2, ny=2)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_uniform(math.nan, 0.0),
+    lambda: make_uniform(0.0, -math.inf),
+    lambda: make_highway(math.nan, 200.0, (1.0, 0.0)),
+    lambda: make_highway(100.0, math.inf, (1.0, 0.0)),
+    lambda: make_highway(100.0, 200.0, (math.nan, 0.0)),
+    lambda: make_highway(100.0, 200.0, (0.0, math.inf)),
+    lambda: make_double_gyre(0.1, math.nan, 0.25, 5000.0),
+    lambda: make_double_gyre(0.1, 1e-4, math.inf, 5000.0),
+    lambda: make_double_gyre(math.nan, 1e-4, 0.25, 5000.0),
+    lambda: make_double_gyre(math.inf, 1e-4, 0.25, 5000.0),
+    lambda: make_double_gyre(0.1, 1e-4, 0.25, math.nan),
+    lambda: make_double_gyre(0.1, 1e-4, 0.25, math.inf),
+    lambda: SpatialGrid(**dict(_GRID, x0=math.nan)),
+    lambda: SpatialGrid(**dict(_GRID, y0=math.inf)),
+    lambda: SpaceTimeGrid(**dict(_GRID, x0=-math.inf)),
+    lambda: SpaceTimeGrid(**_GRID, t0=math.nan),
+    lambda: SpaceTimeGrid(**_GRID, t0=math.inf),
+], ids=["uniform-u-nan", "uniform-v-inf", "highway-y1-nan", "highway-y2-inf",
+        "highway-band-u-nan", "highway-band-v-inf", "gyre-omega-nan", "gyre-epsilon-inf",
+        "gyre-amplitude-nan", "gyre-amplitude-inf", "gyre-scale-nan", "gyre-scale-inf",
+        "grid-x0-nan", "grid-y0-inf", "space-time-grid-x0-inf", "grid-t0-nan", "grid-t0-inf"])
+def test_non_finite_model_numbers_are_refused(build):
+    # NaN fails every comparison, so only a check written to fail on it refuses
+    # it; let through, it fails in a solve or drifts particles out of the region
+    with pytest.raises(ParameterError):
+        build()
 
 
 def test_highway_band_membership():
@@ -472,7 +505,19 @@ def _inf_in_v(data):
     return data, OFG1_HEADER + 4 * (count + 5)
 
 
-@pytest.mark.parametrize("corrupt", [_set_header_nx_1, _cut_header, _nan_in_u, _inf_in_v])
+def _nan_x0(data):
+    # a non-finite origin is an invalid header, as a bad node count is
+    struct.pack_into("<d", data, 16, math.nan)
+    return data, 4
+
+
+def _inf_t0(data):
+    struct.pack_into("<d", data, 48, -math.inf)
+    return data, 4
+
+
+@pytest.mark.parametrize("corrupt", [_set_header_nx_1, _cut_header, _nan_in_u, _inf_in_v,
+                                     _nan_x0, _inf_t0])
 def test_flow_file_defect_offsets(tmp_path, corrupt):
     path = tmp_path / "flow.ofg"
     write_flow_file(_gridded(), path)

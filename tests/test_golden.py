@@ -21,6 +21,8 @@ clearance and the distance map come from numpy transforms in ``gridio``.
 The benchmark's missions run only ``mtr``, ``mtr_no_obs`` and ``floating``;
 the switching and small-disturbance kinds have their own mission digests
 here, on the highway and wall with perfect forecasts, which take no ``@``.
+So do the command-line outputs of the ``config`` experiment of conftest.py,
+whose bytes a change to how the CLI parses or dispatches must not change.
 """
 
 import hashlib
@@ -30,6 +32,9 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
+from driftplan.cli import EXIT_OK, main
 from driftplan.controllers import ControllerKind
 from driftplan.flowfield import SpaceTimeGrid, make_highway
 from driftplan.hjsolver import SolverConfig, TargetSpec
@@ -135,3 +140,37 @@ def test_switching_and_small_disturbance_mission_digests(tmp_path):
             branches = branches - set(rec.branches)
         assert branches == set(), f"{kind} never took {branches}"
         assert h.hexdigest() == digest, kind
+
+
+#: sha256 of each file that solve, sample-missions --n 4, batch --controllers
+#: mtr,floating and stats write for the ``config`` experiment, by path in --out
+_CLI_FILES = {
+    "batch_summary.json": "28236b9d2d41038cb6b72e8f45dccad58f7d7617f6bede524d614dc7a7c46cc4",
+    "floating/mission_0000.csv": "9592beee24731f991c1b508f0eb379fa9904549fa289ed2d81a6e002e1de385c",
+    "floating/mission_0001.csv": "5031a3896b0479e143e607d5188b5c272b302d050343e08cb3df17fe6ea2098c",
+    "floating/mission_0002.csv": "6f70b3085c2e92fe0a9ebbaa01c4e2b267659fceadf9d3c4222bd0eb27d728d6",
+    "floating/mission_0003.csv": "084a878238256153a8cc8024100f3a1003ede01e0f4335bf03ce069344547a22",
+    "missions.jsonl": "3758d6aba060172e7292a4d919c69a2605a10419be94109b77c51507291dd8f1",
+    "mtr/mission_0000.csv": "af722eb98ea379ac3876eb67d50d7f33a2b686c0d34a2158355bdb3763dd1c9b",
+    "mtr/mission_0001.csv": "bd53c7bfd8c7c94f757305d9d57e0577c6ae67a8601779b1740db7b4431386dc",
+    "mtr/mission_0002.csv": "ef1b6f198a8d157fd06d7a09ac80fb6969eda28d15431bab67551c5b35358a49",
+    "mtr/mission_0003.csv": "c2bb80416fae01fa5f7b3695f82a22961b642171e103526d740e856fce70032c",
+    "solve_summary.json": "e866731a0e7893dc84b9a0b7a9241d334d9867d892219bcd85f4cc8fedf74f9f",
+    "stats_report.json": "56af3c16286f977d9d28da628c460f51b8aefbc476da91109fe226efcd25be30",
+    "ttr.csv": "477588f94fd5ffcc794db3531c968d3d75a86d65daae694713517ea6e81cae58",
+}
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_cli_output_bytes(config, workers):
+    """Every file that the commands write has its recorded bytes, with one
+    mission worker or two."""
+    out = config["tmp"] / "out"
+    for command, *flags in (["solve"], ["sample-missions", "--n", "4"],
+                            ["batch", "--missions", str(out / "missions.jsonl"),
+                             "--controllers", "mtr,floating", "--workers", workers],
+                            ["stats", "--summary", str(out / "batch_summary.json")]):
+        assert main([command, "--config", config["path"], *flags]) == EXIT_OK
+    written = {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(out.rglob("*")) if p.is_file()}
+    assert written == _CLI_FILES

@@ -26,6 +26,7 @@ from driftplan.errors import (
 )
 from driftplan.flowfield import (
     DoubleGyreFlow,
+    FlowSource,
     SpaceTimeGrid,
     make_double_gyre,
     make_highway,
@@ -310,6 +311,36 @@ def test_cfl_step_below_min_dt_is_refused():
         solve_mtr(make_uniform(0.0, 0.0), None, target, cfg, 0.0, 5e-10)
     vf = solve_mtr(make_uniform(0.0, 0.0), None, target, cfg, 0.0, 2e-9)
     assert vf.values.shape == (2, 11, 11)
+
+
+class _NanFlow(FlowSource):
+    """A steady flow whose u is NaN everywhere: no field of the package
+    samples to NaN, but a FlowSource of a caller can."""
+
+    is_steady = True
+
+    def sample_many(self, x, y, t, clamp_time=False):
+        return np.full(np.shape(x), math.nan), np.zeros(np.shape(x))
+
+
+@pytest.mark.parametrize("t_start, terminal_time", [(0.0, math.inf), (-math.inf, 0.0),
+                                                    (math.nan, 3000.0), (3000.0, 0.0)])
+def test_solve_window_must_be_finite_and_ordered(t_start, terminal_time):
+    # an unbounded flow covers an infinite window, whose snapshot count
+    # would overflow in SpaceTimeGrid.spanning
+    cfg = SolverConfig(grid=_grid(nx=11, ny=11), u_max=U_MAX)
+    with pytest.raises(ParameterError, match="need finite t_start < terminal_time"):
+        solve_mtr(make_uniform(0.1, 0.0), None, TargetSpec((1000.0, 1000.0), 300.0), cfg,
+                  t_start, terminal_time)
+
+
+@pytest.mark.parametrize("flow", [make_uniform(1e307, 0.0), _NanFlow()], ids=["huge", "nan"])
+def test_cfl_step_count_that_is_not_finite_is_refused(flow):
+    # 3000 s x 1e307 m/s / 200 m / CFL overflows to inf, which math.ceil cannot
+    # convert to a substep count, as it cannot a NaN
+    cfg = SolverConfig(grid=_grid(nx=11, ny=11), u_max=U_MAX)
+    with pytest.raises(ParameterError, match="CFL step count .* is not finite"):
+        solve_mtr(flow, None, TargetSpec((1000.0, 1000.0), 300.0), cfg, 0.0, 3000.0)
 
 
 def _island_release():

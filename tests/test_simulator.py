@@ -18,6 +18,7 @@ from driftplan.controllers import Controller, ControllerKind
 from driftplan.errors import ParameterError
 from driftplan.flowfield import (
     GriddedFlow,
+    HighwayFlow,
     SpaceTimeGrid,
     UniformFlow,
     make_double_gyre,
@@ -462,8 +463,48 @@ def test_tally_outcomes_counts():
     missions, truth, spec, cfg = _batch_inputs()
     recs = run_batch(missions, truth, spec, cfg, master_seed=1)
     t = tally_outcomes(recs)
+    assert list(t) == ["n_total", "n_success", "n_stranded", "n_timeout", "n_left_region",
+                       "n_aborted"]
     assert t["n_total"] == len(missions)
     assert sum(v for k, v in t.items() if k != "n_total") == t["n_total"]
+
+
+@dataclass(frozen=True)
+class _FaultAt(HighwayFlow):
+    """A highway flow whose scalar sample at the point ``at`` raises a plain
+    RuntimeError, as a fault in a caller's flow might; its grid samples, the
+    ones a solve takes, are those of the highway."""
+
+    at: tuple = (math.nan, math.nan)
+
+    def sample(self, x, y, t, clamp_time=False):
+        if (x, y) == self.at:
+            raise RuntimeError(f"no sample at {self.at}")
+        return super().sample(x, y, t, clamp_time=clamp_time)
+
+
+def _record_fields(r):
+    return (r.mission, r.outcome, r.outcome_time, r.note, r.times, r.xs, r.ys, r.uxs, r.uys,
+            r.branches, r.ttrs.tobytes())  # bytes: the NaN ttrs compare equal
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_fault_of_any_type_aborts_its_mission_alone(workers):
+    """A RuntimeError in the sixth step of the third mission of three ends
+    that mission ABORTED at its start, noting the fault, and the other two
+    missions end as they do on the same truth without the fault."""
+    g, truth, om = _wall_setup()
+    spec = BatchSpec(kind=ControllerKind.MTR, solver_config=SolverConfig(grid=g, u_max=U_MAX),
+                     obstacles=om, dmap=distance_map(om), cadence=30000.0, horizon=90000.0)
+    missions = [_mission(1000.0, 5000.0), _mission(3000.0, 8000.0), _mission(6000.0, 1000.0)]
+    cfg = SimConfig(step_dt=600.0)
+    clean = run_batch(missions, truth, spec, cfg, workers=workers)
+    at = (clean[2].xs[5], clean[2].ys[5])
+    faulty = _FaultAt(truth.y1, truth.y2, truth.band_u, truth.band_v, at=at)
+    recs = run_batch(missions, faulty, spec, cfg, workers=workers)
+    assert [_record_fields(r) for r in recs[:2]] == [_record_fields(r) for r in clean[:2]]
+    assert (recs[2].outcome, recs[2].outcome_time, recs[2].note) == (
+        Outcome.ABORTED, 0.0, f"RuntimeError: no sample at {at}")
 
 
 def test_stranding_study_band_fraction():

@@ -209,8 +209,19 @@ def _nan_in_elevation(data):
     return data, ELG1_HEADER + 4 * 5
 
 
+def _nan_x0(data):
+    # a non-finite origin is an invalid header, as an empty grid is
+    struct.pack_into("<d", data, 12, math.nan)
+    return data, 4
+
+
+def _inf_y0(data):
+    struct.pack_into("<d", data, 28, math.inf)
+    return data, 4
+
+
 @pytest.mark.parametrize("corrupt", [_set_header_nx_0, _cut_header, _cut_payload,
-                                     _nan_in_elevation])
+                                     _nan_in_elevation, _nan_x0, _inf_y0])
 def test_elevation_file_defect_offsets(tmp_path, corrupt):
     path = tmp_path / "terrain.elg"
     write_elevation_file(_elev(np.linspace(-500, 50, 12).reshape(3, 4)), path)
