@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ExtentError, FormatError, ParameterError
-from .gridio import FLOAT_MAX, SpatialGrid
+from .gridio import SpatialGrid, check_finite
 
 OFG1_MAGIC = b"OFG1"
 _HEADER = struct.Struct("<4sIII6d")
@@ -33,10 +33,8 @@ class SpaceTimeGrid(SpatialGrid):
         super().__post_init__()
         if self.nx < 2 or self.ny < 2:
             raise ParameterError("grid needs at least 2 nodes per spatial axis")
-        if not 0 < self.dt_snap < math.inf:  # NaN fails too
-            raise ParameterError(f"snapshot spacing must be positive and finite: {self.dt_snap}")
-        if not abs(self.t0) <= FLOAT_MAX:
-            raise ParameterError(f"grid start time must be finite: {self.t0}")
+        check_finite("snapshot spacing", self.dt_snap, sign="positive")
+        check_finite("grid start time", self.t0)
         if self.nt < 1:
             raise ParameterError("grid needs at least 1 snapshot")
 
@@ -159,8 +157,7 @@ class UniformFlow(FlowSource):
     is_steady = True
 
     def __post_init__(self):
-        if not (abs(self.u) <= FLOAT_MAX and abs(self.v) <= FLOAT_MAX):
-            raise ParameterError(f"uniform velocity must be finite, not {self.u}, {self.v}")
+        check_finite("uniform velocity", self.u, self.v)
 
     def sample_many(self, x, y, t, clamp_time=False):
         xa, ya, _ = self._check_extent(x, y, t, clamp_time=clamp_time)
@@ -180,9 +177,9 @@ class HighwayFlow(FlowSource):
     is_steady = True
 
     def __post_init__(self):
-        if not (all(abs(a) <= FLOAT_MAX for a in (self.y1, self.y2, self.band_u, self.band_v))
-                and self.y1 < self.y2):
-            raise ParameterError(f"highway requires finite values and y1 < y2: {self}")
+        check_finite("highway band and velocity", self.y1, self.y2, self.band_u, self.band_v)
+        if not self.y1 < self.y2:
+            raise ParameterError(f"highway requires y1 < y2: {self}")
 
     def sample_many(self, x, y, t, clamp_time=False):
         xa, ya, _ = self._check_extent(x, y, t, clamp_time=clamp_time)
@@ -210,9 +207,9 @@ class DoubleGyreFlow(FlowSource):
     scale: float
 
     def __post_init__(self):
-        if not (0 <= self.amplitude <= FLOAT_MAX and 0 < self.scale <= FLOAT_MAX  # NaN fails
-                and abs(self.omega) <= FLOAT_MAX and abs(self.epsilon) <= FLOAT_MAX):
-            raise ParameterError(f"double gyre requires finite values, A >= 0, scale > 0: {self}")
+        check_finite("double gyre amplitude", self.amplitude, sign="non-negative")
+        check_finite("double gyre scale", self.scale, sign="positive")
+        check_finite("double gyre omega and epsilon", self.omega, self.epsilon)
 
     def sample_many(self, x, y, t, clamp_time=False):
         if getattr(x, "ndim", 0) == 2 and np.ndim(t) == 0:  # maybe grid-shaped

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import HorizonError, ParameterError
 from .flowfield import FlowSource, grid_lines
+from .gridio import check_finite
 
 
 @dataclass(frozen=True)
@@ -36,10 +37,9 @@ class ErrorModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.target_rmse < math.inf:
-            raise ParameterError(f"target_rmse must be finite and >= 0, not {self.target_rmse}")
-        if not (self.spatial_correlation_length > 0 and self.temporal_correlation > 0):
-            raise ParameterError("correlation scales must be positive")
+        check_finite("target_rmse", self.target_rmse, sign="non-negative")
+        check_finite("correlation scales", self.spatial_correlation_length,
+                     self.temporal_correlation, sign="positive")
         if not (isinstance(self.n_modes, numbers.Integral) and self.n_modes >= 1):
             raise ParameterError(f"n_modes must be an integer >= 1, not {self.n_modes!r}")
 
@@ -163,10 +163,8 @@ class ForecastSeries:
 
 
 def check_release_timing(cadence: float, horizon: float) -> None:
-    """A release cadence or window horizon that is not positive is bad input."""
-    if not (cadence > 0 and horizon > 0):
-        raise ParameterError(
-            f"forecast cadence and horizon must be positive, not {cadence} and {horizon}")
+    """A release cadence or window horizon that is not positive and finite is bad input."""
+    check_finite("forecast cadence and horizon", cadence, horizon, sign="positive")
 
 
 #: the most releases one series may hold: a year of hourly releases fits, and

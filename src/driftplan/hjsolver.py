@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import AlreadyStrandedError, HorizonError, ParameterError
 from .flowfield import FlowSource, SpaceTimeGrid
-from .gridio import FLOAT_MAX, SpatialGrid
+from .gridio import FLOAT_MAX, SpatialGrid, check_finite
 from .terrain import ObstacleMask
 
 #: rate, per second, at which the reach value falls inside the target
@@ -35,6 +35,8 @@ SENTINEL_THRESHOLD = 0.5 * SENTINEL
 MIN_DT = 1e-9
 #: Courant number: the largest product of a substep and the CFL rate
 CFL = 0.5
+#: the most snapshots one solve may hold: 30 days at 5-minute snapshots fit
+MAX_SNAPSHOTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -46,9 +48,7 @@ class SolverConfig:
     d_max: float = 0.0
 
     def __post_init__(self):
-        if not (0 <= self.u_max <= FLOAT_MAX and 0 <= self.d_max <= FLOAT_MAX):
-            raise ParameterError(f"speed bounds must be finite and non-negative, "
-                                 f"not {self.u_max}, {self.d_max}")
+        check_finite("speed bounds", self.u_max, self.d_max, sign="non-negative")
 
 
 @dataclass(frozen=True)
@@ -59,10 +59,8 @@ class TargetSpec:
     radius: float
 
     def __post_init__(self):
-        if not 0 < self.radius <= FLOAT_MAX:
-            raise ParameterError(f"target radius must be positive and finite, not {self.radius}")
-        if not (abs(self.center[0]) <= FLOAT_MAX and abs(self.center[1]) <= FLOAT_MAX):
-            raise ParameterError(f"target center must be finite, not {self.center}")
+        check_finite("target radius", self.radius, sign="positive")
+        check_finite("target center", *self.center)
 
     def contains(self, x: float, y: float) -> bool:
         return math.hypot(x - self.center[0], y - self.center[1]) <= self.radius
@@ -285,6 +283,9 @@ def solve_mtr(
         )
     out_grid = g.spanning(t_start, terminal_time)
     n_snap, dt_eff = out_grid.nt, out_grid.dt_snap
+    if n_snap > MAX_SNAPSHOTS:
+        raise ParameterError(f"solve window [{t_start}, {terminal_time}] would make "
+                             f"{n_snap:.3g} snapshots, more than {MAX_SNAPSHOTS}")
     if obstacles is not None:
         check_mask_grid(obstacles, g)
     obst = obstacles.mask if obstacles is not None else np.zeros((g.ny, g.nx), dtype=bool)

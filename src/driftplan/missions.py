@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import InfeasibleConstraintsError, ParameterError
 from .flowfield import FlowSource
-from .gridio import FLOAT_MAX
+from .gridio import FLOAT_MAX, check_finite
 from .hjsolver import SolverConfig, TargetSpec, check_mask_grid, safe_ttr, solve_mtr
 from .simulator import Mission
 from .terrain import DistanceMap, ObstacleMask
@@ -38,10 +38,10 @@ class SamplingConstraints:
         object.__setattr__(self, "final_time_horizon", (t_lo, t_hi))
         if not (0 <= self.min_obstacle_dist < self.max_obstacle_dist):
             raise ParameterError("need 0 <= min_obstacle_dist < max_obstacle_dist")
-        if not (0 < lo < hi):
-            raise ParameterError("ttr_window must satisfy 0 < lo < hi")
-        if t_lo > t_hi:
-            raise ParameterError("final_time_horizon must satisfy lo <= hi")
+        check_finite("ttr_window", lo, hi, sign="positive")
+        check_finite("final_time_horizon", t_lo, t_hi)
+        if not (lo < hi and t_lo <= t_hi):
+            raise ParameterError("need ttr_window lo < hi and final_time_horizon lo <= hi")
 
 
 def sample_missions(

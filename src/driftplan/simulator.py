@@ -23,7 +23,7 @@ from .controllers import SWITCH_THRESHOLD, Controller, ControllerKind
 from .errors import DriftplanError, ExtentError, ParameterError
 from .flowfield import FlowSource
 from .forecast import ErrorModelConfig, ForecastSeries, check_release_timing, gen_forecast_series
-from .gridio import FLOAT_MAX
+from .gridio import FLOAT_MAX, check_finite
 from .hjsolver import SolverConfig, TargetSpec
 from .terrain import ObstacleMask
 
@@ -50,11 +50,8 @@ class Mission:
     t_max: float
 
     def __post_init__(self):
-        if not (abs(self.x0) <= FLOAT_MAX and abs(self.y0) <= FLOAT_MAX
-                and abs(self.t0) <= FLOAT_MAX):
-            raise ParameterError(f"mission start must be finite, not {(self.x0, self.y0, self.t0)}")
-        if not 0 < self.t_max <= FLOAT_MAX:
-            raise ParameterError(f"mission deadline must be positive and finite, not {self.t_max}")
+        check_finite("mission start", self.x0, self.y0, self.t0)
+        check_finite("mission deadline", self.t_max, sign="positive")
 
 
 @dataclass(frozen=True)
@@ -65,11 +62,11 @@ class SimConfig:
     region: tuple[float, float, float, float] | None = None  # xmin, xmax, ymin, ymax
 
     def __post_init__(self):
-        if not 0 < self.step_dt < math.inf:  # NaN fails too
-            raise ParameterError(f"step_dt must be positive and finite, not {self.step_dt}")
-        if self.region is not None and not (self.region[0] < self.region[1]
-                                            and self.region[2] < self.region[3]):
-            raise ParameterError(f"region {self.region} must satisfy xmin < xmax, ymin < ymax")
+        check_finite("step_dt", self.step_dt, sign="positive")
+        if self.region is not None:
+            check_finite("region", *self.region)
+            if not (self.region[0] < self.region[1] and self.region[2] < self.region[3]):
+                raise ParameterError(f"region {self.region} must satisfy xmin < xmax, ymin < ymax")
 
 
 def _floats():
@@ -216,7 +213,7 @@ class BatchSpec:
         check_release_timing(self.cadence, self.horizon)
         t = self.switch_threshold
         # a string would fail in a switching step, and a NaN never switch
-        if isinstance(t, bool) or not isinstance(t, numbers.Real) or not -math.inf < t < math.inf:
+        if isinstance(t, bool) or not isinstance(t, numbers.Real) or not abs(t) <= FLOAT_MAX:
             raise ParameterError(f"switch_threshold must be a finite real number, not {t!r}")
 
 
@@ -348,8 +345,7 @@ def stranding_study(
     """
     if n < 1:
         raise ParameterError("need at least one sample")
-    if not horizon > 0:
-        raise ParameterError(f"drift horizon must be positive, not {horizon}")
+    check_finite("drift horizon", horizon, sign="positive")
     xmin, xmax, ymin, ymax = region
     g = obstacles.grid
 

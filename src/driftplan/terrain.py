@@ -10,7 +10,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import FormatError, ParameterError
-from .gridio import SpatialGrid, euclidean_distance, taxicab_distance
+from .gridio import SpatialGrid, check_finite, euclidean_distance, taxicab_distance
 
 #: default obstacle threshold: seafloor shallower than 150 m is unsafe
 DEFAULT_THRESHOLD_M = -150.0
@@ -133,8 +133,7 @@ def coarsen_max(elev: ElevationGrid, factor: int) -> ElevationGrid:
 
 def obstacle_mask(elev: ElevationGrid, threshold: float = DEFAULT_THRESHOLD_M) -> ObstacleMask:
     """Cells strictly above the threshold elevation are obstacles."""
-    if not math.isfinite(threshold):
-        raise ParameterError(f"obstacle threshold must be finite, not {threshold}")
+    check_finite("obstacle threshold", threshold)
     return ObstacleMask(elev.grid, elev.elevation > threshold)
 
 

@@ -410,6 +410,20 @@ _ERROR_MODEL = {"target_rmse": 0.1, "spatial_correlation_length": 2500.0,
                                                      "scale": 5000.0})),
     (["solve"], lambda c: c["scenario"]["terrain"]["grid"].update(x0=math.nan)),
     (["solve"], lambda c: c["solve"].update(terminal_time=math.inf)),
+    # an infinite region bound or sampling window overflows numpy's uniform draw,
+    # and an infinite drift horizon never ends
+    (["stranding-study", "--n", "10", "--horizon", "600"],
+     lambda c: c["scenario"].update(region=[0.0, math.inf, 0.0, 10000.0])),
+    (["sample-missions", "--n", "2"],
+     lambda c: c["scenario"].update(region=[0.0, 10000.0, 0.0, math.inf])),
+    (["sample-missions", "--n", "2"],
+     lambda c: c["missions"].update(final_time_horizon=[0.0, math.inf])),
+    (["sample-missions", "--n", "2"],
+     lambda c: c["missions"].update(final_time_horizon=[math.nan, math.nan])),
+    (["stranding-study", "--n", "10", "--horizon", "inf"], lambda c: None),
+    (["solve"], lambda c: c["forecast"].update(cadence=math.inf)),
+    # 1e300 s at a dt_snap of 3000 s is far more than MAX_SNAPSHOTS snapshots
+    (["solve"], lambda c: c["solve"].update(terminal_time=1e300)),
 ], ids=["solve-without-radius", "zero-radius", "short-study-range", "unknown-baseline", "solver-alpha", "unknown-forecast-key", "no-controllers",
         "short-final-time-window", "flow-not-an-object", "sim-integrator", "solver-cfl",
         "reversed-solve-window", "reversed-study-range",
@@ -429,7 +443,9 @@ _ERROR_MODEL = {"target_rmse": 0.1, "spatial_correlation_length": 2500.0,
         "huge-integer-u-max", "infinite-mission-t-max", "nan-mission-t-max",
         "nan-band-velocity", "nan-band-velocity-study", "nan-highway-y1",
         "infinite-uniform-velocity", "nan-gyre-omega", "nan-terrain-origin",
-        "infinite-terminal-time"])
+        "infinite-terminal-time", "infinite-region-study", "infinite-region-sample",
+        "infinite-final-time-horizon", "nan-final-time-horizon", "infinite-drift-horizon",
+        "infinite-cadence", "huge-terminal-time"])
 def test_bad_config_section_is_config_error(config, tmp_path, capsys, command, change):
     """Every section that any command reads is parsed, and checked, before
     the command runs: a missing key, a bad value, an unknown key or kind, a

@@ -55,10 +55,13 @@ _GRID = dict(x0=0.0, y0=0.0, dx=1.0, dy=1.0, nx=2, ny=2)
     lambda: SpaceTimeGrid(**dict(_GRID, x0=-math.inf)),
     lambda: SpaceTimeGrid(**_GRID, t0=math.nan),
     lambda: SpaceTimeGrid(**_GRID, t0=math.inf),
+    lambda: SpaceTimeGrid(**_GRID, dt_snap=10**400),
+    lambda: SpaceTimeGrid(**_GRID, dt_snap=math.inf),
 ], ids=["uniform-u-nan", "uniform-v-inf", "highway-y1-nan", "highway-y2-inf",
         "highway-band-u-nan", "highway-band-v-inf", "gyre-omega-nan", "gyre-epsilon-inf",
         "gyre-amplitude-nan", "gyre-amplitude-inf", "gyre-scale-nan", "gyre-scale-inf",
-        "grid-x0-nan", "grid-y0-inf", "space-time-grid-x0-inf", "grid-t0-nan", "grid-t0-inf"])
+        "grid-x0-nan", "grid-y0-inf", "space-time-grid-x0-inf", "grid-t0-nan", "grid-t0-inf",
+        "grid-dt-snap-huge-integer", "grid-dt-snap-inf"])
 def test_non_finite_model_numbers_are_refused(build):
     # NaN fails every comparison, so only a check written to fail on it refuses
     # it; let through, it fails in a solve or drifts particles out of the region

@@ -52,6 +52,9 @@ def _cfg(**kw):
     dict(target_rmse=-0.1), dict(target_rmse=math.nan), dict(target_rmse=math.inf),
     dict(spatial_correlation_length=0.0), dict(spatial_correlation_length=math.nan),
     dict(temporal_correlation=-1.0), dict(temporal_correlation=math.nan),
+    pytest.param(dict(target_rmse=10**400), id="{'target_rmse': 10**400}"),
+    dict(spatial_correlation_length=math.inf),
+    dict(temporal_correlation=math.inf),
     dict(n_modes=0), dict(n_modes=2.5), dict(n_modes=2.0), dict(n_modes="3"),
 ], ids=repr)
 def test_config_validation(change):

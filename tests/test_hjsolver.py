@@ -37,6 +37,7 @@ from driftplan.forecast import ErrorModelConfig, gen_forecast_series
 from driftplan.hjsolver import (
     ALPHA,
     CFL,
+    MAX_SNAPSHOTS,
     MIN_DT,
     SENTINEL,
     SENTINEL_THRESHOLD,
@@ -341,6 +342,19 @@ def test_cfl_step_count_that_is_not_finite_is_refused(flow):
     cfg = SolverConfig(grid=_grid(nx=11, ny=11), u_max=U_MAX)
     with pytest.raises(ParameterError, match="CFL step count .* is not finite"):
         solve_mtr(flow, None, TargetSpec((1000.0, 1000.0), 300.0), cfg, 0.0, 3000.0)
+
+
+def test_solve_of_more_than_max_snapshots_is_refused():
+    # each solve holds its snapshots in one array: 1e300 s at dt_snap 3000 s
+    # would have numpy refuse it with a bare ValueError, and a window just
+    # past the cap is refused as well, before the array is allocated
+    cfg = SolverConfig(grid=_grid(nx=11, ny=11, dt=300.0), u_max=U_MAX)
+    target, flow = TargetSpec((1000.0, 1000.0), 300.0), make_uniform(0.0, 0.0)
+    for t_end in (1e300, 300.0 * MAX_SNAPSHOTS):
+        with pytest.raises(ParameterError, match=f"more than {MAX_SNAPSHOTS}"):
+            solve_mtr(flow, None, target, cfg, 0.0, t_end)
+    vf = solve_mtr(flow, None, target, cfg, 0.0, 300.0 * (MAX_SNAPSHOTS - 1))
+    assert vf.values.shape == (MAX_SNAPSHOTS, 11, 11)
 
 
 def _island_release():

@@ -1,6 +1,7 @@
 """Mission sampling under distance/feasibility constraints; manifests."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -64,6 +65,12 @@ def test_constraints_validation():
         _constraints(final_time_horizon=(60000.0, 40000.0))
     with pytest.raises(ValueError):
         _constraints(final_time_horizon=[40000.0])
+    # an infinite or NaN window bound would overflow the uniform draw of a target time
+    for window in ((40000.0, math.inf), (math.nan, math.nan), (-math.inf, 60000.0)):
+        with pytest.raises(ParameterError, match="final_time_horizon must be finite"):
+            _constraints(final_time_horizon=window)
+    with pytest.raises(ParameterError, match="ttr_window must be positive and finite"):
+        _constraints(ttr_window=(10000.0, math.inf))
 
 
 def test_constraint_windows_from_json_lists_are_tuples():

@@ -78,8 +78,12 @@ def test_integrate_step_rk4_matches_analytic_linear_field():
 
 
 def test_sim_config_validation():
-    with pytest.raises(ParameterError):
-        SimConfig(step_dt=0.0)
+    for step_dt in (0.0, math.inf, 10**400):
+        with pytest.raises(ParameterError, match="step_dt"):
+            SimConfig(step_dt=step_dt)
+    for region in ((0.0, math.inf, 0.0, 1.0), (math.nan, 1.0, 0.0, 1.0)):
+        with pytest.raises(ParameterError, match="region must be finite"):
+            SimConfig(region=region)
     with pytest.raises(ParameterError):
         Mission(0, 0, 0, TargetSpec((0, 0), 100.0), t_max=0.0)
 
@@ -288,7 +292,8 @@ def test_batch_spec_refuses_non_positive_cadence_or_horizon():
             BatchSpec(**kw, **timing)
 
 
-@pytest.mark.parametrize("threshold", ["x", None, True, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("threshold", ["x", None, True, math.nan, math.inf, -math.inf,
+                                       pytest.param(10**400, id="10**400")])
 def test_batch_spec_refuses_a_switch_threshold_that_is_not_a_finite_number(threshold):
     # a string would raise TypeError in Controller.control, out of run_batch
     with pytest.raises(ParameterError, match="switch_threshold must be a finite real number"):
@@ -527,7 +532,7 @@ def test_stranding_study_validates_n():
         stranding_study((0, 1, 0, 1), truth, om, n=0, horizon=100.0)
 
 
-@pytest.mark.parametrize("horizon", [0.0, -600.0, float("nan")])
+@pytest.mark.parametrize("horizon", [0.0, -600.0, float("nan"), float("inf")])
 def test_stranding_study_validates_horizon(horizon):
     _, truth, om = _wall_setup()
     with pytest.raises(ParameterError, match="horizon"):

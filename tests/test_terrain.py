@@ -6,7 +6,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from oracles import (
     bfs_hops,
     brute_euclidean_distance,
@@ -17,7 +17,7 @@ from oracles import (
 )
 
 from driftplan.errors import FormatError, ParameterError
-from driftplan.gridio import euclidean_distance, taxicab_distance
+from driftplan.gridio import FLOAT_MAX, check_finite, euclidean_distance, taxicab_distance
 from driftplan.terrain import (
     DistanceMap,
     ElevationGrid,
@@ -51,11 +51,45 @@ def test_threshold_is_strict():
     assert m.mask.tolist() == [[False, False], [True, True]]
 
 
-@pytest.mark.parametrize("spacing", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("spacing", [0.0, -1.0, math.nan, math.inf,
+                                     pytest.param(10**400, id="10**400")])
 def test_grid_spacing_must_be_positive_and_finite(spacing):
     for dx, dy in ((spacing, 1.0), (1.0, spacing)):
         with pytest.raises(ParameterError, match="spacing"):
             SpatialGrid(0.0, 0.0, dx, dy, 3, 3)
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf,
+                                       pytest.param(10**400, id="10**400")])
+def test_obstacle_threshold_must_be_finite(threshold):
+    with pytest.raises(ParameterError, match="obstacle threshold must be finite"):
+        obstacle_mask(_elev([[-300.0, 0.0]]), threshold=threshold)
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False)
+       | st.integers(-int(FLOAT_MAX), int(FLOAT_MAX)))
+@example(0)
+@example(-0.0)
+@example(5e-324)
+@example(-FLOAT_MAX)
+def test_check_finite_accepts_every_float_and_integer_in_float_range(value):
+    check_finite("value", value)
+    check_finite("value", abs(value), sign="non-negative")
+    if value:
+        check_finite("value", abs(value), sign="positive")
+
+
+@pytest.mark.parametrize("value, sign", [
+    (math.nan, ""), (math.inf, ""), (-math.inf, ""), (10**400, ""), (-10**400, ""),
+    (math.nan, "positive"), (math.inf, "positive"), (10**400, "non-negative"),
+    (0, "positive"), (0.0, "positive"), (-0.0, "positive"), (-5e-324, "non-negative"),
+    (-1, "non-negative")], ids=["nan", "inf", "minus-inf", "huge", "minus-huge", "nan-positive",
+                                "inf-positive", "huge-non-negative", "int-0-positive",
+                                "0-positive", "minus-0-positive", "minus-tiny-non-negative",
+                                "minus-1-non-negative"])
+def test_check_finite_refuses_what_is_not_finite_or_of_its_sign(value, sign):
+    with pytest.raises(ParameterError, match="^value must be .*finite"):
+        check_finite("value", 1.0, value, sign=sign)
 
 
 def test_mask_contains_uses_nearest_cell():
