@@ -50,6 +50,7 @@ class SpaceTimeGrid(SpatialGrid):
         """This grid's space over [t_start, t_end], in the fewest equal
         intervals no longer than dt_snap, and at least one."""
         span = t_end - t_start
+        check_finite("time span", span)  # two finite ends may be an infinity apart
         n = max(1, math.ceil(span / self.dt_snap - 1e-9))
         return replace(self, t0=t_start, dt_snap=span / n, nt=n + 1)
 

@@ -14,7 +14,6 @@ set only grows during a solve: it is pinned once per substep.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -189,50 +188,35 @@ def _blend(weights, values):
     return None if wsum <= 0 else acc / wsum
 
 
-@functools.cache
-def _axis_pair(ndim, axis):
-    """Index tuples selecting the cells [:-1] and [1:] along ``axis``."""
-    lo = [slice(None)] * ndim
-    hi = [slice(None)] * ndim
-    lo[axis] = slice(None, -1)
-    hi[axis] = slice(1, None)
-    return tuple(lo), tuple(hi)
-
-
-def _one_sided_diffs(J, valid, h, axis):
-    """(D-, D+) pairs with invalid sides (sentinel neighbors or the domain
-    edge) zeroed, which drops them from the upwind candidate sets."""
-    lo, hi = _axis_pair(J.ndim, axis)
-    d = J[hi] - J[lo]
-    d /= h
-    dm = np.zeros_like(J)
-    dp = np.zeros_like(J)
-    np.copyto(dm[hi], d, where=valid[lo])
-    np.copyto(dp[lo], d, where=valid[hi])
-    return dm, dp
-
-
-def _hamiltonian(J, valid, vx, vy, u_eff, dx, dy, downstream=None):
+def _hamiltonian(S, valid, V, u_eff, h):
     """Monotone upwind Hamiltonian of the reach update: the drift term reads
     the downstream neighbor, the control term the per-axis descent
-    direction (Osher & Fedkiw 2003). ``J`` and ``valid`` may stack several
-    (ny, nx) layers along a leading axis; each layer is stepped alone.
-    ``downstream`` may hold the masks (vx > 0, vy > 0) of a steady flow."""
-    dxm, dxp = _one_sided_diffs(J, valid, dx, axis=-1)
-    dym, dyp = _one_sided_diffs(J, valid, dy, axis=-2)
-    px, py = (vx > 0, vy > 0) if downstream is None else downstream
-    ex, ey = np.negative(dxp), np.negative(dyp)
-    for e, dm, dp, v, p in ((ex, dxm, dxp, vx, px), (ey, dym, dyp, vy, py)):
-        # max(D-, -D+, 0); only hypot reads it, so a zero's sign is moot
-        np.maximum(np.maximum(e, dm, out=e), 0.0, out=e)
-        # then the drift term, in the D- buffer
-        np.copyto(dm, dp, where=p)
-        dm *= v
-    dxm += dym
-    np.hypot(ex, ey, out=ex)
-    ex *= u_eff
-    dxm -= ex
-    return dxm
+    direction (Osher & Fedkiw 2003). ``S`` and ``valid`` may stack several
+    (ny, nx) layers along a leading axis; each layer is stepped alone. ``V``
+    holds the x and y velocities over each cell of ``S``, and ``h`` the
+    spacings (dx, dy). A one-sided difference toward an invalid side (a
+    sentinel neighbor or the domain edge) is zero, which drops that side
+    from the upwind candidates."""
+    # D- then D+, each with the x axis first
+    D = np.zeros((2, *V.shape))
+    for a, lo, hi in ((0, np.s_[..., :-1], np.s_[..., 1:]),
+                      (1, np.s_[..., :-1, :], np.s_[..., 1:, :])):
+        d = S[hi] - S[lo]
+        d /= h[a]
+        np.copyto(D[0, a][hi], d, where=valid[lo])
+        np.copyto(D[1, a][lo], d, where=valid[hi])
+    Dm, Dp = D
+    # max(D-, -D+, 0); only hypot reads it, so a zero's sign is moot
+    E = np.negative(Dp)
+    np.maximum(np.maximum(E, Dm, out=E), 0.0, out=E)
+    # then the drift term, in the D- buffer
+    np.copyto(Dm, Dp, where=V > 0)
+    Dm *= V
+    Dm[0] += Dm[1]
+    np.hypot(E[0], E[1], out=E[0])
+    E[0] *= u_eff
+    Dm[0] -= E[0]
+    return Dm[0]
 
 
 def _target_masks(grid: SpaceTimeGrid, target: TargetSpec):
@@ -296,19 +280,19 @@ def solve_mtr(
 
     X, Y = out_grid.meshgrid()
     have_obst = obst.any()
-    # layer 0 is the reach value J; with obstacles, layer 1 is V = -W for
-    # the avoidance value W (signed clearance, running minimum under
-    # best-case control), so both step with one Hamiltonian call. Cells
-    # with V > 0 are doomed. Layer 1's mask stays all true.
+    # layer 0 is the reach value J; with obstacles, layer 1 is -W for the
+    # avoidance value W (signed clearance, running minimum under best-case
+    # control), so both step with one Hamiltonian call. Cells with -W > 0
+    # are doomed. Layer 1's mask stays all true.
     S = np.empty((2 if have_obst else 1, g.ny, g.nx))
     S[0] = np.where(obst, SENTINEL, terminal_dist)
     J = S[0]
     values = np.empty((n_snap, g.ny, g.nx))
     values[n_snap - 1] = J
     if have_obst:
-        # V starts at minus the clearance, capped at the sentinel where there
+        # -W starts at minus the clearance, capped at the sentinel where there
         # is no free water, so it is positive on the obstacles alone. Its rate
-        # is clamped at >= 0, so V never falls and the blocked set, obstacles
+        # is clamped at >= 0, so -W never falls and the blocked set, obstacles
         # and doomed cells, only grows: pinned at the sentinel from the start
         # and after each substep, it stays out of J's valid mask
         S[1] = np.minimum(-obstacles.clearance, SENTINEL)
@@ -321,11 +305,13 @@ def solve_mtr(
 
     sample = flow.sampler(X, Y)
     steady = flow.is_steady
-    # a steady flow is sampled once; otherwise the CFL rate at each snapshot
-    # time bounds the interval on either side of it
+    # V holds the velocities over each layer of S. A steady flow is sampled
+    # once; otherwise the CFL rate at each snapshot time bounds the interval
+    # on either side of it, and V is refilled at each substep's midpoint
     vx, vy = sample(ts[-1])
     rate_hi = cfl_rate(vx, vy)
-    downstream = (vx > 0, vy > 0) if steady else None
+    V = np.empty((2, *S.shape))
+    V[0], V[1] = vx, vy
 
     for k in range(n_snap - 2, -1, -1):
         t_hi = ts[k + 1]
@@ -341,12 +327,10 @@ def solve_mtr(
                 f"CFL step {dt} below the floor {MIN_DT}; coarsen the grid"
             )
         for s in range(m):
-            t_cur = t_hi - s * dt
-            t_mid = t_cur - 0.5 * dt
             if not steady:
-                vx, vy = sample(t_mid)
+                V[0], V[1] = sample(t_hi - s * dt - 0.5 * dt)
             np.less(J, SENTINEL_THRESHOLD, out=valid[0])
-            H = _hamiltonian(S, valid, vx, vy, u_eff, g.dx, g.dy, downstream)
+            H = _hamiltonian(S, valid, V, u_eff, (g.dx, g.dy))
             if have_obst:
                 np.maximum(0.0, H[1], out=H[1])
             J_tgt = J.take(tgt_cells) - ALPHA * dt

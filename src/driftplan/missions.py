@@ -38,6 +38,7 @@ class SamplingConstraints:
         object.__setattr__(self, "final_time_horizon", (t_lo, t_hi))
         if not (0 <= self.min_obstacle_dist < self.max_obstacle_dist):
             raise ParameterError("need 0 <= min_obstacle_dist < max_obstacle_dist")
+        check_finite("min_boundary_dist", self.min_boundary_dist, sign="non-negative")
         check_finite("ttr_window", lo, hi, sign="positive")
         check_finite("final_time_horizon", t_lo, t_hi)
         if not (lo < hi and t_lo <= t_hi):

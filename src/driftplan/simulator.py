@@ -156,44 +156,51 @@ def run_mission(
     checked in one order: on ``obstacles`` strands the vehicle, whatever its
     controller plans on, then the target, ``cfg.region`` and the deadline. A
     release that is missing or cannot be planned on ends it ABORTED, and a
-    step that samples the truth outside its extent LEFT_REGION."""
+    step that samples the truth outside its extent LEFT_REGION. A fault of
+    any other type ends it ABORTED at the time of the step it came in, with
+    every step recorded before it and the note ``"{Type}: {message}"``."""
     rec = SimulationRecord(mission=mission)
     x, y, t = mission.x0, mission.y0, mission.t0
     deadline = mission.t0 + mission.t_max
     # the first plan is made at the start, and one more on each later release
     replans = [t] + [rt for rt in series.release_times if rt > t]
-
-    while True:
-        if obstacles.contains(x, y):
-            return rec.end(Outcome.STRANDED, t)
-        if mission.target.contains(x, y):
-            return rec.end(Outcome.SUCCESS, t)
-        if not _in_region(x, y, cfg.region):
-            return rec.end(Outcome.LEFT_REGION, t)
-        if t >= deadline - 1e-9:
-            return rec.end(Outcome.TIMEOUT, deadline)
-        while replans and replans[0] <= t:
-            now = replans.pop(0)
+    try:
+        while True:
+            if obstacles.contains(x, y):
+                return rec.end(Outcome.STRANDED, t)
+            if mission.target.contains(x, y):
+                return rec.end(Outcome.SUCCESS, t)
+            if not _in_region(x, y, cfg.region):
+                return rec.end(Outcome.LEFT_REGION, t)
+            if t >= deadline - 1e-9:
+                return rec.end(Outcome.TIMEOUT, deadline)
+            while replans and replans[0] <= t:
+                now = replans.pop(0)
+                try:
+                    fc = series.current(now)
+                    ctrl.replan(fc, now, min(fc.t_max, deadline))
+                except DriftplanError as exc:
+                    return rec.end(Outcome.ABORTED, now, f"replan failed: {exc}")
+            u, branch = ctrl.control(x, y, t)
+            ux, uy = u.vector
+            # all of a step's values come before its columns take any, so a
+            # fault in ttr_at leaves no step half recorded
+            ttr = math.nan if ctrl.vf is None else ctrl.vf.ttr_at(x, y, t)
+            rec.times.append(t)
+            rec.xs.append(x)
+            rec.ys.append(y)
+            rec.uxs.append(ux)
+            rec.uys.append(uy)
+            rec.branches.append(branch)
+            rec.ttrs.append(ttr)
             try:
-                fc = series.current(now)
-                ctrl.replan(fc, now, min(fc.t_max, deadline))
-            except DriftplanError as exc:
-                return rec.end(Outcome.ABORTED, now, f"replan failed: {exc}")
-        u, branch = ctrl.control(x, y, t)
-        ux, uy = u.vector
-        rec.times.append(t)
-        rec.xs.append(x)
-        rec.ys.append(y)
-        rec.uxs.append(ux)
-        rec.uys.append(uy)
-        rec.branches.append(branch)
-        rec.ttrs.append(math.nan if ctrl.vf is None else ctrl.vf.ttr_at(x, y, t))
-        try:
-            x, y = integrate_step((x, y), (ux, uy), truth, t, cfg.step_dt)
-        except ExtentError as exc:
-            # an integration stage left the truth's extent
-            return rec.end(Outcome.LEFT_REGION, t + cfg.step_dt, str(exc))
-        t += cfg.step_dt
+                x, y = integrate_step((x, y), (ux, uy), truth, t, cfg.step_dt)
+            except ExtentError as exc:
+                # an integration stage left the truth's extent
+                return rec.end(Outcome.LEFT_REGION, t + cfg.step_dt, str(exc))
+            t += cfg.step_dt
+    except Exception as exc:  # not BaseException: an interrupt still ends the batch
+        return rec.end(Outcome.ABORTED, t, f"{type(exc).__name__}: {exc}")
 
 
 @dataclass(frozen=True)
@@ -223,24 +230,23 @@ def _mission_seed(master_seed: int, index: int) -> int:
 
 
 def _run_one(args):
-    """One mission's record. A fault of any type in building or running the
-    mission ends that mission alone, ABORTED at its start time."""
+    """One mission's record. A fault of any type ends that mission alone,
+    ABORTED: at its start time in building the mission, and in running it
+    as ``run_mission`` ends it, with the steps before the fault."""
     (index, mission, truth, spec, cfg, master_seed) = args
     try:
-        try:
-            ctrl = Controller(spec.kind, solver_config=spec.solver_config, target=mission.target,
-                              obstacles=spec.obstacles, dmap=spec.dmap,
-                              switch_threshold=spec.switch_threshold)
-            em = spec.error_model and replace(spec.error_model,
-                                              seed=_mission_seed(master_seed, index))
-            series = gen_forecast_series(truth, em, spec.cadence, spec.horizon,
-                                         (mission.t0, mission.t0 + mission.t_max))
-        except DriftplanError as exc:
-            note = f"setup failed: {exc}"
-        else:
-            return run_mission(mission, truth, spec.obstacles, ctrl, series, cfg)
+        ctrl = Controller(spec.kind, solver_config=spec.solver_config, target=mission.target,
+                          obstacles=spec.obstacles, dmap=spec.dmap,
+                          switch_threshold=spec.switch_threshold)
+        em = spec.error_model and replace(spec.error_model, seed=_mission_seed(master_seed, index))
+        series = gen_forecast_series(truth, em, spec.cadence, spec.horizon,
+                                     (mission.t0, mission.t0 + mission.t_max))
+    except DriftplanError as exc:
+        note = f"setup failed: {exc}"
     except Exception as exc:  # not BaseException: an interrupt still ends the batch
         note = f"{type(exc).__name__}: {exc}"
+    else:
+        return run_mission(mission, truth, spec.obstacles, ctrl, series, cfg)
     return SimulationRecord(mission).end(Outcome.ABORTED, mission.t0, note)
 
 

@@ -23,7 +23,6 @@ from driftplan.hjsolver import (
     CFL,
     SENTINEL,
     SENTINEL_THRESHOLD,
-    _one_sided_diffs,
     _target_masks,
 )
 from driftplan.simulator import DriftEnd, integrate_step
@@ -278,8 +277,8 @@ def avoidance_w_step(W, vx, vy, u_eff, dx, dy, dt):
     upwind stencil, where the avoidance control climbs toward larger
     clearance, and a running minimum."""
     wt = np.ones_like(W, dtype=bool)
-    wxm, wxp = _one_sided_diffs(W, wt, dx, axis=1)
-    wym, wyp = _one_sided_diffs(W, wt, dy, axis=0)
+    wxm, wxp = roll_one_sided_diffs(W, wt, dx, axis=1)
+    wym, wyp = roll_one_sided_diffs(W, wt, dy, axis=0)
     adv_wx = np.where(vx > 0, wxp, wxm)
     adv_wy = np.where(vy > 0, wyp, wym)
     ewx = np.maximum(np.maximum(wxp, -wxm), 0.0)

@@ -424,6 +424,10 @@ _ERROR_MODEL = {"target_rmse": 0.1, "spatial_correlation_length": 2500.0,
     (["solve"], lambda c: c["forecast"].update(cadence=math.inf)),
     # 1e300 s at a dt_snap of 3000 s is far more than MAX_SNAPSHOTS snapshots
     (["solve"], lambda c: c["solve"].update(terminal_time=1e300)),
+    # two finite ends whose span overflows to infinity
+    (["solve"], lambda c: c["solve"].update(t_start=-1e308, terminal_time=1e308)),
+    # a NaN min_boundary_dist fails every `<` test, so it refused no target
+    (["sample-missions", "--n", "2"], lambda c: c["missions"].update(min_boundary_dist=math.nan)),
 ], ids=["solve-without-radius", "zero-radius", "short-study-range", "unknown-baseline", "solver-alpha", "unknown-forecast-key", "no-controllers",
         "short-final-time-window", "flow-not-an-object", "sim-integrator", "solver-cfl",
         "reversed-solve-window", "reversed-study-range",
@@ -445,7 +449,8 @@ _ERROR_MODEL = {"target_rmse": 0.1, "spatial_correlation_length": 2500.0,
         "infinite-uniform-velocity", "nan-gyre-omega", "nan-terrain-origin",
         "infinite-terminal-time", "infinite-region-study", "infinite-region-sample",
         "infinite-final-time-horizon", "nan-final-time-horizon", "infinite-drift-horizon",
-        "infinite-cadence", "huge-terminal-time"])
+        "infinite-cadence", "huge-terminal-time", "overflowing-solve-span",
+        "nan-min-boundary-dist"])
 def test_bad_config_section_is_config_error(config, tmp_path, capsys, command, change):
     """Every section that any command reads is parsed, and checked, before
     the command runs: a missing key, a bad value, an unknown key or kind, a

@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from oracles import (
     avoidance_w_step,
-    roll_one_sided_diffs,
     slice_value_at,
     solve_mtr_values,
     upwind_hamiltonian,
@@ -45,7 +44,6 @@ from driftplan.hjsolver import (
     TargetSpec,
     ValueFunction,
     _hamiltonian,
-    _one_sided_diffs,
     safe_ttr,
     solve_mtr,
 )
@@ -393,24 +391,10 @@ def _stencil_case(seed, ny, nx, p_valid, p_sentinel):
     return J, valid, float(rng.uniform(0.5, 500.0))
 
 
-_stencil_args = dict(
-    seed=st.integers(0, 2**31 - 1),
-    ny=st.integers(1, 9),
-    nx=st.integers(1, 9),
-    p_valid=st.floats(0.0, 1.0),
-    p_sentinel=st.floats(0.0, 0.5),
-    axis=st.sampled_from([0, 1]),
-)
-
-
-@settings(max_examples=200, deadline=None)
-@given(**_stencil_args)
-def test_one_sided_diffs_match_roll_reference(seed, ny, nx, p_valid, p_sentinel, axis):
-    J, valid, h = _stencil_case(seed, ny, nx, p_valid, p_sentinel)
-    got = _one_sided_diffs(J, valid, h, axis)
-    want = roll_one_sided_diffs(J, valid, h, axis)
-    for a, b in zip(got, want):
-        assert a.tobytes() == b.tobytes()
+def _velocities(S, vx, vy):
+    """The (2, *S.shape) velocities that ``_hamiltonian`` reads: vx and vy
+    laid over each layer of S."""
+    return np.stack([np.broadcast_to(v, S.shape) for v in (vx, vy)])
 
 
 @settings(max_examples=200, deadline=None)
@@ -421,19 +405,20 @@ def test_one_sided_diffs_match_roll_reference(seed, ny, nx, p_valid, p_sentinel,
     p_still=st.floats(0.0, 1.0),
 )
 def test_avoidance_step_matches_w_reference(seed, ny, nx, p_still):
-    """Stepping V = -W with the reach Hamiltonian equals the sign-flipped
+    """Stepping A = -W with the reach Hamiltonian equals the sign-flipped
     W stencil byte for byte, and marks the same doomed cells."""
     rng = np.random.default_rng(seed)
     W = rng.standard_normal((ny, nx)) * 10.0 ** rng.integers(-2, 5)
     vx, vy = 0.5 * rng.standard_normal((2, ny, nx))
     vx[rng.random((ny, nx)) < p_still] = 0.0
-    vy[rng.random((ny, nx)) < p_still] = 0.0
+    vy[rng.random((ny, nx)) < p_still] = -0.0
     dx, dy = rng.uniform(0.5, 500.0, 2)
     u_eff = float(rng.uniform(0.0, 0.5))
     dt = float(rng.uniform(1e-3, 1e3))
-    V = -W
+    A = -W
     all_valid = np.ones((ny, nx), dtype=bool)
-    got = V + dt * np.maximum(0.0, _hamiltonian(V, all_valid, vx, vy, u_eff, dx, dy))
+    H = _hamiltonian(A, all_valid, _velocities(A, vx, vy), u_eff, (dx, dy))
+    got = A + dt * np.maximum(0.0, H)
     want = avoidance_w_step(W, vx, vy, u_eff, dx, dy, dt)
     assert got.tobytes() == (-want).tobytes()
     assert np.array_equal(got > 0, want < 0)
@@ -449,22 +434,23 @@ def test_avoidance_step_matches_w_reference(seed, ny, nx, p_still):
     p_still=st.floats(0.0, 1.0),
 )
 def test_stacked_hamiltonian_matches_per_layer(seed, ny, nx, p_valid, p_sentinel, p_still):
-    """One _hamiltonian call on a stacked (2, ny, nx) J/V state with masks
-    (valid, all true) equals the two per-layer calls byte for byte."""
+    """One _hamiltonian call on a stacked (2, ny, nx) J/A state with masks
+    (valid, all true) equals the two one-layer (ny, nx) calls byte for byte."""
     J, valid, dx = _stencil_case(seed, ny, nx, p_valid, p_sentinel)
     rng = np.random.default_rng(seed + 1)
-    V = rng.standard_normal((ny, nx)) * 10.0 ** rng.integers(-2, 5)
+    A = rng.standard_normal((ny, nx)) * 10.0 ** rng.integers(-2, 5)
     vx, vy = 0.5 * rng.standard_normal((2, ny, nx))
     vx[rng.random((ny, nx)) < p_still] = 0.0
-    vy[rng.random((ny, nx)) < p_still] = 0.0
-    dy = float(rng.uniform(0.5, 500.0))
+    vy[rng.random((ny, nx)) < p_still] = -0.0
+    h = (dx, float(rng.uniform(0.5, 500.0)))
     u_eff = float(rng.uniform(0.0, 0.5))
     all_valid = np.ones((ny, nx), dtype=bool)
-    got = _hamiltonian(np.stack([J, V]), np.stack([valid, all_valid]),
-                       vx, vy, u_eff, dx, dy)
+    S = np.stack([J, A])
+    got = _hamiltonian(S, np.stack([valid, all_valid]), _velocities(S, vx, vy), u_eff, h)
     assert got.shape == (2, ny, nx)
-    assert got[0].tobytes() == _hamiltonian(J, valid, vx, vy, u_eff, dx, dy).tobytes()
-    assert got[1].tobytes() == _hamiltonian(V, all_valid, vx, vy, u_eff, dx, dy).tobytes()
+    for layer, mask, out in ((J, valid, got[0]), (A, all_valid, got[1])):
+        want = _hamiltonian(layer, mask, _velocities(layer, vx, vy), u_eff, h)
+        assert out.tobytes() == want.tobytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -475,25 +461,30 @@ def test_stacked_hamiltonian_matches_per_layer(seed, ny, nx, p_valid, p_sentinel
     p_valid=st.floats(0.0, 1.0),
     p_sentinel=st.floats(0.0, 0.5),
     p_still=st.floats(0.0, 1.0),
-    steady=st.booleans(),
+    stacked=st.booleans(),
 )
-def test_hamiltonian_matches_reference(seed, ny, nx, p_valid, p_sentinel, p_still, steady):
-    """_hamiltonian, with its buffers reused in place and, for a steady flow,
-    the downstream masks given, equals the reference expression byte for
-    byte on a stacked (2, ny, nx) state."""
+def test_hamiltonian_matches_reference(seed, ny, nx, p_valid, p_sentinel, p_still, stacked):
+    """_hamiltonian, with both axes' differences in one buffer, equals the
+    reference expression on the np.roll differences byte for byte, on a
+    stacked (2, ny, nx) state and on one (ny, nx) layer, and leaves its
+    state and velocities as they were."""
     J, valid, dx = _stencil_case(seed, ny, nx, p_valid, p_sentinel)
     rng = np.random.default_rng(seed + 1)
-    V = rng.standard_normal((ny, nx)) * 10.0 ** rng.integers(-2, 5)
+    A = rng.standard_normal((ny, nx)) * 10.0 ** rng.integers(-2, 5)
     vx, vy = 0.5 * rng.standard_normal((2, ny, nx))
     vx[rng.random((ny, nx)) < p_still] = 0.0
     vy[rng.random((ny, nx)) < p_still] = -0.0
     dy = float(rng.uniform(0.5, 500.0))
     u_eff = float(rng.uniform(0.0, 0.5))
-    S = np.stack([J, V])
-    masks = np.stack([valid, np.ones((ny, nx), dtype=bool)])
-    downstream = (vx > 0, vy > 0) if steady else None
-    got = _hamiltonian(S, masks, vx, vy, u_eff, dx, dy, downstream)
+    if stacked:
+        S, masks = np.stack([J, A]), np.stack([valid, np.ones((ny, nx), dtype=bool)])
+    else:
+        S, masks = J, valid
+    V = _velocities(S, vx, vy)
+    S_before, V_before = S.tobytes(), V.tobytes()
+    got = _hamiltonian(S, masks, V, u_eff, (dx, dy))
     assert got.tobytes() == upwind_hamiltonian(S, masks, vx, vy, u_eff, dx, dy).tobytes()
+    assert (S.tobytes(), V.tobytes()) == (S_before, V_before)
 
 
 def _solve_case(seed, nx, ny, nt, flow_kind, obstacles, point_target):

@@ -71,6 +71,11 @@ def test_constraints_validation():
             _constraints(final_time_horizon=window)
     with pytest.raises(ParameterError, match="ttr_window must be positive and finite"):
         _constraints(ttr_window=(10000.0, math.inf))
+    # a NaN boundary distance would refuse no target at all; 0 refuses none by rule
+    for dist in (math.nan, math.inf, -1.0):
+        with pytest.raises(ParameterError, match="min_boundary_dist must be finite and non-negative"):
+            _constraints(min_boundary_dist=dist)
+    assert _constraints(min_boundary_dist=0.0).min_boundary_dist == 0.0
 
 
 def test_constraint_windows_from_json_lists_are_tuples():

@@ -495,9 +495,11 @@ def _record_fields(r):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_fault_of_any_type_aborts_its_mission_alone(workers):
-    """A RuntimeError in the sixth step of the third mission of three ends
-    that mission ABORTED at its start, noting the fault, and the other two
-    missions end as they do on the same truth without the fault."""
+    """A RuntimeError at the sixth step's start point of the third mission of
+    three ends that mission ABORTED at the time of the step that samples it,
+    noting the fault, with the steps recorded up to it as the clean run
+    records them, and the other two missions end as they do on the same
+    truth without the fault."""
     g, truth, om = _wall_setup()
     spec = BatchSpec(kind=ControllerKind.MTR, solver_config=SolverConfig(grid=g, u_max=U_MAX),
                      obstacles=om, dmap=distance_map(om), cadence=30000.0, horizon=90000.0)
@@ -508,8 +510,13 @@ def test_a_fault_of_any_type_aborts_its_mission_alone(workers):
     faulty = _FaultAt(truth.y1, truth.y2, truth.band_u, truth.band_v, at=at)
     recs = run_batch(missions, faulty, spec, cfg, workers=workers)
     assert [_record_fields(r) for r in recs[:2]] == [_record_fields(r) for r in clean[:2]]
+    # in the highway's uniform band all four RK4 stages agree, so the fifth
+    # step's last stage samples the flow at the sixth step's start point
     assert (recs[2].outcome, recs[2].outcome_time, recs[2].note) == (
-        Outcome.ABORTED, 0.0, f"RuntimeError: no sample at {at}")
+        Outcome.ABORTED, clean[2].times[4], f"RuntimeError: no sample at {at}")
+    kept = _record_fields(recs[2])[4:]
+    assert kept[:-1] == tuple(col[:5] for col in _record_fields(clean[2])[4:-1])
+    assert kept[-1] == clean[2].ttrs[:5].tobytes()
 
 
 def test_stranding_study_band_fraction():
