@@ -4,7 +4,6 @@ reachability-certified starts, plus JSON-lines manifests."""
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,11 +12,8 @@ from .errors import InfeasibleConstraintsError, ParameterError
 from .flowfield import FlowSource
 from .gridio import FLOAT_MAX, check_finite
 from .hjsolver import SolverConfig, TargetSpec, check_mask_grid, safe_ttr, solve_mtr
-from .simulator import Mission
+from .simulator import Mission, draw_budget
 from .terrain import DistanceMap, ObstacleMask
-
-#: largest rejected share of candidate targets before sampling gives up
-REJECTION_CAP = 0.999
 
 
 @dataclass(frozen=True)
@@ -77,7 +73,7 @@ def sample_missions(
     check_mask_grid(obstacles, g)
     missions: list[Mission] = []
     attempts = 0
-    max_attempts = max(20, int(math.ceil(n / (1.0 - REJECTION_CAP))))
+    max_attempts = draw_budget(n)
     Xg, Yg = g.meshgrid()
     while len(missions) < n:
         attempts += 1

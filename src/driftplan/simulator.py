@@ -29,6 +29,13 @@ from .terrain import ObstacleMask
 
 #: default integration step, in seconds, of missions and passive drift
 STEP_DT = 600.0
+#: largest rejected share of random draws before a rejection sampler gives up
+REJECTION_CAP = 0.999
+
+
+def draw_budget(n: int) -> int:
+    """The most draws a rejection sampler makes for ``n`` acceptances under ``REJECTION_CAP``."""
+    return max(20, math.ceil(n / (1.0 - REJECTION_CAP)))
 
 
 class Outcome(enum.Enum):
@@ -64,6 +71,8 @@ class SimConfig:
     def __post_init__(self):
         check_finite("step_dt", self.step_dt, sign="positive")
         if self.region is not None:
+            if len(self.region) != 4:
+                raise ParameterError(f"region must be xmin, xmax, ymin, ymax, not {self.region}")
             check_finite("region", *self.region)
             if not (self.region[0] < self.region[1] and self.region[2] < self.region[3]):
                 raise ParameterError(f"region {self.region} must satisfy xmin < xmax, ymin < ymax")
@@ -139,7 +148,7 @@ def integrate_step(x, u_vec, truth: FlowSource, t: float, dt: float):
 def _in_region(x, y, region):
     """Region membership; elementwise for arrays."""
     if region is None:
-        return True
+        return np.True_  # ~ negates it, as it does an array's mask
     xmin, xmax, ymin, ymax = region
     return (xmin <= x) & (x <= xmax) & (ymin <= y) & (y <= ymax)
 
@@ -265,8 +274,9 @@ def run_batch(
     ]
     if workers <= 1:
         return [_run_one(j) for j in jobs]
+    # one contiguous chunk per worker: its pickle holds the scenario once
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_one, jobs))
+        return list(pool.map(_run_one, jobs, chunksize=max(1, math.ceil(len(jobs) / workers))))
 
 
 class DriftEnd(enum.IntEnum):
@@ -289,6 +299,7 @@ def drift_particles(truth: FlowSource, obstacles: ObstacleMask, region, x, y, t,
     drifts on until its own t + horizon. Returns end x, y and a DriftEnd
     status per particle.
     """
+    check_finite("step_dt", step_dt, sign="positive")
     x = np.array(x, dtype=float)
     y = np.array(y, dtype=float)
     t = np.broadcast_to(np.asarray(t, dtype=float), x.shape)
@@ -343,38 +354,28 @@ def stranding_study(
 ):
     """Monte-Carlo drift study: n passive trajectories from uniform starts.
 
-    Starts are drawn one particle at a time (x, y until off obstacles, then
-    t), and all particles then drift together through ``drift_particles``.
-    A region whose draws round to obstacle cells alone, save on its edges,
-    raises ParameterError. Returns counts, rates, and a per-cell heatmap of
+    The n start times are drawn first, then (x, y) pairs in batches of n,
+    keeping the first n off the obstacles: with one start time, the starts of
+    a one-pair-at-a-time loop. A region that takes more than ``draw_budget(n)``
+    draws raises ParameterError. All particles then drift together through
+    ``drift_particles``. Returns counts, rates, and a per-cell heatmap of
     stranding end locations on the obstacle-mask grid.
     """
     if n < 1:
         raise ParameterError("need at least one sample")
     check_finite("drift horizon", horizon, sign="positive")
     xmin, xmax, ymin, ymax = region
-    g = obstacles.grid
-
-    def cells(lo, hi, origin, step, count):
-        # the nodes that the draws in [lo, hi) round to, as nearest_cell does
-        a, b = sorted(((lo - origin) / step, (hi - origin) / step))
-        first, last = (round(a),) * 2 if a == b else (math.floor(a + 0.5), math.ceil(b - 0.5))
-        return slice(min(max(first, 0), count - 1), min(max(last, 0), count - 1) + 1)
-
-    rows, cols = cells(ymin, ymax, g.y0, g.dy, g.ny), cells(xmin, xmax, g.x0, g.dx, g.nx)
-    if obstacles.mask[rows, cols].all():
-        raise ParameterError(f"region {region} holds no free cell to start a drift from")
     rng = np.random.default_rng(seed)
-    xs, ys, ts = np.empty(n), np.empty(n), np.empty(n)
-    for k in range(n):
-        while True:
-            x = rng.uniform(xmin, xmax)
-            y = rng.uniform(ymin, ymax)
-            if not obstacles.contains(x, y):
-                break
-        xs[k], ys[k] = x, y
-        ts[k] = rng.uniform(*t_range) if t_range[1] > t_range[0] else t_range[0]
-    x, y, status = drift_particles(truth, obstacles, region, xs, ys, ts, horizon, step_dt)
+    ts = rng.uniform(*t_range, size=n) if t_range[1] > t_range[0] else t_range[0]
+    xy, drawn = np.empty((0, 2)), 0
+    while len(xy) < n:
+        if drawn >= draw_budget(n):
+            raise ParameterError(f"region {region} holds no free cell to start {n} drifts from: "
+                                 f"{len(xy)} of {drawn} drawn starts were free")
+        draws = rng.uniform((xmin, ymin), (xmax, ymax), size=(n, 2))
+        xy = np.concatenate([xy, draws[~obstacles.contains_many(*draws.T)]])
+        drawn += n
+    x, y, status = drift_particles(truth, obstacles, region, *xy[:n].T, ts, horizon, step_dt)
     stranded = status == DriftEnd.STRANDED
     # a cell counts at most n strandings: int32 holds any n that fits in memory
     heat = np.zeros((obstacles.grid.ny, obstacles.grid.nx), dtype=np.int32)

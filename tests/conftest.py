@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -70,3 +73,22 @@ def config(tmp_path):
     path.write_text(json.dumps(cfg))
     return dict(path=str(path), out=str(tmp_path / "out"), raw=cfg,
                 tmp=tmp_path)
+
+
+@pytest.fixture
+def run_script():
+    """Run a Python script in a subprocess on this checkout's ``src``, and
+    return its CompletedProcess. A script that has not ended within
+    ``timeout`` seconds fails the test then, for code that might not return."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def run(script, *args, timeout=30):
+        try:
+            return subprocess.run([sys.executable, "-c", script, *args], env=env,
+                                  capture_output=True, text=True, timeout=timeout)
+        except subprocess.TimeoutExpired:
+            pytest.fail(f"the script did not return within {timeout} s")
+
+    return run

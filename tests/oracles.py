@@ -206,13 +206,14 @@ def stranding_study_loop(region, truth, obstacles, n, horizon, seed=0,
     xmin, xmax, ymin, ymax = region
     heat = np.zeros((obstacles.grid.ny, obstacles.grid.nx), dtype=np.int64)
     ends = []
-    for _ in range(n):
+    # every start time is drawn before the first position
+    ts = [rng.uniform(*t_range) if t_range[1] > t_range[0] else t_range[0] for _ in range(n)]
+    for t in ts:
         while True:
             x = rng.uniform(xmin, xmax)
             y = rng.uniform(ymin, ymax)
             if not obstacles.contains(x, y):
                 break
-        t = rng.uniform(*t_range) if t_range[1] > t_range[0] else t_range[0]
         t_end = t + horizon
         status = DriftEnd.SURVIVED
         while t < t_end - 1e-9:

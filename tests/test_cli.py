@@ -428,6 +428,12 @@ _ERROR_MODEL = {"target_rmse": 0.1, "spatial_correlation_length": 2500.0,
     (["solve"], lambda c: c["solve"].update(t_start=-1e308, terminal_time=1e308)),
     # a NaN min_boundary_dist fails every `<` test, so it refused no target
     (["sample-missions", "--n", "2"], lambda c: c["missions"].update(min_boundary_dist=math.nan)),
+    # a region is four numbers: three failed to index, five to unpack in a run
+    (["solve"], lambda c: c["scenario"].update(region=[0.0, 10000.0, 0.0])),
+    (["stranding-study", "--n", "10", "--horizon", "600"],
+     lambda c: c["scenario"].update(region=[0.0, 10000.0, 0.0, 10000.0, 0.0])),
+    (["batch", "--missions", "EMPTY"],
+     lambda c: c["scenario"].update(region=[0.0, 10000.0, 0.0, 10000.0, 0.0])),
 ], ids=["solve-without-radius", "zero-radius", "short-study-range", "unknown-baseline", "solver-alpha", "unknown-forecast-key", "no-controllers",
         "short-final-time-window", "flow-not-an-object", "sim-integrator", "solver-cfl",
         "reversed-solve-window", "reversed-study-range",
@@ -450,7 +456,8 @@ _ERROR_MODEL = {"target_rmse": 0.1, "spatial_correlation_length": 2500.0,
         "infinite-terminal-time", "infinite-region-study", "infinite-region-sample",
         "infinite-final-time-horizon", "nan-final-time-horizon", "infinite-drift-horizon",
         "infinite-cadence", "huge-terminal-time", "overflowing-solve-span",
-        "nan-min-boundary-dist"])
+        "nan-min-boundary-dist", "region-of-three", "region-of-five-study",
+        "region-of-five-batch"])
 def test_bad_config_section_is_config_error(config, tmp_path, capsys, command, change):
     """Every section that any command reads is parsed, and checked, before
     the command runs: a missing key, a bad value, an unknown key or kind, a

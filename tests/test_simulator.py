@@ -3,8 +3,7 @@
 import json
 import math
 import os
-import subprocess
-import sys
+import re
 import tempfile
 import tracemalloc
 from dataclasses import dataclass, replace
@@ -345,18 +344,65 @@ except ParameterError as exc:
     # draws in [2.4, 2.5) km round to the free cells of column and row 2
     ((2400.0, 7500.0, 2400.0, 7500.0), "ran"),
 ], ids=["inside", "half-node-edges", "one-point", "free-cells-on-the-edge"])
-def test_stranding_study_refuses_a_region_with_no_free_cell(region, ends):
+def test_stranding_study_refuses_a_region_with_no_free_cell(run_script, region, ends):
     """Starts drawn until one is off the obstacles would never end: the study
-    refuses the region up front. It runs in a subprocess under a timeout,
-    as drawing without that check does not return."""
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", _ISLAND_STUDY, *map(repr, region)], env=env,
-                          capture_output=True, text=True, timeout=30)
+    refuses the region once it has drawn its budget. It runs under a
+    timeout, as drawing without that cap does not return."""
+    proc = run_script(_ISLAND_STUDY, *map(repr, region))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split()[0] == ends
     assert ("no free cell" in proc.stdout) == (ends == "refused")
+
+
+def test_stranding_study_refuses_a_region_with_fewer_than_1_in_1000_draws_free(run_script):
+    """Draws in [2,499, 2,500) m round to the free column 2, 1 in 5,001 of
+    the region's width: the study refuses it after its budget of
+    ``draw_budget(5)``, 5,000 draws, and says how many were free."""
+    proc = run_script(_ISLAND_STUDY, "2499.0", "7500.0", "2500.0", "7500.0")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("refused") and "no free cell" in proc.stdout
+    free = re.search(r"(\d+) of 5000 drawn starts were free", proc.stdout)
+    assert free and int(free[1]) < 5, proc.stdout
+
+
+#: three particles drifted for 3,000 s on a 0.1 m/s eastward flow, in the
+#: region and with the step given as the script's two arguments
+_THREE_DRIFTERS = """
+import ast, json, sys
+import numpy as np
+from driftplan.errors import ParameterError
+from driftplan.flowfield import make_uniform
+from driftplan.simulator import drift_particles
+from driftplan.terrain import ObstacleMask, SpatialGrid
+om = ObstacleMask(SpatialGrid(0.0, 0.0, 1000.0, 1000.0, 11, 11), np.zeros((11, 11), dtype=bool))
+region, step_dt = ast.literal_eval(sys.argv[1]), float(sys.argv[2])
+try:
+    ends = drift_particles(make_uniform(0.1, 0.0), om, region, [1000.0, 2000.0, 3000.0],
+                           [5000.0] * 3, 0.0, 3000.0, step_dt)
+    print("ran", json.dumps([e.tolist() for e in ends]))
+except ParameterError as exc:
+    print("refused", exc)
+"""
+
+
+def test_drift_without_a_region_returns_as_inside_one(run_script):
+    """No region is an all-true mask: the particles drift to their horizon and
+    end where they end inside a region that holds their whole drift."""
+    proc = run_script(_THREE_DRIFTERS, "None", "600.0")
+    assert proc.returncode == 0, proc.stderr
+    kind, ends = proc.stdout.split(maxsplit=1)
+    om = ObstacleMask(SpatialGrid(0.0, 0.0, 1000.0, 1000.0, 11, 11), np.zeros((11, 11), bool))
+    want = drift_particles(make_uniform(0.1, 0.0), om, (0.0, 10000.0, 0.0, 10000.0),
+                           [1000.0, 2000.0, 3000.0], [5000.0] * 3, 0.0, 3000.0, 600.0)
+    assert kind == "ran" and json.loads(ends) == [e.tolist() for e in want]
+    assert want[2].tolist() == [DriftEnd.SURVIVED] * 3
+
+
+@pytest.mark.parametrize("step_dt", ["0.0", "-600.0", "nan"])
+def test_drift_refuses_a_step_that_is_not_positive_and_finite(run_script, step_dt):
+    proc = run_script(_THREE_DRIFTERS, "(0.0, 10000.0, 0.0, 10000.0)", step_dt)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("refused step_dt must be positive and finite")
 
 
 def test_stranding_study_counts_extent_exit_as_left_region():
@@ -445,6 +491,35 @@ def test_batch_results_independent_of_worker_count():
     for ra, rb in zip(a, b):
         assert ra.xs == rb.xs and ra.ys == rb.ys
         np.testing.assert_array_equal(ra.ttrs, rb.ttrs)  # NaN-tolerant
+
+
+#: the flows that this process has pickled, one entry per pickle
+_PICKLED = []
+
+
+@dataclass(frozen=True)
+class _CountedFlow(UniformFlow):
+    """A uniform flow that notes each pickle of it in ``_PICKLED``."""
+
+    def __reduce_ex__(self, protocol):
+        _PICKLED.append(self)
+        return super().__reduce_ex__(protocol)
+
+
+def test_a_batch_sends_its_truth_once_per_worker():
+    """Missions go to the workers in one contiguous chunk each, and a chunk's
+    pickle holds its truth once: 6 missions on 2 workers pickle it twice,
+    and end as on one worker."""
+    om = ObstacleMask(SpatialGrid(0, 0, 200.0, 200.0, 51, 51), np.zeros((51, 51), bool))
+    spec = BatchSpec(kind=ControllerKind.FLOATING, obstacles=om,
+                     solver_config=SolverConfig(grid=_grid(), u_max=U_MAX))
+    missions = [_mission(1000.0 * k, 5000.0, t_max=6000.0) for k in range(1, 7)]
+    truth, cfg = _CountedFlow(0.1, 0.0), SimConfig(step_dt=600.0)
+    one = run_batch(missions, truth, spec, cfg, workers=1)
+    _PICKLED.clear()
+    two = run_batch(missions, truth, spec, cfg, workers=2)
+    assert len(_PICKLED) == 2
+    assert [_record_fields(r) for r in two] == [_record_fields(r) for r in one]
 
 
 def test_batch_mission_seeds_differ_across_indices():
@@ -572,11 +647,12 @@ def _drift_truth(kind, rng):
 
 @settings(max_examples=40, deadline=None)
 @given(kind=st.sampled_from(["uniform", "highway", "gyre", "gridded"]),
-       seed=st.integers(0, 2**31 - 1), n=st.integers(1, 25))
-@example(kind="gyre", seed=896249882, n=15)  # 1 ulp apart when x**2 used pow
-def test_stranding_study_matches_scalar_reference(kind, seed, n):
+       seed=st.integers(0, 2**31 - 1), n=st.integers(1, 25), one_time=st.booleans())
+@example(kind="gyre", seed=896249882, n=15, one_time=False)  # 1 ulp apart when x**2 used pow
+def test_stranding_study_matches_scalar_reference(kind, seed, n, one_time):
     """The batched study equals the one-particle-at-a-time loop: the same
-    counts and heatmap, and bit-equal end positions per particle."""
+    counts and heatmap, and bit-equal end positions per particle. With
+    ``one_time`` every particle starts at one time, a zero-width range."""
     rng = np.random.default_rng(seed)
     truth = _drift_truth(kind, rng)
     om = ObstacleMask(grid=SpatialGrid(0.0, 0.0, 500.0, 500.0, 21, 21),
@@ -586,8 +662,9 @@ def test_stranding_study_matches_scalar_reference(kind, seed, n):
     hi = np.minimum(lo + rng.uniform(500.0, 10000.0, 2), 11000.0)
     region = (lo[0], hi[0], lo[1], hi[1])
     t_lo = rng.uniform(0.0, 30000.0)
+    t_hi = t_lo if one_time else t_lo + rng.uniform(1.0, 20000.0)
     kw = dict(n=n, horizon=rng.uniform(1000.0, 25000.0), seed=seed % 1000,
-              t_range=(t_lo, t_lo + rng.uniform(1.0, 20000.0)),
+              t_range=(t_lo, t_hi),
               step_dt=float(rng.choice([600.0, 1000.5, 2400.0])))
     want, ends = stranding_study_loop(region, truth, om, **kw)
     got = stranding_study(region, truth, om, **kw)
@@ -598,12 +675,12 @@ def test_stranding_study_matches_scalar_reference(kind, seed, n):
     # the same draws, drifted through the helper, end where the loop ended
     draws = np.random.default_rng(kw["seed"])
     starts = []
-    for _ in range(n):
+    for t in [draws.uniform(t_lo, t_hi) if t_hi > t_lo else t_lo for _ in range(n)]:
         while True:
             x, y = draws.uniform(lo[0], hi[0]), draws.uniform(lo[1], hi[1])
             if not om.contains(x, y):
                 break
-        starts.append((x, y, draws.uniform(*kw["t_range"])))
+        starts.append((x, y, t))
     x0, y0, t0 = np.array(starts).T
     x, y, status = drift_particles(truth, om, region, x0, y0, t0,
                                    kw["horizon"], kw["step_dt"])
