@@ -312,9 +312,10 @@ class GriddedFlow(FlowSource):
             # a point beyond the tolerance, a NaN or no point at all: check
             # and clamp as every flow does, x before y before t
             p[0], p[1], p[2] = self._check_extent(x, y, t, clamp_time=clamp_time)
-        # fractional and base index per axis; np.clip keeps a -0.0 only with
-        # scalar bounds, so the per-axis cap is a separate minimum
-        f = np.clip((q - self._origin) / self._spacing, 0.0, np.inf)
+        # fractional and base index per axis: the clip ufunc with scalar bounds keeps
+        # a -0.0 that np.maximum, np.fmax and array bounds lose, so the cap is a minimum
+        f = (q - self._origin) / self._spacing
+        f.clip(0.0, np.inf, out=f)
         np.minimum(f, self._f_cap, out=f)
         i = np.minimum(f.astype(int), self._i_cap)
         w = np.empty((2,) + f.shape)  # 1 - weight, weight

@@ -68,8 +68,8 @@ class SpatialGrid:
 
     def nearest_cells(self, x, y):
         """``nearest_cell`` for arrays of points: (rows, cols) int arrays."""
-        i = np.clip(np.rint((x - self.x0) / self.dx), 0, self.nx - 1).astype(np.intp)
-        j = np.clip(np.rint((y - self.y0) / self.dy), 0, self.ny - 1).astype(np.intp)
+        i = np.rint((x - self.x0) / self.dx).clip(0, self.nx - 1).astype(np.intp)
+        j = np.rint((y - self.y0) / self.dy).clip(0, self.ny - 1).astype(np.intp)
         return j, i
 
     def bilinear_cell(self, x: float, y: float):

@@ -36,6 +36,8 @@ MIN_DT = 1e-9
 CFL = 0.5
 #: the most snapshots one solve may hold: 30 days at 5-minute snapshots fit
 MAX_SNAPSHOTS = 10_000
+#: the most bytes one solve's float64 values may take, all snapshots together
+MAX_VALUE_BYTES = 2**30
 
 
 @dataclass(frozen=True)
@@ -270,6 +272,9 @@ def solve_mtr(
     if n_snap > MAX_SNAPSHOTS:
         raise ParameterError(f"solve window [{t_start}, {terminal_time}] would make "
                              f"{n_snap:.3g} snapshots, more than {MAX_SNAPSHOTS}")
+    if 8 * n_snap * g.ny * g.nx > MAX_VALUE_BYTES:
+        raise ParameterError(f"{n_snap} snapshots of {g.ny} x {g.nx} float64 values take "
+                             f"{8 * n_snap * g.ny * g.nx:,} B, more than {MAX_VALUE_BYTES:,}")
     if obstacles is not None:
         check_mask_grid(obstacles, g)
     obst = obstacles.mask if obstacles is not None else np.zeros((g.ny, g.nx), dtype=bool)

@@ -121,28 +121,22 @@ class SimulationRecord:
                 w.writerow([t, x, y, ux, uy, b, "" if math.isnan(d) else d])
 
 
-def _rk4(deriv, px, py, t, dt):
-    """Classical RK4 step from (px, py) at t; works on floats and arrays."""
-    k1 = deriv(px, py, t)
-    k2 = deriv(px + 0.5 * dt * k1[0], py + 0.5 * dt * k1[1], t + 0.5 * dt)
-    k3 = deriv(px + 0.5 * dt * k2[0], py + 0.5 * dt * k2[1], t + 0.5 * dt)
-    k4 = deriv(px + dt * k3[0], py + dt * k3[1], t + dt)
-    return (
-        px + dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
-        py + dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]),
-    )
+def _rk4(deriv, p, t, dt):
+    """Classical RK4 step of the packed position ``p``, x then y on the first
+    axis, (2,) or (2, N): each stage is one array operation."""
+    k1 = deriv(p, t)
+    k2 = deriv(p + 0.5 * dt * k1, t + 0.5 * dt)
+    k3 = deriv(p + 0.5 * dt * k2, t + 0.5 * dt)
+    k4 = deriv(p + dt * k3, t + dt)
+    return p + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def integrate_step(x, u_vec, truth: FlowSource, t: float, dt: float):
-    """One RK4 step of dx/dt = v(x, t) + u with u held constant."""
-    ux, uy = u_vec
-    px, py = x
+    """One RK4 step of dx/dt = v(x, t) + u with u held constant; returns floats."""
+    def deriv(q, tau):
+        return np.add(truth.sample(q[0], q[1], tau, clamp_time=True), u_vec)
 
-    def deriv(qx, qy, tau):
-        vx, vy = truth.sample(qx, qy, tau, clamp_time=True)
-        return vx + ux, vy + uy
-
-    return _rk4(deriv, px, py, t, dt)
+    return _rk4(deriv, np.array(x, dtype=float), t, dt).tolist()
 
 
 def _in_region(x, y, region):
@@ -300,46 +294,45 @@ def drift_particles(truth: FlowSource, obstacles: ObstacleMask, region, x, y, t,
     status per particle.
     """
     check_finite("step_dt", step_dt, sign="positive")
-    x = np.array(x, dtype=float)
-    y = np.array(y, dtype=float)
-    t = np.broadcast_to(np.asarray(t, dtype=float), x.shape)
+    xy = np.array((x, y), dtype=float)
+    t = np.broadcast_to(np.asarray(t, dtype=float), xy.shape[1:])
     t_end = t + horizon
-    status = np.full(x.shape, DriftEnd.SURVIVED, dtype=np.int8)
+    status = np.full(t.shape, DriftEnd.SURVIVED, dtype=np.int8)
     live = np.flatnonzero(t < t_end - 1e-9)
-    px, py, pt, pend = x[live], y[live], t[live], t_end[live]
+    p, pt, pend = xy[:, live], t[live], t_end[live]
+    lo, hi = [[truth.x_min], [truth.y_min]], [[truth.x_max], [truth.y_max]]
     off = None
 
-    def deriv(qx, qy, tau):
+    def deriv(q, tau):
         try:
-            vx, vy = truth.sample_many(qx, qy, tau, clamp_time=True)
+            v = truth.sample_many(q[0], q[1], tau, clamp_time=True)
         except ExtentError:
             # the particles whose stage left the extent, or is NaN, end this
             # step; the others are sampled as before, at points moved inside
             # for them
-            ok = truth.inside(qx, qy)
+            ok = truth.inside(q[0], q[1])
             off[~ok] = True
-            qx = np.where(ok, qx, np.clip(np.nan_to_num(qx), truth.x_min, truth.x_max))
-            qy = np.where(ok, qy, np.clip(np.nan_to_num(qy), truth.y_min, truth.y_max))
-            vx, vy = truth.sample_many(qx, qy, tau, clamp_time=True)
-        return vx + 0.0, vy + 0.0  # zero control, as integrate_step adds it
+            q = np.where(ok, q, np.clip(np.nan_to_num(q), lo, hi))
+            v = truth.sample_many(q[0], q[1], tau, clamp_time=True)
+        k = np.empty(q.shape)  # zero control, as integrate_step adds it
+        np.add(v[0], 0.0, out=k[0])
+        np.add(v[1], 0.0, out=k[1])
+        return k
 
     while live.size:
         off = np.zeros(live.size, dtype=bool)
-        qx, qy = _rk4(deriv, px, py, pt, step_dt)
-        px = np.where(off, px, qx)
-        py = np.where(off, py, qy)
+        p = np.where(off, p, _rk4(deriv, p, pt, step_dt))
         pt = pt + step_dt
-        stranded = ~off & obstacles.contains_many(px, py)
-        left = off | (~stranded & ~_in_region(px, py, region))
+        stranded = ~off & obstacles.contains_many(p[0], p[1])
+        left = off | (~stranded & ~_in_region(p[0], p[1], region))
         done = stranded | left | ~(pt < pend - 1e-9)
         if done.any():
-            x[live[done]] = px[done]
-            y[live[done]] = py[done]
+            xy[:, live[done]] = p.compress(done, axis=1)
             status[live[stranded]] = DriftEnd.STRANDED
             status[live[left]] = DriftEnd.LEFT_REGION
             keep = ~done
-            live, px, py, pt, pend = live[keep], px[keep], py[keep], pt[keep], pend[keep]
-    return x, y, status
+            live, p, pt, pend = live[keep], p.compress(keep, axis=1), pt[keep], pend[keep]
+    return xy[0], xy[1], status
 
 
 def stranding_study(

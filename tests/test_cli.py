@@ -12,7 +12,7 @@ import pytest
 
 from driftplan.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from driftplan.flowfield import GriddedFlow, SpaceTimeGrid, write_flow_file
-from driftplan.hjsolver import TargetSpec
+from driftplan.hjsolver import MAX_SNAPSHOTS, MAX_VALUE_BYTES, TargetSpec
 from driftplan.missions import write_missions
 from driftplan.simulator import Mission
 
@@ -209,6 +209,32 @@ def test_elevation_file_terrain_sets_the_coarsened_planning_grid(config, tmp_pat
     ttr = np.loadtxt(tmp_path / "elg1" / "ttr.csv", delimiter=",")
     assert ttr.shape == (51, 51)
     assert json.loads(capsys.readouterr().out.strip()) == synthetic
+
+
+def test_solve_beyond_the_value_byte_budget_is_config_error(config, tmp_path, capsys,
+                                                            monkeypatch):
+    """A 401^2 ELG1 terrain with 10,000 snapshots, the snapshot cap, would
+    hold 12.9 GB of values: the solve is refused before it allocates them.
+    numpy.empty refuses anything larger than the budget, so a solve that
+    tried would fail here at once, not page through memory."""
+    real_empty = np.empty
+
+    def bounded_empty(shape, dtype=float, *args, **kwargs):
+        if math.prod(np.atleast_1d(shape).tolist()) * np.dtype(dtype).itemsize > MAX_VALUE_BYTES:
+            raise MemoryError(f"numpy.empty({shape}) is beyond the test's budget")
+        return real_empty(shape, dtype, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", bounded_empty)
+    path = tmp_path / "terrain.elg1"
+    path.write_bytes(struct.pack("<4sII4d", b"ELG1", 401, 401, 0.0, 25.0, 0.0, 25.0)
+                     + np.full((401, 401), -4000.0, dtype="<f4").tobytes())
+    raw = dict(config["raw"])
+    raw["scenario"] = dict(raw["scenario"], terrain={"kind": "file", "path": str(path)})
+    raw["solve"] = dict(raw["solve"], terminal_time=3000.0 * (MAX_SNAPSHOTS - 1))
+    p = tmp_path / "big.json"
+    p.write_text(json.dumps(raw))
+    err = _config_error(capsys, ["solve", "--config", str(p)])
+    assert f"more than {MAX_VALUE_BYTES:,}" in err
 
 
 def test_stats_command_recomputes_report(config, tmp_path, capsys):

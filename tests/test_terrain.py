@@ -295,6 +295,12 @@ def test_contains_many_matches_contains():
     y = np.concatenate([rng.uniform(-300.0, 700.0, 200), g.y0 + 50.0 * np.arange(-2, 16)])
     got = om.contains_many(x, y)
     assert got.tolist() == [om.contains(a, b) for a, b in zip(x, y)]
+    # on a zero-origin grid: signed zeros, and points far beyond both edges
+    zg = ObstacleMask(grid=SpatialGrid(0.0, 0.0, 100.0, 100.0, 7, 5), mask=om.mask)
+    edge = np.array([0.0, -0.0, -1e300, 1e300, -1e18, 1e18, -49.9, 650.0])
+    x, y = (a.ravel() for a in np.meshgrid(edge, edge))
+    got = zg.contains_many(x, y)
+    assert got.tolist() == [zg.contains(a, b) for a, b in zip(x, y)]
 
 
 @settings(max_examples=200, deadline=None)
