@@ -38,6 +38,8 @@ CFL = 0.5
 MAX_SNAPSHOTS = 10_000
 #: the most bytes one solve's float64 values may take, all snapshots together
 MAX_VALUE_BYTES = 2**30
+#: the most cell updates (substeps x layers x ny x nx) one solve may plan
+MAX_CELL_UPDATES = 2**32
 
 
 @dataclass(frozen=True)
@@ -195,12 +197,12 @@ def _hamiltonian(S, valid, V, u_eff, h):
     the downstream neighbor, the control term the per-axis descent
     direction (Osher & Fedkiw 2003). ``S`` and ``valid`` may stack several
     (ny, nx) layers along a leading axis; each layer is stepped alone. ``V``
-    holds the x and y velocities over each cell of ``S``, and ``h`` the
-    spacings (dx, dy). A one-sided difference toward an invalid side (a
-    sentinel neighbor or the domain edge) is zero, which drops that side
-    from the upwind candidates."""
+    holds the x and y velocities, which broadcast over each layer of ``S``,
+    and ``h`` the spacings (dx, dy). A one-sided difference toward an invalid
+    side (a sentinel neighbor or the domain edge) is zero, which drops that
+    side from the upwind candidates."""
     # D- then D+, each with the x axis first
-    D = np.zeros((2, *V.shape))
+    D = np.zeros((2, 2, *S.shape))
     for a, lo, hi in ((0, np.s_[..., :-1], np.s_[..., 1:]),
                       (1, np.s_[..., :-1, :], np.s_[..., 1:, :])):
         d = S[hi] - S[lo]
@@ -221,8 +223,9 @@ def _hamiltonian(S, valid, V, u_eff, h):
     return Dm[0]
 
 
-def _target_masks(grid: SpaceTimeGrid, target: TargetSpec):
-    X, Y = grid.meshgrid()
+def _target_masks(grid: SpatialGrid, target: TargetSpec, X, Y):
+    """The target's nodes and the terminal distance to it, on ``grid``'s
+    meshgrid ``X, Y``."""
     r = np.hypot(X - target.center[0], Y - target.center[1])
     mask = r <= target.radius
     if not mask.any():
@@ -258,7 +261,7 @@ def solve_mtr(
     inevitably-lost cells (pinned at the sentinel), and the
     upwind-discretized Hamiltonian elsewhere, with effective
     control authority u_max - d_max against a worst-case isotropic
-    disturbance.
+    disturbance. Every interval's substeps are planned before the march.
     """
     g = config.grid
     if not -FLOAT_MAX <= t_start < terminal_time <= FLOAT_MAX:  # NaN fails too
@@ -278,59 +281,61 @@ def solve_mtr(
     if obstacles is not None:
         check_mask_grid(obstacles, g)
     obst = obstacles.mask if obstacles is not None else np.zeros((g.ny, g.nx), dtype=bool)
-    tgt_mask, terminal_dist = _target_masks(out_grid, target)
-
+    have_obst = obst.any()
+    X, Y = out_grid.meshgrid()
+    ts, steady = out_grid.ts, flow.is_steady
     u_eff = max(config.u_max - config.d_max, 0.0)
     diss_pad = config.u_max + config.d_max
 
-    X, Y = out_grid.meshgrid()
-    have_obst = obst.any()
+    def cfl_rate(vx, vy):
+        return float(np.max((np.abs(vx) + diss_pad) / g.dx + (np.abs(vy) + diss_pad) / g.dy))
+
+    # the plan: the CFL rate at each snapshot time bounds the intervals on
+    # either side of it (a steady flow's one rate bounds them all), and each
+    # interval takes the fewest equal substeps under CFL. The terminal sample
+    # also fills V, whose velocities broadcast over the layers of S; an
+    # unsteady flow refills it at each substep's midpoint
+    sample = flow.sampler(X, Y)
+    V = np.empty((2, 1, g.ny, g.nx))
+    V[0], V[1] = v_end = sample(ts[-1])
+    rates = ([cfl_rate(*v_end)] * n_snap if steady
+             else [cfl_rate(*sample(t)) for t in ts[:-1]] + [cfl_rate(*v_end)])
+    steps = [dt_eff * max(hi, lo) / CFL for lo, hi in zip(rates, rates[1:])]
+    bad = [s for s in steps if not s <= FLOAT_MAX]  # NaN fails too
+    if bad:
+        raise ParameterError(f"CFL step count {bad[0]} is not finite; check the flow's speeds")
+    substeps = [max(1, math.ceil(s)) for s in steps]
+    if dt_eff / max(substeps) < MIN_DT:
+        raise ParameterError(f"CFL step {dt_eff / max(substeps)} below the floor {MIN_DT}; "
+                             "coarsen the grid")
     # layer 0 is the reach value J; with obstacles, layer 1 is -W for the
     # avoidance value W (signed clearance, running minimum under best-case
     # control), so both step with one Hamiltonian call. Cells with -W > 0
     # are doomed. Layer 1's mask stays all true.
-    S = np.empty((2 if have_obst else 1, g.ny, g.nx))
+    layers = 2 if have_obst else 1
+    if sum(substeps) * layers * g.ny * g.nx > MAX_CELL_UPDATES:
+        raise ParameterError(f"{sum(substeps):,} substeps of {layers} x {g.ny} x {g.nx} cells "
+                             f"are more than {MAX_CELL_UPDATES:,} cell updates")
+
+    S = np.empty((layers, g.ny, g.nx))
+    tgt_mask, terminal_dist = _target_masks(g, target, X, Y)
     S[0] = np.where(obst, SENTINEL, terminal_dist)
     J = S[0]
     values = np.empty((n_snap, g.ny, g.nx))
     values[n_snap - 1] = J
     if have_obst:
         # -W starts at minus the clearance, capped at the sentinel where there
-        # is no free water, so it is positive on the obstacles alone. Its rate
-        # is clamped at >= 0, so -W never falls and the blocked set, obstacles
-        # and doomed cells, only grows: pinned at the sentinel from the start
-        # and after each substep, it stays out of J's valid mask
+        # is no free water, so it is positive on the obstacles and only there.
+        # Its rate is clamped at >= 0, so -W never falls and the blocked set,
+        # obstacles and doomed cells, only grows: pinned at the sentinel after
+        # each substep, it stays out of J's valid mask
         S[1] = np.minimum(-obstacles.clearance, SENTINEL)
     valid = np.ones(S.shape, dtype=bool)
-    ts = out_grid.ts
     tgt_cells = np.flatnonzero(tgt_mask & ~obst)
 
-    def cfl_rate(vx, vy):
-        return float(np.max((np.abs(vx) + diss_pad) / g.dx + (np.abs(vy) + diss_pad) / g.dy))
-
-    sample = flow.sampler(X, Y)
-    steady = flow.is_steady
-    # V holds the velocities over each layer of S. A steady flow is sampled
-    # once; otherwise the CFL rate at each snapshot time bounds the interval
-    # on either side of it, and V is refilled at each substep's midpoint
-    vx, vy = sample(ts[-1])
-    rate_hi = cfl_rate(vx, vy)
-    V = np.empty((2, *S.shape))
-    V[0], V[1] = vx, vy
-
     for k in range(n_snap - 2, -1, -1):
-        t_hi = ts[k + 1]
-        rate_lo = rate_hi if steady else cfl_rate(*sample(ts[k]))
-        steps = dt_eff * max(rate_hi, rate_lo) / CFL
-        rate_hi = rate_lo
-        if not steps <= FLOAT_MAX:  # NaN fails too
-            raise ParameterError(f"CFL step count {steps} is not finite; check the flow's speeds")
-        m = max(1, math.ceil(steps))
+        t_hi, m = ts[k + 1], substeps[k]
         dt = dt_eff / m
-        if dt < MIN_DT:
-            raise ParameterError(
-                f"CFL step {dt} below the floor {MIN_DT}; coarsen the grid"
-            )
         for s in range(m):
             if not steady:
                 V[0], V[1] = sample(t_hi - s * dt - 0.5 * dt)
@@ -338,13 +343,12 @@ def solve_mtr(
             H = _hamiltonian(S, valid, V, u_eff, (g.dx, g.dy))
             if have_obst:
                 np.maximum(0.0, H[1], out=H[1])
-            J_tgt = J.take(tgt_cells) - ALPHA * dt
+            H.put(tgt_cells, -ALPHA)  # J falls at ALPHA inside the target
             H *= dt
             S += H
-            J.put(tgt_cells, J_tgt)
             np.minimum(J, SENTINEL, out=J)
             if have_obst:
-                J[obst | (S[1] > 0)] = SENTINEL
+                J[S[1] > 0] = SENTINEL
         values[k] = J
 
     return ValueFunction(grid=out_grid, values=values, terminal_time=terminal_time)

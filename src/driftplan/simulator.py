@@ -294,8 +294,11 @@ def drift_particles(truth: FlowSource, obstacles: ObstacleMask, region, x, y, t,
     status per particle.
     """
     check_finite("step_dt", step_dt, sign="positive")
+    check_finite("drift horizon", horizon, sign="positive")
     xy = np.array((x, y), dtype=float)
     t = np.broadcast_to(np.asarray(t, dtype=float), xy.shape[1:])
+    if t.size:  # a NaN start is the least and the greatest
+        check_finite("drift start times", t.min(), t.max())
     t_end = t + horizon
     status = np.full(t.shape, DriftEnd.SURVIVED, dtype=np.int8)
     live = np.flatnonzero(t < t_end - 1e-9)
@@ -347,7 +350,8 @@ def stranding_study(
 ):
     """Monte-Carlo drift study: n passive trajectories from uniform starts.
 
-    The n start times are drawn first, then (x, y) pairs in batches of n,
+    The n start times are drawn first, uniform on ``t_range`` (two finite
+    numbers, lo <= hi, or ParameterError), then (x, y) pairs in batches of n,
     keeping the first n off the obstacles: with one start time, the starts of
     a one-pair-at-a-time loop. A region that takes more than ``draw_budget(n)``
     draws raises ParameterError. All particles then drift together through
@@ -356,7 +360,9 @@ def stranding_study(
     """
     if n < 1:
         raise ParameterError("need at least one sample")
-    check_finite("drift horizon", horizon, sign="positive")
+    check_finite("study start times", *t_range)
+    if not t_range[0] <= t_range[1]:  # an equal pair is one start time
+        raise ParameterError(f"study start times must satisfy lo <= hi, not {t_range}")
     xmin, xmax, ymin, ymax = region
     rng = np.random.default_rng(seed)
     ts = rng.uniform(*t_range, size=n) if t_range[1] > t_range[0] else t_range[0]

@@ -5,9 +5,16 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from driftplan.flowfield import SpaceTimeGrid
 from driftplan.terrain import ObstacleMask, SpatialGrid
+
+# in CI the property tests draw their examples from each test's name alone,
+# with no example database, so a change and its parent draw the same ones
+settings.register_profile("ci", derandomize=True, database=None)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 @pytest.fixture

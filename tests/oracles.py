@@ -309,10 +309,10 @@ def solve_mtr_values(flow, obstacles, target, config, t_start, terminal_time):
     out_grid = g.spanning(t_start, terminal_time)
     n_snap, dt_eff = out_grid.nt, out_grid.dt_snap
     obst = obstacles.mask if obstacles is not None else np.zeros((g.ny, g.nx), dtype=bool)
-    tgt_mask, terminal_dist = _target_masks(out_grid, target)
+    X, Y = out_grid.meshgrid()
+    tgt_mask, terminal_dist = _target_masks(out_grid, target, X, Y)
     u_eff = max(config.u_max - config.d_max, 0.0)
     diss_pad = config.u_max + config.d_max
-    X, Y = out_grid.meshgrid()
     have_obst = obst.any()
     S = np.empty((2 if have_obst else 1, g.ny, g.nx))
     S[0] = np.where(obst, SENTINEL, terminal_dist)
@@ -359,6 +359,67 @@ def solve_mtr_values(flow, obstacles, target, config, t_start, terminal_time):
             if have_obst:
                 J[S[1] > 0] = SENTINEL
         values[k] = S[0]
+    return values
+
+
+def rolling_rate_march_values(flow, obstacles, target, config, t_start, terminal_time):
+    """Reference ``solve_mtr(...).values`` for a valid problem, with no plan
+    of its substeps: the CFL rate is sampled at each snapshot time as the
+    march reaches it and rolled from one interval to the next, the
+    velocities fill every layer of the state, the target cells are read and
+    written back by flat index around the update, and the obstacles are
+    pinned beside the doomed cells."""
+    g = config.grid
+    out_grid = g.spanning(t_start, terminal_time)
+    n_snap, dt_eff = out_grid.nt, out_grid.dt_snap
+    obst = obstacles.mask if obstacles is not None else np.zeros((g.ny, g.nx), dtype=bool)
+    X, Y = out_grid.meshgrid()
+    tgt_mask, terminal_dist = _target_masks(out_grid, target, X, Y)
+    u_eff = max(config.u_max - config.d_max, 0.0)
+    diss_pad = config.u_max + config.d_max
+    have_obst = obst.any()
+    S = np.empty((2 if have_obst else 1, g.ny, g.nx))
+    S[0] = np.where(obst, SENTINEL, terminal_dist)
+    J = S[0]
+    values = np.empty((n_snap, g.ny, g.nx))
+    values[n_snap - 1] = J
+    if have_obst:
+        S[1] = np.minimum(-obstacles.clearance, SENTINEL)
+    valid = np.ones(S.shape, dtype=bool)
+    ts = out_grid.ts
+    tgt_cells = np.flatnonzero(tgt_mask & ~obst)
+
+    def cfl_rate(vx, vy):
+        return float(np.max((np.abs(vx) + diss_pad) / g.dx + (np.abs(vy) + diss_pad) / g.dy))
+
+    sample = flow.sampler(X, Y)
+    steady = flow.is_steady
+    vx, vy = sample(ts[-1])
+    rate_hi = cfl_rate(vx, vy)
+    V = np.empty((2, *S.shape))
+    V[0], V[1] = vx, vy
+    for k in range(n_snap - 2, -1, -1):
+        t_hi = ts[k + 1]
+        rate_lo = rate_hi if steady else cfl_rate(*sample(ts[k]))
+        steps = dt_eff * max(rate_hi, rate_lo) / CFL
+        rate_hi = rate_lo
+        m = max(1, math.ceil(steps))
+        dt = dt_eff / m
+        for s in range(m):
+            if not steady:
+                V[0], V[1] = sample(t_hi - s * dt - 0.5 * dt)
+            np.less(J, SENTINEL_THRESHOLD, out=valid[0])
+            H = upwind_hamiltonian(S, valid, V[0], V[1], u_eff, g.dx, g.dy)
+            if have_obst:
+                np.maximum(0.0, H[1], out=H[1])
+            J_tgt = J.take(tgt_cells) - ALPHA * dt
+            H *= dt
+            S += H
+            J.put(tgt_cells, J_tgt)
+            np.minimum(J, SENTINEL, out=J)
+            if have_obst:
+                J[obst | (S[1] > 0)] = SENTINEL
+        values[k] = J
     return values
 
 

@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+from driftplan import hjsolver
 from driftplan.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from driftplan.flowfield import GriddedFlow, SpaceTimeGrid, write_flow_file
 from driftplan.hjsolver import MAX_SNAPSHOTS, MAX_VALUE_BYTES, TargetSpec
@@ -235,6 +236,14 @@ def test_solve_beyond_the_value_byte_budget_is_config_error(config, tmp_path, ca
     p.write_text(json.dumps(raw))
     err = _config_error(capsys, ["solve", "--config", str(p)])
     assert f"more than {MAX_VALUE_BYTES:,}" in err
+
+
+def test_solve_beyond_the_cell_update_budget_is_config_error(config, capsys, monkeypatch):
+    """A solve that plans more cell updates than MAX_CELL_UPDATES exits 2,
+    as the fixture's solve does under a budget of one update."""
+    monkeypatch.setattr(hjsolver, "MAX_CELL_UPDATES", 1)
+    err = _config_error(capsys, ["solve", "--config", config["path"]])
+    assert "are more than 1 cell updates" in err
 
 
 def test_stats_command_recomputes_report(config, tmp_path, capsys):

@@ -31,7 +31,7 @@ from driftplan.flowfield import (
     make_highway,
     make_uniform,
 )
-from driftplan import forecast
+from driftplan import forecast, hjsolver
 from driftplan.forecast import ErrorModelConfig, gen_forecast_series
 from driftplan.hjsolver import (
     ALPHA,
@@ -355,6 +355,33 @@ def test_solve_of_more_than_max_snapshots_is_refused():
     assert vf.values.shape == (MAX_SNAPSHOTS, 11, 11)
 
 
+def test_solve_beyond_the_cell_update_budget_is_refused_before_it_marches(monkeypatch):
+    """A solve plans its substeps before it marches: with more planned cell
+    updates (substeps x layers x ny x nx) than MAX_CELL_UPDATES it raises
+    ParameterError before the first substep, and at the budget it runs."""
+    g = _grid(nx=11, ny=9)
+    X, Y = g.meshgrid()
+    island = _mask(g, (X >= 1000.0) & (X <= 1400.0) & (Y >= 600.0) & (Y <= 1000.0))
+    case = (make_double_gyre(0.16, 2 * math.pi / 86_400.0, 0.25, 1000.0), island,
+            TargetSpec((400.0, 400.0), 300.0), SolverConfig(grid=g, u_max=U_MAX), 0.0, 9000.0)
+    real = hjsolver._hamiltonian
+    substeps = []
+    monkeypatch.setattr(hjsolver, "_hamiltonian", lambda *a: substeps.append(1) or real(*a))
+    want = solve_mtr(*case).values
+    planned = len(substeps) * 2 * 9 * 11  # J and -W on every cell
+    assert len(substeps) > 3  # more than one substep per interval
+    monkeypatch.setattr(hjsolver, "MAX_CELL_UPDATES", planned)
+    assert solve_mtr(*case).values.tobytes() == want.tobytes()
+
+    def refuse(*args):
+        raise AssertionError("a substep ran beyond the budget")
+
+    monkeypatch.setattr(hjsolver, "_hamiltonian", refuse)
+    monkeypatch.setattr(hjsolver, "MAX_CELL_UPDATES", planned - 1)
+    with pytest.raises(ParameterError, match=f"are more than {planned - 1:,} cell updates"):
+        solve_mtr(*case)
+
+
 def _island_release():
     """A steady Fourier-perturbed release of a uniform current."""
     em = ErrorModelConfig(0.2, 2500.0, 40_000.0, 24, seed=0)
@@ -487,10 +514,12 @@ def test_hamiltonian_matches_reference(seed, ny, nx, p_valid, p_sentinel, p_stil
     assert (S.tobytes(), V.tobytes()) == (S_before, V_before)
 
 
-def _solve_case(seed, nx, ny, nt, flow_kind, obstacles, point_target):
+def _solve_case(seed, nx, ny, nt, flow_kind, obstacles, point_target, d_max=False):
     """A small solve problem drawn from ``seed``: grid, flow, mask, target,
     speeds and window. Flows up to ~1.5 m/s against ``u_max`` of at most
-    0.5 m/s leave cells doomed beside a wall."""
+    0.5 m/s leave cells doomed beside a wall. ``d_max`` makes the disturbance
+    bound positive; without it, 3 in 10 draws have one. The "box" and "all"
+    masks draw nothing, so the other kinds' draws stay as they were."""
     rng = np.random.default_rng(seed)
     dx, dy = (float(h) for h in rng.uniform(100.0, 500.0, 2))
     g = SpaceTimeGrid(x0=float(rng.uniform(-1000.0, 1000.0)), y0=0.0, dx=dx, dy=dy,
@@ -516,9 +545,12 @@ def _solve_case(seed, nx, ny, nt, flow_kind, obstacles, point_target):
     mask = {"none": None,
             "empty": np.zeros((ny, nx), dtype=bool),
             "random": rng.random((ny, nx)) < 0.2,
-            "wall": X >= g.x_max - dx * rng.integers(0, max(1, nx // 3))}[obstacles]
+            "wall": X >= g.x_max - dx * rng.integers(0, max(1, nx // 3)),
+            "box": (abs(X - X.mean()) <= 0.25 * (g.x_max - g.x0))
+                   & (abs(Y - Y.mean()) <= 0.25 * (g.y_max - g.y0)),
+            "all": np.ones((ny, nx), dtype=bool)}[obstacles]
     cfg = SolverConfig(grid=g, u_max=float(rng.uniform(0.02, 0.5)))
-    if rng.random() < 0.3:
+    if rng.random() < 0.3 or d_max:
         cfg = SolverConfig(grid=g, u_max=cfg.u_max, d_max=float(rng.uniform(0.0, cfg.u_max)))
     center = (float(rng.uniform(g.x0, g.x_max)), float(rng.uniform(g.y0, g.y_max)))
     if point_target:  # no node within the radius: the nearest node seeds the solve
@@ -549,6 +581,21 @@ def test_solve_matches_reference_loop(seed, nx, ny, nt, flow_kind, obstacles, po
     point-like targets and two-snapshot grids."""
     case = _solve_case(seed, nx, ny, nt, flow_kind, obstacles, point_target)
     assert solve_mtr(*case).values.tobytes() == solve_mtr_values(*case).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(**dict(_solve_cases, obstacles=st.sampled_from(["none", "box", "all"]),
+              d_max=st.booleans()))
+def test_solve_matches_the_rolling_rate_march(seed, nx, ny, nt, flow_kind, obstacles,
+                                              point_target, d_max):
+    """solve_mtr, which plans every interval's substeps before it marches,
+    equals byte for byte the march that rolled the CFL rate from interval to
+    interval, wrote the target cells back after the update and pinned the
+    obstacles beside the doomed cells, on steady and unsteady flows, with no
+    obstacles, a box of them or nothing else, and with d_max > 0."""
+    case = _solve_case(seed, nx, ny, nt, flow_kind, obstacles, point_target, d_max)
+    want = oracles.rolling_rate_march_values(*case)
+    assert solve_mtr(*case).values.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("seed, flow_kind", [(3, "uniform"), (11, "gyre"), (5, "fourier")])
@@ -634,6 +681,27 @@ def test_unsteady_solve_evaluates_forecast_error_once_per_component(monkeypatch)
         assert times.count(t) == 1
     for (lo, hi), m in zip(zip(ts[:-1], ts[1:]), substeps):
         assert sum(lo < t < hi for t in times) == m
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), ny=st.integers(1, 12), nx=st.integers(1, 12),
+       dx=st.floats(1.0, 1000.0), dy=st.floats(1.0, 1000.0),
+       kind=st.sampled_from(["random", "edge", "all"]))
+def test_negated_clearance_is_positive_on_the_obstacles_alone(seed, ny, nx, dx, dy, kind):
+    """-W's start, min(-clearance, SENTINEL), is > 0 on every obstacle cell
+    and < 0 on every free one, so pinning the cells where -W > 0 pins the
+    obstacles too: on random masks, masks with a whole edge blocked, masks
+    with no free cell, and cells that are not square."""
+    rng = np.random.default_rng(seed)
+    mask = rng.random((ny, nx)) < rng.uniform(0.05, 0.95)
+    if kind == "edge":
+        mask[(np.s_[0], np.s_[-1], np.s_[:, 0], np.s_[:, -1])[rng.integers(4)]] = True
+    elif kind == "all":
+        mask[:] = True
+    om = ObstacleMask(grid=SpatialGrid(0.0, 0.0, dx, dy, nx, ny), mask=mask)
+    minus_w = np.minimum(-om.clearance, SENTINEL)
+    assert (minus_w[mask] > 0).all()
+    assert (minus_w[~mask] < 0).all()
 
 
 def test_clearance_is_computed_once_per_mask_at_first_use(monkeypatch):

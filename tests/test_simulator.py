@@ -621,6 +621,42 @@ def test_stranding_study_validates_horizon(horizon):
         stranding_study((0, 1, 0, 1), truth, om, n=5, horizon=horizon)
 
 
+def _onto_the_wall():
+    """A 51² mask at 200 m with a wall at x >= 8.6 km and a uniform 0.3 m/s
+    current onto it: a day's drift strands every particle of the square."""
+    g = SpatialGrid(0.0, 0.0, 200.0, 200.0, 51, 51)
+    X, _ = g.meshgrid()
+    return make_uniform(0.3, 0.0), ObstacleMask(grid=g, mask=X >= 8600.0)
+
+
+@pytest.mark.parametrize("t_range", [(math.nan, 0.0), (0.0, math.inf), (5.0, math.nan),
+                                     (-math.inf, 0.0), (5000.0, 0.0)])
+def test_stranding_study_refuses_start_times_not_finite_and_in_order(t_range):
+    """A start range with a NaN or an infinity, or whose first time is after
+    its second, raises ParameterError before any draw; one start time,
+    (0, 0), strands all 50."""
+    truth, om = _onto_the_wall()
+    region = (0.0, 10000.0, 0.0, 10000.0)
+    assert stranding_study(region, truth, om, 50, 86400.0, t_range=(0.0, 0.0))["n_stranded"] == 50
+    with pytest.raises(ParameterError, match="study start times must"):
+        stranding_study(region, truth, om, 50, 86400.0, t_range=t_range)
+
+
+@pytest.mark.parametrize("t, horizon, what", [
+    (math.nan, 86400.0, "drift start times"), ([0.0, math.inf], 86400.0, "drift start times"),
+    ([-math.inf, 0.0], 86400.0, "drift start times"), (0.0, math.nan, "drift horizon"),
+    (0.0, math.inf, "drift horizon"), (0.0, 0.0, "drift horizon"), (0.0, -600.0, "drift horizon"),
+])
+def test_drift_refuses_start_times_and_horizons_that_break_the_finite_rule(t, horizon, what):
+    """A start time or horizon that is not finite, or a horizon that is not
+    positive, raises ParameterError; with good ones the particles here
+    would strand on the wall."""
+    truth, om = _onto_the_wall()
+    with pytest.raises(ParameterError, match=f"{what} must be"):
+        drift_particles(truth, om, (0.0, 10000.0, 0.0, 10000.0), [1000.0, 2000.0],
+                        [5000.0, 5000.0], t, horizon)
+
+
 def test_stranding_study_deterministic_in_seed():
     _, truth, om = _wall_setup()
     kw = dict(n=50, horizon=50000.0, seed=9, step_dt=1200.0)
