@@ -113,24 +113,20 @@ def sample_missions(
     return missions
 
 
+#: a manifest line's fields, in the order that ``write_missions`` writes them
+_FIELDS = ("x0_m", "y0_m", "t0_s", "target_x_m", "target_y_m", "target_radius_m", "t_max_s")
+
+
 def write_missions(missions, path) -> None:
-    """One JSON object per line; round-trip exact."""
+    """One JSON object of ``_FIELDS`` per line; round-trip exact."""
     with open(path, "w") as fh:
         for m in missions:
-            fh.write(json.dumps({
-                "x0_m": m.x0, "y0_m": m.y0, "t0_s": m.t0,
-                "target_x_m": m.target.center[0],
-                "target_y_m": m.target.center[1],
-                "target_radius_m": m.target.radius,
-                "t_max_s": m.t_max,
-            }) + "\n")
-
-
-_REQUIRED = ("x0_m", "y0_m", "t0_s", "target_x_m", "target_y_m",
-             "target_radius_m", "t_max_s")
+            values = (m.x0, m.y0, m.t0, *m.target.center, m.target.radius, m.t_max)
+            fh.write(json.dumps(dict(zip(_FIELDS, values))) + "\n")
 
 
 def read_missions(path) -> list[Mission]:
+    """A manifest's missions; ParameterError, naming the line, for any line that holds none."""
     missions = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -143,7 +139,7 @@ def read_missions(path) -> list[Mission]:
                 raise ParameterError(f"line {lineno}: malformed JSON: {exc}") from exc
             if not isinstance(doc, dict):
                 raise ParameterError(f"line {lineno}: not a JSON object")
-            for key in _REQUIRED:
+            for key in _FIELDS:
                 if key not in doc:
                     raise ParameterError(f"line {lineno}: missing field {key!r}")
                 value = doc[key]
@@ -152,12 +148,9 @@ def read_missions(path) -> list[Mission]:
                 # json reads NaN and Infinity, and integers beyond any float
                 if not abs(value) <= FLOAT_MAX:
                     raise ParameterError(f"line {lineno}: field {key!r} is not finite")
-            missions.append(Mission(
-                x0=doc["x0_m"], y0=doc["y0_m"], t0=doc["t0_s"],
-                target=TargetSpec(
-                    center=(doc["target_x_m"], doc["target_y_m"]),
-                    radius=doc["target_radius_m"],
-                ),
-                t_max=doc["t_max_s"],
-            ))
+            x0, y0, t0, tx, ty, radius, t_max = (doc[key] for key in _FIELDS)
+            try:
+                missions.append(Mission(x0, y0, t0, TargetSpec((tx, ty), radius), t_max))
+            except ParameterError as exc:
+                raise ParameterError(f"line {lineno}: {exc}") from exc
     return missions

@@ -63,19 +63,18 @@ class Mission:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Stepping and termination settings for closed-loop runs."""
+    """Stepping and termination settings of every run, missions and drifts alike."""
 
+    region: tuple[float, float, float, float]  # xmin, xmax, ymin, ymax
     step_dt: float = STEP_DT
-    region: tuple[float, float, float, float] | None = None  # xmin, xmax, ymin, ymax
 
     def __post_init__(self):
         check_finite("step_dt", self.step_dt, sign="positive")
-        if self.region is not None:
-            if len(self.region) != 4:
-                raise ParameterError(f"region must be xmin, xmax, ymin, ymax, not {self.region}")
-            check_finite("region", *self.region)
-            if not (self.region[0] < self.region[1] and self.region[2] < self.region[3]):
-                raise ParameterError(f"region {self.region} must satisfy xmin < xmax, ymin < ymax")
+        if np.shape(self.region) != (4,):  # None and a scalar have the shape ()
+            raise ParameterError(f"region must be xmin, xmax, ymin, ymax, not {self.region}")
+        check_finite("region", *self.region)
+        if not (self.region[0] < self.region[1] and self.region[2] < self.region[3]):
+            raise ParameterError(f"region {self.region} must satisfy xmin < xmax, ymin < ymax")
 
 
 def _floats():
@@ -141,8 +140,6 @@ def integrate_step(x, u_vec, truth: FlowSource, t: float, dt: float):
 
 def _in_region(x, y, region):
     """Region membership; elementwise for arrays."""
-    if region is None:
-        return np.True_  # ~ negates it, as it does an array's mask
     xmin, xmax, ymin, ymax = region
     return (xmin <= x) & (x <= xmax) & (ymin <= y) & (y <= ymax)
 
@@ -281,23 +278,23 @@ class DriftEnd(enum.IntEnum):
     LEFT_REGION = 2
 
 
-def drift_particles(truth: FlowSource, obstacles: ObstacleMask, region, x, y, t,
-                    horizon: float, step_dt: float = STEP_DT):
+def drift_particles(truth: FlowSource, obstacles: ObstacleMask, x, y, t, horizon: float,
+                    cfg: SimConfig):
     """Drift passive particles from (x, y) at times t for ``horizon`` seconds.
 
     All live particles advance together, one RK4 step of ``integrate_step``'s
-    arithmetic per time step. Each particle takes the exits of the scalar
-    loop in the same order: an RK4 stage outside the truth's extent (left
-    region, at the step's start), an obstacle at the new position
-    (stranded), a position outside ``region`` (left region); otherwise it
-    drifts on until its own t + horizon. Returns end x, y and a DriftEnd
+    arithmetic per ``cfg.step_dt``. Each particle takes the exits of the
+    scalar loop in the same order: an RK4 stage outside the truth's extent
+    (left region, at the step's start), an obstacle at the new position
+    (stranded), a position outside ``cfg.region`` (left region); otherwise
+    it drifts on until its own t + horizon. Returns end x, y and a DriftEnd
     status per particle.
     """
-    check_finite("step_dt", step_dt, sign="positive")
     check_finite("drift horizon", horizon, sign="positive")
     xy = np.array((x, y), dtype=float)
     t = np.broadcast_to(np.asarray(t, dtype=float), xy.shape[1:])
     if t.size:  # a NaN start is the least and the greatest
+        check_finite("drift start positions", xy.min(), xy.max())
         check_finite("drift start times", t.min(), t.max())
     t_end = t + horizon
     status = np.full(t.shape, DriftEnd.SURVIVED, dtype=np.int8)
@@ -324,10 +321,10 @@ def drift_particles(truth: FlowSource, obstacles: ObstacleMask, region, x, y, t,
 
     while live.size:
         off = np.zeros(live.size, dtype=bool)
-        p = np.where(off, p, _rk4(deriv, p, pt, step_dt))
-        pt = pt + step_dt
+        p = np.where(off, p, _rk4(deriv, p, pt, cfg.step_dt))
+        pt = pt + cfg.step_dt
         stranded = ~off & obstacles.contains_many(p[0], p[1])
-        left = off | (~stranded & ~_in_region(p[0], p[1], region))
+        left = off | (~stranded & ~_in_region(p[0], p[1], cfg.region))
         done = stranded | left | ~(pt < pend - 1e-9)
         if done.any():
             xy[:, live[done]] = p.compress(done, axis=1)
@@ -350,19 +347,21 @@ def stranding_study(
 ):
     """Monte-Carlo drift study: n passive trajectories from uniform starts.
 
-    The n start times are drawn first, uniform on ``t_range`` (two finite
-    numbers, lo <= hi, or ParameterError), then (x, y) pairs in batches of n,
-    keeping the first n off the obstacles: with one start time, the starts of
-    a one-pair-at-a-time loop. A region that takes more than ``draw_budget(n)``
-    draws raises ParameterError. All particles then drift together through
-    ``drift_particles``. Returns counts, rates, and a per-cell heatmap of
-    stranding end locations on the obstacle-mask grid.
+    ``region`` and ``step_dt`` make the study's ``SimConfig``, checked before
+    any draw. The n start times are drawn first, uniform on ``t_range`` (two
+    finite numbers, lo <= hi, or ParameterError), then (x, y) pairs in batches
+    of n, keeping the first n off the obstacles: with one start time, the
+    starts of a one-pair-at-a-time loop. A region that takes more than
+    ``draw_budget(n)`` draws raises ParameterError. All particles then drift
+    together through ``drift_particles``. Returns counts, rates, and a
+    per-cell heatmap of stranding end locations on the obstacle-mask grid.
     """
     if n < 1:
         raise ParameterError("need at least one sample")
     check_finite("study start times", *t_range)
     if not t_range[0] <= t_range[1]:  # an equal pair is one start time
         raise ParameterError(f"study start times must satisfy lo <= hi, not {t_range}")
+    cfg = SimConfig(region, step_dt)
     xmin, xmax, ymin, ymax = region
     rng = np.random.default_rng(seed)
     ts = rng.uniform(*t_range, size=n) if t_range[1] > t_range[0] else t_range[0]
@@ -374,7 +373,7 @@ def stranding_study(
         draws = rng.uniform((xmin, ymin), (xmax, ymax), size=(n, 2))
         xy = np.concatenate([xy, draws[~obstacles.contains_many(*draws.T)]])
         drawn += n
-    x, y, status = drift_particles(truth, obstacles, region, *xy[:n].T, ts, horizon, step_dt)
+    x, y, status = drift_particles(truth, obstacles, *xy[:n].T, ts, horizon, cfg)
     stranded = status == DriftEnd.STRANDED
     # a cell counts at most n strandings: int32 holds any n that fits in memory
     heat = np.zeros((obstacles.grid.ny, obstacles.grid.nx), dtype=np.int32)

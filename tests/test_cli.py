@@ -551,12 +551,16 @@ def test_batch_with_missing_missions_file_is_config_error(config, tmp_path, caps
                                   '"t_max_s": 9000.0}',
                                   '{"x0_m": 1000.0, "y0_m": 1000.0, "t0_s": 0.0, "target_x_m": '
                                   '5000.0, "target_y_m": 2000.0, "target_radius_m": 300.0, '
-                                  '"t_max_s": Infinity}'])
+                                  '"t_max_s": Infinity}',
+                                  '{"x0_m": 1000.0, "y0_m": 1000.0, "t0_s": 0.0, "target_x_m": '
+                                  '5000.0, "target_y_m": 2000.0, "target_radius_m": 0, '
+                                  '"t_max_s": 9000.0}'])
 def test_batch_with_bad_missions_line_is_config_error(config, tmp_path, capsys, line):
     # a malformed line, one with missing fields, one that is not an object,
-    # one with a field that is not a number, and two with a field that is
-    # not finite: a NaN start, which mtr cannot place on its grid, and an
-    # endless deadline, on which floating in still water never ends
+    # one with a field that is not a number, two with a field that is not
+    # finite: a NaN start, which mtr cannot place on its grid, and an
+    # endless deadline, on which floating in still water never ends; and one
+    # with a target radius of 0, which TargetSpec refuses
     manifest = tmp_path / "bad.jsonl"
     manifest.write_text(line + "\n")
     err = _config_error(capsys, ["batch", "--config", config["path"],

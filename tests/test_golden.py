@@ -37,6 +37,7 @@ import pytest
 from driftplan.cli import EXIT_OK, main
 from driftplan.controllers import ControllerKind
 from driftplan.flowfield import SpaceTimeGrid, make_highway
+from driftplan.gridio import FLOAT_MAX
 from driftplan.hjsolver import SolverConfig, TargetSpec
 from driftplan.simulator import BatchSpec, Mission, SimConfig, run_batch
 from driftplan.terrain import ObstacleMask, SpatialGrid, distance_map
@@ -133,7 +134,9 @@ def test_switching_and_small_disturbance_mission_digests(tmp_path):
                          obstacles=om, dmap=distance_map(om), switch_threshold=500.0,
                          cadence=30000.0, horizon=90000.0)
         h = hashlib.sha256()
-        for i, rec in enumerate(run_batch(missions, truth, spec, SimConfig(step_dt=600.0))):
+        # a region that holds every finite position never ends these missions
+        anywhere = SimConfig((-FLOAT_MAX, FLOAT_MAX, -FLOAT_MAX, FLOAT_MAX), 600.0)
+        for i, rec in enumerate(run_batch(missions, truth, spec, anywhere)):
             path = tmp_path / f"{kind}_{i}.csv"
             rec.write_csv(path)
             h.update(path.read_bytes())

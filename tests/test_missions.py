@@ -209,13 +209,17 @@ def _manifest_line(**fields):
     (_manifest_line(t0_s=float("-inf")), "field 't0_s' is not finite"),
     (_manifest_line(target_x_m=1e400), "field 'target_x_m' is not finite"),
     (_manifest_line(t0_s=10 ** 400), "field 't0_s' is not finite"),
-], ids=["not-an-object", "string", "nan", "inf", "minus-inf", "1e400", "integer-beyond-float"])
+    # finite numbers that Mission and its TargetSpec refuse, with their message
+    (_manifest_line(target_radius_m=0), "target radius must be positive and finite"),
+    (_manifest_line(t_max_s=-5), "mission deadline must be positive and finite"),
+], ids=["not-an-object", "string", "nan", "inf", "minus-inf", "1e400", "integer-beyond-float",
+        "zero-radius", "negative-deadline"])
 def test_read_missions_rejects_non_object_or_non_number(tmp_path, line, error):
     p = tmp_path / "bad.jsonl"
     write_missions([Mission(1.0, 2.0, 3.0, TargetSpec((4.0, 5.0), 6.0), 7.0)], p)
     with open(p, "a") as fh:
         fh.write(line + "\n")
-    with pytest.raises(ParameterError, match=f"line 2: {error}"):
+    with pytest.raises(ParameterError, match=f"^line 2: {error}"):
         read_missions(p)
 
 

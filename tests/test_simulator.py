@@ -25,6 +25,7 @@ from driftplan.flowfield import (
     make_uniform,
 )
 from driftplan.forecast import ErrorModelConfig, gen_forecast_series
+from driftplan.gridio import FLOAT_MAX
 from driftplan.hjsolver import SolverConfig, TargetSpec
 from driftplan.missions import read_missions
 from driftplan.simulator import (
@@ -42,7 +43,13 @@ from driftplan.simulator import (
 )
 from driftplan.terrain import ObstacleMask, SpatialGrid, distance_map
 
+# numpy warns of a NaN or an infinity cast to a cell index: that is a
+# fault here, as a check should refuse such a number first
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 U_MAX = 0.1
+#: a region that holds every finite position, for runs that no region should end
+_ANYWHERE = (-FLOAT_MAX, FLOAT_MAX, -FLOAT_MAX, FLOAT_MAX)
 
 
 def _grid():
@@ -79,7 +86,7 @@ def test_integrate_step_rk4_matches_analytic_linear_field():
 def test_sim_config_validation():
     for step_dt in (0.0, math.inf, 10**400):
         with pytest.raises(ParameterError, match="step_dt"):
-            SimConfig(step_dt=step_dt)
+            SimConfig(_ANYWHERE, step_dt)
     for region in ((0.0, math.inf, 0.0, 1.0), (math.nan, 1.0, 0.0, 1.0)):
         with pytest.raises(ParameterError, match="region must be finite"):
             SimConfig(region=region)
@@ -126,7 +133,7 @@ def test_mission_success_and_record_shape():
     g, truth, om = _wall_setup()
     m = _mission()
     series = gen_forecast_series(truth, None, 30000.0, m.t_max, (0.0, g.t_max))
-    rec = run_mission(m, truth, om, _ctrl(g, om), series, SimConfig(step_dt=600.0))
+    rec = run_mission(m, truth, om, _ctrl(g, om), series, SimConfig(_ANYWHERE, 600.0))
     assert rec.outcome is Outcome.SUCCESS
     assert rec.outcome_time <= m.t_max
     n = len(rec.times)
@@ -142,7 +149,7 @@ def test_mission_start_inside_target_is_immediate_success():
     g, truth, om = _wall_setup()
     m = Mission(2000.0, 2000.0, 0.0, TargetSpec((2000.0, 2000.0), 300.0), 1000.0)
     series = gen_forecast_series(truth, None, 30000.0, 1000.0, (0.0, g.t_max))
-    rec = run_mission(m, truth, om, _ctrl(g, om), series, SimConfig())
+    rec = run_mission(m, truth, om, _ctrl(g, om), series, SimConfig(_ANYWHERE))
     assert rec.outcome is Outcome.SUCCESS
     assert rec.outcome_time == 0.0
     assert len(rec.times) == 0
@@ -163,7 +170,7 @@ def test_record_holds_the_branch_that_control_returns():
         return u, branch
 
     ctrl.control = control
-    rec = run_mission(m, truth, om, ctrl, series, SimConfig(step_dt=600.0))
+    rec = run_mission(m, truth, om, ctrl, series, SimConfig(_ANYWHERE, 600.0))
     assert rec.outcome is Outcome.SUCCESS and set(rec.branches) == {"safety", "plan"}
     assert list(zip(rec.us, rec.branches)) == returned
 
@@ -173,7 +180,7 @@ def test_floating_in_band_strands_on_wall():
     ctrl = Controller(ControllerKind.FLOATING)
     m = _mission(x0=2000.0, y0=5000.0)  # in the 0.4 m/s band
     series = gen_forecast_series(truth, None, 30000.0, m.t_max, (0.0, g.t_max))
-    rec = run_mission(m, truth, om, ctrl, series, SimConfig(step_dt=600.0))
+    rec = run_mission(m, truth, om, ctrl, series, SimConfig(_ANYWHERE, 600.0))
     assert rec.outcome is Outcome.STRANDED
     # 6600 m of drift at 0.4 m/s
     assert rec.outcome_time == pytest.approx(6600.0 / 0.4, abs=1200.0)
@@ -183,7 +190,7 @@ def test_timeout_when_deadline_too_short():
     g, truth, om = _wall_setup()
     m = _mission(t_max=6000.0)  # far too short to cross the domain
     series = gen_forecast_series(truth, None, 30000.0, m.t_max, (0.0, g.t_max))
-    rec = run_mission(m, truth, om, _ctrl(g, om), series, SimConfig(step_dt=600.0))
+    rec = run_mission(m, truth, om, _ctrl(g, om), series, SimConfig(_ANYWHERE, 600.0))
     assert rec.outcome is Outcome.TIMEOUT
     assert rec.outcome_time == m.t_max
 
@@ -218,7 +225,7 @@ def test_rk4_stage_outside_gridded_extent_is_left_region():
                      obstacles=om)
     missions = [_mission(x0=9800.0, y0=5000.0),
                 _mission(x0=1000.0, y0=5000.0, t_max=6000.0)]
-    recs = run_batch(missions, truth, spec, SimConfig(step_dt=600.0))
+    recs = run_batch(missions, truth, spec, SimConfig(_ANYWHERE, 600.0))
     # the last RK4 stage of the first step samples x = 10100 m
     assert recs[0].outcome is Outcome.LEFT_REGION
     assert recs[0].outcome_time == 600.0
@@ -248,7 +255,7 @@ def test_deadline_past_the_end_of_a_gridded_truth_runs_under_both_error_models()
                                                   temporal_correlation=40000.0,
                                                   n_modes=8),
                      cadence=10000.0, horizon=30000.0)
-    cfg = SimConfig(step_dt=600.0)
+    cfg = SimConfig(_ANYWHERE, 600.0)
     for error_model in (spec.error_model, None):
         spec = replace(spec, error_model=error_model)
         recs = run_batch(missions, truth, spec, cfg, master_seed=3)
@@ -272,7 +279,7 @@ def test_mission_that_starts_after_the_truth_ends_aborts_alone():
                 Mission(1000.0, 5000.0, 40000.0, target, 20000.0)]
     spec = BatchSpec(kind=ControllerKind.FLOATING,
                      solver_config=SolverConfig(grid=_grid(), u_max=U_MAX), obstacles=om)
-    cfg = SimConfig(step_dt=600.0)
+    cfg = SimConfig(_ANYWHERE, 600.0)
     recs = run_batch(missions, truth, spec, cfg)
     assert [r.outcome for r in recs] == [Outcome.TIMEOUT, Outcome.ABORTED]
     assert (recs[1].outcome_time, recs[1].note) == (
@@ -309,7 +316,7 @@ def test_cadence_below_the_float_spacing_of_a_release_aborts_its_mission_alone()
     spec = BatchSpec(kind=ControllerKind.FLOATING, solver_config=SolverConfig(grid=g, u_max=U_MAX),
                      obstacles=om, cadence=1e-20, horizon=5000.0)
     recs = run_batch([replace(_mission(), t0=t0) for t0 in (0.0, 1000.0, 5000.0)], truth, spec,
-                     SimConfig())
+                     SimConfig(_ANYWHERE))
     assert [(r.outcome, r.outcome_time) for r in recs] == [
         (Outcome.ABORTED, 0.0), (Outcome.ABORTED, 1000.0), (Outcome.ABORTED, 5000.0)]
     assert all(r.note.startswith("setup failed: forecast cadence 1e-20 ") for r in recs)
@@ -336,22 +343,23 @@ except ParameterError as exc:
 """
 
 
-@pytest.mark.parametrize("region, ends", [
-    ((4000.0, 6000.0, 4000.0, 6000.0), "refused"),
+@pytest.mark.parametrize("region, ends, why", [
+    ((4000.0, 6000.0, 4000.0, 6000.0), "refused", "no free cell"),
     # edges half-way between nodes: the draws round to cells 3-7 alone
-    ((2500.0, 7500.0, 2500.0, 7500.0), "refused"),
-    ((5000.0, 5000.0, 5000.0, 5000.0), "refused"),
+    ((2500.0, 7500.0, 2500.0, 7500.0), "refused", "no free cell"),
+    # a point has no area: its SimConfig refuses it before any draw
+    ((5000.0, 5000.0, 5000.0, 5000.0), "refused", "must satisfy xmin < xmax"),
     # draws in [2.4, 2.5) km round to the free cells of column and row 2
-    ((2400.0, 7500.0, 2400.0, 7500.0), "ran"),
+    ((2400.0, 7500.0, 2400.0, 7500.0), "ran", ""),
 ], ids=["inside", "half-node-edges", "one-point", "free-cells-on-the-edge"])
-def test_stranding_study_refuses_a_region_with_no_free_cell(run_script, region, ends):
+def test_stranding_study_refuses_a_region_with_no_free_cell(run_script, region, ends, why):
     """Starts drawn until one is off the obstacles would never end: the study
     refuses the region once it has drawn its budget. It runs under a
     timeout, as drawing without that cap does not return."""
     proc = run_script(_ISLAND_STUDY, *map(repr, region))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split()[0] == ends
-    assert ("no free cell" in proc.stdout) == (ends == "refused")
+    assert why in proc.stdout and ("no free cell" in proc.stdout) == (why == "no free cell")
 
 
 def test_stranding_study_refuses_a_region_with_fewer_than_1_in_1000_draws_free(run_script):
@@ -365,42 +373,30 @@ def test_stranding_study_refuses_a_region_with_fewer_than_1_in_1000_draws_free(r
     assert free and int(free[1]) < 5, proc.stdout
 
 
-#: three particles drifted for 3,000 s on a 0.1 m/s eastward flow, in the
-#: region and with the step given as the script's two arguments
+#: three particles drifted for 3,000 s on a 0.1 m/s eastward flow, with the
+#: step given as the script's argument
 _THREE_DRIFTERS = """
-import ast, json, sys
+import sys
 import numpy as np
 from driftplan.errors import ParameterError
 from driftplan.flowfield import make_uniform
-from driftplan.simulator import drift_particles
+from driftplan.simulator import SimConfig, drift_particles
 from driftplan.terrain import ObstacleMask, SpatialGrid
 om = ObstacleMask(SpatialGrid(0.0, 0.0, 1000.0, 1000.0, 11, 11), np.zeros((11, 11), dtype=bool))
-region, step_dt = ast.literal_eval(sys.argv[1]), float(sys.argv[2])
 try:
-    ends = drift_particles(make_uniform(0.1, 0.0), om, region, [1000.0, 2000.0, 3000.0],
-                           [5000.0] * 3, 0.0, 3000.0, step_dt)
-    print("ran", json.dumps([e.tolist() for e in ends]))
+    drift_particles(make_uniform(0.1, 0.0), om, [1000.0, 2000.0, 3000.0], [5000.0] * 3, 0.0,
+                    3000.0, SimConfig((0.0, 10000.0, 0.0, 10000.0), float(sys.argv[1])))
+    print("ran")
 except ParameterError as exc:
     print("refused", exc)
 """
 
 
-def test_drift_without_a_region_returns_as_inside_one(run_script):
-    """No region is an all-true mask: the particles drift to their horizon and
-    end where they end inside a region that holds their whole drift."""
-    proc = run_script(_THREE_DRIFTERS, "None", "600.0")
-    assert proc.returncode == 0, proc.stderr
-    kind, ends = proc.stdout.split(maxsplit=1)
-    om = ObstacleMask(SpatialGrid(0.0, 0.0, 1000.0, 1000.0, 11, 11), np.zeros((11, 11), bool))
-    want = drift_particles(make_uniform(0.1, 0.0), om, (0.0, 10000.0, 0.0, 10000.0),
-                           [1000.0, 2000.0, 3000.0], [5000.0] * 3, 0.0, 3000.0, 600.0)
-    assert kind == "ran" and json.loads(ends) == [e.tolist() for e in want]
-    assert want[2].tolist() == [DriftEnd.SURVIVED] * 3
-
-
 @pytest.mark.parametrize("step_dt", ["0.0", "-600.0", "nan"])
 def test_drift_refuses_a_step_that_is_not_positive_and_finite(run_script, step_dt):
-    proc = run_script(_THREE_DRIFTERS, "(0.0, 10000.0, 0.0, 10000.0)", step_dt)
+    """A drift steps by its SimConfig, which refuses such a step. The drift
+    runs under a timeout, as one on a step that is not positive never ends."""
+    proc = run_script(_THREE_DRIFTERS, step_dt)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("refused step_dt must be positive and finite")
 
@@ -420,7 +416,7 @@ def test_aborted_when_replanning_fails():
     m = replace(_mission(), t0=5000.0)
     # the one release's window closed before the mission starts
     series = gen_forecast_series(truth, None, 30000.0, 1000.0, (0.0, 0.0))
-    rec = run_mission(m, truth, om, _ctrl(g, om), series, SimConfig())
+    rec = run_mission(m, truth, om, _ctrl(g, om), series, SimConfig(_ANYWHERE))
     assert rec.outcome is Outcome.ABORTED
     assert "replan failed" in rec.note
 
@@ -431,7 +427,7 @@ def test_trajectory_csv_round_trip(tmp_path):
     g, truth, om = _wall_setup()
     m = _mission()
     series = gen_forecast_series(truth, None, 30000.0, m.t_max, (0.0, g.t_max))
-    rec = run_mission(m, truth, om, _ctrl(g, om), series, SimConfig(step_dt=600.0))
+    rec = run_mission(m, truth, om, _ctrl(g, om), series, SimConfig(_ANYWHERE, 600.0))
     p = tmp_path / "traj.csv"
     rec.write_csv(p)
     with p.open(newline="") as fh:
@@ -454,7 +450,7 @@ def test_record_holds_under_100_bytes_per_step():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        rec = run_mission(m, truth, om, ctrl, series, SimConfig(step_dt=600.0))
+        rec = run_mission(m, truth, om, ctrl, series, SimConfig(_ANYWHERE, 600.0))
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -480,7 +476,7 @@ def _batch_inputs():
         _mission(1000.0, 5000.0), _mission(3000.0, 8000.0),
         _mission(6000.0, 1000.0), _mission(1000.0, 8000.0),
     ]
-    return missions, truth, spec, SimConfig(step_dt=600.0)
+    return missions, truth, spec, SimConfig(_ANYWHERE, 600.0)
 
 
 def test_batch_results_independent_of_worker_count():
@@ -514,7 +510,7 @@ def test_a_batch_sends_its_truth_once_per_worker():
     spec = BatchSpec(kind=ControllerKind.FLOATING, obstacles=om,
                      solver_config=SolverConfig(grid=_grid(), u_max=U_MAX))
     missions = [_mission(1000.0 * k, 5000.0, t_max=6000.0) for k in range(1, 7)]
-    truth, cfg = _CountedFlow(0.1, 0.0), SimConfig(step_dt=600.0)
+    truth, cfg = _CountedFlow(0.1, 0.0), SimConfig(_ANYWHERE, 600.0)
     one = run_batch(missions, truth, spec, cfg, workers=1)
     _PICKLED.clear()
     two = run_batch(missions, truth, spec, cfg, workers=2)
@@ -579,7 +575,7 @@ def test_a_fault_of_any_type_aborts_its_mission_alone(workers):
     spec = BatchSpec(kind=ControllerKind.MTR, solver_config=SolverConfig(grid=g, u_max=U_MAX),
                      obstacles=om, dmap=distance_map(om), cadence=30000.0, horizon=90000.0)
     missions = [_mission(1000.0, 5000.0), _mission(3000.0, 8000.0), _mission(6000.0, 1000.0)]
-    cfg = SimConfig(step_dt=600.0)
+    cfg = SimConfig(_ANYWHERE, 600.0)
     clean = run_batch(missions, truth, spec, cfg, workers=workers)
     at = (clean[2].xs[5], clean[2].ys[5])
     faulty = _FaultAt(truth.y1, truth.y2, truth.band_u, truth.band_v, at=at)
@@ -653,8 +649,33 @@ def test_drift_refuses_start_times_and_horizons_that_break_the_finite_rule(t, ho
     would strand on the wall."""
     truth, om = _onto_the_wall()
     with pytest.raises(ParameterError, match=f"{what} must be"):
-        drift_particles(truth, om, (0.0, 10000.0, 0.0, 10000.0), [1000.0, 2000.0],
-                        [5000.0, 5000.0], t, horizon)
+        drift_particles(truth, om, [1000.0, 2000.0], [5000.0, 5000.0], t, horizon,
+                        SimConfig((0.0, 10000.0, 0.0, 10000.0)))
+
+
+@pytest.mark.parametrize("x, y", [([math.nan, 1000.0], [5000.0, 5000.0]),
+                                  ([1000.0, 2000.0], [5000.0, math.inf])],
+                         ids=["nan-x", "inf-y"])
+def test_drift_refuses_start_positions_that_break_the_finite_rule(x, y):
+    """A start position that is not finite raises ParameterError before any
+    step, with no RuntimeWarning (this module makes one an error)."""
+    truth, om = _onto_the_wall()
+    with pytest.raises(ParameterError, match="drift start positions must be finite"):
+        drift_particles(truth, om, x, y, 0.0, 86400.0, SimConfig((0.0, 10000.0, 0.0, 10000.0)))
+
+
+@pytest.mark.parametrize("region", [(math.nan, 1e4, 0.0, 1e4), (0.0, 1e4, 0.0, math.inf),
+                                    (1e4, 0.0, 0.0, 1e4), (0.0, 1e4, 0.0), None],
+                         ids=["nan", "inf", "reversed", "three-numbers", "none"])
+def test_stranding_study_refuses_a_region_as_sim_config_does(region):
+    """Through the Python API as in a CLI config, a region that SimConfig
+    refuses raises SimConfig's ParameterError."""
+    truth, om = _onto_the_wall()
+    with pytest.raises(ParameterError, match="region") as refused:
+        stranding_study(region, truth, om, 50, 86400.0)
+    with pytest.raises(ParameterError) as direct:
+        SimConfig(region)
+    assert str(refused.value) == str(direct.value)
 
 
 def test_stranding_study_deterministic_in_seed():
@@ -718,8 +739,8 @@ def test_stranding_study_matches_scalar_reference(kind, seed, n, one_time):
                 break
         starts.append((x, y, t))
     x0, y0, t0 = np.array(starts).T
-    x, y, status = drift_particles(truth, om, region, x0, y0, t0,
-                                   kw["horizon"], kw["step_dt"])
+    x, y, status = drift_particles(truth, om, x0, y0, t0, kw["horizon"],
+                                   SimConfig(region, kw["step_dt"]))
     assert status.tolist() == [e[2] for e in ends]
     assert x.tobytes() == np.array([e[0] for e in ends]).tobytes()
     assert y.tobytes() == np.array([e[1] for e in ends]).tobytes()
@@ -742,12 +763,12 @@ def test_nan_stage_ends_its_particle_only():
     truth = _NanBeyond(0.1, 0.0, x_nan=5000.0)
     om = ObstacleMask(grid=SpatialGrid(0.0, 0.0, 500.0, 500.0, 21, 21),
                       mask=np.zeros((21, 21), dtype=bool))
-    region = (0.0, 10000.0, 0.0, 10000.0)
-    x, y, status = drift_particles(truth, om, region, [1000.0, 6000.0], [500.0, 500.0],
-                                   0.0, 6000.0)
+    cfg = SimConfig((0.0, 10000.0, 0.0, 10000.0))
+    x, y, status = drift_particles(truth, om, [1000.0, 6000.0], [500.0, 500.0], 0.0, 6000.0,
+                                   cfg)
     assert status.tolist() == [DriftEnd.SURVIVED, DriftEnd.LEFT_REGION]
     assert (x[1], y[1]) == (6000.0, 500.0)
-    alone = drift_particles(truth, om, region, [1000.0], [500.0], 0.0, 6000.0)
+    alone = drift_particles(truth, om, [1000.0], [500.0], 0.0, 6000.0, cfg)
     assert (x[0], y[0]) == (alone[0][0], alone[1][0])
 
 
